@@ -20,6 +20,7 @@ from typing import Any
 from . import serialize, verify
 from .errmodels import DepolarizationModel, MeasureRModel
 from .locc import (
+    ConditionalOutputUndefined,
     conditional_fidelity,
     make_first_pair,
     make_random_pair,
@@ -298,7 +299,8 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         try:
             model = serialize.error_model_from_json(doc2)
         except SpecParseError as exc:
-            raise SystemExit(f"error: {exc}")
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_IO
 
     fid = protocol_fidelity(proto, model)
     record: dict[str, Any] = {
@@ -309,7 +311,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     record.update({f"param_{k}": v for k, v in sorted(serialize.error_model_to_json(model).items())})
     try:
         record["conditional_fidelity"] = conditional_fidelity(proto, model)
-    except Exception:
+    except ConditionalOutputUndefined:
         record["conditional_fidelity"] = None
     print(f"fidelity: {fid!r}", file=sys.stderr)
     if record["conditional_fidelity"] is not None:

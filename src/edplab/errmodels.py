@@ -10,7 +10,9 @@ tolerate:
   half of each pair through a depolarizing channel;
 * fidelity: every state whose overlap with the perfect pair block is at
   least 1 - epsilon, represented here by its canonical worst-case
-  witness plus optional random members.
+  witness plus optional random members.  The runner gets the witness
+  as a pure component plus a product component (``run_inputs``), never
+  as the dense matrix ``fidelity_witness`` returns.
 
 Exact mixtures are carried as weighted state lists and collapsed to a
 dense matrix only on demand.
@@ -27,6 +29,7 @@ import numpy as np
 from .qcore import (
     BOB,
     DensityMatrix,
+    ProductState,
     PureState,
     Qubit,
     State,
@@ -40,7 +43,9 @@ from .qcore import (
 )
 from . import rng as rngmod
 
-WeightedStates = list[tuple[float, State]]
+WeightedStates = list[tuple[float, State | ProductState]]
+#: what ``locc.run`` evaluates: one state or a weighted component list
+RunInput = State | ProductState | WeightedStates
 
 INDICATOR_ENTRIES = ("0", "1", "*")
 EXTENDED_ENTRIES = ("00", "01", "10", "11", "*")
@@ -315,10 +320,8 @@ def collapse(states: WeightedStates) -> DensityMatrix:
 # fidelity model
 
 
-def fidelity_witness(n: int, epsilon: float) -> DensityMatrix:
-    """Canonical fidelity-model member: perfect pairs mixed with the
-    completely mixed state, weighted so the overall fidelity is exactly
-    1 - epsilon."""
+def _witness_mixing_weight(n: int, epsilon: float) -> float:
+    """eps' = (4^n/(4^n-1)) eps, the weight of the maximally mixed part."""
     if n < 1:
         raise ValueError("need at least one pair")
     dim = 1 << (2 * n)
@@ -327,10 +330,30 @@ def fidelity_witness(n: int, epsilon: float) -> DensityMatrix:
         raise ValueError(
             f"witness construction needs 0 <= epsilon <= 1 - 2^-2n = {limit}"
         )
-    eps_prime = epsilon * dim / (dim - 1)
-    psi = epr_state(n).to_density()
-    mat = (1.0 - eps_prime) * psi.matrix + eps_prime * np.eye(dim) / dim
-    return DensityMatrix(n, n, mat, validate=False)
+    return epsilon * dim / (dim - 1)
+
+
+def fidelity_witness_components(n: int, epsilon: float) -> WeightedStates:
+    """The canonical witness as a weighted runner input.
+
+    ``(1-eps') |Phi><Phi|`` is kept as the pure perfect block and
+    ``eps' I/d_A (x) I/d_B`` as a product state, so evaluating a protocol
+    never forms the dense ``4^n x 4^n`` witness.  Zero-weight parts are
+    dropped.
+    """
+    eps_prime = _witness_mixing_weight(n, epsilon)
+    parts: WeightedStates = [
+        (1.0 - eps_prime, epr_state(n)),
+        (eps_prime, ProductState.maximally_mixed(n, n)),
+    ]
+    return [(w, st) for w, st in parts if w > 0.0]
+
+
+def fidelity_witness(n: int, epsilon: float) -> DensityMatrix:
+    """Canonical fidelity-model member: perfect pairs mixed with the
+    completely mixed state, weighted so the overall fidelity is exactly
+    1 - epsilon.  Dense form of ``fidelity_witness_components``."""
+    return collapse(fidelity_witness_components(n, epsilon))
 
 
 @dataclass(frozen=True)
@@ -347,6 +370,9 @@ class MeasureRModel:
 
     def states(self) -> list[State]:
         return [error_state(v) for v in enumerate_indicators(self.n, self.r)]
+
+    def run_inputs(self) -> list[RunInput]:
+        return self.states()
 
     def uniform_mixture(self) -> WeightedStates:
         members = self.states()
@@ -368,6 +394,9 @@ class DepolarizationModel:
     def states(self) -> list[State]:
         return [depolarization_state(self.n, self.p)]
 
+    def run_inputs(self) -> list[RunInput]:
+        return self.states()
+
 
 @dataclass(frozen=True)
 class FidelityModel:
@@ -385,14 +414,21 @@ class FidelityModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon < 1.0:
-            raise ValueError(f"need 0 <= epsilon < 1, got {self.epsilon}")
+        # rejects n < 1 and epsilon outside [0, 1 - 4^-n], NaN included
+        _witness_mixing_weight(self.n, self.epsilon)
 
     def witness(self) -> DensityMatrix:
         return fidelity_witness(self.n, self.epsilon)
 
     def states(self) -> list[State]:
         out: list[State] = [self.witness()]
+        if self.samples:
+            out.extend(self._sample_members())
+        return out
+
+    def run_inputs(self) -> list[RunInput]:
+        """The witness in component form, then the sampled members."""
+        out: list[RunInput] = [fidelity_witness_components(self.n, self.epsilon)]
         if self.samples:
             out.extend(self._sample_members())
         return out

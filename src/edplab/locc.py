@@ -14,7 +14,20 @@ Evaluation is exact: the full transcript tree is enumerated per seed,
 never sampled.  Instruments are given directly in Kraus form, which
 subsumes local ancillas; an instrument may additionally declare
 workspace qubits that are appended in |0> for its round and traced out
-afterwards.
+afterwards (compiled into plain Kraus operators when it is built).
+
+``run`` is linear in its input and takes a weighted component list;
+each component keeps one representation through its whole tree, picked
+by its type:
+
+* ``PureState``: a (2^n, 2^n) amplitude matrix, O(2^{3n}) per node; a
+  multi-Kraus branch turns it dense;
+* ``ProductState``: the two local factors, O(2^{3n}) per node; every
+  runner operation is one-sided, so the form is kept throughout;
+* ``DensityMatrix``: the flat 4^n x 4^n matrix, O(2^{5n}) per node.
+
+Fidelity-model evaluations use pure + product only: the canonical
+witness reaches ``run`` as ``errmodels.fidelity_witness_components``.
 
 ``run`` is a pure function; independent runs may execute in parallel.
 """
@@ -22,7 +35,7 @@ afterwards.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -32,6 +45,7 @@ from .qcore import (
     ALICE,
     BOB,
     DensityMatrix,
+    ProductState,
     PureState,
     hermitian_sqrt,
     _check_capacity,
@@ -48,6 +62,11 @@ class ConditionalOutputUndefined(ValueError):
 # building blocks
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class Instrument:
     """Two-branch quantum instrument on one party's register.
@@ -57,10 +76,18 @@ class Instrument:
     trace preserving.  Kraus operators act on the party's protocol
     qubits plus ``n_workspace`` fresh |0> qubits appended at the low
     end of the register.
+
+    ``kraus[b]`` is the same map with the workspace compiled away: the
+    operators ``(I (x) <j|) K (I (x) |0>)`` on the protocol qubits, one
+    per Kraus operator K and workspace basis state j.  The runner uses
+    only ``kraus``.
     """
 
     branches: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
     n_workspace: int = 0
+    kraus: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if len(self.branches) != 2:
@@ -77,8 +104,7 @@ class Instrument:
                     dim = arr.shape[0]
                 elif arr.shape[0] != dim:
                     raise ValueError("Kraus operators must share one dimension")
-                arr.setflags(write=False)
-                ops.append(arr)
+                ops.append(_read_only(arr))
             frozen.append(tuple(ops))
         if dim is None:
             raise ValueError("instrument must contain at least one Kraus operator")
@@ -88,15 +114,24 @@ class Instrument:
         if np.abs(total - np.eye(dim)).max() > 1e-9:
             raise ValueError("instrument branches are not trace preserving")
         object.__setattr__(self, "branches", tuple(frozen))
+        dw = 1 << self.n_workspace
+        if dim % dw:
+            raise ValueError("instrument dimension must include its workspace qubits")
+        if dw > 1:
+            d = dim // dw
+            frozen = [
+                tuple(
+                    _read_only(k.reshape(d, dw, d, dw)[:, j, :, 0].copy())
+                    for k in branch
+                    for j in range(dw)
+                )
+                for branch in frozen
+            ]
+        object.__setattr__(self, "kraus", tuple(frozen))
 
     @property
     def dim(self) -> int:
         return self.branches[0][0].shape[0] if self.branches[0] else self.branches[1][0].shape[0]
-
-    @property
-    def pure_compatible(self) -> bool:
-        """Single-Kraus branches without workspace keep pure states pure."""
-        return self.n_workspace == 0 and all(len(b) == 1 for b in self.branches)
 
 
 @dataclass(frozen=True)
@@ -292,36 +327,123 @@ class RunResult:
 # the exact runner
 
 
-class _Node:
-    """Mutable evolution state: pure (dA, dB) vector or flat mixed matrix."""
+class _PureNode:
+    """Unnormalized pure state as a (dA, dB) amplitude matrix."""
 
-    __slots__ = ("kind", "arr", "dA", "dB")
+    __slots__ = ("psi",)
 
-    def __init__(self, kind: str, arr: np.ndarray, dA: int, dB: int):
-        self.kind = kind
-        self.arr = arr
+    def __init__(self, psi: np.ndarray):
+        self.psi = psi
+
+    def apply(self, ops: tuple[np.ndarray, ...], party: str) -> "_Node":
+        """sum_k K rho K^dag with every K on ``party``'s register."""
+        if len(ops) != 1:
+            return self.to_dense().apply(ops, party)
+        k = ops[0]
+        return _PureNode(k @ self.psi if party == ALICE else self.psi @ k.T)
+
+    def norm(self) -> float:
+        return float(np.linalg.norm(self.psi.reshape(-1)) ** 2)
+
+    def reduce_pair(self, n: int, pair: int) -> np.ndarray:
+        """4x4 reduced matrix of (Alice ``pair``, Bob ``pair``)."""
+        t = self.psi.reshape((2,) * (2 * n))
+        t = np.moveaxis(t, (pair, n + pair), (0, 1)).reshape(4, -1)
+        return t @ t.conj().T
+
+    def local_states(self) -> tuple[np.ndarray, np.ndarray]:
+        """(alice, bob) marginals."""
+        psi = self.psi
+        return psi @ psi.conj().T, psi.T @ psi.conj()
+
+    def to_dense(self) -> "_DenseNode":
+        vec = self.psi.reshape(-1)
+        return _DenseNode(np.outer(vec, vec.conj()), *self.psi.shape)
+
+
+class _ProductNode:
+    """Unnormalized product state ``alice (x) bob`` as its local factors.
+
+    Every runner operation acts on one side, so the form is kept
+    throughout and a node costs what a pure node costs.
+    """
+
+    __slots__ = ("alice", "bob")
+
+    def __init__(self, alice: np.ndarray, bob: np.ndarray):
+        self.alice = alice
+        self.bob = bob
+
+    def apply(self, ops: tuple[np.ndarray, ...], party: str) -> "_Node":
+        side = self.alice if party == ALICE else self.bob
+        out = np.zeros_like(side)
+        for k in ops:
+            out += k @ side @ k.conj().T
+        if party == ALICE:
+            return _ProductNode(out, self.bob)
+        return _ProductNode(self.alice, out)
+
+    def norm(self) -> float:
+        return float(np.trace(self.alice).real * np.trace(self.bob).real)
+
+    def reduce_pair(self, n: int, pair: int) -> np.ndarray:
+        return np.kron(_qubit_marginal(self.alice, n, pair), _qubit_marginal(self.bob, n, pair))
+
+    def local_states(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.alice * np.trace(self.bob).real, self.bob * np.trace(self.alice).real
+
+
+class _DenseNode:
+    """Unnormalized mixed state as a flat (dA*dB, dA*dB) matrix."""
+
+    __slots__ = ("rho", "dA", "dB")
+
+    def __init__(self, rho: np.ndarray, dA: int, dB: int):
+        self.rho = rho
         self.dA = dA
         self.dB = dB
 
+    def apply(self, ops: tuple[np.ndarray, ...], party: str) -> "_Node":
+        out = np.zeros_like(self.rho)
+        for k in ops:
+            out += _sandwich(self.rho, k, party, self.dA, self.dB)
+        return _DenseNode(out, self.dA, self.dB)
+
     def norm(self) -> float:
-        if self.kind == "pure":
-            return float(np.linalg.norm(self.arr.reshape(-1)) ** 2)
-        return float(np.trace(self.arr).real)
+        return float(np.trace(self.rho).real)
 
-    def to_mixed(self) -> "_Node":
-        if self.kind == "mixed":
-            return self
-        vec = self.arr.reshape(-1)
-        return _Node("mixed", np.outer(vec, vec.conj()), self.dA, self.dB)
+    def reduce_pair(self, n: int, pair: int) -> np.ndarray:
+        t = self.rho.reshape((2,) * (4 * n))
+        t = np.moveaxis(
+            t,
+            (pair, n + pair, 2 * n + pair, 3 * n + pair),
+            (0, 1, 2 * n, 2 * n + 1),
+        )
+        t = t.reshape(4, 1 << (2 * n - 2), 4, 1 << (2 * n - 2))
+        return np.einsum("arbr->ab", t)
 
-    def scaled_copy(self) -> "_Node":
-        return _Node(self.kind, self.arr, self.dA, self.dB)
+    def local_states(self) -> tuple[np.ndarray, np.ndarray]:
+        t = self.rho.reshape(self.dA, self.dB, self.dA, self.dB)
+        return np.einsum("abcb->ac", t), np.einsum("abad->bd", t)
 
 
-def _embed_kraus(k: np.ndarray, party: str, dA: int, dB: int) -> np.ndarray:
-    if party == ALICE:
-        return np.kron(k, np.eye(dB))
-    return np.kron(np.eye(dA), k)
+_Node = _PureNode | _ProductNode | _DenseNode
+
+
+def _root(state: PureState | ProductState | DensityMatrix) -> _Node:
+    """The input's type picks the representation of its whole subtree."""
+    if isinstance(state, PureState):
+        return _PureNode(state.amplitudes.reshape(1 << state.n_alice, 1 << state.n_bob))
+    if isinstance(state, ProductState):
+        return _ProductNode(state.alice.matrix, state.bob.matrix)
+    return _DenseNode(state.matrix, 1 << state.n_alice, 1 << state.n_bob)
+
+
+def _qubit_marginal(mat: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    """2x2 marginal of ``qubit`` in an n-qubit one-party matrix."""
+    lo = 1 << (n - qubit - 1)
+    t = mat.reshape(1 << qubit, 2, lo, 1 << qubit, 2, lo)
+    return np.einsum("iajibj->ab", t)
 
 
 def _sandwich(arr: np.ndarray, k: np.ndarray, party: str, dA: int, dB: int) -> np.ndarray:
@@ -336,85 +458,8 @@ def _sandwich(arr: np.ndarray, k: np.ndarray, party: str, dA: int, dB: int) -> n
     return (out.reshape(d * dA, dB) @ k.conj().T).reshape(d, d)
 
 
-def _apply_local_unitary(node: _Node, u: np.ndarray, party: str) -> _Node:
-    if node.kind == "pure":
-        if party == ALICE:
-            return _Node("pure", u @ node.arr, node.dA, node.dB)
-        return _Node("pure", node.arr @ u.T, node.dA, node.dB)
-    return _Node("mixed", _sandwich(node.arr, u, party, node.dA, node.dB), node.dA, node.dB)
-
-
-def _apply_branch(node: _Node, instrument: Instrument, party: str, branch: int) -> _Node:
-    """Unnormalized post-branch state; workspace handled inside."""
-    kraus = instrument.branches[branch]
-    w = instrument.n_workspace
-    dA, dB = node.dA, node.dB
-    if node.kind == "pure" and instrument.pure_compatible:
-        k = kraus[0]
-        vec = node.arr
-        if party == ALICE:
-            return _Node("pure", k @ vec, dA, dB)
-        return _Node("pure", vec @ k.T, dA, dB)
-    mixed = node.to_mixed()
-    if w == 0:
-        out = np.zeros_like(mixed.arr)
-        for k in kraus:
-            out += _sandwich(mixed.arr, k, party, dA, dB)
-        return _Node("mixed", out, dA, dB)
-    # append workspace in |0>, apply, trace workspace back out
-    dw = 1 << w
-    dAx = dA * dw if party == ALICE else dA
-    dBx = dB * dw if party == BOB else dB
-    big = np.zeros((dAx * dBx, dAx * dBx), dtype=np.complex128)
-    src = mixed.arr.reshape(dA, dB, dA, dB)
-    if party == ALICE:
-        ext = np.zeros((dA, dw, dB, dA, dw, dB), dtype=np.complex128)
-        ext[:, 0, :, :, 0, :] = src
-    else:
-        ext = np.zeros((dA, dB, dw, dA, dB, dw), dtype=np.complex128)
-        ext[:, :, 0, :, :, 0] = src
-    ext = ext.reshape(dAx * dBx, dAx * dBx)
-    for k in kraus:
-        g = _embed_kraus(k, party, dAx, dBx)
-        big += g @ ext @ g.conj().T
-    big = big.reshape(dAx, dBx, dAx, dBx)
-    if party == ALICE:
-        t = big.reshape(dA, dw, dB, dA, dw, dB)
-        out = np.einsum("awbcwd->abcd", t)
-    else:
-        t = big.reshape(dA, dB, dw, dA, dB, dw)
-        out = np.einsum("abwcdw->abcd", t)
-    return _Node("mixed", out.reshape(dA * dB, dA * dB), dA, dB)
-
-
-def _reduce_pair(node: _Node, n: int, pair: int) -> np.ndarray:
-    """4x4 reduced matrix of (Alice ``pair``, Bob ``pair``), unnormalized."""
-    if node.kind == "pure":
-        t = node.arr.reshape((2,) * (2 * n))
-        t = np.moveaxis(t, (pair, n + pair), (0, 1)).reshape(4, -1)
-        return t @ t.conj().T
-    t = node.arr.reshape((2,) * (4 * n))
-    t = np.moveaxis(
-        t,
-        (pair, n + pair, 2 * n + pair, 3 * n + pair),
-        (0, 1, 2 * n, 2 * n + 1),
-    )
-    t = t.reshape(4, 1 << (2 * n - 2), 4, 1 << (2 * n - 2))
-    return np.einsum("arbr->ab", t)
-
-
-def _local_states(node: _Node) -> tuple[np.ndarray, np.ndarray]:
-    """Unnormalized (alice, bob) marginals of a node state."""
-    dA, dB = node.dA, node.dB
-    if node.kind == "pure":
-        psi = node.arr
-        return psi @ psi.conj().T, psi.T @ psi.conj()
-    t = node.arr.reshape(dA, dB, dA, dB)
-    return np.einsum("abcb->ac", t), np.einsum("abad->bd", t)
-
-
 def _coerce_input(protocol: Protocol, state) -> WeightedStates:
-    if isinstance(state, (PureState, DensityMatrix)):
+    if isinstance(state, (PureState, ProductState, DensityMatrix)):
         weighted: WeightedStates = [(1.0, state)]
     else:
         weighted = list(state)
@@ -445,21 +490,15 @@ def _accept_info(
     if isinstance(rule, ConstantAccept):
         return rule.probability(transcript), None
     m = rule.element(seed, transcript)
-    if m.shape != (node.dA, node.dA):
+    alice, _ = node.local_states()
+    if m.shape != alice.shape:
         raise ValueError("accept POVM element must act on Alice's register")
-    alice, _ = _local_states(node)
     r_joint = float(np.trace(m @ alice).real)  # p_t * r_t
     if r_joint < PROB_TOL:
         return 0.0, np.zeros((4, 4), dtype=np.complex128)
-    root = hermitian_sqrt(m, floor=1e-9)
-    if node.kind == "pure":
-        post = _Node("pure", root @ node.arr, node.dA, node.dB)
-    else:
-        post = _Node(
-            "mixed", _sandwich(node.arr, root, ALICE, node.dA, node.dB), node.dA, node.dB
-        )
+    post = node.apply((hermitian_sqrt(m, floor=1e-9),), ALICE)
     p_t = node.norm()
-    reduced = _reduce_pair(post, protocol.n_pairs, protocol.output_pair_for(seed))
+    reduced = post.reduce_pair(protocol.n_pairs, protocol.output_pair_for(seed))
     return r_joint / p_t if p_t > PROB_TOL else 0.0, reduced
 
 
@@ -472,7 +511,6 @@ def run(protocol: Protocol, state, record_nodes: bool = False) -> RunResult:
     """
     weighted = _coerce_input(protocol, state)
     n = protocol.n_pairs
-    dim_side = 1 << n
     leaves: list[LeafRecord] = []
     nodes: dict[tuple[int, int, str], NodeRecord] = {}
     out_acc = np.zeros((4, 4), dtype=np.complex128)
@@ -480,14 +518,11 @@ def run(protocol: Protocol, state, record_nodes: bool = False) -> RunResult:
     success = 0.0
 
     for comp_idx, (comp_w, comp_state) in enumerate(weighted):
-        if isinstance(comp_state, PureState):
-            root = _Node("pure", comp_state.amplitudes.reshape(dim_side, dim_side), dim_side, dim_side)
-        else:
-            root = _Node("mixed", np.asarray(comp_state.matrix), dim_side, dim_side)
+        root = _root(comp_state)
         for seed, seed_w in enumerate(protocol.seed_weights):
             if seed_w == 0.0:
                 continue
-            frontier: list[tuple[str, _Node]] = [("", root.scaled_copy())]
+            frontier: list[tuple[str, _Node]] = [("", root)]
             if record_nodes:
                 _record(nodes, comp_idx, seed, "", root, 1.0)
             for rnd in protocol.rounds:
@@ -496,14 +531,13 @@ def run(protocol: Protocol, state, record_nodes: bool = False) -> RunResult:
                     raise ValueError(
                         "instrument dimension does not match the party register"
                     )
-                _check_capacity(2 * n + instrument.n_workspace)
                 listener_u = rnd.listener_for_seed(seed)
                 new_frontier: list[tuple[str, _Node]] = []
                 for prefix, node in frontier:
                     if listener_u is not None:
-                        node = _apply_local_unitary(node, listener_u, rnd.listener)
+                        node = node.apply((listener_u,), rnd.listener)
                     for bit in (0, 1):
-                        child = _apply_branch(node, instrument, rnd.party, bit)
+                        child = node.apply(instrument.kraus[bit], rnd.party)
                         p_child = child.norm()
                         label = prefix + str(bit)
                         if record_nodes:
@@ -520,7 +554,7 @@ def run(protocol: Protocol, state, record_nodes: bool = False) -> RunResult:
             pair = protocol.output_pair_for(seed)
             for transcript, node in frontier:
                 p_t = node.norm()
-                reduced = _reduce_pair(node, n, pair)
+                reduced = node.reduce_pair(n, pair)
                 r_t, post = _accept_info(protocol, seed, transcript, node)
                 out_acc += comp_w * seed_w * reduced
                 if post is None:
@@ -566,7 +600,7 @@ def _record(
     if probability < PROB_TOL:
         nodes[(comp, seed, label)] = NodeRecord(0.0, None, None)
         return
-    alice, bob = _local_states(node)
+    alice, bob = node.local_states()
     nodes[(comp, seed, label)] = NodeRecord(
         probability, alice / probability, bob / probability
     )
@@ -593,7 +627,7 @@ def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
     from .qcore import base_fidelity
 
     values = [
-        base_fidelity(run(protocol, st).output) for st in model.states()
+        base_fidelity(run(protocol, st).output) for st in model.run_inputs()
     ]
     return min(values)
 
@@ -603,7 +637,7 @@ def conditional_fidelity(protocol: Protocol, model: ErrorModel) -> float:
     from .qcore import base_fidelity
 
     values = []
-    for st in model.states():
+    for st in model.run_inputs():
         result = run(protocol, st)
         values.append(base_fidelity(result.require_conditional_output()))
     return min(values)

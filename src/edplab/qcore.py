@@ -173,11 +173,52 @@ class DensityMatrix:
         return DensityMatrix(n_alice, n_bob, np.eye(dim) / dim, validate=False)
 
 
+@dataclass(frozen=True)
+class ProductState:
+    """Product state ``alice (x) bob`` kept as its two local factors.
+
+    ``alice`` lives on Alice's register alone (``n_bob == 0``) and
+    ``bob`` on Bob's (``n_alice == 0``); both are validated density
+    matrices.  The dense ``4^n``-entry matrix is formed only by
+    ``to_density``.
+    """
+
+    alice: DensityMatrix
+    bob: DensityMatrix
+
+    def __post_init__(self) -> None:
+        if self.alice.n_bob != 0 or self.bob.n_alice != 0:
+            raise ValueError("product factors must each live on one party's register")
+
+    @property
+    def n_alice(self) -> int:
+        return self.alice.n_alice
+
+    @property
+    def n_bob(self) -> int:
+        return self.bob.n_bob
+
+    def to_density(self) -> DensityMatrix:
+        return DensityMatrix(
+            self.n_alice,
+            self.n_bob,
+            np.kron(self.alice.matrix, self.bob.matrix),
+            validate=False,
+        )
+
+    @staticmethod
+    def maximally_mixed(n_alice: int, n_bob: int) -> "ProductState":
+        return ProductState(
+            DensityMatrix.maximally_mixed(n_alice, 0),
+            DensityMatrix.maximally_mixed(0, n_bob),
+        )
+
+
 State = PureState | DensityMatrix
 
 
-def as_density(state: State) -> DensityMatrix:
-    return state.to_density() if isinstance(state, PureState) else state
+def as_density(state: State | ProductState) -> DensityMatrix:
+    return state if isinstance(state, DensityMatrix) else state.to_density()
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from .locc import (
 from .optimize import AscentConfig, PairFidelityObjective, maximize_pair_fidelity
 from .qcore import (
     DensityMatrix,
+    ProductState,
     base_fidelity,
     bell_identity_check,
     epr_state,
@@ -287,7 +288,8 @@ class SplittingReport:
 def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> SplittingReport:
     """Check the divert dominance and q >= p^2 / 2^s on a protocol.
 
-    Case I runs the perfect block, case II the completely mixed input.
+    Case I runs the perfect block, case II the completely mixed input
+    (in product form).
     At every transcript node t the scaled case-I local states must be
     dominated by the case-II ones: p_t sigma_t^I <= sigma_t^II, for
     both parties.  The initial local states must all equal I/2^n.  The
@@ -298,7 +300,7 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     if protocol.bits > 4 or n > 3:
         raise ValueError("splitting verification is limited to s <= 4 rounds, n <= 3")
     case1 = run(protocol, epr_state(n), record_nodes=True)
-    case2 = run(protocol, DensityMatrix.maximally_mixed(n, n), record_nodes=True)
+    case2 = run(protocol, ProductState.maximally_mixed(n, n), record_nodes=True)
     assert case1.nodes is not None and case2.nodes is not None
 
     eye = np.eye(1 << n) / (1 << n)

@@ -3,10 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from edplab import serialize
+from edplab import cli, serialize
 from edplab.cli import main
 from edplab.errmodels import DepolarizationModel, FidelityModel, MeasureRModel
 from edplab.locc import (
+    ConditionalOutputUndefined,
     make_first_pair,
     make_random_pair,
     make_random_permutation,
@@ -417,3 +418,54 @@ def test_cli_sweep_worker_pool_order_independent(tmp_path):
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--workers", "2", "--out", str(pooled)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+def _protocol_eval_argv(tmp_path):
+    spec = tmp_path / "srh.json"
+    assert main(
+        ["protocol", "--make", "simple-random-hash", "--n", "2", "--s", "1", "--out", str(spec)]
+    ) == 0
+    out = tmp_path / "eval.json"
+    argv = ["protocol", "--spec", str(spec), "--model", "fidelity", "--epsilon", "0.2",
+            "--out", str(out)]
+    return argv, out
+
+
+def test_cli_protocol_null_only_for_undefined_conditional_output(tmp_path, monkeypatch):
+    argv, out = _protocol_eval_argv(tmp_path)
+
+    def never_accepts(proto, model):
+        raise ConditionalOutputUndefined("protocol never declares SUCC on this input")
+
+    monkeypatch.setattr(cli, "conditional_fidelity", never_accepts)
+    assert main(argv) == 0
+    (record,) = read_json(out)
+    assert record["conditional_fidelity"] is None
+
+
+def test_cli_protocol_other_conditional_errors_are_not_nulled(tmp_path, monkeypatch):
+    argv, out = _protocol_eval_argv(tmp_path)
+
+    def broken(proto, model):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "conditional_fidelity", broken)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(argv)
+    assert not out.exists()
+
+    def bad_value(proto, model):
+        raise ValueError("bad input")
+
+    monkeypatch.setattr(cli, "conditional_fidelity", bad_value)
+    assert main(argv) == 2
+    assert not out.exists()
+
+
+def test_cli_protocol_epsilon_beyond_witness_range_is_parameter_error(tmp_path):
+    # FidelityModel now rejects epsilon > 1 - 4^-n when it is built; the
+    # CLI still reports that as bad input (exit 2), not as a failed check
+    argv, out = _protocol_eval_argv(tmp_path)
+    argv[argv.index("0.2")] = "0.99"
+    assert main(argv) == 2
+    assert not out.exists()

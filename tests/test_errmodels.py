@@ -23,12 +23,15 @@ from edplab.errmodels import (
     error_state,
     extended_error_state,
     fidelity_witness,
+    fidelity_witness_components,
     pair_bell_mixture_ensemble,
     random_corrupt_ensemble,
 )
 from edplab.qcore import (
     BOB,
     DensityMatrix,
+    ProductState,
+    PureState,
     base_fidelity,
     bell_state,
     epr_fidelity,
@@ -374,3 +377,38 @@ def test_fidelity_model_sampling_deterministic():
         mx = x.matrix if isinstance(x, DensityMatrix) else x.amplitudes
         my = y.matrix if isinstance(y, DensityMatrix) else y.amplitudes
         np.testing.assert_array_equal(mx, my)
+
+
+def test_fidelity_model_rejects_epsilon_beyond_witness_range():
+    # the witness exists only for epsilon <= 1 - 4^-n; the model says so
+    # at construction instead of at first evaluation
+    with pytest.raises(ValueError):
+        FidelityModel(1, 0.9)
+    with pytest.raises(ValueError):
+        FidelityModel(2, 1.0 - 1.0 / 16 + 1e-9)
+    with pytest.raises(ValueError):
+        FidelityModel(2, float("nan"))
+    with pytest.raises(ValueError):
+        FidelityModel(0, 0.1)
+    assert FidelityModel(1, 0.75).witness().matrix[0, 0] == pytest.approx(0.25)
+
+
+def test_witness_components_collapse_to_the_dense_witness():
+    for n in (1, 2, 3):
+        for eps in (0.0, 0.1, 0.25, 1.0 - 4.0**-n):
+            parts = fidelity_witness_components(n, eps)
+            assert sum(w for w, _ in parts) == pytest.approx(1.0, abs=1e-15)
+            assert all(w > 0.0 for w, _ in parts)
+            np.testing.assert_array_equal(collapse(parts).matrix, fidelity_witness(n, eps).matrix)
+    pure, mixed = fidelity_witness_components(2, 0.25)
+    assert isinstance(pure[1], PureState) and isinstance(mixed[1], ProductState)
+    assert mixed[0] == pytest.approx((16 / 15) * 0.25)
+
+
+def test_fidelity_model_run_inputs_keep_witness_in_component_form():
+    model = FidelityModel(2, 0.2, samples=3, seed=4)
+    inputs = model.run_inputs()
+    assert len(inputs) == 4
+    assert [type(st) for _, st in inputs[0]] == [PureState, ProductState]
+    for a, b in zip(inputs[1:], model.states()[1:]):
+        assert type(a) is type(b)

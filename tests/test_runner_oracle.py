@@ -10,16 +10,22 @@ reduction code with the runner.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from edplab.errmodels import fidelity_witness
+from edplab.errmodels import fidelity_witness, fidelity_witness_components
 from edplab.locc import (
     AlwaysAccept,
     ConstantAccept,
+    Instrument,
     PovmAccept,
     Protocol,
+    Round,
+    make_first_pair,
     make_random_pair,
     make_random_permutation,
     make_simple_random_hash,
+    random_instrument,
     random_protocol,
     run,
 )
@@ -27,6 +33,7 @@ from edplab.qcore import (
     ALICE,
     BOB,
     DensityMatrix,
+    ProductState,
     as_density,
     hermitian_sqrt,
     partial_trace,
@@ -142,3 +149,139 @@ def test_random_protocols_match_oracle():
         )
         assert_matches_oracle(proto, random_density_matrix(gen, n, n))
         assert_matches_oracle(proto, random_pure_state(gen, n, n))
+
+
+# ---------------------------------------------------------------------------
+# pure + product component form against the dense oracle
+
+
+def assert_run_matches(a, b, atol=1e-12):
+    """Two RunResults agree leaf by leaf, node by node and in total."""
+    assert a.success_probability == pytest.approx(b.success_probability, abs=atol)
+    np.testing.assert_allclose(a.output.matrix, b.output.matrix, atol=atol)
+    if b.conditional_output is None:
+        assert a.conditional_output is None
+    else:
+        np.testing.assert_allclose(
+            a.conditional_output.matrix, b.conditional_output.matrix, atol=atol
+        )
+    def keys(result):
+        return [(leaf.component, leaf.seed, leaf.transcript) for leaf in result.leaves]
+
+    assert keys(a) == keys(b)
+    for la, lb in zip(a.leaves, b.leaves):
+        assert la.probability == pytest.approx(lb.probability, abs=atol)
+        assert la.accept_probability == pytest.approx(lb.accept_probability, abs=atol)
+        if lb.output_state is not None:
+            np.testing.assert_allclose(la.output_state, lb.output_state, atol=atol)
+    if b.nodes is not None:
+        assert a.nodes.keys() == b.nodes.keys()
+        for key, rb in b.nodes.items():
+            ra = a.nodes[key]
+            assert ra.probability == pytest.approx(rb.probability, abs=atol)
+            if rb.alice_local is not None:
+                np.testing.assert_allclose(ra.alice_local, rb.alice_local, atol=atol)
+                np.testing.assert_allclose(ra.bob_local, rb.bob_local, atol=atol)
+
+
+def _builtin_protocols(n):
+    yield make_first_pair(n)
+    yield make_random_pair(n)
+    yield make_random_permutation(n)
+    for s in range(1, n):
+        yield make_simple_random_hash(n, s)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_builtin_protocols_on_witness_components_match_oracle(n):
+    for proto in _builtin_protocols(n):
+        for eps in (0.0, 0.25, 1.0 - 4.0**-n):
+            result = run(proto, fidelity_witness_components(n, eps))
+            succ, out, cond = oracle(proto, fidelity_witness(n, eps))
+            assert result.success_probability == pytest.approx(succ, abs=1e-12)
+            np.testing.assert_allclose(result.output.matrix, out, atol=1e-12)
+            np.testing.assert_allclose(result.conditional_output.matrix, cond, atol=1e-12)
+
+
+def test_maximally_mixed_product_matches_dense_node_by_node():
+    for proto in (make_simple_random_hash(2, 1), make_simple_random_hash(3, 2)):
+        n = proto.n_pairs
+        assert_run_matches(
+            run(proto, ProductState.maximally_mixed(n, n), record_nodes=True),
+            run(proto, DensityMatrix.maximally_mixed(n, n), record_nodes=True),
+        )
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    n_rounds=st.integers(0, 3),
+    n_seeds=st.integers(1, 2),
+    kraus_per_branch=st.integers(1, 2),
+    accept_kind=st.sampled_from(["always", "constant", "povm"]),
+    with_listeners=st.booleans(),
+    pure_factors=st.booleans(),
+)
+def test_product_path_matches_dense_path(
+    seed, n, n_rounds, n_seeds, kraus_per_branch, accept_kind, with_listeners, pure_factors
+):
+    gen = np.random.default_rng(seed)
+    proto = random_protocol(
+        gen,
+        n,
+        n_rounds,
+        n_seeds=n_seeds,
+        kraus_per_branch=kraus_per_branch,
+        accept_kind=accept_kind,
+        with_listeners=with_listeners,
+    )
+    rank = 1 if pure_factors else None
+    state = ProductState(
+        random_density_matrix(gen, n, 0, rank=rank),
+        random_density_matrix(gen, 0, n, rank=rank),
+    )
+    assert_run_matches(
+        run(proto, state, record_nodes=True),
+        run(proto, state.to_density(), record_nodes=True),
+    )
+
+
+def _workspace_channel(branch, sigma, n_workspace):
+    """Tr_w sum_K K (sigma (x) |0><0|_w) K^dag, workspace as low qubits."""
+    dw = 1 << n_workspace
+    fresh = np.zeros((dw, dw))
+    fresh[0, 0] = 1.0
+    big = sum(k @ np.kron(sigma, fresh) @ k.conj().T for k in branch)
+    d = sigma.shape[0]
+    return np.einsum("awbw->ab", big.reshape(d, dw, d, dw))
+
+
+def test_workspace_instruments_on_product_nodes():
+    # product nodes handle workspace instruments themselves (the
+    # workspace is compiled into plain Kraus operators); checked against
+    # the explicit append-apply-trace channel on each local factor
+    gen = np.random.default_rng(2718)
+    n = 2
+    instr_a = random_instrument(gen, n + 1, kraus_per_branch=2)
+    instr_a = Instrument(instr_a.branches, n_workspace=1)
+    instr_b = Instrument(random_instrument(gen, n + 2).branches, n_workspace=2)
+    proto = Protocol(
+        n_pairs=n,
+        seed_weights=(1.0,),
+        rounds=(Round(ALICE, (instr_a,)), Round(BOB, (instr_b,))),
+        accept=AlwaysAccept(),
+        output_pair=(1,),
+    )
+    state = ProductState(random_density_matrix(gen, n, 0), random_density_matrix(gen, 0, n))
+    result = run(proto, state, record_nodes=True)
+    assert_run_matches(result, run(proto, state.to_density(), record_nodes=True))
+    for bit_a in (0, 1):
+        alice = _workspace_channel(instr_a.branches[bit_a], state.alice.matrix, 1)
+        for bit_b in (0, 1):
+            bob = _workspace_channel(instr_b.branches[bit_b], state.bob.matrix, 2)
+            p = float(np.trace(alice).real * np.trace(bob).real)
+            rec = result.nodes[(0, 0, f"{bit_a}{bit_b}")]
+            assert rec.probability == pytest.approx(p, abs=1e-12)
+            np.testing.assert_allclose(rec.alice_local, alice / np.trace(alice), atol=1e-12)
+            np.testing.assert_allclose(rec.bob_local, bob / np.trace(bob), atol=1e-12)
