@@ -18,7 +18,6 @@ from pathlib import Path
 from typing import Any
 
 from . import serialize, verify
-from .errmodels import DepolarizationModel, MeasureRModel
 from .locc import (
     ConditionalOutputUndefined,
     conditional_fidelity,
@@ -97,12 +96,8 @@ def _parse_floats(text: str) -> list[float]:
     return [float(part) for part in text.split(",")]
 
 
-def _write_output(records: list[dict[str, Any]], fmt: str, out: str | None) -> int:
-    text = (
-        serialize.records_to_json(records)
-        if fmt == "json"
-        else serialize.records_to_csv(records)
-    )
+def _write_text(text: str, out: str | None) -> int:
+    """Write to ``out`` (stdout when None); EXIT_IO if that fails."""
     if out is None:
         sys.stdout.write(text)
         return EXIT_OK
@@ -112,6 +107,12 @@ def _write_output(records: list[dict[str, Any]], fmt: str, out: str | None) -> i
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return EXIT_IO
     return EXIT_OK
+
+
+def _write_output(records: list[dict[str, Any]], fmt: str, out: str | None) -> int:
+    if fmt == "json":
+        return _write_text(serialize.records_to_json(records), out)
+    return _write_text(serialize.records_to_csv(records), out)
 
 
 def _finish(records: list[dict[str, Any]], fmt: str, out: str | None) -> int:
@@ -144,28 +145,30 @@ def cmd_lemmas(args: argparse.Namespace) -> int:
     return _finish([r.to_record() for r in reports], fmt, out)
 
 
-def _bounds_records(
-    model: str,
-    n: int,
-    r: int | None,
-    p: float | None,
-    epsilon: float | None,
-    s: int,
-    seed: int,
-    restarts: int,
-    ancillas: int,
-    include_no_comm: bool,
-) -> list[dict[str, Any]]:
+def cmd_bounds(args: argparse.Namespace) -> int:
+    config = read_config(args.config)
+    model = _merged(args, config, "model", str, None)
+    if model is None:
+        raise SystemExit("error: --model is required")
+    n = _merged(args, config, "n", int, 2)
+    r = _merged(args, config, "r", int, None)
+    p = _merged(args, config, "p", float, None)
+    epsilon = _merged(args, config, "epsilon", float, None)
+    s = _merged(args, config, "s", int, 1)
+    seed = _merged(args, config, "seed", int, 0)
+    restarts = _merged(args, config, "restarts", int, 32)
+    ancillas = _merged(args, config, "ancillas", int, 2)
+    include_no_comm = _merged(args, config, "include-no-comm-probe", bool, False)
     cfg = AscentConfig(restarts=restarts, seed=seed)
     if model == "measure-r":
         if r is None:
             raise SystemExit("error: --r is required for the measure-r model")
-        return [verify.optimize_0bit_measure_r(n, r, ancillas, cfg).to_record()]
-    if model == "depolarization":
+        records = [verify.optimize_0bit_measure_r(n, r, ancillas, cfg).to_record()]
+    elif model == "depolarization":
         if p is None:
             raise SystemExit("error: --p is required for the depolarization model")
-        return [verify.optimize_0bit_depolarization(n, p, ancillas, cfg).to_record()]
-    if model == "fidelity":
+        records = [verify.optimize_0bit_depolarization(n, p, ancillas, cfg).to_record()]
+    elif model == "fidelity":
         if epsilon is None:
             raise SystemExit("error: --epsilon is required for the fidelity model")
         records = [
@@ -174,27 +177,8 @@ def _bounds_records(
         ]
         if include_no_comm:
             records.append(verify.no_comm_fidelity_report(n, epsilon).to_record())
-        return records
-    raise SystemExit(f"error: unknown model {model!r}")
-
-
-def cmd_bounds(args: argparse.Namespace) -> int:
-    config = read_config(args.config)
-    model = _merged(args, config, "model", str, None)
-    if model is None:
-        raise SystemExit("error: --model is required")
-    records = _bounds_records(
-        model=model,
-        n=_merged(args, config, "n", int, 2),
-        r=_merged(args, config, "r", int, None),
-        p=_merged(args, config, "p", float, None),
-        epsilon=_merged(args, config, "epsilon", float, None),
-        s=_merged(args, config, "s", int, 1),
-        seed=_merged(args, config, "seed", int, 0),
-        restarts=_merged(args, config, "restarts", int, 32),
-        ancillas=_merged(args, config, "ancillas", int, 2),
-        include_no_comm=bool(_merged(args, config, "include-no-comm-probe", bool, False)),
-    )
+    else:
+        raise SystemExit(f"error: unknown model {model!r}")
     fmt = _merged(args, config, "format", str, "json")
     out = _merged(args, config, "out", str, None)
     return _finish(records, fmt, out)
@@ -215,16 +199,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         except ValueError as exc:
             raise SystemExit(f"error: {exc}")
         doc = serialize.protocol_to_json(proto)
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        if out is None:
-            sys.stdout.write(text)
-            return EXIT_OK
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
-            return EXIT_IO
-        return EXIT_OK
+        return _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 
     if args.spec is None:
         raise SystemExit("error: --spec or --make is required")
@@ -257,10 +232,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
             state = epr_state(proto.n_pairs)
         result = run(proto, state)
         text = json.dumps(serialize.run_result_to_json(result), indent=2, sort_keys=True) + "\n"
-        try:
-            Path(args.emit_run).write_text(text)
-        except OSError as exc:
-            print(f"error: cannot write {args.emit_run}: {exc}", file=sys.stderr)
+        if _write_text(text, args.emit_run) != EXIT_OK:
             return EXIT_IO
         print(f"success probability: {result.success_probability!r}", file=sys.stderr)
         return EXIT_OK
@@ -287,15 +259,10 @@ def cmd_protocol(args: argparse.Namespace) -> int:
             "model": aliases.get(kind, kind),
             "n": proto.n_pairs,
         }
-        r = _merged(args, config, "r", int, None)
-        p = _merged(args, config, "p", float, None)
-        epsilon = _merged(args, config, "epsilon", float, None)
-        if r is not None:
-            doc2["r"] = r
-        if p is not None:
-            doc2["p"] = p
-        if epsilon is not None:
-            doc2["epsilon"] = epsilon
+        for key, cast in (("r", int), ("p", float), ("epsilon", float)):
+            value = _merged(args, config, key, cast, None)
+            if value is not None:
+                doc2[key] = value
         try:
             model = serialize.error_model_from_json(doc2)
         except SpecParseError as exc:
@@ -319,43 +286,21 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     return _write_output([record], fmt, out)
 
 
+# the report behind each sweep model, looked up through ``verify`` at call
+# time so that wrappers installed on that module apply
+_SWEEP_REPORTS = {
+    "measure-r": lambda t: verify.random_pair_measure_r_report(t["n"], t["r"]),
+    "depolarization": lambda t: verify.first_pair_depolarization_report(t["n"], t["p"]),
+    "fidelity": lambda t: verify.pos_fidelity_report(t["n"], t["s"], t["epsilon"]),
+}
+
+
 def _sweep_cell(task: dict[str, Any]) -> dict[str, Any]:
     model = task["model"]
     try:
-        if model == "measure-r":
-            proto = make_random_pair(task["n"])
-            achieved = protocol_fidelity(proto, MeasureRModel(task["n"], task["r"]))
-            bound = 1.0 - task["r"] / (2.0 * task["n"])
-            return {
-                "theorem": "neg-measure-r",
-                "param_n": task["n"],
-                "param_r": task["r"],
-                "bound": bound,
-                "achieved": achieved,
-                "margin": bound - achieved,
-                "pass": abs(achieved - bound) <= 1e-9,
-                "seed": task["seed"],
-                "notes": "uniform pair-choice protocol (matches the bound exactly)",
-            }
-        if model == "depolarization":
-            proto = make_first_pair(task["n"])
-            achieved = protocol_fidelity(proto, DepolarizationModel(task["n"], task["p"]))
-            bound = 1.0 - 0.75 * task["p"]
-            return {
-                "theorem": "first-pair-depolarization",
-                "param_n": task["n"],
-                "param_p": task["p"],
-                "bound": bound,
-                "achieved": achieved,
-                "margin": achieved - bound,
-                "pass": abs(achieved - bound) <= 1e-9,
-                "seed": task["seed"],
-                "notes": "first-pair protocol value 1 - 3p/4",
-            }
-        if model == "fidelity":
-            report = verify.pos_fidelity_report(task["n"], task["s"], task["epsilon"])
-            return report.to_record() | {"seed": task["seed"]}
-        raise ValueError(f"unknown model {model!r}")
+        if model not in _SWEEP_REPORTS:
+            raise ValueError(f"unknown model {model!r}")
+        return _SWEEP_REPORTS[model](task).to_record() | {"seed": task["seed"]}
     except ValueError as exc:
         return {
             "theorem": f"{model}-cell",

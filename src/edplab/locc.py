@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -111,7 +111,7 @@ class Instrument:
         total = sum(
             k.conj().T @ k for branch in frozen for k in branch
         )
-        if np.abs(total - np.eye(dim)).max() > 1e-9:
+        if not np.abs(total - np.eye(dim)).max() <= 1e-9:
             raise ValueError("instrument branches are not trace preserving")
         object.__setattr__(self, "branches", tuple(frozen))
         dw = 1 << self.n_workspace
@@ -158,7 +158,9 @@ class Round:
             frozen = []
             for u in self.listener_unitaries:
                 arr = np.asarray(u, dtype=np.complex128).copy()
-                if np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])).max() > 1e-9:
+                if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not (
+                    np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])).max() <= 1e-9
+                ):
                     raise ValueError("listener operation must be unitary")
                 arr.setflags(write=False)
                 frozen.append(arr)
@@ -194,26 +196,33 @@ class ConstantAccept:
 
     values: float | Mapping[str, float]
 
+    def __post_init__(self) -> None:
+        scalar = isinstance(self.values, (int, float))
+        for r in (self.values,) if scalar else self.values.values():
+            if not 0.0 <= float(r) <= 1.0:
+                raise ValueError(f"accept probability {r} outside [0, 1]")
+
     def probability(self, transcript: str) -> float:
         if isinstance(self.values, (int, float)):
-            r = float(self.values)
-        else:
-            r = float(self.values[transcript])
-        if not 0.0 <= r <= 1.0:
-            raise ValueError(f"accept probability {r} outside [0, 1]")
-        return r
+            return float(self.values)
+        return float(self.values[transcript])
 
 
 @dataclass(frozen=True)
 class PovmAccept:
     """Accept via a POVM element on Alice's register per (seed, leaf)."""
 
-    elements: Mapping[tuple[int, str], np.ndarray] | Callable[[int, str], np.ndarray]
+    elements: Mapping[tuple[int, str], np.ndarray]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(
+            self,
+            "elements",
+            {key: np.asarray(m, dtype=np.complex128) for key, m in self.elements.items()},
+        )
 
     def element(self, seed: int, transcript: str) -> np.ndarray:
-        if callable(self.elements):
-            return np.asarray(self.elements(seed, transcript), dtype=np.complex128)
-        return np.asarray(self.elements[(seed, transcript)], dtype=np.complex128)
+        return self.elements[(seed, transcript)]
 
 
 AcceptRule = AlwaysAccept | ConstantAccept | PovmAccept
@@ -225,7 +234,9 @@ class Protocol:
 
     Deterministic protocols are the special case of a point-mass seed
     distribution.  ``output_pair`` designates which pair both parties
-    output, per seed (length-1 tuples broadcast).
+    output, per seed (length-1 tuples broadcast).  Construction checks
+    everything ``run`` relies on: register sizes, and an accept value
+    for every (seed, transcript) of length ``bits``.
     """
 
     n_pairs: int
@@ -242,7 +253,7 @@ class Protocol:
         weights = tuple(float(w) for w in self.seed_weights)
         if not weights:
             raise ValueError("need at least one seed")
-        if any(w < 0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError("seed weights must form a distribution")
         pairs = tuple(int(j) for j in self.output_pair)
         if len(pairs) not in (1, len(weights)):
@@ -256,6 +267,13 @@ class Protocol:
                 rnd.listener_unitaries
             ) not in (1, len(weights)):
                 raise ValueError("listener unitaries must have one entry or one per seed")
+            for instrument in rnd.instruments:
+                if instrument.dim != 1 << (self.n_pairs + instrument.n_workspace):
+                    raise ValueError("instrument dimension does not match the party register")
+            for u in rnd.listener_unitaries or ():
+                if u.shape != (1 << self.n_pairs,) * 2:
+                    raise ValueError("listener unitary does not match the party register")
+        _check_accept(self.accept, self.n_pairs, len(weights), len(self.rounds))
         object.__setattr__(self, "seed_weights", weights)
         object.__setattr__(self, "rounds", tuple(self.rounds))
         object.__setattr__(self, "output_pair", pairs)
@@ -277,6 +295,32 @@ class Protocol:
         if len(self.output_pair) == 1:
             return self.output_pair[0]
         return self.output_pair[seed]
+
+
+def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
+    """Every reachable leaf needs an accept value; POVM elements must be
+    operators 0 <= M <= I on Alice's register."""
+    transcripts = ["".join(t) for t in itertools.product("01", repeat=bits)]
+    if isinstance(rule, ConstantAccept) and not isinstance(rule.values, (int, float)):
+        missing = [t for t in transcripts if t not in rule.values]
+        if missing:
+            raise ValueError(f"accept rule has no value for transcript {missing[0]!r}")
+    if not isinstance(rule, PovmAccept):
+        return
+    missing = [(s, t) for s in range(n_seeds) for t in transcripts if (s, t) not in rule.elements]
+    if missing:
+        raise ValueError(f"accept rule has no POVM element for (seed, transcript) {missing[0]}")
+    # built-in protocols share one array per transcript: check each once
+    unique = list({id(m): m for m in rule.elements.values()}.values())
+    dim = 1 << n
+    if any(m.shape != (dim, dim) for m in unique):
+        raise ValueError("accept POVM elements must act on Alice's register")
+    stack = np.stack(unique)
+    if not np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= 1e-9:
+        raise ValueError("accept POVM elements must be Hermitian")
+    eig = np.linalg.eigvalsh(stack)
+    if not (eig.min() >= -1e-9 and eig.max() <= 1.0 + 1e-9):
+        raise ValueError("accept POVM elements must satisfy 0 <= M <= I")
 
 
 # ---------------------------------------------------------------------------
@@ -491,8 +535,6 @@ def _accept_info(
         return rule.probability(transcript), None
     m = rule.element(seed, transcript)
     alice, _ = node.local_states()
-    if m.shape != alice.shape:
-        raise ValueError("accept POVM element must act on Alice's register")
     r_joint = float(np.trace(m @ alice).real)  # p_t * r_t
     if r_joint < PROB_TOL:
         return 0.0, np.zeros((4, 4), dtype=np.complex128)
@@ -527,10 +569,6 @@ def run(protocol: Protocol, state, record_nodes: bool = False) -> RunResult:
                 _record(nodes, comp_idx, seed, "", root, 1.0)
             for rnd in protocol.rounds:
                 instrument = rnd.for_seed(seed)
-                if instrument.dim != (1 << (n + instrument.n_workspace)):
-                    raise ValueError(
-                        "instrument dimension does not match the party register"
-                    )
                 listener_u = rnd.listener_for_seed(seed)
                 new_frontier: list[tuple[str, _Node]] = []
                 for prefix, node in frontier:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -96,7 +96,7 @@ class PureState:
                 f"amplitude vector has shape {amps.shape}, expected ({self.dim},)"
             )
         norm = float(np.linalg.norm(amps))
-        if abs(norm - 1.0) > STRUCT_TOL:
+        if not abs(norm - 1.0) <= STRUCT_TOL:
             raise InvalidStateError(f"state norm {norm} deviates from 1")
         amps = amps.copy()
         amps.setflags(write=False)
@@ -131,9 +131,9 @@ class DensityMatrix:
     n_alice: int
     n_bob: int
     matrix: np.ndarray
-    validate: bool = True
+    validate: InitVar[bool] = True
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, validate: bool) -> None:
         if self.n_alice < 0 or self.n_bob < 0:
             raise ValueError("qubit counts must be non-negative")
         _check_capacity(self.total_qubits)
@@ -142,7 +142,9 @@ class DensityMatrix:
             raise ValueError(
                 f"matrix has shape {mat.shape}, expected ({self.dim}, {self.dim})"
             )
-        if self.validate:
+        if validate:
+            if not np.isfinite(mat).all():
+                raise InvalidStateError("matrix has non-finite entries")
             if np.abs(mat - mat.conj().T).max() > STRUCT_TOL:
                 raise InvalidStateError("matrix is not Hermitian within 1e-10")
             trace = complex(np.trace(mat))
@@ -154,7 +156,6 @@ class DensityMatrix:
         mat = mat.copy()
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "validate", True)
 
     @property
     def total_qubits(self) -> int:

@@ -135,8 +135,6 @@ def _accept_to_json(rule: AcceptRule) -> dict[str, Any]:
             return {"kind": "constant", "value": float(rule.values)}
         return {"kind": "constant", "values": {k: float(v) for k, v in sorted(rule.values.items())}}
     if isinstance(rule, PovmAccept):
-        if callable(rule.elements):
-            raise TypeError("callable POVM accept rules are not serializable")
         elements = [
             {"seed": seed, "transcript": transcript, "matrix": matrix_to_json(mat)}
             for (seed, transcript), mat in sorted(rule.elements.items())

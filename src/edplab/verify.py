@@ -23,6 +23,8 @@ from .errmodels import (
     DepolarizationModel,
     FidelityModel,
     MeasureRModel,
+    enumerate_extended,
+    enumerate_indicators,
     pair_bell_mixture_ensemble,
 )
 from .locc import (
@@ -105,13 +107,13 @@ def povm_dominance_consequence(
 # bound reports
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundReport:
     """Outcome of probing one claimed bound.
 
     ``passed`` means the achieved value respects the bound direction
-    within the certificate tolerance and, when a floor is known, does
-    not fall below it.  ``falsified`` marks exact evaluations that
+    within ``tol`` and, when a floor is known, does not fall below it
+    by more than ``tol``.  ``falsified`` marks exact evaluations that
     contradict the claim; such runs are never reported as passed.
     """
 
@@ -120,12 +122,28 @@ class BoundReport:
     bound: float
     achieved: float
     direction: str  # "upper": achieved <= bound; "lower": achieved >= bound
+    tol: float
     floor: float | None = None
-    margin: float = 0.0
-    passed: bool = False
-    falsified: bool = False
     seed: int | None = None
     notes: str = ""
+
+    @property
+    def margin(self) -> float:
+        if self.direction == "upper":
+            return float(self.bound - self.achieved)
+        return float(self.achieved - self.bound)
+
+    @property
+    def passed(self) -> bool:
+        if self.floor is not None and self.achieved < self.floor - self.tol:
+            return False
+        if self.direction == "upper":
+            return bool(self.achieved <= self.bound + self.tol)
+        return bool(self.achieved >= self.bound - self.tol)
+
+    @property
+    def falsified(self) -> bool:
+        return not self.passed
 
     def to_record(self) -> dict[str, Any]:
         rec: dict[str, Any] = {
@@ -142,36 +160,80 @@ class BoundReport:
         return rec
 
 
-def _bound_report(
+# ---------------------------------------------------------------------------
+# no-communication bounds: exact protocol values and ascent probes
+
+
+EXACT_TOL = 1e-9
+
+
+def random_pair_measure_r_report(n: int, r: int) -> BoundReport:
+    """The uniform pair-choice protocol on the measure-r model: its
+    exact fidelity is the 0-bit bound 1 - r/2n, which is therefore also
+    the floor."""
+    bound = 1.0 - r / (2.0 * n)
+    return BoundReport(
+        theorem="neg-measure-r",
+        params={"n": n, "r": r},
+        bound=bound,
+        achieved=protocol_fidelity(make_random_pair(n), MeasureRModel(n, r)),
+        direction="upper",
+        tol=EXACT_TOL,
+        floor=bound,
+        notes="uniform pair-choice protocol (matches the bound exactly)",
+    )
+
+
+def first_pair_depolarization_report(n: int, p: float) -> BoundReport:
+    """The first-pair protocol on the depolarization model, checked
+    against its exact value (bound and floor coincide)."""
+    bound = 1.0 - 0.75 * p
+    return BoundReport(
+        theorem="first-pair-depolarization",
+        params={"n": n, "p": p},
+        bound=bound,
+        achieved=protocol_fidelity(make_first_pair(n), DepolarizationModel(n, p)),
+        direction="upper",
+        tol=EXACT_TOL,
+        floor=bound,
+        notes="first-pair protocol value 1 - 3p/4",
+    )
+
+
+def _check_searchable(n: int, ancillas: int) -> None:
+    if n > 3 or ancillas > 2:
+        raise ValueError("searchable class is n <= 3 with at most 2 ancillas per party")
+
+
+def _ascent_probe(
     theorem: str,
     params: dict[str, Any],
     bound: float,
-    achieved: float,
-    direction: str,
-    floor: float | None,
-    seed: int | None,
-    notes: str,
-    tol: float,
+    floor: float,
+    objective: PairFidelityObjective,
+    config: AscentConfig | None,
+    note: str = "",
 ) -> BoundReport:
-    if direction == "upper":
-        margin = bound - achieved
-        ok = achieved <= bound + tol
-    else:
-        margin = achieved - bound
-        ok = achieved >= bound - tol
-    if floor is not None and achieved < floor - tol:
-        ok = False
+    """Best value of the unitary ascent against a claimed upper bound,
+    with an exact protocol value as the achievability floor."""
+    config = config or AscentConfig()
+    result = maximize_pair_fidelity(objective, config)
+    notes = (
+        f"searched class: local unitaries on n+{objective.ancillas} qubits/party, "
+        f"{config.restarts} restarts x {config.steps} proposals; "
+        f"identity start = {result.start_value:.12f}; "
+        f"{'converged' if result.converged else 'NOT converged, best-so-far'}"
+        f"{note}"
+    )
     return BoundReport(
         theorem=theorem,
         params=params,
         bound=bound,
-        achieved=achieved,
-        direction=direction,
+        achieved=result.best_value,
+        direction="upper",
+        tol=CERTIFICATE_TOL,
         floor=floor,
-        margin=float(margin),
-        passed=bool(ok),
-        falsified=not ok,
-        seed=seed,
+        seed=config.seed,
         notes=notes,
     )
 
@@ -179,36 +241,22 @@ def _bound_report(
 def optimize_0bit_measure_r(
     n: int, r: int, ancillas: int = 2, config: AscentConfig | None = None
 ) -> BoundReport:
-    """Probe the 0-bit measure-r bound 1 - r/2n by unitary ascent.
+    """Probe the 0-bit measure-r bound by unitary ascent.
 
     The objective is the uniform average over all degree-r error
     states, which upper-bounds the adversarial minimum; the uniform
     pair-choice protocol supplies the achievability floor at the same
-    value as the bound.
+    value as the bound (``random_pair_measure_r_report``).
     """
-    if n > 3 or ancillas > 2:
-        raise ValueError("searchable class is n <= 3 with at most 2 ancillas per party")
-    config = config or AscentConfig()
-    bound = 1.0 - r / (2.0 * n)
-    floor = protocol_fidelity(make_random_pair(n), MeasureRModel(n, r))
-    objective = PairFidelityObjective(MeasureRModel(n, r).uniform_mixture(), n, ancillas)
-    result = maximize_pair_fidelity(objective, config)
-    notes = (
-        f"searched class: local unitaries on n+{ancillas} qubits/party, "
-        f"{config.restarts} restarts x {config.steps} proposals; "
-        f"identity start = {result.start_value:.12f}; "
-        f"{'converged' if result.converged else 'NOT converged, best-so-far'}"
-    )
-    return _bound_report(
+    _check_searchable(n, ancillas)
+    exact = random_pair_measure_r_report(n, r)
+    return _ascent_probe(
         "neg-measure-r",
         {"n": n, "r": r, "ancillas": ancillas},
-        bound,
-        result.best_value,
-        "upper",
-        floor,
-        config.seed,
-        notes,
-        CERTIFICATE_TOL,
+        exact.bound,
+        exact.achieved,
+        PairFidelityObjective(MeasureRModel(n, r).uniform_mixture(), n, ancillas),
+        config,
     )
 
 
@@ -217,34 +265,20 @@ def optimize_0bit_depolarization(
 ) -> BoundReport:
     """Probe the 0-bit depolarization bound 1 - p/2 by unitary ascent.
 
-    The first-pair protocol gives the floor 1 - 3p/4; the gap between
-    floor and bound is expected and the probe only reports where the
-    searched class lands inside it.
+    The first-pair protocol gives the floor
+    (``first_pair_depolarization_report``); the gap between floor and
+    bound is expected and the probe only reports where the searched
+    class lands inside it.
     """
-    if n > 3 or ancillas > 2:
-        raise ValueError("searchable class is n <= 3 with at most 2 ancillas per party")
-    config = config or AscentConfig()
-    bound = 1.0 - p / 2.0
-    floor = protocol_fidelity(make_first_pair(n), DepolarizationModel(n, p))
-    objective = PairFidelityObjective(pair_bell_mixture_ensemble(n, p), n, ancillas)
-    result = maximize_pair_fidelity(objective, config)
-    notes = (
-        f"searched class: local unitaries on n+{ancillas} qubits/party, "
-        f"{config.restarts} restarts x {config.steps} proposals; "
-        f"identity start = {result.start_value:.12f}; "
-        f"{'converged' if result.converged else 'NOT converged, best-so-far'}; "
-        f"conjectured true bound 1-3p/4"
-    )
-    return _bound_report(
+    _check_searchable(n, ancillas)
+    return _ascent_probe(
         "neg-depolarization",
         {"n": n, "p": p, "ancillas": ancillas},
-        bound,
-        result.best_value,
-        "upper",
-        floor,
-        config.seed,
-        notes,
-        CERTIFICATE_TOL,
+        1.0 - p / 2.0,
+        first_pair_depolarization_report(n, p).achieved,
+        PairFidelityObjective(pair_bell_mixture_ensemble(n, p), n, ancillas),
+        config,
+        "; conjectured true bound 1-3p/4",
     )
 
 
@@ -372,37 +406,28 @@ def verify_neg_fidelity(protocol: Protocol, epsilon: float, tol: float = DOMINAN
     n = protocol.n_pairs
     s = protocol.bits
     p = ideal_success_probability(protocol)
-    achieved = conditional_fidelity(protocol, FidelityModel(n, epsilon))
-    bound = 1.0 - epsilon * p / (2.0 ** (s + 1))
-    notes = f"ideal success probability p = {p:.12f}; witness evaluation"
-    return _bound_report(
-        "neg-fidelity",
-        {"n": n, "s": s, "epsilon": epsilon},
-        bound,
-        achieved,
-        "upper",
-        None,
-        None,
-        notes,
-        tol,
+    return BoundReport(
+        theorem="neg-fidelity",
+        params={"n": n, "s": s, "epsilon": epsilon},
+        achieved=conditional_fidelity(protocol, FidelityModel(n, epsilon)),
+        bound=1.0 - epsilon * p / (2.0 ** (s + 1)),
+        direction="upper",
+        tol=tol,
+        notes=f"ideal success probability p = {p:.12f}; witness evaluation",
     )
 
 
 def pos_fidelity_report(n: int, s: int, epsilon: float, tol: float = DOMINANCE_TOL) -> BoundReport:
     """Check the parity-hash achievability 1 - 2^-s/(1-eps) on the witness."""
     proto = locc.make_simple_random_hash(n, s)
-    achieved = conditional_fidelity(proto, FidelityModel(n, epsilon))
-    bound = 1.0 - 2.0**-s / (1.0 - epsilon)
-    return _bound_report(
-        "pos-fidelity",
-        {"n": n, "s": s, "epsilon": epsilon},
-        bound,
-        achieved,
-        "lower",
-        None,
-        None,
-        "parity-hash instantiation, witness evaluation",
-        tol,
+    return BoundReport(
+        theorem="pos-fidelity",
+        params={"n": n, "s": s, "epsilon": epsilon},
+        achieved=conditional_fidelity(proto, FidelityModel(n, epsilon)),
+        bound=1.0 - 2.0**-s / (1.0 - epsilon),
+        direction="lower",
+        tol=tol,
+        notes="parity-hash instantiation, witness evaluation",
     )
 
 
@@ -415,22 +440,16 @@ def no_comm_fidelity_report(n: int, epsilon: float, tol: float = DOMINANCE_TOL) 
     n >= 2; in that regime the report is flagged as a falsification
     artifact rather than passed.
     """
-    proto = make_random_permutation(n)
-    achieved = protocol_fidelity(proto, FidelityModel(n, epsilon))
-    bound = 1.0 - (2.0**n / (2.0**n - 1.0)) * epsilon / 2.0
-    report = _bound_report(
-        "pos-fidelity-no-comm",
-        {"n": n, "epsilon": epsilon},
-        bound,
-        achieved,
-        "lower",
-        None,
-        None,
-        "uniform-permutation protocol, witness evaluation; exact witness value "
+    return BoundReport(
+        theorem="pos-fidelity-no-comm",
+        params={"n": n, "epsilon": epsilon},
+        achieved=protocol_fidelity(make_random_permutation(n), FidelityModel(n, epsilon)),
+        bound=1.0 - (2.0**n / (2.0**n - 1.0)) * epsilon / 2.0,
+        direction="lower",
+        tol=tol,
+        notes="uniform-permutation protocol, witness evaluation; exact witness value "
         "is 1 - (3/4)(4^n/(4^n-1)) eps",
-        tol,
     )
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -575,22 +594,27 @@ class CountingReport:
         }
 
 
-def _binary_consistency_matrix(n: int, r: int) -> np.ndarray:
-    """cons[v_idx, x] = 1 iff x is consistent with the v-th vector."""
-    from .errmodels import enumerate_indicators
-
+def _consistency_rows(n: int, vectors) -> np.ndarray:
+    """rows[v_idx, x] = 1 iff x matches every fixed entry of the v-th
+    vector.  An entry's first character is its bit, which covers both
+    the binary and the extended alphabet; "*" is free."""
     xs = np.arange(1 << n, dtype=np.int64)
     rows = []
-    for v in enumerate_indicators(n, r):
+    for v in vectors:
         mask = 0
         val = 0
         for j, e in enumerate(v.entries):
             if e != "*":
                 mask |= 1 << (n - 1 - j)
-                if e == "1":
+                if e[0] == "1":
                     val |= 1 << (n - 1 - j)
         rows.append(((xs & mask) == val).astype(np.int64))
     return np.stack(rows) if rows else np.zeros((0, 1 << n), dtype=np.int64)
+
+
+def _binary_consistency_matrix(n: int, r: int) -> np.ndarray:
+    """cons[v_idx, x] = 1 iff x is consistent with the v-th vector."""
+    return _consistency_rows(n, enumerate_indicators(n, r))
 
 
 def _extended_joint_counts(n: int, r: int) -> np.ndarray:
@@ -601,80 +625,60 @@ def _extended_joint_counts(n: int, r: int) -> np.ndarray:
     u's fixed bits, so the joint count is an integer Gram matrix of
     per-u consistency rows.
     """
-    from .errmodels import enumerate_extended
+    return _gram(_consistency_rows(n, enumerate_extended(n, r)))
 
-    xs = np.arange(1 << n, dtype=np.int64)
-    rows = []
-    for u in enumerate_extended(n, r):
-        mask = 0
-        val = 0
-        for j, e in enumerate(u.entries):
-            if e != "*":
-                mask |= 1 << (n - 1 - j)
-                if e[0] == "1":
-                    val |= 1 << (n - 1 - j)
-        rows.append(((xs & mask) == val).astype(np.int64))
-    cons = np.stack(rows)
-    return cons.T @ cons
+
+def _gram(rows: np.ndarray) -> np.ndarray:
+    return rows.T @ rows
+
+
+def _joint_count_report(identity, n_max, joint_counts, expected) -> CountingReport:
+    """Compare ``joint_counts(n, r)[a, b]`` with ``expected(n, r, k)``,
+    k the Hamming distance of a and b, for every n <= n_max and r <= n."""
+    cases = 0
+    mismatches = 0
+    for n in range(1, n_max + 1):
+        for r in range(n + 1):
+            joint = joint_counts(n, r)
+            for a in range(1 << n):
+                for b in range(1 << n):
+                    cases += 1
+                    if int(joint[a, b]) != expected(n, r, bin(a ^ b).count("1")):
+                        mismatches += 1
+    return CountingReport(identity, n_max, cases, mismatches, mismatches == 0)
 
 
 def verify_counting(n_max_binary: int = 6, n_max_extended: int = 5) -> list[CountingReport]:
     """Brute-force the two joint-consistency counting identities and the
     aggregate binomial identities, all in exact integer arithmetic."""
-    reports = []
-
-    cases = 0
-    mismatches = 0
-    for n in range(1, n_max_binary + 1):
-        for r in range(n + 1):
-            cons = _binary_consistency_matrix(n, r)
-            joint = cons.T @ cons  # joint[x, y] = #{v : x, y consistent}
-            for x in range(1 << n):
-                for y in range(1 << n):
-                    k = int(bin(x ^ y).count("1"))
-                    expected = math.comb(n - k, n - r - k) if n - r - k >= 0 else 0
-                    cases += 1
-                    if int(joint[x, y]) != expected:
-                        mismatches += 1
-    reports.append(
-        CountingReport("binary-joint-consistency", n_max_binary, cases, mismatches, mismatches == 0)
-    )
-
-    cases = 0
-    mismatches = 0
-    for n in range(1, n_max_extended + 1):
-        for r in range(n + 1):
-            joint = _extended_joint_counts(n, r)
-            for a in range(1 << n):
-                for b in range(1 << n):
-                    k = int(bin(a ^ b).count("1"))
-                    expected = (2**r) * math.comb(n - k, r) if r <= n - k else 0
-                    cases += 1
-                    if int(joint[a, b]) != expected:
-                        mismatches += 1
-    reports.append(
-        CountingReport(
-            "extended-joint-consistency", n_max_extended, cases, mismatches, mismatches == 0
-        )
-    )
+    reports = [
+        _joint_count_report(
+            "binary-joint-consistency",
+            n_max_binary,
+            # joint[x, y] = #{v : x, y consistent}
+            lambda n, r: _gram(_binary_consistency_matrix(n, r)),
+            lambda n, r, k: math.comb(n - k, n - r - k) if n - r - k >= 0 else 0,
+        ),
+        _joint_count_report(
+            "extended-joint-consistency",
+            n_max_extended,
+            _extended_joint_counts,
+            lambda n, r, k: (2**r) * math.comb(n - k, r) if r <= n - k else 0,
+        ),
+    ]
 
     # aggregate binomial identities behind the averaged bounds, with
-    # exact rational arithmetic
+    # exact rational arithmetic; the extended form carries an extra 2^r
     cases = 0
     mismatches = 0
     for n in range(1, 9):
         for r in range(n + 1):
-            lhs = Fraction(2 ** (n + 1)) * (math.comb(n, r) - math.comb(n - 1, r))
-            lhs += Fraction(2 ** (n + 2)) * math.comb(n - 1, r)
-            rhs = Fraction(2 ** (n + 2)) * math.comb(n, r) * (1 - Fraction(r, 2 * n))
-            cases += 1
-            if lhs != rhs:
-                mismatches += 1
-            lhs_ext = Fraction(2 ** (n + r + 1)) * (math.comb(n, r) - math.comb(n - 1, r))
-            lhs_ext += Fraction(2 ** (n + r + 2)) * math.comb(n - 1, r)
-            rhs_ext = Fraction(2 ** (n + r + 2)) * math.comb(n, r) * (1 - Fraction(r, 2 * n))
-            cases += 1
-            if lhs_ext != rhs_ext:
-                mismatches += 1
+            for e in (n, n + r):
+                lhs = Fraction(2 ** (e + 1)) * (math.comb(n, r) - math.comb(n - 1, r))
+                lhs += Fraction(2 ** (e + 2)) * math.comb(n - 1, r)
+                rhs = Fraction(2 ** (e + 2)) * math.comb(n, r) * (1 - Fraction(r, 2 * n))
+                cases += 1
+                if lhs != rhs:
+                    mismatches += 1
     reports.append(CountingReport("aggregate-binomial", 8, cases, mismatches, mismatches == 0))
     return reports

@@ -469,3 +469,66 @@ def test_cli_protocol_epsilon_beyond_witness_range_is_parameter_error(tmp_path):
     argv[argv.index("0.2")] = "0.99"
     assert main(argv) == 2
     assert not out.exists()
+
+
+BOUND_RECORD_KEYS = {"theorem", "bound", "achieved", "margin", "pass", "falsified", "seed", "notes"}
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        ["--model", "measure-r", "--n", "1..3", "--r", "all"],
+        ["--model", "depolarization", "--n", "1..2", "--p", "0.0,0.3,1.0"],
+        ["--model", "fidelity", "--n", "2..3", "--s", "1", "--epsilon", "0.1,0.25"],
+    ],
+)
+def test_cli_sweep_rows_share_the_bound_record_schema(tmp_path, grid):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", *grid, "--seed", "5", "--out", str(out)]) == 0
+    records = read_json(out)
+    assert [rec["seed"] for rec in records] == list(range(5, 5 + len(records)))
+    for rec in records:
+        assert BOUND_RECORD_KEYS <= set(rec)
+        assert rec["falsified"] is not rec["pass"]
+        assert rec["pass"] is True
+
+
+def _write_spec(tmp_path, accept_rule):
+    doc = serialize.protocol_to_json(make_first_pair(1))
+    doc["accept_rule"] = accept_rule
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    return spec
+
+
+def test_cli_protocol_spec_missing_accept_value_is_parse_error(tmp_path, capsys):
+    # the 0-round protocol has one transcript, "", which the rule lacks
+    spec = _write_spec(tmp_path, {"kind": "constant", "values": {"x": 0.5}})
+    out = tmp_path / "eval.json"
+    code = main(["protocol", "--spec", str(spec), "--model", "measure-r", "--r", "0",
+                 "--out", str(out)])
+    assert code == 2
+    assert "transcript ''" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_protocol_spec_povm_outside_unit_interval_is_parse_error(tmp_path):
+    three = serialize.matrix_to_json(3.0 * np.eye(2))
+    spec = _write_spec(
+        tmp_path, {"kind": "povm", "elements": [{"seed": 0, "transcript": "", "matrix": three}]}
+    )
+    code = main(["protocol", "--spec", str(spec), "--emit-run", str(tmp_path / "run.json")])
+    assert code == 2
+
+
+def test_cli_emit_run_nan_input_state_is_parse_error(tmp_path, capsys):
+    spec = tmp_path / "fp.json"
+    assert main(["protocol", "--make", "first-pair", "--n", "1", "--out", str(spec)]) == 0
+    doc = serialize.state_to_json(random_density_matrix(np.random.default_rng(2), 1, 1))
+    doc["matrix"][0][0][0] = float("nan")
+    state = tmp_path / "nan.json"
+    state.write_text(json.dumps(doc))  # written as the NaN literal json reads back
+    code = main(["protocol", "--spec", str(spec), "--input", str(state),
+                 "--emit-run", str(tmp_path / "run.json")])
+    assert code == 2
+    assert "non-finite" in capsys.readouterr().err

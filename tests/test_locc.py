@@ -439,3 +439,78 @@ def test_povm_accept_success_matches_expectation():
     assert result.success_probability == pytest.approx(
         float(np.trace(m @ alice).real), abs=1e-12
     )
+
+
+# ---------------------------------------------------------------------------
+# construction rejects what the runner cannot evaluate
+
+NAN = float("nan")
+
+
+def _one_pair_protocol(accept=AlwaysAccept(), rounds=()):
+    return Protocol(1, (1.0,), rounds, accept, (0,))
+
+
+def test_instrument_rejects_nan_kraus():
+    bad = np.eye(2, dtype=np.complex128)
+    bad[0, 0] = NAN
+    with pytest.raises(ValueError, match="trace preserving"):
+        Instrument(branches=((bad,), (np.zeros((2, 2)),)))
+
+
+def test_round_rejects_nan_listener():
+    u = np.eye(2, dtype=np.complex128)
+    u[1, 1] = NAN
+    with pytest.raises(ValueError, match="unitary"):
+        Round(ALICE, (measure_z_instrument(1, 0),), listener_unitaries=(u,))
+
+
+def test_protocol_rejects_nan_seed_weights():
+    with pytest.raises(ValueError, match="distribution"):
+        Protocol(1, (NAN,), (), AlwaysAccept(), (0,))
+    with pytest.raises(ValueError, match="distribution"):
+        Protocol(1, (0.5, NAN), (), AlwaysAccept(), (0,))
+
+
+def test_constant_accept_rejects_values_outside_unit_interval():
+    for value in (1.5, -0.1, NAN):
+        with pytest.raises(ValueError):
+            ConstantAccept(value)
+    with pytest.raises(ValueError):
+        ConstantAccept({"0": 0.5, "1": NAN})
+
+
+def test_accept_rule_must_cover_every_transcript():
+    rnd = Round(ALICE, (measure_z_instrument(1, 0),))
+    with pytest.raises(ValueError, match="transcript '1'"):
+        _one_pair_protocol(ConstantAccept({"0": 0.5}), (rnd,))
+    with pytest.raises(ValueError, match="transcript ''"):
+        _one_pair_protocol(ConstantAccept({"x": 0.5}))
+    # a POVM rule is keyed by (seed, transcript)
+    with pytest.raises(ValueError, match="POVM element"):
+        _one_pair_protocol(PovmAccept({(0, "0"): np.eye(2)}), (rnd,))
+    with pytest.raises(ValueError, match="POVM element"):
+        Protocol(1, (0.5, 0.5), (), PovmAccept({(0, ""): np.eye(2)}), (0,))
+    _one_pair_protocol(ConstantAccept({"0": 0.5, "1": 1.0}), (rnd,))
+
+
+def test_povm_elements_must_lie_between_zero_and_identity():
+    half = 0.5 * np.eye(2)
+    not_hermitian = np.array([[0.5, 0.1], [0.0, 0.5]])
+    nan = half.copy()
+    nan[0, 1] = NAN
+    for bad in (3.0 * np.eye(2), -half, not_hermitian, nan, np.eye(4), np.eye(2)[:, :1]):
+        with pytest.raises(ValueError):
+            _one_pair_protocol(PovmAccept({(0, ""): bad}))
+    proto = _one_pair_protocol(PovmAccept({(0, ""): half}))
+    assert run(proto, bell_state("phi+")).success_probability == pytest.approx(0.5, abs=1e-12)
+
+
+def test_protocol_rejects_registers_of_the_wrong_size():
+    with pytest.raises(ValueError, match="instrument dimension"):
+        Protocol(2, (1.0,), (Round(ALICE, (measure_z_instrument(1, 0),)),), AlwaysAccept(), (0,))
+    wide = Round(ALICE, (measure_z_instrument(2, 0),), listener_unitaries=(np.eye(2),))
+    with pytest.raises(ValueError, match="listener unitary"):
+        Protocol(2, (1.0,), (wide,), AlwaysAccept(), (0,))
+    with pytest.raises(ValueError, match="unitary"):
+        Round(ALICE, (measure_z_instrument(1, 0),), listener_unitaries=(np.eye(2)[:1],))

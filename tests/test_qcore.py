@@ -364,3 +364,33 @@ def test_apply_unitary_matches_kron_ground_truth():
             perm[(b << 1) | a, (a << 1) | b] = 1.0
     expected2 = perm.T @ two @ perm @ phi.amplitudes
     np.testing.assert_allclose(moved2.amplitudes, expected2, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input and the validate flag
+
+
+def test_pure_state_rejects_non_finite_amplitudes():
+    for bad in (float("nan"), float("inf")):
+        amps = np.array([bad, 0.0, 0.0, 0.0], dtype=np.complex128)
+        with pytest.raises(InvalidStateError):
+            PureState(1, 1, amps)
+
+
+def test_density_matrix_rejects_non_finite_entries():
+    for bad in (float("nan"), float("inf")):
+        mat = np.eye(4, dtype=np.complex128) / 4
+        mat[1, 2] = mat[2, 1] = bad
+        with pytest.raises(InvalidStateError, match="non-finite"):
+            DensityMatrix(1, 1, mat)
+
+
+def test_density_matrix_validate_is_not_stored():
+    from dataclasses import fields
+
+    assert "validate" not in {f.name for f in fields(DensityMatrix)}
+    mat = np.eye(4) / 4
+    checked = DensityMatrix(1, 1, mat)
+    unchecked = DensityMatrix(1, 1, mat, validate=False)
+    np.testing.assert_array_equal(checked.matrix, unchecked.matrix)
+    assert "validate" not in repr(unchecked)

@@ -301,3 +301,59 @@ def test_binary_consistency_matrix_is_honest():
                 for x in range(1 << n):
                     bits = [int(c) for c in format(x, f"0{n}b")]
                     assert bool(cons[vi, x]) == consistent(bits, v)
+
+
+# ---------------------------------------------------------------------------
+# one home per bound
+
+
+def test_exact_reports_match_their_protocol_values():
+    rep = verify.random_pair_measure_r_report(3, 2)
+    assert rep.theorem == "neg-measure-r"
+    assert rep.bound == rep.floor == pytest.approx(2 / 3)
+    assert rep.achieved == pytest.approx(2 / 3, abs=1e-12)
+    assert rep.passed and not rep.falsified
+    rep = verify.first_pair_depolarization_report(2, 0.4)
+    assert rep.theorem == "first-pair-depolarization"
+    assert rep.bound == rep.floor == pytest.approx(0.7)
+    assert rep.achieved == pytest.approx(0.7, abs=1e-12)
+    assert rep.passed and not rep.falsified
+
+
+def test_probe_floors_come_from_the_exact_reports():
+    exact = verify.random_pair_measure_r_report(1, 1)
+    probe = verify.optimize_0bit_measure_r(1, 1, ancillas=1, config=QUICK)
+    assert probe.floor == exact.achieved
+    assert probe.bound == exact.bound
+    exact = verify.first_pair_depolarization_report(1, 0.5)
+    probe = verify.optimize_0bit_depolarization(1, 0.5, ancillas=1, config=QUICK)
+    assert probe.floor == exact.achieved
+    assert probe.bound == 0.75
+
+
+def _report(achieved, direction, floor=None):
+    # binary fractions, so bound +- tol is exact
+    return verify.BoundReport(
+        theorem="t", params={}, bound=0.5, achieved=achieved, direction=direction,
+        tol=0.25, floor=floor,
+    )
+
+
+def test_bound_report_verdict_at_the_tolerance_edges():
+    assert _report(0.75, "upper").passed
+    assert not _report(0.875, "upper").passed
+    assert _report(0.25, "lower").passed
+    assert not _report(0.125, "lower").passed
+    # a floor is held to the same tolerance
+    assert _report(-0.25, "upper", floor=0.0).passed
+    assert not _report(-0.375, "upper", floor=0.0).passed
+    assert not _report(0.875, "lower", floor=1.25).passed
+    for rep in (_report(0.875, "upper"), _report(0.125, "lower"), _report(0.5, "upper")):
+        assert rep.falsified is not rep.passed
+    assert _report(0.25, "upper").margin == 0.25
+    assert _report(0.25, "lower").margin == -0.25
+
+
+def test_bound_report_takes_keywords_only():
+    with pytest.raises(TypeError):
+        verify.BoundReport("t", {}, 0.5, 0.5, "upper", 0.0)  # type: ignore[misc]
