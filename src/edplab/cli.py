@@ -196,8 +196,6 @@ def cmd_protocol(args: argparse.Namespace) -> int:
             proto = _MAKERS[args.make](n, s)
         except KeyError:
             raise SystemExit(f"error: unknown protocol {args.make!r}")
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}")
         doc = serialize.protocol_to_json(proto)
         return _write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", out)
 

@@ -365,6 +365,8 @@ class MeasureRModel:
     r: int
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need at least one pair, got n={self.n}")
         if not 0 <= self.r <= self.n:
             raise ValueError(f"need 0 <= r <= n, got n={self.n}, r={self.r}")
 

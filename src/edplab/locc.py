@@ -699,6 +699,8 @@ def make_first_pair(n: int) -> Protocol:
 
 def make_random_pair(n: int) -> Protocol:
     """0-bit protocol: shared randomness picks the output pair uniformly."""
+    if n < 1:
+        raise ValueError("need at least one pair")
     return Protocol(
         n_pairs=n,
         seed_weights=(1.0 / n,) * n,
@@ -723,6 +725,8 @@ def make_random_permutation(n: int) -> Protocol:
     perfect pairs, 1 - ((2^m - 2^k)/2^m) (2^n/(2^n-1)) eps, is recorded
     here for reference only.
     """
+    if n < 1:
+        raise ValueError("need at least one pair")
     perms = list(itertools.permutations(range(n)))
     weight = 1.0 / len(perms)
     return Protocol(

@@ -78,10 +78,15 @@ def state_from_json(doc: Any) -> PureState | DensityMatrix:
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecParseError("state.n_alice/n_bob: expected integers") from exc
     if "amplitudes" in doc:
-        return PureState(na, nb, vector_from_json(doc["amplitudes"], "state.amplitudes"))
-    if "matrix" in doc:
-        return DensityMatrix(na, nb, matrix_from_json(doc["matrix"], "state.matrix"))
-    raise SpecParseError("state: needs amplitudes or matrix")
+        cls, data = PureState, vector_from_json(doc["amplitudes"], "state.amplitudes")
+    elif "matrix" in doc:
+        cls, data = DensityMatrix, matrix_from_json(doc["matrix"], "state.matrix")
+    else:
+        raise SpecParseError("state: needs amplitudes or matrix")
+    try:
+        return cls(na, nb, data)
+    except ValueError as exc:
+        raise SpecParseError(f"state: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

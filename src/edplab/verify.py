@@ -171,12 +171,13 @@ def random_pair_measure_r_report(n: int, r: int) -> BoundReport:
     """The uniform pair-choice protocol on the measure-r model: its
     exact fidelity is the 0-bit bound 1 - r/2n, which is therefore also
     the floor."""
+    model = MeasureRModel(n, r)
     bound = 1.0 - r / (2.0 * n)
     return BoundReport(
         theorem="neg-measure-r",
         params={"n": n, "r": r},
         bound=bound,
-        achieved=protocol_fidelity(make_random_pair(n), MeasureRModel(n, r)),
+        achieved=protocol_fidelity(make_random_pair(n), model),
         direction="upper",
         tol=EXACT_TOL,
         floor=bound,
@@ -220,9 +221,9 @@ def _ascent_probe(
     result = maximize_pair_fidelity(objective, config)
     notes = (
         f"searched class: local unitaries on n+{objective.ancillas} qubits/party, "
-        f"{config.restarts} restarts x {config.steps} proposals; "
+        f"{config.restarts} restarts x {config.steps} gradient steps; "
         f"identity start = {result.start_value:.12f}; "
-        f"{'converged' if result.converged else 'NOT converged, best-so-far'}"
+        f"{sum(result.restart_converged)}/{config.restarts} restarts met the gradient test"
         f"{note}"
     )
     return BoundReport(

@@ -532,3 +532,46 @@ def test_cli_emit_run_nan_input_state_is_parse_error(tmp_path, capsys):
                  "--emit-run", str(tmp_path / "run.json")])
     assert code == 2
     assert "non-finite" in capsys.readouterr().err
+
+
+def test_cli_bounds_measure_r_no_pairs_is_parameter_error(capsys):
+    assert main(["bounds", "--model", "measure-r", "--n", "0", "--r", "0"]) == 2
+    assert "at least one pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("maker", ["random-pair", "random-permutation"])
+def test_cli_protocol_make_no_pairs_is_parameter_error(tmp_path, maker):
+    out = tmp_path / "spec.json"
+    assert main(["protocol", "--make", maker, "--n", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_cli_sweep_measure_r_no_pairs_is_an_error_row(tmp_path):
+    out = tmp_path / "sweep.json"
+    assert main(["sweep", "--model", "measure-r", "--n", "0..1", "--r", "0", "--out", str(out)]) == 1
+    bad, good = read_json(out)
+    assert bad["param_n"] == 0 and bad["pass"] is False
+    assert "at least one pair" in bad["error"]
+    assert good["param_n"] == 1 and good["pass"] is True
+
+
+def test_cli_bounds_zero_restarts_is_parameter_error(tmp_path):
+    out = tmp_path / "bounds.json"
+    code = main(["bounds", "--model", "measure-r", "--n", "1", "--r", "1", "--restarts", "0",
+                 "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_cli_emit_run_invalid_input_state_names_the_file(tmp_path, capsys):
+    spec = tmp_path / "fp.json"
+    assert main(["protocol", "--make", "first-pair", "--n", "1", "--out", str(spec)]) == 0
+    doc = serialize.state_to_json(epr_state(1))
+    doc["amplitudes"] = [[2 * re, 2 * im] for re, im in doc["amplitudes"]]
+    state = tmp_path / "unnormalized.json"
+    state.write_text(json.dumps(doc))
+    code = main(["protocol", "--spec", str(spec), "--input", str(state),
+                 "--emit-run", str(tmp_path / "run.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"{state}: state: " in err and "norm" in err

@@ -354,6 +354,12 @@ def test_model_parameter_validation():
         FidelityModel(2, 1.0)
 
 
+def test_measure_r_model_rejects_no_pairs():
+    # 1 - r/2n is undefined at n = 0
+    with pytest.raises(ValueError, match="at least one pair"):
+        MeasureRModel(0, 0)
+
+
 def test_measure_r_model_states():
     model = MeasureRModel(2, 1)
     states = model.states()

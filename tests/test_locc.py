@@ -514,3 +514,9 @@ def test_protocol_rejects_registers_of_the_wrong_size():
         Protocol(2, (1.0,), (wide,), AlwaysAccept(), (0,))
     with pytest.raises(ValueError, match="unitary"):
         Round(ALICE, (measure_z_instrument(1, 0),), listener_unitaries=(np.eye(2)[:1],))
+
+
+@pytest.mark.parametrize("maker", [make_random_pair, make_random_permutation])
+def test_no_communication_makers_reject_no_pairs(maker):
+    with pytest.raises(ValueError, match="at least one pair"):
+        maker(0)
