@@ -324,6 +324,7 @@ def _witness_mixing_weight(n: int, epsilon: float) -> float:
     """eps' = (4^n/(4^n-1)) eps, the weight of the maximally mixed part."""
     if n < 1:
         raise ValueError("need at least one pair")
+    _check_capacity(2 * n)
     dim = 1 << (2 * n)
     limit = 1.0 - 1.0 / dim
     if not 0.0 <= epsilon <= limit:

@@ -114,9 +114,10 @@ class Instrument:
         if not np.abs(total - np.eye(dim)).max() <= 1e-9:
             raise ValueError("instrument branches are not trace preserving")
         object.__setattr__(self, "branches", tuple(frozen))
-        dw = 1 << self.n_workspace
-        if dim % dw:
+        # bound the shift first: a huge n_workspace would allocate a huge int
+        if not 0 <= self.n_workspace < dim.bit_length() or dim % (1 << self.n_workspace):
             raise ValueError("instrument dimension must include its workspace qubits")
+        dw = 1 << self.n_workspace
         if dw > 1:
             d = dim // dw
             frozen = [
@@ -358,13 +359,6 @@ class RunResult:
     output: DensityMatrix
     conditional_output: DensityMatrix | None
     nodes: Mapping[tuple[int, int, str], NodeRecord] | None = None
-
-    def require_conditional_output(self) -> DensityMatrix:
-        if self.conditional_output is None:
-            raise ConditionalOutputUndefined(
-                "protocol never declares SUCC on this input"
-            )
-        return self.conditional_output
 
 
 # ---------------------------------------------------------------------------
@@ -655,30 +649,37 @@ def ideal_success_probability(protocol: Protocol) -> float:
     return run(protocol, epr_state(protocol.n_pairs)).success_probability
 
 
-def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
-    """Minimum output fidelity over the model's evaluated states.
+def model_fidelities(protocol: Protocol, model: ErrorModel) -> tuple[float, float | None]:
+    """Minimum output fidelity and minimum conditional-output fidelity
+    over the model's evaluated states, from one run per state; the second
+    is None when the protocol never declares SUCC on some state.
 
     For the fidelity model the evaluated set is the witness plus any
-    sampled members, so the value is a witness minimum (an upper
-    estimate of the true model minimum).
+    sampled members, so the values are witness minima (upper estimates
+    of the true model minima).
     """
     from .qcore import base_fidelity
 
-    values = [
-        base_fidelity(run(protocol, st).output) for st in model.run_inputs()
-    ]
-    return min(values)
+    fidelities, conditionals = [], []
+    for st in model.run_inputs():
+        result = run(protocol, st)
+        fidelities.append(base_fidelity(result.output))
+        cond = result.conditional_output
+        conditionals.append(None if cond is None else base_fidelity(cond))
+    return min(fidelities), None if None in conditionals else min(conditionals)
+
+
+def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
+    """Minimum output fidelity over the model's evaluated states."""
+    return model_fidelities(protocol, model)[0]
 
 
 def conditional_fidelity(protocol: Protocol, model: ErrorModel) -> float:
     """Minimum conditional-output fidelity over the model's states."""
-    from .qcore import base_fidelity
-
-    values = []
-    for st in model.run_inputs():
-        result = run(protocol, st)
-        values.append(base_fidelity(result.require_conditional_output()))
-    return min(values)
+    conditional = model_fidelities(protocol, model)[1]
+    if conditional is None:
+        raise ConditionalOutputUndefined("protocol never declares SUCC on this input")
+    return conditional
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,31 @@ class SpecParseError(ValueError):
     """Malformed specification document; the message names the field."""
 
 
+# what int(), float(), complex() and indexing raise on a JSON value of the
+# wrong shape, kind or size (``Infinity`` and huge integers overflow)
+_BAD_VALUE = (KeyError, IndexError, TypeError, ValueError, OverflowError)
+
+
+def _int(value: Any, path: str) -> int:
+    try:
+        return int(value)
+    except _BAD_VALUE as exc:
+        raise SpecParseError(f"{path}: expected an integer") from exc
+
+
+def _float(value: Any, path: str) -> float:
+    try:
+        return float(value)
+    except _BAD_VALUE as exc:
+        raise SpecParseError(f"{path}: expected a number") from exc
+
+
+def _list(value: Any, path: str) -> list:
+    if not isinstance(value, list):
+        raise SpecParseError(f"{path}: expected a list")
+    return value
+
+
 def matrix_to_json(mat: np.ndarray) -> list[list[list[float]]]:
     arr = np.asarray(mat, dtype=np.complex128)
     return [[[float(z.real), float(z.imag)] for z in row] for row in arr]
@@ -45,7 +70,7 @@ def matrix_from_json(data: Any, path: str = "matrix") -> np.ndarray:
             [[complex(entry[0], entry[1]) for entry in row] for row in data],
             dtype=np.complex128,
         )
-    except (TypeError, IndexError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise SpecParseError(f"{path}: expected nested [re, im] pairs") from exc
     return arr
 
@@ -57,7 +82,7 @@ def vector_to_json(vec: np.ndarray) -> list[list[float]]:
 def vector_from_json(data: Any, path: str = "vector") -> np.ndarray:
     try:
         return np.asarray([complex(e[0], e[1]) for e in data], dtype=np.complex128)
-    except (TypeError, IndexError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise SpecParseError(f"{path}: expected [re, im] pairs") from exc
 
 
@@ -73,10 +98,7 @@ def state_to_json(state: PureState | DensityMatrix) -> dict[str, Any]:
 def state_from_json(doc: Any) -> PureState | DensityMatrix:
     if not isinstance(doc, dict):
         raise SpecParseError("state: expected an object")
-    try:
-        na, nb = int(doc["n_alice"]), int(doc["n_bob"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError("state.n_alice/n_bob: expected integers") from exc
+    na, nb = _int(doc.get("n_alice"), "state.n_alice"), _int(doc.get("n_bob"), "state.n_bob")
     if "amplitudes" in doc:
         cls, data = PureState, vector_from_json(doc["amplitudes"], "state.amplitudes")
     elif "matrix" in doc:
@@ -123,7 +145,7 @@ def error_model_from_json(doc: Any) -> ErrorModel:
                 samples=int(doc.get("samples", 0)),
                 seed=int(doc.get("seed", 0)),
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except _BAD_VALUE as exc:
         raise SpecParseError(f"error model ({kind}): missing or invalid parameter") from exc
     raise SpecParseError(f"error model: unknown kind {kind!r}")
 
@@ -156,20 +178,17 @@ def _accept_from_json(doc: Any) -> AcceptRule:
         return AlwaysAccept()
     if kind == "constant":
         if "value" in doc:
-            return ConstantAccept(float(doc["value"]))
+            return ConstantAccept(_float(doc["value"], "accept_rule.value"))
         values = doc.get("values")
         if not isinstance(values, dict):
             raise SpecParseError("accept_rule.values: expected an object")
-        return ConstantAccept({str(k): float(v) for k, v in values.items()})
+        return ConstantAccept({str(k): _float(v, f"accept_rule.values.{k}") for k, v in values.items()})
     if kind == "povm":
         elements = {}
-        for idx, entry in enumerate(doc.get("elements", [])):
-            try:
-                key = (int(entry["seed"]), str(entry["transcript"]))
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SpecParseError(
-                    f"accept_rule.elements[{idx}]: needs seed and transcript"
-                ) from exc
+        for idx, entry in enumerate(_list(doc.get("elements", []), "accept_rule.elements")):
+            if not isinstance(entry, dict) or "seed" not in entry or "transcript" not in entry:
+                raise SpecParseError(f"accept_rule.elements[{idx}]: needs seed and transcript")
+            key = (_int(entry["seed"], f"accept_rule.elements[{idx}].seed"), str(entry["transcript"]))
             elements[key] = matrix_from_json(
                 entry.get("matrix"), f"accept_rule.elements[{idx}].matrix"
             )
@@ -208,46 +227,39 @@ def protocol_to_json(protocol: Protocol) -> dict[str, Any]:
 def protocol_from_json(doc: Any) -> Protocol:
     if not isinstance(doc, dict):
         raise SpecParseError("protocol: expected an object")
-    try:
-        n = int(doc["n"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecParseError("protocol.n: expected an integer") from exc
+    n = _int(doc.get("n"), "protocol.n")
     weights = doc.get("shared_randomness")
     if not isinstance(weights, list) or not weights:
         raise SpecParseError("protocol.shared_randomness: expected a non-empty list")
     rounds = []
-    for ridx, round_doc in enumerate(doc.get("rounds", [])):
+    for ridx, round_doc in enumerate(_list(doc.get("rounds", []), "protocol.rounds")):
         if not isinstance(round_doc, dict) or "party" not in round_doc:
             raise SpecParseError(f"rounds[{ridx}]: expected an object with a party")
         instruments = []
-        for sidx, ins_doc in enumerate(round_doc.get("kraus_by_seed", [])):
-            branches = ins_doc.get("branches")
+        seeds = _list(round_doc.get("kraus_by_seed", []), f"rounds[{ridx}].kraus_by_seed")
+        for sidx, ins_doc in enumerate(seeds):
+            where = f"rounds[{ridx}].kraus_by_seed[{sidx}]"
+            branches = ins_doc.get("branches") if isinstance(ins_doc, dict) else None
             if not isinstance(branches, list) or len(branches) != 2:
-                raise SpecParseError(
-                    f"rounds[{ridx}].kraus_by_seed[{sidx}].branches: expected two branches"
-                )
+                raise SpecParseError(f"{where}.branches: expected two branches")
             parsed = tuple(
                 tuple(
-                    matrix_from_json(
-                        k, f"rounds[{ridx}].kraus_by_seed[{sidx}].branches[{bidx}][{kidx}]"
-                    )
-                    for kidx, k in enumerate(branch)
+                    matrix_from_json(k, f"{where}.branches[{bidx}][{kidx}]")
+                    for kidx, k in enumerate(_list(branch, f"{where}.branches[{bidx}]"))
                 )
                 for bidx, branch in enumerate(branches)
             )
+            n_workspace = _int(ins_doc.get("n_workspace", 0), f"{where}.n_workspace")
             try:
-                instruments.append(
-                    Instrument(branches=parsed, n_workspace=int(ins_doc.get("n_workspace", 0)))
-                )
+                instruments.append(Instrument(branches=parsed, n_workspace=n_workspace))
             except ValueError as exc:
-                raise SpecParseError(
-                    f"rounds[{ridx}].kraus_by_seed[{sidx}]: {exc}"
-                ) from exc
+                raise SpecParseError(f"{where}: {exc}") from exc
         listener = None
         if "listener_by_seed" in round_doc:
+            where = f"rounds[{ridx}].listener_by_seed"
             listener = tuple(
-                matrix_from_json(u, f"rounds[{ridx}].listener_by_seed[{uidx}]")
-                for uidx, u in enumerate(round_doc["listener_by_seed"])
+                matrix_from_json(u, f"{where}[{uidx}]")
+                for uidx, u in enumerate(_list(round_doc["listener_by_seed"], where))
             )
         try:
             rounds.append(
@@ -262,10 +274,12 @@ def protocol_from_json(doc: Any) -> Protocol:
     try:
         return Protocol(
             n_pairs=n,
-            seed_weights=tuple(float(w) for w in weights),
+            seed_weights=tuple(_float(w, "protocol.shared_randomness") for w in weights),
             rounds=tuple(rounds),
             accept=_accept_from_json(doc.get("accept_rule", {"kind": "always"})),
-            output_pair=tuple(int(j) for j in doc.get("output_pair", [0])),
+            output_pair=tuple(
+                _int(j, "protocol.output_pair") for j in _list(doc.get("output_pair", [0]), "protocol.output_pair")
+            ),
             name=str(doc.get("name", "")),
         )
     except ValueError as exc:

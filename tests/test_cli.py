@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from edplab import cli, serialize
 from edplab.cli import main
@@ -575,3 +577,127 @@ def test_cli_emit_run_invalid_input_state_names_the_file(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert f"{state}: state: " in err and "norm" in err
+
+
+# ---------------------------------------------------------------------------
+# malformed input: parsers raise only SpecParseError, the CLI exits 2
+
+
+def _draw_subtree_path(data, doc):
+    """A path into ``doc`` that descends three times in four: uniform
+    paths would land almost always on matrix entries, rarely on fields."""
+    path = ()
+    while isinstance(doc, (dict, list)) and doc and data.draw(st.integers(0, 3), label="depth"):
+        key = data.draw(st.sampled_from(sorted(doc) if isinstance(doc, dict) else range(len(doc))))
+        path += (key,)
+        doc = doc[key]
+    return path
+
+
+def _with_subtree(doc, path, value):
+    if not path:
+        return value
+    out = list(doc) if isinstance(doc, list) else dict(doc)
+    out[path[0]] = _with_subtree(doc[path[0]], path[1:], value)
+    return out
+
+
+_JSON_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([float("inf"), float("nan"), 2**64, -1])
+)
+# half scalars: st.recursive alone draws mostly lists and objects
+_JSON_VALUES = _JSON_SCALARS | st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+_VALID_DOCUMENTS = {
+    "protocol": (serialize.protocol_to_json(make_simple_random_hash(2, 1)), serialize.protocol_from_json),
+    "state": (serialize.state_to_json(bell_state("phi+")), serialize.state_from_json),
+    "model": (serialize.error_model_to_json(FidelityModel(2, 0.1, samples=1, seed=3)),
+              serialize.error_model_from_json),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_VALID_DOCUMENTS))
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_spec_parsers_raise_only_spec_parse_errors(kind, data):
+    doc, parse = _VALID_DOCUMENTS[kind]
+    path = _draw_subtree_path(data, doc)
+    value = data.draw(_JSON_VALUES, label="value")
+    try:
+        parse(_with_subtree(doc, path, value))
+    except SpecParseError:
+        pass
+
+
+def _write(tmp_path, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    return str(path)
+
+
+def _edited(tmp_path, name, doc, path, value):
+    # json.dumps writes float("inf") as the Infinity literal json.loads reads back
+    return _write(tmp_path, name, json.dumps(_with_subtree(doc, path, value)))
+
+
+_HASH_DOC = serialize.protocol_to_json(make_simple_random_hash(2, 1))
+_INF = float("inf")
+
+
+def _bad_spec(path, value):
+    def argv(tmp_path):
+        spec = _edited(tmp_path, "spec.json", _HASH_DOC, path, value)
+        return ["protocol", "--spec", spec, "--model", "measure-r", "--r", "1"]
+
+    return argv
+
+
+BAD_INPUTS = {
+    "bounds without --model": lambda t: ["bounds", "--n", "1"],
+    "measure-r without --r": lambda t: ["bounds", "--model", "measure-r", "--n", "1"],
+    "depolarization without --p": lambda t: ["bounds", "--model", "depolarization"],
+    "fidelity without --epsilon": lambda t: ["bounds", "--model", "fidelity"],
+    "sweep without --model": lambda t: ["sweep"],
+    "protocol without --spec": lambda t: ["protocol"],
+    "protocol without --model": lambda t: [
+        "protocol", "--spec", _edited(t, "spec.json", _HASH_DOC, (), _HASH_DOC)],
+    "unreadable config": lambda t: ["lemmas", "--config", str(t / "missing.cfg")],
+    "config line without =": lambda t: ["lemmas", "--config", _write(t, "c.cfg", "count 5\n")],
+    "config bad boolean": lambda t: [
+        "bounds", "--config", _write(t, "c.cfg", "include-no-comm-probe = maybe\n"),
+        "--model", "fidelity", "--n", "2", "--epsilon", "0.1"],
+    "config format = xml": lambda t: [
+        "lemmas", "--count", "5", "--config", _write(t, "c.cfg", "format = xml\n")],
+    "config unknown model": lambda t: [
+        "bounds", "--config", _write(t, "c.cfg", "model = bell\nr = 1\n")],
+    "reversed --n range": lambda t: ["sweep", "--model", "measure-r", "--n", "3..1"],
+    "reversed --r range": lambda t: ["sweep", "--model", "measure-r", "--n", "2", "--r", "1..0"],
+    "reversed --s range": lambda t: ["sweep", "--model", "fidelity", "--n", "3", "--s", "2..1"],
+    "spec rounds not a list": _bad_spec(("rounds",), 5),
+    "spec listener_by_seed not a list": _bad_spec(("rounds", 0, "listener_by_seed"), 5),
+    "spec output_pair not a list": _bad_spec(("output_pair",), 5),
+    "spec accept elements not a list": _bad_spec(("accept_rule", "elements"), 5),
+    "spec kraus_by_seed entry a list": _bad_spec(("rounds", 0, "kraus_by_seed", 0), []),
+    "spec n Infinity": _bad_spec(("n",), _INF),
+    "spec output_pair Infinity": _bad_spec(("output_pair",), [_INF]),
+    "spec n_workspace Infinity": _bad_spec(("rounds", 0, "kraus_by_seed", 0, "n_workspace"), _INF),
+    "state n_alice Infinity": lambda t: [
+        "protocol", "--spec", _edited(t, "spec.json", _HASH_DOC, (), _HASH_DOC),
+        "--input", _edited(t, "state.json", serialize.state_to_json(epr_state(2)), ("n_alice",), _INF),
+        "--emit-run", str(t / "run.json")],
+    "model r Infinity": lambda t: [
+        "protocol", "--spec", _edited(t, "spec.json", _HASH_DOC, (), _HASH_DOC),
+        "--model-file", _edited(t, "model.json", {"model": "measure_r", "n": 2, "r": 1}, ("r",), _INF)],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_cli_bad_input_exits_2_with_one_error_line(tmp_path, capsys, case):
+    assert main(BAD_INPUTS[case](tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("error:") == 1

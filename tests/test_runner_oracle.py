@@ -151,6 +151,34 @@ def test_random_protocols_match_oracle():
         assert_matches_oracle(proto, random_pure_state(gen, n, n))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    n_rounds=st.integers(0, 3),
+    n_seeds=st.integers(1, 2),
+    kraus_per_branch=st.integers(1, 3),
+    accept_kind=st.sampled_from(["always", "constant", "povm"]),
+    with_listeners=st.booleans(),
+    pure=st.booleans(),
+)
+def test_random_protocols_on_dense_and_pure_inputs_match_oracle(
+    seed, n, n_rounds, n_seeds, kraus_per_branch, accept_kind, with_listeners, pure
+):
+    gen = np.random.default_rng(seed)
+    proto = random_protocol(
+        gen,
+        n,
+        n_rounds,
+        n_seeds=n_seeds,
+        kraus_per_branch=kraus_per_branch,
+        accept_kind=accept_kind,
+        with_listeners=with_listeners,
+    )
+    state = random_pure_state(gen, n, n) if pure else random_density_matrix(gen, n, n)
+    assert_matches_oracle(proto, state)
+
+
 # ---------------------------------------------------------------------------
 # pure + product component form against the dense oracle
 
