@@ -71,13 +71,20 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
-def _config_defaults(parser: argparse.ArgumentParser, path: str) -> dict[str, Any]:
+# options a config file does not set besides --config itself: protocol's
+# input files, modes and unused seed, so that one config file can serve
+# every subcommand without switching protocol into emitting or running
+_FLAG_ONLY = {"protocol": {"seed", "spec", "make", "input", "emit_run", "model_file"}}
+
+
+def _config_defaults(parser: argparse.ArgumentParser, command: str, path: str) -> dict[str, Any]:
     """The config file's values for ``parser``'s options, each parsed with
     the option's own type and choices; keys it does not declare are ignored."""
     config = read_config(path)
+    flag_only = {"config", *_FLAG_ONLY.get(command, ())}
     defaults: dict[str, Any] = {}
     for action in parser._actions:
-        if action.dest == argparse.SUPPRESS or not action.option_strings:
+        if action.dest == argparse.SUPPRESS or not action.option_strings or action.dest in flag_only:
             continue
         key = action.option_strings[0].removeprefix("--")
         if key not in config:
@@ -120,8 +127,14 @@ def _parse_floats(text: str) -> list[float]:
 def _load(path: str, parse: Callable[[Any], Any]) -> Any:
     """``parse`` applied to the JSON document at ``path``; errors name the file."""
     try:
-        return parse(json.loads(Path(path).read_text()))
-    except (OSError, ValueError) as exc:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ValueError(f"cannot read {path}: {exc}") from exc
+    try:
+        return parse(json.loads(text))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: invalid JSON: {exc}") from exc
+    except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
 
@@ -209,13 +222,7 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         model = _load(args.model_file, serialize.error_model_from_json)
     else:
         kind = _require(args.model, "--model or --model-file is required")
-        aliases = {
-            "measure-r": "measure_r",
-            "measure_r": "measure_r",
-            "depolar": "depolarization",
-            "depolarization": "depolarization",
-            "fidelity": "fidelity",
-        }
+        aliases = {"measure-r": "measure_r", "depolar": "depolarization"}
         doc: dict[str, Any] = {"model": aliases.get(kind, kind), "n": proto.n_pairs}
         for key in ("r", "p", "epsilon"):
             if getattr(args, key) is not None:
@@ -367,7 +374,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
-        args.parser.set_defaults(**_config_defaults(args.parser, args.config))
+        args.parser.set_defaults(**_config_defaults(args.parser, args.command, args.config))
         args = parser.parse_args(argv)
     return args
 

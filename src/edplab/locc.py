@@ -360,6 +360,13 @@ class RunResult:
     conditional_output: DensityMatrix | None
     nodes: Mapping[tuple[int, int, str], NodeRecord] | None = None
 
+    def require_conditional_output(self) -> DensityMatrix:
+        if self.conditional_output is None:
+            raise ConditionalOutputUndefined(
+                "protocol never declares SUCC on this input"
+            )
+        return self.conditional_output
+
 
 # ---------------------------------------------------------------------------
 # the exact runner
@@ -649,37 +656,30 @@ def ideal_success_probability(protocol: Protocol) -> float:
     return run(protocol, epr_state(protocol.n_pairs)).success_probability
 
 
-def model_fidelities(protocol: Protocol, model: ErrorModel) -> tuple[float, float | None]:
-    """Minimum output fidelity and minimum conditional-output fidelity
-    over the model's evaluated states, from one run per state; the second
-    is None when the protocol never declares SUCC on some state.
+def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
+    """Minimum output fidelity over the model's evaluated states.
 
     For the fidelity model the evaluated set is the witness plus any
-    sampled members, so the values are witness minima (upper estimates
-    of the true model minima).
+    sampled members, so the value is a witness minimum (an upper
+    estimate of the true model minimum).
     """
     from .qcore import base_fidelity
 
-    fidelities, conditionals = [], []
-    for st in model.run_inputs():
-        result = run(protocol, st)
-        fidelities.append(base_fidelity(result.output))
-        cond = result.conditional_output
-        conditionals.append(None if cond is None else base_fidelity(cond))
-    return min(fidelities), None if None in conditionals else min(conditionals)
-
-
-def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
-    """Minimum output fidelity over the model's evaluated states."""
-    return model_fidelities(protocol, model)[0]
+    values = [
+        base_fidelity(run(protocol, st).output) for st in model.run_inputs()
+    ]
+    return min(values)
 
 
 def conditional_fidelity(protocol: Protocol, model: ErrorModel) -> float:
     """Minimum conditional-output fidelity over the model's states."""
-    conditional = model_fidelities(protocol, model)[1]
-    if conditional is None:
-        raise ConditionalOutputUndefined("protocol never declares SUCC on this input")
-    return conditional
+    from .qcore import base_fidelity
+
+    values = []
+    for st in model.run_inputs():
+        result = run(protocol, st)
+        values.append(base_fidelity(result.require_conditional_output()))
+    return min(values)
 
 
 # ---------------------------------------------------------------------------

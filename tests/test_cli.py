@@ -395,6 +395,65 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert read_json(out2)[0]["instances"] == 30
 
 
+# config text, extra argv, and what the records must show
+VALID_CONFIGS = {
+    "on/off key set to on": (
+        "model = fidelity\nn = 2\nepsilon = 0.25\ninclude-no-comm-probe = yes\n",
+        ["bounds"],
+        lambda recs: [r["theorem"] for r in recs]
+        == ["pos-fidelity", "neg-fidelity", "pos-fidelity-no-comm"],
+    ),
+    "flag overrides a bounds value": (
+        # n = 1 alone is rejected for the fidelity model (needs s < n)
+        "model = fidelity\nn = 1\nepsilon = 0.25\n",
+        ["bounds", "--n", "2"],
+        lambda recs: [r["param_n"] for r in recs] == [2, 2],
+    ),
+    "sweep range": (
+        "model = measure-r\nn = 1..2\n",
+        ["sweep"],
+        lambda recs: [(r["param_n"], r["param_r"]) for r in recs]
+        == [(1, 0), (1, 1), (2, 0), (2, 1), (2, 2)],
+    ),
+    "undeclared key ignored": (
+        "count = 5\nworkers = 3\nepsilon = not-a-number\n",
+        ["lemmas"],
+        lambda recs: all(r["instances"] == 5 for r in recs),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VALID_CONFIGS))
+def test_cli_valid_config_values(tmp_path, case):
+    text, argv, check = VALID_CONFIGS[case]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "out.json"
+    assert main([*argv, "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    assert check(read_json(out))
+
+
+def test_cli_protocol_config_does_not_set_files_or_modes(tmp_path, capsys):
+    spec = tmp_path / "fp.json"
+    assert main(["protocol", "--make", "first-pair", "--n", "2", "--out", str(spec)]) == 0
+    cfg = tmp_path / "shared.cfg"
+    cfg.write_text(
+        f"make = random-pair\nspec = {spec}\nemit-run = {tmp_path / 'run.json'}\n"
+        f"input = {tmp_path / 'missing.json'}\nmodel-file = {tmp_path / 'missing.json'}\n"
+        "seed = not-an-int\nmodel = depolar\np = 0.4\n"
+    )
+    out = tmp_path / "eval.json"
+    argv = ["protocol", "--config", str(cfg), "--spec", str(spec), "--out", str(out)]
+    assert main(argv) == 0
+    (record,) = read_json(out)
+    assert record["fidelity"] == pytest.approx(0.7, abs=1e-10)
+    assert not (tmp_path / "run.json").exists()
+    capsys.readouterr()
+    # without --spec or --make on the command line there is nothing to do
+    assert main(["protocol", "--config", str(cfg)]) == 2
+    assert "--spec or --make is required" in capsys.readouterr().err
+
+
 def test_cli_determinism_byte_identical(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
