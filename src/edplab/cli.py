@@ -20,13 +20,11 @@ from typing import Any, Callable
 
 from . import serialize, verify
 from .locc import (
-    ConditionalOutputUndefined,
-    conditional_fidelity,
     make_first_pair,
     make_random_pair,
     make_random_permutation,
     make_simple_random_hash,
-    protocol_fidelity,
+    model_fidelities,
     run,
 )
 from .optimize import AscentConfig
@@ -229,20 +227,17 @@ def cmd_protocol(args: argparse.Namespace) -> int:
                 doc[key] = getattr(args, key)
         model = serialize.error_model_from_json(doc)
 
-    fid = protocol_fidelity(proto, model)
+    fid, cond = model_fidelities(proto, model)
     record: dict[str, Any] = {
         "protocol": proto.name or "custom",
         "bits": proto.bits,
         "fidelity": fid,
+        "conditional_fidelity": cond,
     }
     record.update({f"param_{k}": v for k, v in sorted(serialize.error_model_to_json(model).items())})
-    try:
-        record["conditional_fidelity"] = conditional_fidelity(proto, model)
-    except ConditionalOutputUndefined:
-        record["conditional_fidelity"] = None
     print(f"fidelity: {fid!r}", file=sys.stderr)
-    if record["conditional_fidelity"] is not None:
-        print(f"conditional fidelity: {record['conditional_fidelity']!r}", file=sys.stderr)
+    if cond is not None:
+        print(f"conditional fidelity: {cond!r}", file=sys.stderr)
     return _finish([record], args.format, args.out)
 
 

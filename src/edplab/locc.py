@@ -11,7 +11,9 @@ of a POVM element on her register (realized as the gentle sqrt(M)
 measurement), and is not counted as communication.
 
 Evaluation is exact: the full transcript tree is enumerated per seed,
-never sampled.  Instruments are given directly in Kraus form, which
+never sampled.  ``walk`` is the only traversal: it yields one seed's
+tree level by level, and ``run`` and the splitting tracker in ``verify``
+consume it.  Instruments are given directly in Kraus form, which
 subsumes local ancillas; an instrument may additionally declare
 workspace qubits that are appended in |0> for its round and traced out
 afterwards (compiled into plain Kraus operators when it is built).
@@ -36,11 +38,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
-from .errmodels import ErrorModel, WeightedStates
+from .errmodels import ErrorModel, State, WeightedStates
 from .qcore import (
     ALICE,
     BOB,
@@ -65,6 +67,19 @@ class ConditionalOutputUndefined(ValueError):
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+# Per-seed data (instruments, listeners, output pairs) broadcasts: a
+# one-entry tuple serves every seed, otherwise there is one entry per seed.
+
+
+def _seed_entry(entries: tuple, seed: int):
+    return entries[0] if len(entries) == 1 else entries[seed]
+
+
+def _check_seed_entries(entries: tuple, n_seeds: int, what: str) -> None:
+    if len(entries) not in (1, n_seeds):
+        raise ValueError(f"{what} must have one entry or one per seed")
 
 
 @dataclass(frozen=True)
@@ -172,16 +187,12 @@ class Round:
         return BOB if self.party == ALICE else ALICE
 
     def for_seed(self, seed: int) -> Instrument:
-        if len(self.instruments) == 1:
-            return self.instruments[0]
-        return self.instruments[seed]
+        return _seed_entry(self.instruments, seed)
 
     def listener_for_seed(self, seed: int) -> np.ndarray | None:
         if self.listener_unitaries is None:
             return None
-        if len(self.listener_unitaries) == 1:
-            return self.listener_unitaries[0]
-        return self.listener_unitaries[seed]
+        return _seed_entry(self.listener_unitaries, seed)
 
 
 class AlwaysAccept:
@@ -257,17 +268,13 @@ class Protocol:
         if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError("seed weights must form a distribution")
         pairs = tuple(int(j) for j in self.output_pair)
-        if len(pairs) not in (1, len(weights)):
-            raise ValueError("output_pair must have one entry or one per seed")
+        _check_seed_entries(pairs, len(weights), "output_pair")
         if any(not 0 <= j < self.n_pairs for j in pairs):
             raise ValueError("output pair index out of range")
         for rnd in self.rounds:
-            if len(rnd.instruments) not in (1, len(weights)):
-                raise ValueError("round instruments must have one entry or one per seed")
-            if rnd.listener_unitaries is not None and len(
-                rnd.listener_unitaries
-            ) not in (1, len(weights)):
-                raise ValueError("listener unitaries must have one entry or one per seed")
+            _check_seed_entries(rnd.instruments, len(weights), "round instruments")
+            if rnd.listener_unitaries is not None:
+                _check_seed_entries(rnd.listener_unitaries, len(weights), "listener unitaries")
             for instrument in rnd.instruments:
                 if instrument.dim != 1 << (self.n_pairs + instrument.n_workspace):
                     raise ValueError("instrument dimension does not match the party register")
@@ -293,9 +300,7 @@ class Protocol:
         return self.n_seeds == 1
 
     def output_pair_for(self, seed: int) -> int:
-        if len(self.output_pair) == 1:
-            return self.output_pair[0]
-        return self.output_pair[seed]
+        return _seed_entry(self.output_pair, seed)
 
 
 def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
@@ -329,15 +334,6 @@ def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
 
 
 @dataclass(frozen=True)
-class NodeRecord:
-    """Transcript-tree node: probability and normalized local states."""
-
-    probability: float
-    alice_local: np.ndarray | None
-    bob_local: np.ndarray | None
-
-
-@dataclass(frozen=True)
 class LeafRecord:
     component: int
     seed: int
@@ -358,14 +354,6 @@ class RunResult:
     success_probability: float
     output: DensityMatrix
     conditional_output: DensityMatrix | None
-    nodes: Mapping[tuple[int, int, str], NodeRecord] | None = None
-
-    def require_conditional_output(self) -> DensityMatrix:
-        if self.conditional_output is None:
-            raise ConditionalOutputUndefined(
-                "protocol never declares SUCC on this input"
-            )
-        return self.conditional_output
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +509,7 @@ def _coerce_input(protocol: Protocol, state) -> WeightedStates:
 
 
 def _accept_info(
-    protocol: Protocol, seed: int, transcript: str, node: _Node
+    protocol: Protocol, seed: int, transcript: str, node: _Node, p_t: float
 ) -> tuple[float, np.ndarray | None]:
     """Accept probability r_t and the accept-conditioned output block.
 
@@ -540,77 +528,83 @@ def _accept_info(
     if r_joint < PROB_TOL:
         return 0.0, np.zeros((4, 4), dtype=np.complex128)
     post = node.apply((hermitian_sqrt(m, floor=1e-9),), ALICE)
-    p_t = node.norm()
     reduced = post.reduce_pair(protocol.n_pairs, protocol.output_pair_for(seed))
     return r_joint / p_t if p_t > PROB_TOL else 0.0, reduced
 
 
-def run(protocol: Protocol, state, record_nodes: bool = False) -> RunResult:
+Level = list[tuple[str, _Node, float]]
+
+
+def walk(protocol: Protocol, state: State | ProductState, seed: int) -> Iterator[Level]:
+    """The transcript tree of one seed on one input state, level by level.
+
+    Yields the root level ``[("", root, p)]`` and then, per round, the
+    children of the previous level as ``(transcript, node, probability)``
+    in transcript order; nodes are unnormalized.  A child below
+    ``PROB_TOL`` is yielded but not expanded.  Only the current level is
+    held, so memory follows one level, not the whole tree.  ``state``
+    must live on ``protocol.n_pairs`` pairs.
+    """
+    root = _root(state)
+    level: Level = [("", root, root.norm())]
+    yield level
+    for rnd in protocol.rounds:
+        instrument = rnd.for_seed(seed)
+        listener_u = rnd.listener_for_seed(seed)
+        children: Level = []
+        for prefix, node, p in level:
+            if p < PROB_TOL:
+                continue
+            if listener_u is not None:
+                node = node.apply((listener_u,), rnd.listener)
+            for bit in (0, 1):
+                child = node.apply(instrument.kraus[bit], rnd.party)
+                children.append((prefix + str(bit), child, child.norm()))
+        level = children
+        yield level
+
+
+def run(protocol: Protocol, state) -> RunResult:
     """Evaluate a protocol exactly on a state or weighted state list.
 
-    The transcript tree is enumerated branch by branch per seed; leaf
-    probabilities, the SUCC probability, the output, and the output
-    conditioned on SUCC are all exact up to float arithmetic.
+    The transcript tree of every seed is walked level by level
+    (``walk``); leaf probabilities, the SUCC probability, the output, and
+    the output conditioned on SUCC are all exact up to float arithmetic.
     """
     weighted = _coerce_input(protocol, state)
     n = protocol.n_pairs
     leaves: list[LeafRecord] = []
-    nodes: dict[tuple[int, int, str], NodeRecord] = {}
     out_acc = np.zeros((4, 4), dtype=np.complex128)
     cond_acc = np.zeros((4, 4), dtype=np.complex128)
     success = 0.0
 
     for comp_idx, (comp_w, comp_state) in enumerate(weighted):
-        root = _root(comp_state)
         for seed, seed_w in enumerate(protocol.seed_weights):
             if seed_w == 0.0:
                 continue
-            frontier: list[tuple[str, _Node]] = [("", root)]
-            if record_nodes:
-                _record(nodes, comp_idx, seed, "", root, 1.0)
-            for rnd in protocol.rounds:
-                instrument = rnd.for_seed(seed)
-                listener_u = rnd.listener_for_seed(seed)
-                new_frontier: list[tuple[str, _Node]] = []
-                for prefix, node in frontier:
-                    if listener_u is not None:
-                        node = node.apply((listener_u,), rnd.listener)
-                    for bit in (0, 1):
-                        child = node.apply(instrument.kraus[bit], rnd.party)
-                        p_child = child.norm()
-                        label = prefix + str(bit)
-                        if record_nodes:
-                            _record(nodes, comp_idx, seed, label, child, p_child)
-                        if p_child < PROB_TOL:
-                            # dead subtree: recorded once at its root, with
-                            # the truncated transcript as the label
-                            leaves.append(
-                                LeafRecord(comp_idx, seed, label, comp_w * seed_w, 0.0, 0.0, None)
-                            )
-                            continue
-                        new_frontier.append((label, child))
-                frontier = new_frontier
+            weight = comp_w * seed_w
+            for level in walk(protocol, comp_state, seed):
+                # a dead subtree is recorded once at its root, with the
+                # truncated transcript as the label
+                leaves.extend(
+                    LeafRecord(comp_idx, seed, label, weight, 0.0, 0.0, None)
+                    for label, _, p in level
+                    if p < PROB_TOL
+                )
             pair = protocol.output_pair_for(seed)
-            for transcript, node in frontier:
-                p_t = node.norm()
+            for transcript, node, p_t in level:  # the last level: the leaves
+                if p_t < PROB_TOL:
+                    continue
                 reduced = node.reduce_pair(n, pair)
-                r_t, post = _accept_info(protocol, seed, transcript, node)
-                out_acc += comp_w * seed_w * reduced
+                r_t, post = _accept_info(protocol, seed, transcript, node, p_t)
+                out_acc += weight * reduced
                 if post is None:
-                    cond_acc += comp_w * seed_w * r_t * reduced
+                    cond_acc += weight * r_t * reduced
                 else:
-                    cond_acc += comp_w * seed_w * post
-                success += comp_w * seed_w * p_t * r_t
+                    cond_acc += weight * post
+                success += weight * p_t * r_t
                 leaves.append(
-                    LeafRecord(
-                        comp_idx,
-                        seed,
-                        transcript,
-                        comp_w * seed_w,
-                        p_t,
-                        r_t,
-                        reduced / p_t,
-                    )
+                    LeafRecord(comp_idx, seed, transcript, weight, p_t, r_t, reduced / p_t)
                 )
 
     output = DensityMatrix(1, 1, out_acc, validate=False)
@@ -624,24 +618,6 @@ def run(protocol: Protocol, state, record_nodes: bool = False) -> RunResult:
         success_probability=float(success),
         output=output,
         conditional_output=conditional,
-        nodes=nodes if record_nodes else None,
-    )
-
-
-def _record(
-    nodes: dict,
-    comp: int,
-    seed: int,
-    label: str,
-    node: _Node,
-    probability: float,
-) -> None:
-    if probability < PROB_TOL:
-        nodes[(comp, seed, label)] = NodeRecord(0.0, None, None)
-        return
-    alice, bob = node.local_states()
-    nodes[(comp, seed, label)] = NodeRecord(
-        probability, alice / probability, bob / probability
     )
 
 
@@ -656,30 +632,37 @@ def ideal_success_probability(protocol: Protocol) -> float:
     return run(protocol, epr_state(protocol.n_pairs)).success_probability
 
 
-def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
-    """Minimum output fidelity over the model's evaluated states.
+def model_fidelities(protocol: Protocol, model: ErrorModel) -> tuple[float, float | None]:
+    """Minimum output fidelity and minimum conditional-output fidelity
+    over the model's evaluated states, from one run per state.
 
+    The conditional value is None when some state never reaches SUCC.
     For the fidelity model the evaluated set is the witness plus any
-    sampled members, so the value is a witness minimum (an upper
+    sampled members, so each value is a witness minimum (an upper
     estimate of the true model minimum).
     """
     from .qcore import base_fidelity
 
-    values = [
-        base_fidelity(run(protocol, st).output) for st in model.run_inputs()
-    ]
-    return min(values)
+    values, conditional = [], []
+    for st in model.run_inputs():
+        result = run(protocol, st)
+        values.append(base_fidelity(result.output))
+        if result.conditional_output is not None:
+            conditional.append(base_fidelity(result.conditional_output))
+    return min(values), min(conditional) if len(conditional) == len(values) else None
+
+
+def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
+    """Minimum output fidelity over the model's evaluated states."""
+    return model_fidelities(protocol, model)[0]
 
 
 def conditional_fidelity(protocol: Protocol, model: ErrorModel) -> float:
     """Minimum conditional-output fidelity over the model's states."""
-    from .qcore import base_fidelity
-
-    values = []
-    for st in model.run_inputs():
-        result = run(protocol, st)
-        values.append(base_fidelity(result.require_conditional_output()))
-    return min(values)
+    value = model_fidelities(protocol, model)[1]
+    if value is None:
+        raise ConditionalOutputUndefined("protocol never declares SUCC on this input")
+    return value
 
 
 # ---------------------------------------------------------------------------

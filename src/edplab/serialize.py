@@ -133,21 +133,27 @@ def error_model_from_json(doc: Any) -> ErrorModel:
     if not isinstance(doc, dict) or "model" not in doc:
         raise SpecParseError("error model: expected an object with a 'model' field")
     kind = doc["model"]
+
+    def field(read, key, default=None):
+        return read(doc.get(key, default), f"model.{key}")
+
+    if kind == "measure_r":
+        cls, args = MeasureRModel, (field(_int, "n"), field(_int, "r"))
+    elif kind == "depolarization":
+        cls, args = DepolarizationModel, (field(_int, "n"), field(_float, "p"))
+    elif kind == "fidelity":
+        cls, args = FidelityModel, (
+            field(_int, "n"),
+            field(_float, "epsilon"),
+            field(_int, "samples", 0),
+            field(_int, "seed", 0),
+        )
+    else:
+        raise SpecParseError(f"error model: unknown kind {kind!r}")
     try:
-        if kind == "measure_r":
-            return MeasureRModel(int(doc["n"]), int(doc["r"]))
-        if kind == "depolarization":
-            return DepolarizationModel(int(doc["n"]), float(doc["p"]))
-        if kind == "fidelity":
-            return FidelityModel(
-                int(doc["n"]),
-                float(doc["epsilon"]),
-                samples=int(doc.get("samples", 0)),
-                seed=int(doc.get("seed", 0)),
-            )
-    except _BAD_VALUE as exc:
-        raise SpecParseError(f"error model ({kind}): missing or invalid parameter") from exc
-    raise SpecParseError(f"error model: unknown kind {kind!r}")
+        return cls(*args)
+    except ValueError as exc:
+        raise SpecParseError(f"error model ({kind}): {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 splitting tracker, bound probes via unitary ascent, lemma property
 sweeps, and exact counting identities.
 
+The splitting tracker reads the transcript tree through ``locc.walk``,
+the only traversal, which ``locc.run`` also consumes.
+
 Every report carries explicit pass criteria.  A bound probe passes only
 when the best value found sits between the matching protocol's value
 and the claimed bound; a claimed bound that the exact evaluation
@@ -330,54 +333,60 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     both parties.  The initial local states must all equal I/2^n.  The
     SUCC probabilities p (case I) and q (case II) must then satisfy
     q >= p^2 / 2^s.
+
+    The two cases are walked in lockstep, one seed and one level at a
+    time, so memory follows one level of the transcript tree.
     """
     n = protocol.n_pairs
-    if protocol.bits > 4 or n > 3:
-        raise ValueError("splitting verification is limited to s <= 4 rounds, n <= 3")
-    case1 = run(protocol, epr_state(n), record_nodes=True)
-    case2 = run(protocol, ProductState.maximally_mixed(n, n), record_nodes=True)
-    assert case1.nodes is not None and case2.nodes is not None
-
+    perfect = epr_state(n)
+    mixed = ProductState.maximally_mixed(n, n)
     eye = np.eye(1 << n) / (1 << n)
     initial_ok = True
-    for nodes in (case1.nodes, case2.nodes):
-        for (comp, seed, label), record in nodes.items():
-            if label == "":
-                initial_ok &= bool(np.abs(record.alice_local - eye).max() <= 1e-10)
-                initial_ok &= bool(np.abs(record.bob_local - eye).max() <= 1e-10)
-
     min_alice = np.inf
     min_bob = np.inf
     worst: tuple[int, str] | None = None
     checked = 0
-    ok = initial_ok
-    for (comp, seed, label), rec2 in case2.nodes.items():
-        rec1 = case1.nodes.get((comp, seed, label))
-        if rec1 is None or rec1.probability <= locc.PROB_TOL:
+    ok = True
+    for seed, weight in enumerate(protocol.seed_weights):
+        if weight == 0.0:
             continue
-        if rec2.probability <= locc.PROB_TOL:
-            # dominated-by-zero is only possible if case I vanished too
-            ok = False
-            worst = (seed, label)
-            continue
-        checked += 1
-        p_t = rec1.probability
-        rep_a = check_dominance(rec2.alice_local, p_t * rec1.alice_local, tol)
-        rep_b = check_dominance(rec2.bob_local, p_t * rec1.bob_local, tol)
-        if rep_a.min_eigenvalue < min_alice:
-            min_alice = rep_a.min_eigenvalue
-            if not rep_a.holds:
-                worst = (seed, label)
-        if rep_b.min_eigenvalue < min_bob:
-            min_bob = rep_b.min_eigenvalue
-            if not rep_b.holds:
-                worst = (seed, label)
-        ok = ok and rep_a.holds and rep_b.holds
+        walks = zip(locc.walk(protocol, perfect, seed), locc.walk(protocol, mixed, seed))
+        for level1, level2 in walks:
+            case1 = {label: (node, p) for label, node, p in level1}
+            for label, node2, p2 in level2:
+                node1, p1 = case1.get(label, (None, 0.0))
+                if label == "":
+                    initial_ok &= all(
+                        bool(np.abs(local / p - eye).max() <= 1e-10)
+                        for node, p in ((node1, p1), (node2, p2))
+                        for local in node.local_states()
+                    )
+                if p1 <= locc.PROB_TOL:
+                    continue
+                if p2 <= locc.PROB_TOL:
+                    # dominated-by-zero is only possible if case I vanished too
+                    ok = False
+                    worst = (seed, label)
+                    continue
+                checked += 1
+                alice1, bob1 = (local / p1 for local in node1.local_states())
+                alice2, bob2 = (local / p2 for local in node2.local_states())
+                rep_a = check_dominance(alice2, p1 * alice1, tol)
+                rep_b = check_dominance(bob2, p1 * bob1, tol)
+                if rep_a.min_eigenvalue < min_alice:
+                    min_alice = rep_a.min_eigenvalue
+                    if not rep_a.holds:
+                        worst = (seed, label)
+                if rep_b.min_eigenvalue < min_bob:
+                    min_bob = rep_b.min_eigenvalue
+                    if not rep_b.holds:
+                        worst = (seed, label)
+                ok = ok and rep_a.holds and rep_b.holds
 
-    p = case1.success_probability
-    q = case2.success_probability
+    p = run(protocol, perfect).success_probability
+    q = run(protocol, mixed).success_probability
     margin = q - p * p / (1 << protocol.bits)
-    ok = ok and margin >= -tol
+    ok = ok and initial_ok and margin >= -tol
     return SplittingReport(
         n=n,
         bits=protocol.bits,
@@ -504,6 +513,10 @@ def lemma_suite(
     (setting it below float noise, e.g. 1e-15, is the documented way to
     demonstrate the failure mode).
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if tolerance_override is not None and not math.isfinite(tolerance_override):
+        raise ValueError(f"tolerance must be finite, got {tolerance_override}")
     reports = []
 
     def tol(default: float) -> float:

@@ -9,7 +9,6 @@ from edplab import cli, serialize
 from edplab.cli import main
 from edplab.errmodels import DepolarizationModel, FidelityModel, MeasureRModel
 from edplab.locc import (
-    ConditionalOutputUndefined,
     make_first_pair,
     make_random_pair,
     make_random_permutation,
@@ -496,9 +495,9 @@ def test_cli_protocol_null_only_for_undefined_conditional_output(tmp_path, monke
     argv, out = _protocol_eval_argv(tmp_path)
 
     def never_accepts(proto, model):
-        raise ConditionalOutputUndefined("protocol never declares SUCC on this input")
+        return 0.5, None
 
-    monkeypatch.setattr(cli, "conditional_fidelity", never_accepts)
+    monkeypatch.setattr(cli, "model_fidelities", never_accepts)
     assert main(argv) == 0
     (record,) = read_json(out)
     assert record["conditional_fidelity"] is None
@@ -510,7 +509,7 @@ def test_cli_protocol_other_conditional_errors_are_not_nulled(tmp_path, monkeypa
     def broken(proto, model):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(cli, "conditional_fidelity", broken)
+    monkeypatch.setattr(cli, "model_fidelities", broken)
     with pytest.raises(RuntimeError, match="boom"):
         main(argv)
     assert not out.exists()
@@ -518,7 +517,7 @@ def test_cli_protocol_other_conditional_errors_are_not_nulled(tmp_path, monkeypa
     def bad_value(proto, model):
         raise ValueError("bad input")
 
-    monkeypatch.setattr(cli, "conditional_fidelity", bad_value)
+    monkeypatch.setattr(cli, "model_fidelities", bad_value)
     assert main(argv) == 2
     assert not out.exists()
 
@@ -530,6 +529,15 @@ def test_cli_protocol_epsilon_beyond_witness_range_is_parameter_error(tmp_path):
     argv[argv.index("0.2")] = "0.99"
     assert main(argv) == 2
     assert not out.exists()
+
+
+def test_cli_model_rejection_names_its_reason(tmp_path, capsys):
+    spec = tmp_path / "first_pair.json"
+    assert main(["protocol", "--make", "first-pair", "--n", "1", "--out", str(spec)]) == 0
+    assert main(["protocol", "--spec", str(spec), "--model", "fidelity", "--epsilon", "0.9"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("error:") == 1
+    assert "0.75" in err
 
 
 BOUND_RECORD_KEYS = {"theorem", "bound", "achieved", "margin", "pass", "falsified", "seed", "notes"}
@@ -725,6 +733,8 @@ BAD_INPUTS = {
     "protocol without --spec": lambda t: ["protocol"],
     "protocol without --model": lambda t: [
         "protocol", "--spec", _edited(t, "spec.json", _HASH_DOC, (), _HASH_DOC)],
+    "lemmas --count 0": lambda t: ["lemmas", "--count", "0"],
+    "lemmas --tolerance nan": lambda t: ["lemmas", "--count", "5", "--tolerance", "nan"],
     "unreadable config": lambda t: ["lemmas", "--config", str(t / "missing.cfg")],
     "config line without =": lambda t: ["lemmas", "--config", _write(t, "c.cfg", "count 5\n")],
     "config bad boolean": lambda t: [

@@ -30,6 +30,7 @@ from edplab.locc import (
     protocol_fidelity,
     random_protocol,
     run,
+    walk,
 )
 from edplab.qcore import (
     ALICE,
@@ -124,16 +125,15 @@ def test_leaf_probabilities_sum_to_one_per_seed():
 def test_martingale_node_probabilities():
     rng = np.random.default_rng(101)
     proto = random_protocol(rng, 2, 3)
-    result = run(proto, random_density_matrix(rng, 2, 2), record_nodes=True)
-    assert result.nodes is not None
-    for (comp, seed, label), record in result.nodes.items():
-        if len(label) >= proto.bits:
-            continue
-        children = [
-            result.nodes.get((comp, seed, label + bit), None) for bit in "01"
-        ]
-        total = sum(c.probability for c in children if c is not None)
-        assert record.probability == pytest.approx(total, abs=1e-10)
+    state = random_density_matrix(rng, 2, 2)
+    for seed in range(proto.n_seeds):
+        levels = list(walk(proto, state, seed))
+        assert len(levels) == proto.bits + 1
+        for level, children in zip(levels, levels[1:]):
+            probability = {label: p for label, _, p in children}
+            for label, _, p in level:
+                total = sum(probability.get(label + bit, 0.0) for bit in "01")
+                assert p == pytest.approx(total, abs=1e-10)
 
 
 def test_zero_round_protocol_commutes_with_mixing():
@@ -175,6 +175,11 @@ def test_input_shape_rejected():
 # local-state splitting behaviour
 
 
+def _bob_local(node, probability):
+    """Bob's normalized local state at a ``walk`` node."""
+    return node.local_states()[1] / probability
+
+
 def test_receiver_state_unchanged_for_product_input():
     rng = np.random.default_rng(11)
     proto = Protocol(
@@ -187,12 +192,10 @@ def test_receiver_state_unchanged_for_product_input():
     alice_part = random_density_matrix(rng, 1, 0)
     bob_part = random_density_matrix(rng, 0, 1)
     product = tensor(alice_part, bob_part)
-    result = run(proto, product, record_nodes=True)
-    parent = result.nodes[(0, 0, "")]
-    for bit in "01":
-        child = result.nodes[(0, 0, bit)]
-        if child.probability > 1e-12:
-            np.testing.assert_allclose(child.bob_local, parent.bob_local, atol=1e-10)
+    ((_, root, p_root),), children = walk(proto, product, 0)
+    for _, child, p in children:
+        if p > 1e-12:
+            np.testing.assert_allclose(_bob_local(child, p), _bob_local(root, p_root), atol=1e-10)
 
 
 def test_receiver_state_splits_as_mixture_for_entangled_input():
@@ -203,13 +206,11 @@ def test_receiver_state_splits_as_mixture_for_entangled_input():
         accept=AlwaysAccept(),
         output_pair=(0,),
     )
-    result = run(proto, bell_state("phi+"), record_nodes=True)
-    parent = result.nodes[(0, 0, "")]
+    ((_, root, p_root),), children = walk(proto, bell_state("phi+"), 0)
     mix = np.zeros((2, 2), dtype=np.complex128)
-    for bit in "01":
-        child = result.nodes[(0, 0, bit)]
-        mix += child.probability * child.bob_local
-    np.testing.assert_allclose(mix / parent.probability, parent.bob_local, atol=1e-10)
+    for _, child, p in children:
+        mix += p * _bob_local(child, p)
+    np.testing.assert_allclose(mix / p_root, _bob_local(root, p_root), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------

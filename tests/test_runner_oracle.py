@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from edplab.errmodels import fidelity_witness, fidelity_witness_components
 from edplab.locc import (
+    PROB_TOL,
     AlwaysAccept,
     ConstantAccept,
     Instrument,
@@ -28,6 +29,7 @@ from edplab.locc import (
     random_instrument,
     random_protocol,
     run,
+    walk,
 )
 from edplab.qcore import (
     ALICE,
@@ -184,7 +186,7 @@ def test_random_protocols_on_dense_and_pure_inputs_match_oracle(
 
 
 def assert_run_matches(a, b, atol=1e-12):
-    """Two RunResults agree leaf by leaf, node by node and in total."""
+    """Two RunResults agree leaf by leaf and in total."""
     assert a.success_probability == pytest.approx(b.success_probability, abs=atol)
     np.testing.assert_allclose(a.output.matrix, b.output.matrix, atol=atol)
     if b.conditional_output is None:
@@ -202,14 +204,20 @@ def assert_run_matches(a, b, atol=1e-12):
         assert la.accept_probability == pytest.approx(lb.accept_probability, abs=atol)
         if lb.output_state is not None:
             np.testing.assert_allclose(la.output_state, lb.output_state, atol=atol)
-    if b.nodes is not None:
-        assert a.nodes.keys() == b.nodes.keys()
-        for key, rb in b.nodes.items():
-            ra = a.nodes[key]
-            assert ra.probability == pytest.approx(rb.probability, abs=atol)
-            if rb.alice_local is not None:
-                np.testing.assert_allclose(ra.alice_local, rb.alice_local, atol=atol)
-                np.testing.assert_allclose(ra.bob_local, rb.bob_local, atol=atol)
+
+
+def assert_walks_match(protocol, state_a, state_b, atol=1e-12):
+    """The transcript trees of two inputs agree node by node: the same
+    labels, probabilities and normalized local states."""
+    for seed in range(protocol.n_seeds):
+        levels = zip(walk(protocol, state_a, seed), walk(protocol, state_b, seed), strict=True)
+        for level_a, level_b in levels:
+            assert [label for label, _, _ in level_a] == [label for label, _, _ in level_b]
+            for (_, node_a, pa), (_, node_b, pb) in zip(level_a, level_b):
+                assert pa == pytest.approx(pb, abs=atol)
+                if pb >= PROB_TOL:
+                    for local_a, local_b in zip(node_a.local_states(), node_b.local_states()):
+                        np.testing.assert_allclose(local_a / pa, local_b / pb, atol=atol)
 
 
 def _builtin_protocols(n):
@@ -234,10 +242,9 @@ def test_builtin_protocols_on_witness_components_match_oracle(n):
 def test_maximally_mixed_product_matches_dense_node_by_node():
     for proto in (make_simple_random_hash(2, 1), make_simple_random_hash(3, 2)):
         n = proto.n_pairs
-        assert_run_matches(
-            run(proto, ProductState.maximally_mixed(n, n), record_nodes=True),
-            run(proto, DensityMatrix.maximally_mixed(n, n), record_nodes=True),
-        )
+        product, dense = ProductState.maximally_mixed(n, n), DensityMatrix.maximally_mixed(n, n)
+        assert_run_matches(run(proto, product), run(proto, dense))
+        assert_walks_match(proto, product, dense)
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)
@@ -269,10 +276,8 @@ def test_product_path_matches_dense_path(
         random_density_matrix(gen, n, 0, rank=rank),
         random_density_matrix(gen, 0, n, rank=rank),
     )
-    assert_run_matches(
-        run(proto, state, record_nodes=True),
-        run(proto, state.to_density(), record_nodes=True),
-    )
+    assert_run_matches(run(proto, state), run(proto, state.to_density()))
+    assert_walks_match(proto, state, state.to_density())
 
 
 def _workspace_channel(branch, sigma, n_workspace):
@@ -302,14 +307,17 @@ def test_workspace_instruments_on_product_nodes():
         output_pair=(1,),
     )
     state = ProductState(random_density_matrix(gen, n, 0), random_density_matrix(gen, 0, n))
-    result = run(proto, state, record_nodes=True)
-    assert_run_matches(result, run(proto, state.to_density(), record_nodes=True))
+    assert_run_matches(run(proto, state), run(proto, state.to_density()))
+    assert_walks_match(proto, state, state.to_density())
+    *_, leaves = walk(proto, state, 0)
+    nodes = {label: (node, p) for label, node, p in leaves}
     for bit_a in (0, 1):
         alice = _workspace_channel(instr_a.branches[bit_a], state.alice.matrix, 1)
         for bit_b in (0, 1):
             bob = _workspace_channel(instr_b.branches[bit_b], state.bob.matrix, 2)
             p = float(np.trace(alice).real * np.trace(bob).real)
-            rec = result.nodes[(0, 0, f"{bit_a}{bit_b}")]
-            assert rec.probability == pytest.approx(p, abs=1e-12)
-            np.testing.assert_allclose(rec.alice_local, alice / np.trace(alice), atol=1e-12)
-            np.testing.assert_allclose(rec.bob_local, bob / np.trace(bob), atol=1e-12)
+            node, probability = nodes[f"{bit_a}{bit_b}"]
+            assert probability == pytest.approx(p, abs=1e-12)
+            alice_local, bob_local = (local / probability for local in node.local_states())
+            np.testing.assert_allclose(alice_local, alice / np.trace(alice), atol=1e-12)
+            np.testing.assert_allclose(bob_local, bob / np.trace(bob), atol=1e-12)

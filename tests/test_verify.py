@@ -125,10 +125,25 @@ def test_splitting_random_protocol_sweep():
         assert rep.passed, (i, rep)
 
 
-def test_splitting_rejects_large_instances():
-    proto = random_protocol(np.random.default_rng(0), 1, 5)
-    with pytest.raises(ValueError):
-        verify.verify_splitting(proto)
+def test_splitting_beyond_three_pairs():
+    # no size limit below the qubit cap: the tracker holds one level of
+    # the transcript tree at a time
+    for n, s in ((4, 3), (5, 2)):
+        rep = verify.verify_splitting(make_simple_random_hash(n, s))
+        assert rep.passed, rep
+        assert rep.initial_condition_ok
+        assert rep.success_margin == pytest.approx(0.0, abs=1e-10)
+    # two Kraus operators per branch turn the perfect block dense, which
+    # costs seconds per protocol at n = 5; the n = 4 draws cover that path
+    for i, (n, kraus) in enumerate(((4, 2), (4, 2), (5, 1), (5, 1))):
+        gen = substream(77, "test-splitting-large", i)
+        proto = random_protocol(
+            gen, n, int(gen.integers(1, 4)), n_seeds=int(gen.integers(1, 3)),
+            kraus_per_branch=kraus, with_listeners=bool(i % 2),
+        )
+        rep = verify.verify_splitting(proto)
+        assert rep.passed, (n, rep)
+        assert rep.initial_condition_ok
 
 
 # ---------------------------------------------------------------------------
