@@ -391,6 +391,8 @@ class DepolarizationModel:
     p: float
 
     def __post_init__(self) -> None:
+        if self.n < 1:
+            raise ValueError(f"need at least one pair, got n={self.n}")
         if not 0.0 <= self.p <= 1.0:
             raise ValueError(f"need 0 <= p <= 1, got {self.p}")
 

@@ -69,6 +69,19 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _frozen(value) -> np.ndarray:
+    """A read-only complex copy of ``value``; a read-only complex array
+    that owns its data (a loaded spec's table entry) is shared instead."""
+    if (
+        isinstance(value, np.ndarray)
+        and value.dtype == np.complex128
+        and not value.flags.writeable
+        and value.flags.owndata
+    ):
+        return value
+    return _read_only(np.array(value, dtype=np.complex128))
+
+
 # Per-seed data (instruments, listeners, output pairs) broadcasts: a
 # one-entry tuple serves every seed, otherwise there is one entry per seed.
 
@@ -112,14 +125,14 @@ class Instrument:
         for branch in self.branches:
             ops = []
             for k in branch:
-                arr = np.asarray(k, dtype=np.complex128).copy()
+                arr = _frozen(k)
                 if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
                     raise ValueError("Kraus operators must be square")
                 if dim is None:
                     dim = arr.shape[0]
                 elif arr.shape[0] != dim:
                     raise ValueError("Kraus operators must share one dimension")
-                ops.append(_read_only(arr))
+                ops.append(arr)
             frozen.append(tuple(ops))
         if dim is None:
             raise ValueError("instrument must contain at least one Kraus operator")
@@ -173,12 +186,11 @@ class Round:
         if self.listener_unitaries is not None:
             frozen = []
             for u in self.listener_unitaries:
-                arr = np.asarray(u, dtype=np.complex128).copy()
+                arr = _frozen(u)
                 if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not (
                     np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])).max() <= 1e-9
                 ):
                     raise ValueError("listener operation must be unitary")
-                arr.setflags(write=False)
                 frozen.append(arr)
             object.__setattr__(self, "listener_unitaries", tuple(frozen))
 
@@ -316,7 +328,8 @@ def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
     missing = [(s, t) for s in range(n_seeds) for t in transcripts if (s, t) not in rule.elements]
     if missing:
         raise ValueError(f"accept rule has no POVM element for (seed, transcript) {missing[0]}")
-    # built-in protocols share one array per transcript: check each once
+    # built-in protocols and loaded specs share one array per distinct
+    # element: check each once
     unique = list({id(m): m for m in rule.elements.values()}.values())
     dim = 1 << n
     if any(m.shape != (dim, dim) for m in unique):
@@ -508,28 +521,41 @@ def _coerce_input(protocol: Protocol, state) -> WeightedStates:
     return weighted
 
 
+def accept_probability(protocol: Protocol, seed: int, transcript: str, node: _Node, p_t: float) -> float:
+    """r_t: the probability that Alice declares SUCC on a leaf of
+    probability ``p_t >= PROB_TOL``; 0 when ``p_t * r_t < PROB_TOL``."""
+    rule = protocol.accept
+    if isinstance(rule, AlwaysAccept):
+        return 1.0
+    if isinstance(rule, ConstantAccept):
+        return rule.probability(transcript)
+    alice, _ = node.local_states()
+    r_joint = float(np.trace(rule.element(seed, transcript) @ alice).real)  # p_t * r_t
+    return r_joint / p_t if r_joint >= PROB_TOL else 0.0
+
+
 def _accept_info(
-    protocol: Protocol, seed: int, transcript: str, node: _Node, p_t: float
+    protocol: Protocol, seed: int, transcript: str, node: _Node, p_t: float,
+    roots: dict[int, np.ndarray],
 ) -> tuple[float, np.ndarray | None]:
     """Accept probability r_t and the accept-conditioned output block.
 
     Returns (r_t, post) where post is the unnormalized 4x4 output-pair
     state after a successful accept measurement scaled by p_t * r_t, or
     None when the rule has no backaction (post = r_t * unconditional).
+    ``roots`` caches sqrt(M) by element identity for the length of a run.
     """
-    rule = protocol.accept
-    if isinstance(rule, AlwaysAccept):
-        return 1.0, None
-    if isinstance(rule, ConstantAccept):
-        return rule.probability(transcript), None
-    m = rule.element(seed, transcript)
-    alice, _ = node.local_states()
-    r_joint = float(np.trace(m @ alice).real)  # p_t * r_t
-    if r_joint < PROB_TOL:
+    r_t = accept_probability(protocol, seed, transcript, node, p_t)
+    if not isinstance(protocol.accept, PovmAccept):
+        return r_t, None
+    if r_t == 0.0:
         return 0.0, np.zeros((4, 4), dtype=np.complex128)
-    post = node.apply((hermitian_sqrt(m, floor=1e-9),), ALICE)
-    reduced = post.reduce_pair(protocol.n_pairs, protocol.output_pair_for(seed))
-    return r_joint / p_t if p_t > PROB_TOL else 0.0, reduced
+    m = protocol.accept.element(seed, transcript)
+    root = roots.get(id(m))
+    if root is None:
+        root = roots[id(m)] = hermitian_sqrt(m, floor=1e-9)
+    post = node.apply((root,), ALICE)
+    return r_t, post.reduce_pair(protocol.n_pairs, protocol.output_pair_for(seed))
 
 
 Level = list[tuple[str, _Node, float]]
@@ -577,6 +603,7 @@ def run(protocol: Protocol, state) -> RunResult:
     out_acc = np.zeros((4, 4), dtype=np.complex128)
     cond_acc = np.zeros((4, 4), dtype=np.complex128)
     success = 0.0
+    roots: dict[int, np.ndarray] = {}  # the protocol keeps every key's element alive
 
     for comp_idx, (comp_w, comp_state) in enumerate(weighted):
         for seed, seed_w in enumerate(protocol.seed_weights):
@@ -596,7 +623,7 @@ def run(protocol: Protocol, state) -> RunResult:
                 if p_t < PROB_TOL:
                     continue
                 reduced = node.reduce_pair(n, pair)
-                r_t, post = _accept_info(protocol, seed, transcript, node, p_t)
+                r_t, post = _accept_info(protocol, seed, transcript, node, p_t, roots)
                 out_acc += weight * reduced
                 if post is None:
                     cond_acc += weight * r_t * reduced

@@ -1,10 +1,24 @@
 """JSON wire formats and report tables.
 
 Complex matrices serialize as nested ``[re, im]`` pairs; states carry
-their ``{n_alice, n_bob}`` partition.  Protocol specs mirror the
-in-memory structure round by round.  Report records emit as JSON lists
+their ``{n_alice, n_bob}`` partition.  Report records emit as JSON lists
 or a CSV summary with sorted columns, so identical inputs produce
 byte-identical files.
+
+Protocol specs mirror the in-memory structure round by round, but store
+each distinct matrix once, in a top-level ``arrays`` table, in order of
+first use.  A table entry is sparse: ``{"shape": [d, d], "entries":
+[[i, j, re, im], ...]}`` lists every entry that is not bitwise ``+0.0``
+(so ``-0.0`` survives a round trip).  Kraus operators
+(``kraus_by_seed[*].branches``), listener unitaries
+(``listener_by_seed``) and POVM accept elements (``elements[*].matrix``)
+hold table indices.  An inline ``[re, im]`` matrix literal is accepted
+wherever an index is, so hand-written specs and files without a table
+load through the same reader.  The loader builds each table entry once,
+read-only, and every reference to it shares that one array.  A table
+entry must be square with a power-of-two side within the qubit cap,
+name each ``(i, j)`` inside its shape at most once, and hold finite
+numbers; any other document raises ``SpecParseError``.
 """
 
 from __future__ import annotations
@@ -12,7 +26,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Any
+import math
+from typing import Any, Callable
 
 import numpy as np
 
@@ -27,7 +42,7 @@ from .locc import (
     Round,
     RunResult,
 )
-from .qcore import DensityMatrix, PureState
+from .qcore import DensityMatrix, PureState, _check_capacity
 
 
 class SpecParseError(ValueError):
@@ -160,7 +175,74 @@ def error_model_from_json(doc: Any) -> ErrorModel:
 # protocols
 
 
-def _accept_to_json(rule: AcceptRule) -> dict[str, Any]:
+def _is_index(value: Any, size: int) -> bool:
+    """A JSON integer (not a boolean) in [0, size)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+
+
+def _finite(value: Any, path: str) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise SpecParseError(f"{path}: expected a finite number")
+
+
+def _sparse_to_json(arr: np.ndarray) -> dict[str, Any]:
+    # every entry that is not bitwise +0.0 is stored, so -0.0 survives
+    bits = arr.view(np.uint64).reshape(*arr.shape, 2)
+    rows, cols = np.nonzero(bits.any(axis=-1))
+    entries = [
+        [i, j, z.real, z.imag]
+        for i, j, z in zip(rows.tolist(), cols.tolist(), arr[rows, cols].tolist())
+    ]
+    return {"shape": list(arr.shape), "entries": entries}
+
+
+def _array_from_json(doc: Any, path: str) -> np.ndarray:
+    """One ``arrays`` table entry, checked before and while it is filled."""
+    shape = doc.get("shape") if isinstance(doc, dict) else None
+    if not isinstance(shape, list) or len(shape) != 2 or shape[0] != shape[1]:
+        raise SpecParseError(f"{path}.shape: expected a square [d, d]")
+    side = shape[0]
+    if not _is_index(side, math.inf) or side < 1 or side & (side - 1):
+        raise SpecParseError(f"{path}.shape: side must be a power of two")
+    # the cap bounds the side before anything is allocated from it
+    try:
+        _check_capacity(side.bit_length() - 1)
+    except ValueError as exc:
+        raise SpecParseError(f"{path}.shape: {exc}") from exc
+    mat = np.zeros((side, side), dtype=np.complex128)
+    filled = set()
+    for k, entry in enumerate(_list(doc.get("entries"), f"{path}.entries")):
+        where = f"{path}.entries[{k}]"
+        if not isinstance(entry, list) or len(entry) != 4:
+            raise SpecParseError(f"{where}: expected [i, j, re, im]")
+        i, j = entry[0], entry[1]
+        if not (_is_index(i, side) and _is_index(j, side)):
+            raise SpecParseError(f"{where}: (i, j) outside the shape {side}x{side}")
+        if (i, j) in filled:
+            raise SpecParseError(f"{where}: duplicate entry ({i}, {j})")
+        filled.add((i, j))
+        mat[i, j] = complex(_finite(entry[2], f"{where}.re"), _finite(entry[3], f"{where}.im"))
+    mat.setflags(write=False)
+    return mat
+
+
+def _matrix(ref: Any, table: list[np.ndarray], path: str) -> np.ndarray:
+    """The matrix a spec field names: an ``arrays`` index or an inline
+    ``[re, im]`` literal."""
+    if isinstance(ref, list):
+        return matrix_from_json(ref, path)
+    if not _is_index(ref, len(table)):
+        raise SpecParseError(f"{path}: expected an index into arrays or an inline matrix")
+    return table[ref]
+
+
+def _accept_to_json(rule: AcceptRule, ref: Callable[[np.ndarray], int]) -> dict[str, Any]:
     if isinstance(rule, AlwaysAccept):
         return {"kind": "always"}
     if isinstance(rule, ConstantAccept):
@@ -169,14 +251,14 @@ def _accept_to_json(rule: AcceptRule) -> dict[str, Any]:
         return {"kind": "constant", "values": {k: float(v) for k, v in sorted(rule.values.items())}}
     if isinstance(rule, PovmAccept):
         elements = [
-            {"seed": seed, "transcript": transcript, "matrix": matrix_to_json(mat)}
+            {"seed": seed, "transcript": transcript, "matrix": ref(mat)}
             for (seed, transcript), mat in sorted(rule.elements.items())
         ]
         return {"kind": "povm", "elements": elements}
     raise TypeError(f"unknown accept rule {rule!r}")
 
 
-def _accept_from_json(doc: Any) -> AcceptRule:
+def _accept_from_json(doc: Any, table: list[np.ndarray]) -> AcceptRule:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecParseError("accept_rule: expected an object with a 'kind' field")
     kind = doc["kind"]
@@ -195,37 +277,46 @@ def _accept_from_json(doc: Any) -> AcceptRule:
             if not isinstance(entry, dict) or "seed" not in entry or "transcript" not in entry:
                 raise SpecParseError(f"accept_rule.elements[{idx}]: needs seed and transcript")
             key = (_int(entry["seed"], f"accept_rule.elements[{idx}].seed"), str(entry["transcript"]))
-            elements[key] = matrix_from_json(
-                entry.get("matrix"), f"accept_rule.elements[{idx}].matrix"
-            )
+            elements[key] = _matrix(entry.get("matrix"), table, f"accept_rule.elements[{idx}].matrix")
         return PovmAccept(elements=elements)
     raise SpecParseError(f"accept_rule: unknown kind {kind!r}")
 
 
 def protocol_to_json(protocol: Protocol) -> dict[str, Any]:
+    arrays: list[dict[str, Any]] = []
+    index: dict[tuple, int] = {}
+
+    def ref(mat: np.ndarray) -> int:
+        arr = np.ascontiguousarray(mat, dtype=np.complex128)
+        key = (arr.shape, arr.tobytes())
+        if key not in index:
+            index[key] = len(arrays)
+            arrays.append(_sparse_to_json(arr))
+        return index[key]
+
     rounds = []
     for rnd in protocol.rounds:
         round_doc: dict[str, Any] = {
             "party": rnd.party,
             "kraus_by_seed": [
                 {
-                    "branches": [[matrix_to_json(k) for k in branch] for branch in ins.branches],
+                    "branches": [[ref(k) for k in branch] for branch in ins.branches],
                     "n_workspace": ins.n_workspace,
                 }
                 for ins in rnd.instruments
             ],
         }
         if rnd.listener_unitaries is not None:
-            round_doc["listener_by_seed"] = [
-                matrix_to_json(u) for u in rnd.listener_unitaries
-            ]
+            round_doc["listener_by_seed"] = [ref(u) for u in rnd.listener_unitaries]
         rounds.append(round_doc)
+    accept = _accept_to_json(protocol.accept, ref)
     return {
         "name": protocol.name,
         "n": protocol.n_pairs,
+        "arrays": arrays,
         "shared_randomness": list(protocol.seed_weights),
         "rounds": rounds,
-        "accept_rule": _accept_to_json(protocol.accept),
+        "accept_rule": accept,
         "output_pair": list(protocol.output_pair),
     }
 
@@ -237,6 +328,10 @@ def protocol_from_json(doc: Any) -> Protocol:
     weights = doc.get("shared_randomness")
     if not isinstance(weights, list) or not weights:
         raise SpecParseError("protocol.shared_randomness: expected a non-empty list")
+    table = [
+        _array_from_json(entry, f"arrays[{k}]")
+        for k, entry in enumerate(_list(doc.get("arrays", []), "protocol.arrays"))
+    ]
     rounds = []
     for ridx, round_doc in enumerate(_list(doc.get("rounds", []), "protocol.rounds")):
         if not isinstance(round_doc, dict) or "party" not in round_doc:
@@ -250,7 +345,7 @@ def protocol_from_json(doc: Any) -> Protocol:
                 raise SpecParseError(f"{where}.branches: expected two branches")
             parsed = tuple(
                 tuple(
-                    matrix_from_json(k, f"{where}.branches[{bidx}][{kidx}]")
+                    _matrix(k, table, f"{where}.branches[{bidx}][{kidx}]")
                     for kidx, k in enumerate(_list(branch, f"{where}.branches[{bidx}]"))
                 )
                 for bidx, branch in enumerate(branches)
@@ -264,7 +359,7 @@ def protocol_from_json(doc: Any) -> Protocol:
         if "listener_by_seed" in round_doc:
             where = f"rounds[{ridx}].listener_by_seed"
             listener = tuple(
-                matrix_from_json(u, f"{where}[{uidx}]")
+                _matrix(u, table, f"{where}[{uidx}]")
                 for uidx, u in enumerate(_list(round_doc["listener_by_seed"], where))
             )
         try:
@@ -282,7 +377,7 @@ def protocol_from_json(doc: Any) -> Protocol:
             n_pairs=n,
             seed_weights=tuple(_float(w, "protocol.shared_randomness") for w in weights),
             rounds=tuple(rounds),
-            accept=_accept_from_json(doc.get("accept_rule", {"kind": "always"})),
+            accept=_accept_from_json(doc.get("accept_rule", {"kind": "always"}), table),
             output_pair=tuple(
                 _int(j, "protocol.output_pair") for j in _list(doc.get("output_pair", [0]), "protocol.output_pair")
             ),

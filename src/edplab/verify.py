@@ -38,7 +38,6 @@ from .locc import (
     make_random_pair,
     make_random_permutation,
     protocol_fidelity,
-    run,
 )
 from .optimize import AscentConfig, PairFidelityObjective, maximize_pair_fidelity
 from .qcore import (
@@ -335,7 +334,8 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     q >= p^2 / 2^s.
 
     The two cases are walked in lockstep, one seed and one level at a
-    time, so memory follows one level of the transcript tree.
+    time, so memory follows one level of the transcript tree; p and q
+    are summed over the last level, the leaves, as ``run`` sums them.
     """
     n = protocol.n_pairs
     perfect = epr_state(n)
@@ -347,11 +347,18 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     worst: tuple[int, str] | None = None
     checked = 0
     ok = True
+    success = [0.0, 0.0]  # p and q
     for seed, weight in enumerate(protocol.seed_weights):
         if weight == 0.0:
             continue
         walks = zip(locc.walk(protocol, perfect, seed), locc.walk(protocol, mixed, seed))
-        for level1, level2 in walks:
+        for depth, (level1, level2) in enumerate(walks):
+            if depth == protocol.bits:
+                for case, level in enumerate((level1, level2)):
+                    for label, node, p_t in level:
+                        if p_t >= locc.PROB_TOL:
+                            r_t = locc.accept_probability(protocol, seed, label, node, p_t)
+                            success[case] += weight * p_t * r_t
             case1 = {label: (node, p) for label, node, p in level1}
             for label, node2, p2 in level2:
                 node1, p1 = case1.get(label, (None, 0.0))
@@ -383,8 +390,7 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
                         worst = (seed, label)
                 ok = ok and rep_a.holds and rep_b.holds
 
-    p = run(protocol, perfect).success_probability
-    q = run(protocol, mixed).success_probability
+    p, q = success
     margin = q - p * p / (1 << protocol.bits)
     ok = ok and initial_ok and margin >= -tol
     return SplittingReport(

@@ -608,6 +608,18 @@ def test_cli_bounds_measure_r_no_pairs_is_parameter_error(capsys):
     assert "at least one pair" in capsys.readouterr().err
 
 
+def test_cli_bounds_depolarization_no_pairs_is_parameter_error(capsys):
+    assert main(["bounds", "--model", "depolarization", "--n", "0", "--p", "0.2"]) == 2
+    assert "at least one pair" in capsys.readouterr().err
+
+
+def test_cli_depolarization_model_file_no_pairs_is_rejected_on_load(tmp_path, capsys):
+    spec = _edited(tmp_path, "spec.json", _HASH_DOC, (), _HASH_DOC)
+    model = _edited(tmp_path, "model.json", {"model": "depolarization", "n": 2, "p": 0.2}, ("n",), 0)
+    assert main(["protocol", "--spec", spec, "--model-file", model]) == 2
+    assert "error model (depolarization): need at least one pair, got n=0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("maker", ["random-pair", "random-permutation"])
 def test_cli_protocol_make_no_pairs_is_parameter_error(tmp_path, maker):
     out = tmp_path / "spec.json"
@@ -755,6 +767,15 @@ BAD_INPUTS = {
     "spec n Infinity": _bad_spec(("n",), _INF),
     "spec output_pair Infinity": _bad_spec(("output_pair",), [_INF]),
     "spec n_workspace Infinity": _bad_spec(("rounds", 0, "kraus_by_seed", 0, "n_workspace"), _INF),
+    "spec arrays index out of range": _bad_spec(("rounds", 0, "listener_by_seed", 0), len(_HASH_DOC["arrays"])),
+    "spec arrays negative index": _bad_spec(("rounds", 0, "listener_by_seed", 0), -1),
+    "spec arrays bool index": _bad_spec(("rounds", 0, "kraus_by_seed", 0, "branches", 0, 0), True),
+    "spec arrays shape not a power of two": _bad_spec(("arrays", 0, "shape"), [3, 3]),
+    "spec arrays shape above the qubit cap": _bad_spec(("arrays", 0, "shape"), [1 << 40, 1 << 40]),
+    "spec arrays entry outside its shape": _bad_spec(("arrays", 0, "entries", 0, 0), 4),
+    "spec arrays duplicate entry": _bad_spec(
+        ("arrays", 0, "entries"), _HASH_DOC["arrays"][0]["entries"] * 2),
+    "spec arrays value Infinity": _bad_spec(("arrays", 0, "entries", 0, 2), _INF),
     "state n_alice Infinity": lambda t: [
         "protocol", "--spec", _edited(t, "spec.json", _HASH_DOC, (), _HASH_DOC),
         "--input", _edited(t, "state.json", serialize.state_to_json(epr_state(2)), ("n_alice",), _INF),

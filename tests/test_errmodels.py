@@ -360,6 +360,12 @@ def test_measure_r_model_rejects_no_pairs():
         MeasureRModel(0, 0)
 
 
+def test_depolarization_model_rejects_no_pairs():
+    # rejected when built, with MeasureRModel's message, not on first use
+    with pytest.raises(ValueError, match="need at least one pair, got n=0"):
+        DepolarizationModel(0, 0.2)
+
+
 def test_measure_r_model_states():
     model = MeasureRModel(2, 1)
     states = model.states()
