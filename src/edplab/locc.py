@@ -239,10 +239,14 @@ class PovmAccept:
     elements: Mapping[tuple[int, str], np.ndarray]
 
     def __post_init__(self) -> None:
+        # one read-only copy per distinct caller object, so elements the
+        # caller shared stay shared (the per-run sqrt(M) cache keys on them)
+        frozen: dict[int, np.ndarray] = {}
+        for m in self.elements.values():
+            if id(m) not in frozen:
+                frozen[id(m)] = _frozen(m)
         object.__setattr__(
-            self,
-            "elements",
-            {key: np.asarray(m, dtype=np.complex128) for key, m in self.elements.items()},
+            self, "elements", {key: frozen[id(m)] for key, m in self.elements.items()}
         )
 
     def element(self, seed: int, transcript: str) -> np.ndarray:

@@ -1,14 +1,22 @@
-"""Multi-start Riemannian gradient ascent over pairs of local unitaries.
+"""Multi-start alternating polar ascent over pairs of local unitaries.
 
 Probes how much a communication-free protocol can achieve: both parties
 apply one unitary to their register (protocol qubits plus ancillas in
 |0>) and output the first pair.  The objective is the ensemble-averaged
-fidelity of that pair, maximized by steepest ascent on U(d) with the
-exponential retraction (Abrudan, Eriksson & Koivunen, IEEE TSP 56(3),
-2008).  A restart stops, converged, once the gradient norm reaches
-GRAD_TOL, or after its step budget.  Restart 0 always starts from the
-identity so the reported maximum never falls below the trivial
-protocol's value.
+fidelity of that pair, f = sum_i w_i ||L(U_A T_i U_B^T)||^2.  With U_B
+fixed it is a sum of squared norms of linear images of U_A, so it is
+convex in U_A and lies above its linearisation: f(V) >= f(U_A) +
+Re tr(E_A^H (V - U_A)), with E_A the Euclidean gradient.  The unitary V
+that maximises Re tr(E_A^H V) is the polar factor W Z^H of the SVD
+E_A = W S Z^H (the orthogonal Procrustes solution: Schonemann,
+Psychometrika 31, 1966), so replacing U_A with it never lowers f.  The
+same holds for U_B.  One polar step updates U_A, then U_B; alternating
+them is the generalised power method (Journee, Nesterov, Richtarik &
+Sepulchre, JMLR 11, 2010), which needs no step size and no line search.
+A restart stops, converged, once the Riemannian gradient norm
+sqrt(||Omega_A||^2 + ||Omega_B||^2) reaches GRAD_TOL, or after its step
+budget.  Restart 0 always starts from the identity so the reported
+maximum never falls below the trivial protocol's value.
 
 The search certifies nothing: it reports the best value found over the
 declared class (ancilla count, restarts, steps).
@@ -25,16 +33,13 @@ from .qcore import PureState
 from .rng import substream
 from .sampling import random_unitary
 
-# Retraction step; 0.5 oscillates at the scale of this gradient (it
-# carries the factor 2 of the quadratic objective).
-STEP = 0.25
-GRAD_TOL = 1e-6  # converged once ||Omega_A||^2 + ||Omega_B||^2 <= GRAD_TOL^2
+GRAD_TOL = 1e-6  # converged once sqrt(||Omega_A||^2 + ||Omega_B||^2) <= GRAD_TOL
 
 
 @dataclass(frozen=True)
 class AscentConfig:
     restarts: int = 32
-    steps: int = 2000  # gradient steps per restart
+    steps: int = 2000  # polar steps (U_A, then U_B) per restart
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -47,7 +52,9 @@ class AscentResult:
     best_value: float
     start_value: float
     restart_values: tuple[float, ...]
-    restart_converged: tuple[bool, ...]
+    restart_converged: tuple[bool, ...]  # gradient test met, else the step budget ran out
+    restart_iterations: tuple[int, ...]  # polar steps taken
+    restart_grad_norms: tuple[float, ...]  # final sqrt(||Omega_A||^2 + ||Omega_B||^2)
 
     @property
     def converged(self) -> bool:
@@ -58,6 +65,18 @@ def unitary_exp(h: np.ndarray) -> np.ndarray:
     """exp(H) for anti-Hermitian H via the eigendecomposition of iH."""
     vals, vecs = np.linalg.eigh(1j * h)
     return (vecs * np.exp(-1j * vals)) @ vecs.conj().T
+
+
+def _polar(e: np.ndarray) -> np.ndarray:
+    """The unitary W Z^H maximising Re tr(E^H V), from E = W S Z^H."""
+    w, _, zh = np.linalg.svd(e)
+    return w @ zh
+
+
+def _omega(e: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Anti-Hermitian Riemannian gradient E U^H - U E^H at U."""
+    w = e @ u.conj().T
+    return w - w.conj().T
 
 
 class PairFidelityObjective:
@@ -99,10 +118,10 @@ class PairFidelityObjective:
     def value(self, u_alice: np.ndarray, u_bob: np.ndarray) -> float:
         return self._fidelity(u_alice, u_bob)[0]
 
-    def value_and_gradient(
+    def value_and_euclidean_gradient(
         self, u_alice: np.ndarray, u_bob: np.ndarray
     ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Value and the anti-Hermitian Riemannian gradients E U^H - U E^H.
+        """Value and the Euclidean gradients: d/dt f(U_A + tX, U_B) = Re tr(E_A^H X).
 
         With M_i = U_A T_i U_B^T and G_i = L*(L(M_i)) = I_2 (x) L(M_i) / sqrt 2,
         E_A = 2 sum_i w_i G_i conj(U_B) T_i^H, E_B = 2 sum_i w_i G_i^T conj(U_A T_i).
@@ -112,17 +131,25 @@ class PairFidelityObjective:
         right = np.matmul(self.stack, u_bob.T)  # T_i U_B^T
         e_alice = np.tensordot(g, right.conj(), axes=([0, 2], [0, 2]))
         e_bob = np.tensordot(g, left.conj(), axes=([0, 1], [0, 1]))
-        omega = [e @ u.conj().T for e, u in ((e_alice, u_alice), (e_bob, u_bob))]
-        return value, omega[0] - omega[0].conj().T, omega[1] - omega[1].conj().T
+        return value, e_alice, e_bob
+
+    def value_and_gradient(
+        self, u_alice: np.ndarray, u_bob: np.ndarray
+    ) -> tuple[float, np.ndarray, np.ndarray]:
+        """Value and the anti-Hermitian Riemannian gradients E U^H - U E^H."""
+        value, e_alice, e_bob = self.value_and_euclidean_gradient(u_alice, u_bob)
+        return value, _omega(e_alice, u_alice), _omega(e_bob, u_bob)
 
 
 def maximize_pair_fidelity(objective: PairFidelityObjective, config: AscentConfig) -> AscentResult:
-    """Best objective value over the unitary pair, multi-start ascent."""
+    """Best objective value over the unitary pair, multi-start polar ascent."""
     dim = objective.d_side
     eye = np.eye(dim, dtype=np.complex128)
     start_value = objective.value(eye, eye)
     restart_values = []
     restart_converged = []
+    restart_iterations = []
+    restart_grad_norms = []
     for restart in range(config.restarts):
         rng = substream(config.seed, "unitary-ascent", restart)
         if restart == 0:
@@ -131,17 +158,27 @@ def maximize_pair_fidelity(objective: PairFidelityObjective, config: AscentConfi
             ua, ub = random_unitary(rng, dim), random_unitary(rng, dim)
         best = -np.inf
         for step in range(config.steps + 1):
-            value, ga, gb = objective.value_and_gradient(ua, ub)
+            value, ea, eb = objective.value_and_euclidean_gradient(ua, ub)
             best = max(best, value)
-            done = np.vdot(ga, ga).real + np.vdot(gb, gb).real <= GRAD_TOL**2
-            if done or step == config.steps:
+            ga, gb = _omega(ea, ua), _omega(eb, ub)
+            grad_norm = float(np.sqrt(np.vdot(ga, ga).real + np.vdot(gb, gb).real))
+            converged = grad_norm <= GRAD_TOL
+            if converged or step == config.steps:
                 break
-            ua, ub = unitary_exp(STEP * ga) @ ua, unitary_exp(STEP * gb) @ ub
+            # each half-step is a polar step in one party: it never lowers the value
+            ua = _polar(ea)
+            value, _, eb = objective.value_and_euclidean_gradient(ua, ub)
+            best = max(best, value)
+            ub = _polar(eb)
         restart_values.append(best)
-        restart_converged.append(bool(done))
+        restart_converged.append(converged)
+        restart_iterations.append(step)
+        restart_grad_norms.append(grad_norm)
     return AscentResult(
         best_value=max(restart_values),
         start_value=start_value,
         restart_values=tuple(restart_values),
         restart_converged=tuple(restart_converged),
+        restart_iterations=tuple(restart_iterations),
+        restart_grad_norms=tuple(restart_grad_norms),
     )

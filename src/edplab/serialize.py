@@ -54,11 +54,15 @@ class SpecParseError(ValueError):
 _BAD_VALUE = (KeyError, IndexError, TypeError, ValueError, OverflowError)
 
 
+def _is_int(value: Any) -> bool:
+    """A JSON integer: floats, numeric strings and booleans are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _int(value: Any, path: str) -> int:
-    try:
-        return int(value)
-    except _BAD_VALUE as exc:
-        raise SpecParseError(f"{path}: expected an integer") from exc
+    if not _is_int(value):
+        raise SpecParseError(f"{path}: expected an integer")
+    return value
 
 
 def _float(value: Any, path: str) -> float:
@@ -176,8 +180,8 @@ def error_model_from_json(doc: Any) -> ErrorModel:
 
 
 def _is_index(value: Any, size: int) -> bool:
-    """A JSON integer (not a boolean) in [0, size)."""
-    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value < size
+    """A JSON integer in [0, size)."""
+    return _is_int(value) and 0 <= value < size
 
 
 def _finite(value: Any, path: str) -> float:

@@ -767,6 +767,9 @@ BAD_INPUTS = {
     "spec n Infinity": _bad_spec(("n",), _INF),
     "spec output_pair Infinity": _bad_spec(("output_pair",), [_INF]),
     "spec n_workspace Infinity": _bad_spec(("rounds", 0, "kraus_by_seed", 0, "n_workspace"), _INF),
+    "spec n a float": _bad_spec(("n",), 2.9),
+    "spec accept seed a string": _bad_spec(("accept_rule", "elements", 0, "seed"), "0"),
+    "spec n_workspace a bool": _bad_spec(("rounds", 0, "kraus_by_seed", 0, "n_workspace"), False),
     "spec arrays index out of range": _bad_spec(("rounds", 0, "listener_by_seed", 0), len(_HASH_DOC["arrays"])),
     "spec arrays negative index": _bad_spec(("rounds", 0, "listener_by_seed", 0), -1),
     "spec arrays bool index": _bad_spec(("rounds", 0, "kraus_by_seed", 0, "branches", 0, 0), True),

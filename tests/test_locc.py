@@ -521,3 +521,16 @@ def test_protocol_rejects_registers_of_the_wrong_size():
 def test_no_communication_makers_reject_no_pairs(maker):
     with pytest.raises(ValueError, match="at least one pair"):
         maker(0)
+
+
+def test_povm_accept_keeps_a_read_only_copy_of_each_shared_element():
+    m = 0.5 * np.eye(2, dtype=np.complex128)
+    other = [[1.0, 0.0], [0.0, 0.0]]
+    acc = PovmAccept({(0, "0"): m, (0, "1"): m, (1, ""): other})
+    m[:] = 7.0
+    np.testing.assert_array_equal(acc.elements[(0, "0")], 0.5 * np.eye(2))
+    assert acc.elements[(0, "0")] is acc.elements[(0, "1")]
+    assert not acc.elements[(0, "0")].flags.writeable
+    assert not acc.elements[(1, "")].flags.writeable
+    with pytest.raises(ValueError):
+        acc.elements[(1, "")][0, 0] = 0.0
