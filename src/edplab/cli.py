@@ -185,10 +185,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
     elif model == "depolarization":
         records = [verify.optimize_0bit_depolarization(n, value, args.ancillas, cfg).to_record()]
     else:
-        records = [
-            verify.pos_fidelity_report(n, args.s, value).to_record(),
-            verify.verify_neg_fidelity(make_simple_random_hash(n, args.s), value).to_record(),
-        ]
+        records = [rep.to_record() for rep in verify.hash_fidelity_reports(n, args.s, value)]
         if args.include_no_comm_probe:
             records.append(verify.no_comm_fidelity_report(n, value).to_record())
     return _finish(records, args.format, args.out)

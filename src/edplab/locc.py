@@ -11,22 +11,38 @@ of a POVM element on her register (realized as the gentle sqrt(M)
 measurement), and is not counted as communication.
 
 Evaluation is exact: the full transcript tree is enumerated per seed,
-never sampled.  ``walk`` is the only traversal: it yields one seed's
-tree level by level, and ``run`` and the splitting tracker in ``verify``
-consume it.  Instruments are given directly in Kraus form, which
-subsumes local ancillas; an instrument may additionally declare
-workspace qubits that are appended in |0> for its round and traced out
-afterwards (compiled into plain Kraus operators when it is built).
+never sampled.  ``walk`` is the only traversal, and ``run`` and the
+splitting tracker in ``verify`` consume it.  It walks a block of seeds
+together and yields one ``Level`` per depth: the nodes of every seed of
+the block at that depth, in seed order and then transcript order, as
+one stacked array per representation with a leading row axis, plus
+each row's seed, transcript code and probability.  A node below
+``PROB_TOL`` is yielded but not expanded.  Each round's Kraus operators
+and listener unitaries are stacked once per protocol (a branch with
+fewer Kraus operators is padded with zero operators), so a round is one
+batched matmul per operator slot over the whole level.  ``seed_blocks``
+cuts the seeds into blocks whose widest level fits
+``FRONTIER_BUDGET_BYTES``, which bounds memory.  Instruments are given
+directly in Kraus form, which subsumes local ancillas; an instrument
+may additionally declare workspace qubits that are appended in |0> for
+its round and traced out afterwards (compiled into plain Kraus
+operators when it is built).
 
 ``run`` is linear in its input and takes a weighted component list;
 each component keeps one representation through its whole tree, picked
 by its type:
 
-* ``PureState``: a (2^n, 2^n) amplitude matrix, O(2^{3n}) per node; a
-  multi-Kraus branch turns it dense;
+* ``PureState``: (rows, 2^n, 2^n) amplitude matrices, O(2^{3n}) per
+  node; a multi-Kraus round turns them dense;
 * ``ProductState``: the two local factors, O(2^{3n}) per node; every
   runner operation is one-sided, so the form is kept throughout;
-* ``DensityMatrix``: the flat 4^n x 4^n matrix, O(2^{5n}) per node.
+* ``DensityMatrix``: flat (rows, 4^n, 4^n) matrices, O(2^{5n}) per node.
+
+``run`` computes leaf probabilities, output-pair reductions and the
+accept data over a block's last level at once; POVM leaves are grouped
+by their distinct element, whose sqrt(M) is computed once per protocol.
+``run(..., stats=True)`` also reports, per round, the nodes expanded
+and pruned, the largest level and the time taken (``RunStats``).
 
 Fidelity-model evaluations use pure + product only: the canonical
 witness reaches ``run`` as ``errmodels.fidelity_witness_components``.
@@ -36,13 +52,16 @@ witness reaches ``run`` as ``errmodels.fidelity_witness_components``.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .errmodels import ErrorModel, State, WeightedStates
+from .frontier import Frontier, frontier_of, reduce_pairs
 from .qcore import (
     ALICE,
     BOB,
@@ -184,15 +203,19 @@ class Round:
             raise ValueError("round needs at least one instrument")
         object.__setattr__(self, "instruments", tuple(self.instruments))
         if self.listener_unitaries is not None:
-            frozen = []
+            # one check and one read-only copy per distinct caller object
+            frozen: dict[int, np.ndarray] = {}
             for u in self.listener_unitaries:
-                arr = _frozen(u)
+                if id(u) in frozen:
+                    continue
+                arr = frozen[id(u)] = _frozen(u)
                 if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not (
                     np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])).max() <= 1e-9
                 ):
                     raise ValueError("listener operation must be unitary")
-                frozen.append(arr)
-            object.__setattr__(self, "listener_unitaries", tuple(frozen))
+            object.__setattr__(
+                self, "listener_unitaries", tuple(frozen[id(u)] for u in self.listener_unitaries)
+            )
 
     @property
     def listener(self) -> str:
@@ -318,6 +341,11 @@ class Protocol:
     def output_pair_for(self, seed: int) -> int:
         return _seed_entry(self.output_pair, seed)
 
+    @functools.cached_property
+    def _plan(self) -> "_Plan":
+        """The rounds and accept rule as stacked arrays, for the runner."""
+        return _Plan(self)
+
 
 def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
     """Every reachable leaf needs an accept value; POVM elements must be
@@ -361,6 +389,29 @@ class LeafRecord:
     output_state: np.ndarray | None
 
 
+class RoundStats(NamedTuple):
+    """One round of a run, summed over input components and seed blocks."""
+
+    expanded: int  # nodes of the previous level the round expanded
+    pruned: int  # nodes of the previous level below PROB_TOL, left unexpanded
+    frontier_bytes: int  # the largest level the round produced for one seed block
+    seconds: float
+
+
+class RunStats(NamedTuple):
+    """Where a run spent its work; ``run(..., stats=True)`` fills it in.
+
+    ``representations`` names each input component's frontier form:
+    ``pure``, ``product`` or ``dense``, or ``pure->dense`` when a
+    multi-Kraus round turned a pure component dense.
+    """
+
+    representations: tuple[str, ...]
+    seed_blocks: int
+    rounds: tuple[RoundStats, ...]
+    peak_frontier_bytes: int
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Exact transcript-tree evaluation of a protocol on one input."""
@@ -371,141 +422,162 @@ class RunResult:
     success_probability: float
     output: DensityMatrix
     conditional_output: DensityMatrix | None
+    stats: RunStats | None = None
+
+
+# ---------------------------------------------------------------------------
+# the protocol as stacked arrays
+
+# Bytes one seed block's widest level may take.  A block holds as many
+# seeds as fit; a seed whose level alone is larger gets a block of its own.
+FRONTIER_BUDGET_BYTES = 1 << 17
+
+
+class _RoundStack(NamedTuple):
+    """One round's instruments and listeners, each distinct one stored once."""
+
+    party: str
+    listener: str
+    ops: np.ndarray  # (distinct instruments, 2 branches, kraus, d, d), zero padded
+    op_index: np.ndarray  # (n_seeds,): each seed's row of ops
+    listeners: np.ndarray | None  # (distinct listeners, 1, 1, d, d)
+    listener_index: np.ndarray | None  # (n_seeds,)
+
+
+def _distinct(entries, key) -> tuple[list, np.ndarray]:
+    """The distinct entries by ``key``, and each entry's index into them."""
+    index: dict = {}
+    unique = []
+    rows = []
+    for entry in entries:
+        k = key(entry)
+        if k not in index:
+            index[k] = len(unique)
+            unique.append(entry)
+        rows.append(index[k])
+    return unique, np.asarray(rows, dtype=np.intp)
+
+
+def _stack_round(rnd: Round, dim: int, n_seeds: int) -> _RoundStack:
+    # per-seed tuples broadcast, so a one-entry index serves every seed
+    instruments, op_index = _distinct(
+        rnd.instruments, lambda ins: tuple(tuple(map(id, branch)) for branch in ins.kraus)
+    )
+    width = max(len(branch) for ins in instruments for branch in ins.kraus)
+    ops = np.zeros((len(instruments), 2, width, dim, dim), dtype=np.complex128)
+    for row, ins in enumerate(instruments):
+        for bit, branch in enumerate(ins.kraus):
+            for j, k in enumerate(branch):
+                ops[row, bit, j] = k
+    listeners = listener_index = None
+    if rnd.listener_unitaries is not None:
+        unique, listener_index = _distinct(rnd.listener_unitaries, id)
+        listeners = np.stack(unique)[:, None, None]
+        listener_index = np.broadcast_to(listener_index, (n_seeds,))
+    return _RoundStack(
+        rnd.party, rnd.listener, ops, np.broadcast_to(op_index, (n_seeds,)), listeners, listener_index
+    )
+
+
+class _Plan:
+    """A protocol's rounds, output pairs and accept rule as arrays indexed
+    by seed and transcript code, built once per protocol."""
+
+    def __init__(self, protocol: "Protocol"):
+        n_seeds = protocol.n_seeds
+        self.weights = np.asarray(protocol.seed_weights)
+        self.output_pairs = np.broadcast_to(np.asarray(protocol.output_pair), (n_seeds,))
+        self.rounds = tuple(
+            _stack_round(rnd, 1 << protocol.n_pairs, n_seeds) for rnd in protocol.rounds
+        )
+        self.multi_kraus = any(rnd.ops.shape[2] > 1 for rnd in self.rounds)
+        transcripts = ["".join(t) for t in itertools.product("01", repeat=protocol.bits)]
+        rule = protocol.accept
+        if isinstance(rule, ConstantAccept):
+            self.constant = np.array([rule.probability(t) for t in transcripts])
+        if isinstance(rule, PovmAccept):
+            elements, index = _distinct(
+                (rule.element(s, t) for s in range(n_seeds) for t in transcripts), id
+            )
+            self.elements = elements
+            self.element_index = index.reshape(n_seeds, len(transcripts))
+
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        """sqrt(M) of every distinct POVM element, in one batched call."""
+        return hermitian_sqrt(np.stack(self.elements), floor=1e-9)
+
+
+def _row_bytes(protocol: "Protocol", state: State | ProductState) -> int:
+    """Bytes of one node of ``state``'s frontier."""
+    da, db = 1 << state.n_alice, 1 << state.n_bob
+    if isinstance(state, ProductState):
+        return 16 * (da * da + db * db)
+    if isinstance(state, PureState) and not protocol._plan.multi_kraus:
+        return 16 * da * db
+    return 16 * (da * db) ** 2
+
+
+def seed_blocks(protocol: "Protocol", states, seeds: np.ndarray) -> list[np.ndarray]:
+    """``seeds`` cut into consecutive blocks whose widest level, for any of
+    ``states``, fits ``FRONTIER_BUDGET_BYTES``."""
+    per_seed = max(_row_bytes(protocol, st) for st in states) << protocol.bits
+    size = max(1, FRONTIER_BUDGET_BYTES // per_seed)
+    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
 
 
 # ---------------------------------------------------------------------------
 # the exact runner
 
 
-class _PureNode:
-    """Unnormalized pure state as a (dA, dB) amplitude matrix."""
-
-    __slots__ = ("psi",)
-
-    def __init__(self, psi: np.ndarray):
-        self.psi = psi
-
-    def apply(self, ops: tuple[np.ndarray, ...], party: str) -> "_Node":
-        """sum_k K rho K^dag with every K on ``party``'s register."""
-        if len(ops) != 1:
-            return self.to_dense().apply(ops, party)
-        k = ops[0]
-        return _PureNode(k @ self.psi if party == ALICE else self.psi @ k.T)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.psi.reshape(-1)) ** 2)
-
-    def reduce_pair(self, n: int, pair: int) -> np.ndarray:
-        """4x4 reduced matrix of (Alice ``pair``, Bob ``pair``)."""
-        t = self.psi.reshape((2,) * (2 * n))
-        t = np.moveaxis(t, (pair, n + pair), (0, 1)).reshape(4, -1)
-        return t @ t.conj().T
-
-    def local_states(self) -> tuple[np.ndarray, np.ndarray]:
-        """(alice, bob) marginals."""
-        psi = self.psi
-        return psi @ psi.conj().T, psi.T @ psi.conj()
-
-    def to_dense(self) -> "_DenseNode":
-        vec = self.psi.reshape(-1)
-        return _DenseNode(np.outer(vec, vec.conj()), *self.psi.shape)
+def _transcript(code: int, depth: int) -> str:
+    return format(code, f"0{depth}b") if depth else ""
 
 
-class _ProductNode:
-    """Unnormalized product state ``alice (x) bob`` as its local factors.
+class Level:
+    """One depth of the transcript trees of a block of seeds.
 
-    Every runner operation acts on one side, so the form is kept
-    throughout and a node costs what a pure node costs.
+    Row i is the node of seed ``seeds[i]`` reached by the transcript
+    whose ``depth`` bits, first round first, are the binary digits of
+    ``codes[i]``.  Rows run in seed order, then in transcript order.
+    ``frontier`` holds the unnormalized node states as stacked arrays
+    and ``probabilities`` their traces.
     """
 
-    __slots__ = ("alice", "bob")
+    __slots__ = ("depth", "seeds", "codes", "probabilities", "frontier")
 
-    def __init__(self, alice: np.ndarray, bob: np.ndarray):
-        self.alice = alice
-        self.bob = bob
+    def __init__(
+        self, depth: int, seeds: np.ndarray, codes: np.ndarray, probabilities: np.ndarray, frontier: Frontier
+    ):
+        self.depth = depth
+        self.seeds = seeds
+        self.codes = codes
+        self.probabilities = probabilities
+        self.frontier = frontier
 
-    def apply(self, ops: tuple[np.ndarray, ...], party: str) -> "_Node":
-        side = self.alice if party == ALICE else self.bob
-        out = np.zeros_like(side)
-        for k in ops:
-            out += k @ side @ k.conj().T
-        if party == ALICE:
-            return _ProductNode(out, self.bob)
-        return _ProductNode(self.alice, out)
+    def __len__(self) -> int:
+        return len(self.seeds)
 
-    def norm(self) -> float:
-        return float(np.trace(self.alice).real * np.trace(self.bob).real)
+    @property
+    def labels(self) -> list[str]:
+        """The transcripts of the rows."""
+        return [_transcript(code, self.depth) for code in self.codes.tolist()]
 
-    def reduce_pair(self, n: int, pair: int) -> np.ndarray:
-        return np.kron(_qubit_marginal(self.alice, n, pair), _qubit_marginal(self.bob, n, pair))
+    def label(self, row: int) -> str:
+        """The transcript of one row."""
+        return _transcript(int(self.codes[row]), self.depth)
 
-    def local_states(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.alice * np.trace(self.bob).real, self.bob * np.trace(self.alice).real
-
-
-class _DenseNode:
-    """Unnormalized mixed state as a flat (dA*dB, dA*dB) matrix."""
-
-    __slots__ = ("rho", "dA", "dB")
-
-    def __init__(self, rho: np.ndarray, dA: int, dB: int):
-        self.rho = rho
-        self.dA = dA
-        self.dB = dB
-
-    def apply(self, ops: tuple[np.ndarray, ...], party: str) -> "_Node":
-        out = np.zeros_like(self.rho)
-        for k in ops:
-            out += _sandwich(self.rho, k, party, self.dA, self.dB)
-        return _DenseNode(out, self.dA, self.dB)
-
-    def norm(self) -> float:
-        return float(np.trace(self.rho).real)
-
-    def reduce_pair(self, n: int, pair: int) -> np.ndarray:
-        t = self.rho.reshape((2,) * (4 * n))
-        t = np.moveaxis(
-            t,
-            (pair, n + pair, 2 * n + pair, 3 * n + pair),
-            (0, 1, 2 * n, 2 * n + 1),
+    def take(self, rows: np.ndarray) -> "Level":
+        """The level restricted to ``rows``, ascending row indices."""
+        if len(rows) == len(self):
+            return self
+        return Level(
+            self.depth, self.seeds[rows], self.codes[rows], self.probabilities[rows], self.frontier.take(rows)
         )
-        t = t.reshape(4, 1 << (2 * n - 2), 4, 1 << (2 * n - 2))
-        return np.einsum("arbr->ab", t)
 
     def local_states(self) -> tuple[np.ndarray, np.ndarray]:
-        t = self.rho.reshape(self.dA, self.dB, self.dA, self.dB)
-        return np.einsum("abcb->ac", t), np.einsum("abad->bd", t)
-
-
-_Node = _PureNode | _ProductNode | _DenseNode
-
-
-def _root(state: PureState | ProductState | DensityMatrix) -> _Node:
-    """The input's type picks the representation of its whole subtree."""
-    if isinstance(state, PureState):
-        return _PureNode(state.amplitudes.reshape(1 << state.n_alice, 1 << state.n_bob))
-    if isinstance(state, ProductState):
-        return _ProductNode(state.alice.matrix, state.bob.matrix)
-    return _DenseNode(state.matrix, 1 << state.n_alice, 1 << state.n_bob)
-
-
-def _qubit_marginal(mat: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    """2x2 marginal of ``qubit`` in an n-qubit one-party matrix."""
-    lo = 1 << (n - qubit - 1)
-    t = mat.reshape(1 << qubit, 2, lo, 1 << qubit, 2, lo)
-    return np.einsum("iajibj->ab", t)
-
-
-def _sandwich(arr: np.ndarray, k: np.ndarray, party: str, dA: int, dB: int) -> np.ndarray:
-    """k . arr . k^dag on one party's side of a flat mixed matrix."""
-    d = dA * dB
-    if party == ALICE:
-        out = (k @ arr.reshape(dA, dB * d)).reshape(d, d)
-        v = np.tensordot(out.reshape(d, dA, dB), k.conj(), axes=([1], [1]))
-        return np.moveaxis(v, 2, 1).reshape(d, d)
-    v = np.tensordot(k, arr.reshape(dA, dB, d), axes=([1], [1]))
-    out = np.moveaxis(v, 0, 1).reshape(d, d)
-    return (out.reshape(d * dA, dB) @ k.conj().T).reshape(d, d)
+        """(alice, bob) unnormalized marginals of every row, each (rows, d, d)."""
+        return self.frontier.local_states()
 
 
 def _coerce_input(protocol: Protocol, state) -> WeightedStates:
@@ -525,118 +597,174 @@ def _coerce_input(protocol: Protocol, state) -> WeightedStates:
     return weighted
 
 
-def accept_probability(protocol: Protocol, seed: int, transcript: str, node: _Node, p_t: float) -> float:
-    """r_t: the probability that Alice declares SUCC on a leaf of
-    probability ``p_t >= PROB_TOL``; 0 when ``p_t * r_t < PROB_TOL``."""
-    rule = protocol.accept
-    if isinstance(rule, AlwaysAccept):
-        return 1.0
-    if isinstance(rule, ConstantAccept):
-        return rule.probability(transcript)
-    alice, _ = node.local_states()
-    r_joint = float(np.trace(rule.element(seed, transcript) @ alice).real)  # p_t * r_t
-    return r_joint / p_t if r_joint >= PROB_TOL else 0.0
+def _accept(protocol: Protocol, leaves: Level, post: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
+    """Accept probabilities r_t and, with ``post``, the accept-conditioned
+    output blocks of leaves whose probabilities are all >= PROB_TOL.
 
-
-def _accept_info(
-    protocol: Protocol, seed: int, transcript: str, node: _Node, p_t: float,
-    roots: dict[int, np.ndarray],
-) -> tuple[float, np.ndarray | None]:
-    """Accept probability r_t and the accept-conditioned output block.
-
-    Returns (r_t, post) where post is the unnormalized 4x4 output-pair
-    state after a successful accept measurement scaled by p_t * r_t, or
+    The blocks, (rows, 4, 4), are the unnormalized output-pair states
+    after a successful sqrt(M) measurement, scaled by p_t * r_t; they are
     None when the rule has no backaction (post = r_t * unconditional).
-    ``roots`` caches sqrt(M) by element identity for the length of a run.
+    Leaves are grouped by their distinct POVM element; p_t * r_t =
+    Tr(M rho_t) is the trace of the measured node sqrt(M) rho_t sqrt(M).
     """
-    r_t = accept_probability(protocol, seed, transcript, node, p_t)
-    if not isinstance(protocol.accept, PovmAccept):
-        return r_t, None
-    if r_t == 0.0:
-        return 0.0, np.zeros((4, 4), dtype=np.complex128)
-    m = protocol.accept.element(seed, transcript)
-    root = roots.get(id(m))
-    if root is None:
-        root = roots[id(m)] = hermitian_sqrt(m, floor=1e-9)
-    post = node.apply((root,), ALICE)
-    return r_t, post.reduce_pair(protocol.n_pairs, protocol.output_pair_for(seed))
+    rule = protocol.accept
+    plan = protocol._plan
+    if isinstance(rule, AlwaysAccept):
+        return np.ones(len(leaves)), None
+    if isinstance(rule, ConstantAccept):
+        return plan.constant[leaves.codes], None
+    which = plan.element_index[leaves.seeds, leaves.codes]
+    r_joint = np.empty(len(leaves))  # p_t * r_t
+    blocks = np.empty((len(leaves), 4, 4), dtype=np.complex128) if post else None
+    for element in sorted(set(which.tolist())):
+        rows = np.flatnonzero(which == element)
+        root = plan.roots[element]
+        measured = leaves.frontier.take(rows).apply(
+            np.broadcast_to(root, (len(rows), 1, 1) + root.shape), ALICE
+        )
+        r_joint[rows] = measured.norms()
+        if post:
+            blocks[rows] = reduce_pairs(measured, protocol.n_pairs, plan.output_pairs[leaves.seeds[rows]])
+    kept = r_joint >= PROB_TOL
+    r_t = np.where(kept, r_joint, 0.0) / leaves.probabilities
+    if post:
+        blocks[~kept] = 0.0
+    return r_t, blocks
 
 
-Level = list[tuple[str, _Node, float]]
+def accept_probability(protocol: Protocol, leaves: Level) -> np.ndarray:
+    """r_t, the probability that Alice declares SUCC, for every row of a
+    last level whose probabilities are all >= PROB_TOL; 0 where
+    p_t * r_t < PROB_TOL."""
+    return _accept(protocol, leaves)[0]
 
 
-def walk(protocol: Protocol, state: State | ProductState, seed: int) -> Iterator[Level]:
-    """The transcript tree of one seed on one input state, level by level.
+def walk(protocol: Protocol, state: State | ProductState, seeds=None) -> Iterator[Level]:
+    """The transcript trees of a block of seeds on one input, level by level.
 
-    Yields the root level ``[("", root, p)]`` and then, per round, the
-    children of the previous level as ``(transcript, node, probability)``
-    in transcript order; nodes are unnormalized.  A child below
-    ``PROB_TOL`` is yielded but not expanded.  Only the current level is
-    held, so memory follows one level, not the whole tree.  ``state``
-    must live on ``protocol.n_pairs`` pairs.
+    Yields the root level, one row per seed of ``seeds`` (default: every
+    seed), then one level per round.  A round expands every node of the
+    previous level at or above ``PROB_TOL`` into its two children; a node
+    below it is yielded but not expanded.  Each round's operators come
+    from the protocol's stacks, built once per protocol.  Only the
+    current level is held, so memory follows one level of the block, not
+    the whole tree (``seed_blocks`` sizes blocks under
+    ``FRONTIER_BUDGET_BYTES``).  ``state`` must live on
+    ``protocol.n_pairs`` pairs.
     """
-    root = _root(state)
-    level: Level = [("", root, root.norm())]
+    plan = protocol._plan
+    seeds = np.arange(protocol.n_seeds) if seeds is None else np.asarray(seeds, dtype=np.intp)
+    frontier = frontier_of(state, len(seeds))
+    level = Level(0, seeds, np.zeros(len(seeds), dtype=np.int64), frontier.norms(), frontier)
     yield level
-    for rnd in protocol.rounds:
-        instrument = rnd.for_seed(seed)
-        listener_u = rnd.listener_for_seed(seed)
-        children: Level = []
-        for prefix, node, p in level:
-            if p < PROB_TOL:
-                continue
-            if listener_u is not None:
-                node = node.apply((listener_u,), rnd.listener)
-            for bit in (0, 1):
-                child = node.apply(instrument.kraus[bit], rnd.party)
-                children.append((prefix + str(bit), child, child.norm()))
-        level = children
+    for depth, rnd in enumerate(plan.rounds, 1):
+        parents = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
+        nodes = parents.frontier
+        if rnd.listeners is not None:
+            nodes = nodes.apply(rnd.listeners[rnd.listener_index[parents.seeds]], rnd.listener)
+        children = nodes.apply(rnd.ops[rnd.op_index[parents.seeds]], rnd.party)
+        codes = (2 * parents.codes[:, None] + np.arange(2)).reshape(-1)
+        level = Level(depth, np.repeat(parents.seeds, 2), codes, children.norms(), children)
         yield level
 
 
-def run(protocol: Protocol, state) -> RunResult:
+class _Meter:
+    """Per-round counts, sizes and times of a run (``run(..., stats=True)``)."""
+
+    def __init__(self, bits: int):
+        self.expanded = [0] * bits
+        self.pruned = [0] * bits
+        self.frontier_bytes = [0] * bits
+        self.seconds = [0.0] * bits
+        self.peak = 0
+        self.blocks = 0
+        self.representations: list[str] = []
+        self.form = ""  # the last block's: its root's, then its leaves' if they differ
+
+    def levels(self, levels: Iterator[Level]) -> Iterator[Level]:
+        """Pass ``levels`` through, charging each round the time it took."""
+        self.blocks += 1
+        previous = None
+        clock = time.perf_counter()
+        for level in levels:
+            elapsed = time.perf_counter() - clock
+            self.peak = max(self.peak, level.frontier.nbytes)
+            if previous is None:
+                root = level.frontier.kind
+            else:
+                r = level.depth - 1
+                alive = int(np.count_nonzero(previous.probabilities >= PROB_TOL))
+                self.expanded[r] += alive
+                self.pruned[r] += len(previous) - alive
+                self.frontier_bytes[r] = max(self.frontier_bytes[r], level.frontier.nbytes)
+                self.seconds[r] += elapsed
+            yield level
+            previous = level
+            clock = time.perf_counter()
+        leaf = previous.frontier.kind
+        self.form = root if root == leaf else f"{root}->{leaf}"
+
+    def stats(self) -> RunStats:
+        return RunStats(
+            representations=tuple(self.representations),
+            seed_blocks=self.blocks,
+            rounds=tuple(map(RoundStats, self.expanded, self.pruned, self.frontier_bytes, self.seconds)),
+            peak_frontier_bytes=self.peak,
+        )
+
+
+def run(protocol: Protocol, state, stats: bool = False) -> RunResult:
     """Evaluate a protocol exactly on a state or weighted state list.
 
-    The transcript tree of every seed is walked level by level
-    (``walk``); leaf probabilities, the SUCC probability, the output, and
-    the output conditioned on SUCC are all exact up to float arithmetic.
+    Every component is walked in seed blocks (``walk``); leaf
+    probabilities, the SUCC probability, the output, and the output
+    conditioned on SUCC are computed over each block's last level at
+    once and are exact up to float arithmetic.  ``stats=True`` also
+    returns a ``RunStats`` in ``RunResult.stats``.
     """
     weighted = _coerce_input(protocol, state)
+    plan = protocol._plan
     n = protocol.n_pairs
+    live_seeds = np.flatnonzero(plan.weights != 0.0)
+    meter = _Meter(protocol.bits) if stats else None
     leaves: list[LeafRecord] = []
     out_acc = np.zeros((4, 4), dtype=np.complex128)
     cond_acc = np.zeros((4, 4), dtype=np.complex128)
     success = 0.0
-    roots: dict[int, np.ndarray] = {}  # the protocol keeps every key's element alive
 
     for comp_idx, (comp_w, comp_state) in enumerate(weighted):
-        for seed, seed_w in enumerate(protocol.seed_weights):
-            if seed_w == 0.0:
-                continue
-            weight = comp_w * seed_w
-            for level in walk(protocol, comp_state, seed):
+        for block in seed_blocks(protocol, [comp_state], live_seeds):
+            levels = walk(protocol, comp_state, block)
+            if meter is not None:
+                levels = meter.levels(levels)
+            records: list[tuple[int, LeafRecord]] = []
+            for level in levels:
                 # a dead subtree is recorded once at its root, with the
                 # truncated transcript as the label
-                leaves.extend(
-                    LeafRecord(comp_idx, seed, label, weight, 0.0, 0.0, None)
-                    for label, _, p in level
-                    if p < PROB_TOL
+                for row in np.flatnonzero(level.probabilities < PROB_TOL).tolist():
+                    seed = int(level.seeds[row])
+                    weight = comp_w * protocol.seed_weights[seed]
+                    records.append((seed, LeafRecord(comp_idx, seed, level.label(row), weight, 0.0, 0.0, None)))
+            leaf = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
+            weight = comp_w * plan.weights[leaf.seeds]
+            p_t = leaf.probabilities
+            reduced = reduce_pairs(leaf.frontier, n, plan.output_pairs[leaf.seeds])
+            r_t, post = _accept(protocol, leaf, post=True)
+            out_acc += np.tensordot(weight, reduced, axes=1)
+            cond_acc += np.tensordot(weight, r_t[:, None, None] * reduced if post is None else post, axes=1)
+            success += float(np.dot(weight * p_t, r_t))
+            outputs = reduced / p_t[:, None, None]
+            records.extend(
+                (seed, LeafRecord(comp_idx, seed, label, w, p, r, out))
+                for seed, label, w, p, r, out in zip(
+                    leaf.seeds.tolist(), leaf.labels, weight.tolist(), p_t.tolist(), r_t.tolist(), outputs
                 )
-            pair = protocol.output_pair_for(seed)
-            for transcript, node, p_t in level:  # the last level: the leaves
-                if p_t < PROB_TOL:
-                    continue
-                reduced = node.reduce_pair(n, pair)
-                r_t, post = _accept_info(protocol, seed, transcript, node, p_t, roots)
-                out_acc += weight * reduced
-                if post is None:
-                    cond_acc += weight * r_t * reduced
-                else:
-                    cond_acc += weight * post
-                success += weight * p_t * r_t
-                leaves.append(
-                    LeafRecord(comp_idx, seed, transcript, weight, p_t, r_t, reduced / p_t)
-                )
+            )
+            # per seed: its dead nodes level by level, then its leaves
+            records.sort(key=lambda rec: rec[0])
+            leaves.extend(rec for _, rec in records)
+        if meter is not None:
+            meter.representations.append(meter.form)
 
     output = DensityMatrix(1, 1, out_acc, validate=False)
     conditional = None
@@ -649,6 +777,7 @@ def run(protocol: Protocol, state) -> RunResult:
         success_probability=float(success),
         output=output,
         conditional_output=conditional,
+        stats=None if meter is None else meter.stats(),
     )
 
 
@@ -808,24 +937,20 @@ def make_simple_random_hash(n: int, s: int) -> Protocol:
     rounds = []
     for k in range(s):
         check = n - 1 - k
-        instruments = []
-        listeners = []
-        for seed in seeds:
-            members = round_choices[k][seed[k]]
-            circuit = _parity_circuit(n, members, check)
-            branches = tuple(
-                (np.asarray(_bit_projector(n, check, bit) @ circuit),)
-                for bit in (0, 1)
-            )
-            instruments.append(Instrument(branches=branches))
-            # Alice folds the same parity into her check qubit; the CNOT
-            # layer is what frees the surviving pairs from the check pair
-            listeners.append(circuit)
+        # one instrument and one listener per parity choice, shared by
+        # every seed that makes the choice
+        circuits = [_read_only(_parity_circuit(n, members, check)) for members in round_choices[k]]
+        instruments = [
+            Instrument(branches=tuple((_bit_projector(n, check, bit) @ c,) for bit in (0, 1)))
+            for c in circuits
+        ]
         rounds.append(
             Round(
                 party=BOB,
-                instruments=tuple(instruments),
-                listener_unitaries=tuple(listeners),
+                instruments=tuple(instruments[seed[k]] for seed in seeds),
+                # Alice folds the same parity into her check qubit; the CNOT
+                # layer is what frees the surviving pairs from the check pair
+                listener_unitaries=tuple(circuits[seed[k]] for seed in seeds),
             )
         )
 

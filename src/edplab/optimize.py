@@ -119,18 +119,28 @@ class PairFidelityObjective:
         return self._fidelity(u_alice, u_bob)[0]
 
     def value_and_euclidean_gradient(
-        self, u_alice: np.ndarray, u_bob: np.ndarray
-    ) -> tuple[float, np.ndarray, np.ndarray]:
+        self, u_alice: np.ndarray, u_bob: np.ndarray, alice: bool = True
+    ) -> tuple[float, np.ndarray | None, np.ndarray]:
         """Value and the Euclidean gradients: d/dt f(U_A + tX, U_B) = Re tr(E_A^H X).
 
         With M_i = U_A T_i U_B^T and G_i = L*(L(M_i)) = I_2 (x) L(M_i) / sqrt 2,
         E_A = 2 sum_i w_i G_i conj(U_B) T_i^H, E_B = 2 sum_i w_i G_i^T conj(U_A T_i).
+        G_i is block diagonal, so both contract block by block with the
+        half-size blocks g_i = sqrt 2 w_i L(M_i).  With ``alice=False``,
+        E_A is not computed and comes back as None.
         """
         value, left, overlap = self._fidelity(u_alice, u_bob)
-        g = np.kron(np.eye(2), overlap * (np.sqrt(2.0) * self.weights)[:, None, None])
-        right = np.matmul(self.stack, u_bob.T)  # T_i U_B^T
-        e_alice = np.tensordot(g, right.conj(), axes=([0, 2], [0, 2]))
-        e_bob = np.tensordot(g, left.conj(), axes=([0, 1], [0, 1]))
+        g = overlap * (np.sqrt(2.0) * self.weights)[:, None, None]  # (m, half, half)
+        m, d = len(self.weights), self.d_side
+        # E_B[(c1, c2), b] = sum_{i, a2} g_i[a2, c2] conj(left_i[(c1, a2), b])
+        e_bob = np.tensordot(g, left.reshape(m, 2, d // 2, d).conj(), axes=([0, 1], [0, 2]))
+        e_bob = e_bob.swapaxes(0, 1).reshape(d, d)
+        if not alice:
+            return value, None, e_bob
+        # E_A[(a1, a2), b] = sum_{i, c2} g_i[a2, c2] conj(right_i[b, (a1, c2)])
+        right = np.matmul(self.stack, u_bob.T).reshape(m, d, 2, d // 2)  # T_i U_B^T
+        e_alice = np.tensordot(g, right.conj(), axes=([0, 2], [0, 3]))
+        e_alice = e_alice.transpose(2, 0, 1).reshape(d, d)
         return value, e_alice, e_bob
 
     def value_and_gradient(
@@ -167,7 +177,7 @@ def maximize_pair_fidelity(objective: PairFidelityObjective, config: AscentConfi
                 break
             # each half-step is a polar step in one party: it never lowers the value
             ua = _polar(ea)
-            value, _, eb = objective.value_and_euclidean_gradient(ua, ub)
+            value, _, eb = objective.value_and_euclidean_gradient(ua, ub, alice=False)
             best = max(best, value)
             ub = _polar(eb)
         restart_values.append(best)

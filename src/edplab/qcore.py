@@ -422,40 +422,54 @@ def apply_unitary(state: State, matrix: np.ndarray, qubits: list[Qubit]) -> Stat
 
 
 def _clean_psd_spectrum(vals: np.ndarray, floor: float) -> np.ndarray:
-    """Clamp a PSD spectrum before taking square roots.
+    """Clamp PSD spectra, ascending along the last axis, before taking
+    square roots; leading axes index a stack of matrices.
 
     Entries below ``-floor`` raise (invalid state rather than roundoff).
-    Entries below ``1e-13 * max`` are zeroed: eigensolver noise on true
-    zero modes is ~1e-16 and would otherwise surface as 1e-8 after the
-    square root.
+    Entries below ``1e-13 * max`` of their spectrum are zeroed:
+    eigensolver noise on true zero modes is ~1e-16 and would otherwise
+    surface as 1e-8 after the square root.
     """
-    if vals[0] < -floor:
-        raise InvalidStateError(f"matrix has negative eigenvalue {vals[0]}")
-    cutoff = max(float(vals[-1]), 0.0) * 1e-13
+    low = vals[..., 0].min(initial=np.inf)
+    if low < -floor:
+        raise InvalidStateError(f"matrix has negative eigenvalue {low}")
+    cutoff = np.maximum(vals[..., -1:], 0.0) * 1e-13
     return np.where(vals > cutoff, vals, 0.0)
 
 
 def hermitian_sqrt(mat: np.ndarray, floor: float = STRUCT_TOL) -> np.ndarray:
-    """PSD square root via eigendecomposition with spectrum cleaning."""
+    """PSD square root via eigendecomposition with spectrum cleaning;
+    leading axes index a stack of matrices."""
     vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=np.complex128))
     vals = _clean_psd_spectrum(vals, floor)
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def fidelity(rho: State, sigma: State) -> float:
+def fidelity(rho, sigma):
     """Squared-convention fidelity Tr^2 sqrt(sqrt(rho) sigma sqrt(rho)).
 
-    For rank-1 pure ``sigma`` this equals ``<phi|rho|phi>``.
+    For rank-1 pure ``sigma`` this equals ``<phi|rho|phi>``.  ``rho`` and
+    ``sigma`` are states, giving a float, or density-matrix stacks of
+    shape (..., d, d), giving one fidelity per leading index; a pair of
+    states is evaluated as a stack of one.
     """
+    if isinstance(rho, np.ndarray):
+        return _fidelities(rho, np.asarray(sigma, dtype=np.complex128))
     r = as_density(rho)
     s = as_density(sigma)
     if r.dim != s.dim:
         raise ValueError("fidelity requires equal dimensions")
-    root = hermitian_sqrt(r.matrix)
-    inner = root @ s.matrix @ root
-    vals = np.linalg.eigvalsh((inner + inner.conj().T) / 2.0)
+    return float(_fidelities(r.matrix[None], s.matrix[None])[0])
+
+
+def _fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    if rho.shape[-2:] != sigma.shape[-2:]:
+        raise ValueError("fidelity requires equal dimensions")
+    root = hermitian_sqrt(rho)
+    inner = root @ sigma @ root
+    vals = np.linalg.eigvalsh((inner + inner.conj().swapaxes(-1, -2)) / 2.0)
     vals = _clean_psd_spectrum(vals, STRUCT_TOL)
-    total = float(np.sqrt(vals).sum())
+    total = np.sqrt(vals).sum(axis=-1)
     return total * total
 
 
@@ -484,13 +498,37 @@ def base_fidelity(state: State) -> float:
     """Fidelity of the first qubit pair (Alice 0, Bob 0) with phi+."""
     if state.n_alice < 1 or state.n_bob < 1:
         raise ValueError("base_fidelity needs at least one qubit per party")
-    if state.n_alice == 1 and state.n_bob == 1:
-        reduced: State = state
+    if isinstance(state, PureState):
+        pair = first_pair_states(state.amplitudes, state.n_alice, state.n_bob)
+    elif state.n_alice == 1 and state.n_bob == 1:
+        pair = state.matrix
     else:
-        reduced = partial_trace(state, {(ALICE, 0), (BOB, 0)})
-    if isinstance(reduced, PureState):
-        return epr_fidelity(reduced)
-    return pure_overlap(reduced, bell_state("phi+"))
+        pair = partial_trace(state, {(ALICE, 0), (BOB, 0)}).matrix
+    return float(phi_plus_overlaps(pair))
+
+
+# Stacked forms: leading axes index independent states, so a sweep
+# evaluates a block of instances per call and the scalar functions above
+# and below evaluate a stack of one.
+
+
+def first_pair_states(amps: np.ndarray, n_alice: int, n_bob: int) -> np.ndarray:
+    """(..., 4, 4) reduced states of the first pair (Alice 0, Bob 0) of
+    pure states given as amplitude stacks (..., 2^(n_alice + n_bob))."""
+    lead = amps.shape[:-1]
+    t = amps.reshape(lead + (2, 1 << (n_alice - 1), 2, 1 << (n_bob - 1)))
+    t = t.swapaxes(-3, -2).reshape(lead + (4, 1 << (n_alice + n_bob - 2)))
+    return t @ t.conj().swapaxes(-1, -2)
+
+
+def phi_plus_overlaps(pair: np.ndarray) -> np.ndarray:
+    """<phi+|rho|phi+> of two-qubit matrices (..., 4, 4)."""
+    return (pair[..., 0, 0] + pair[..., 0, 3] + pair[..., 3, 0] + pair[..., 3, 3]).real / 2.0
+
+
+_PAULI_STACK = np.stack([PAULI[label] for label in ("I", "X", "Y", "Z")])
+# U (x) U* on one pair, for U in X, Y, Z
+_BELL_PAIR_OPS = np.stack([np.kron(PAULI[label], PAULI[label].conj()) for label in ("X", "Y", "Z")])
 
 
 def pauli_deviation_sum(phi: PureState, psi: PureState) -> float:
@@ -500,16 +538,20 @@ def pauli_deviation_sum(phi: PureState, psi: PureState) -> float:
     """
     if phi.dim != psi.dim:
         raise ValueError("states must have equal dimensions")
-    total = 0.0
-    for label in ("I", "X", "Y", "Z"):
-        moved = apply_unitary(psi, PAULI[label], [_first_qubit(psi)])
-        amp = np.vdot(phi.amplitudes, moved.amplitudes)
-        total += float(abs(amp) ** 2)
-    return total
+    return float(pauli_deviation_sums(phi.amplitudes[None], psi.amplitudes[None])[0])
 
 
-def _first_qubit(state: State) -> Qubit:
-    return (ALICE, 0) if state.n_alice > 0 else (BOB, 0)
+def pauli_deviation_sums(phi: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """``pauli_deviation_sum`` of amplitude stacks (..., dim).
+
+    Qubit 0 is the leading tensor axis, Alice's first qubit or, with no
+    Alice qubits, Bob's.  With M[a, b] = sum_r conj(phi[a, r]) psi[b, r],
+    <phi|U_0|psi> = sum_ab U[a, b] M[a, b].
+    """
+    a = phi.reshape(phi.shape[:-1] + (2, phi.shape[-1] // 2))
+    b = psi.reshape(psi.shape[:-1] + (2, psi.shape[-1] // 2))
+    overlaps = np.einsum("uab,...ab->...u", _PAULI_STACK, a.conj() @ b.swapaxes(-1, -2))
+    return (np.abs(overlaps) ** 2).sum(axis=-1)
 
 
 def bell_identity_check(phi: PureState) -> tuple[float, float]:
@@ -522,14 +564,15 @@ def bell_identity_check(phi: PureState) -> tuple[float, float]:
     """
     if phi.n_alice < 1 or phi.n_bob < 1:
         raise ValueError("need at least one pair")
-    lhs = 1.0  # <phi|phi>
-    for label in ("X", "Y", "Z"):
-        u = PAULI[label]
-        moved = apply_unitary(phi, u, [(ALICE, 0)])
-        moved = apply_unitary(moved, u.conj(), [(BOB, 0)])
-        term = np.vdot(phi.amplitudes, moved.amplitudes)
-        lhs += float(term.real)
-    return lhs, 4.0 * base_fidelity(phi)
+    lhs, rhs = bell_identity_sides(first_pair_states(phi.amplitudes, phi.n_alice, phi.n_bob))
+    return float(lhs), float(rhs)
+
+
+def bell_identity_sides(pair: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``bell_identity_check`` of normalized pure states given by their
+    first-pair states (..., 4, 4); <phi|phi> is taken as 1."""
+    terms = np.einsum("uab,...ba->...u", _BELL_PAIR_OPS, pair).real
+    return 1.0 + terms.sum(axis=-1), 4.0 * phi_plus_overlaps(pair)
 
 
 _startup_selftest()

@@ -41,13 +41,14 @@ from .locc import (
 )
 from .optimize import AscentConfig, PairFidelityObjective, maximize_pair_fidelity
 from .qcore import (
-    DensityMatrix,
     ProductState,
-    base_fidelity,
-    bell_identity_check,
+    PureState,
+    bell_identity_sides,
     epr_state,
     fidelity,
-    pauli_deviation_sum,
+    first_pair_states,
+    pauli_deviation_sums,
+    phi_plus_overlaps,
 )
 from .rng import substream
 from .sampling import (
@@ -85,11 +86,18 @@ def check_dominance(a: np.ndarray, b: np.ndarray, tol: float = DOMINANCE_TOL) ->
     b = np.asarray(b, dtype=np.complex128)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("dominance needs two square matrices of equal shape")
-    diff = a - b
-    if np.abs(diff - diff.conj().T).max() > 1e-8:
-        raise ValueError("dominance inputs must be Hermitian")
-    low = float(np.linalg.eigvalsh((diff + diff.conj().T) / 2.0)[0])
+    low = float(_dominance_lows(a, b))
     return DominanceReport(min_eigenvalue=low, holds=low >= -tol)
+
+
+def _dominance_lows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Lowest eigenvalue of the Hermitian part of a - b; leading axes
+    index a stack of matrix pairs."""
+    diff = a - b
+    adjoint = diff.conj().swapaxes(-1, -2)
+    if diff.size and np.abs(diff - adjoint).max() > 1e-8:
+        raise ValueError("dominance inputs must be Hermitian")
+    return np.linalg.eigvalsh((diff + adjoint) / 2.0)[..., 0]
 
 
 def povm_dominance_consequence(
@@ -333,66 +341,79 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     SUCC probabilities p (case I) and q (case II) must then satisfy
     q >= p^2 / 2^s.
 
-    The two cases are walked in lockstep, one seed and one level at a
-    time, so memory follows one level of the transcript tree; p and q
-    are summed over the last level, the leaves, as ``run`` sums them.
+    The two cases are walked in lockstep, one seed block and one level
+    at a time, so memory follows one level of the block's trees; each
+    level is checked with one batched eigenvalue call per party.  p and
+    q are summed over the last level, the leaves, as ``run`` sums them.
+    ``worst_node`` is the last failing node in tree order (seed, then
+    depth, then transcript) that set a new lowest margin or whose case
+    II probability vanished.
     """
     n = protocol.n_pairs
     perfect = epr_state(n)
     mixed = ProductState.maximally_mixed(n, n)
     eye = np.eye(1 << n) / (1 << n)
+    weights = np.asarray(protocol.seed_weights)
     initial_ok = True
     min_alice = np.inf
     min_bob = np.inf
-    worst: tuple[int, str] | None = None
     checked = 0
-    ok = True
     success = [0.0, 0.0]  # p and q
-    for seed, weight in enumerate(protocol.seed_weights):
-        if weight == 0.0:
-            continue
-        walks = zip(locc.walk(protocol, perfect, seed), locc.walk(protocol, mixed, seed))
-        for depth, (level1, level2) in enumerate(walks):
+    # failing nodes as (seed, depth, row, transcript, alice low, bob low):
+    # a low is None where that party holds, both are None where case II
+    # vanished under a live case-I node
+    failures: list[tuple[int, int, int, str, float | None, float | None]] = []
+    live_seeds = np.flatnonzero(weights != 0.0)
+    for block in locc.seed_blocks(protocol, (perfect, mixed), live_seeds):
+        walks = zip(locc.walk(protocol, perfect, block), locc.walk(protocol, mixed, block))
+        for level1, level2 in walks:
+            depth = level1.depth
             if depth == protocol.bits:
                 for case, level in enumerate((level1, level2)):
-                    for label, node, p_t in level:
-                        if p_t >= locc.PROB_TOL:
-                            r_t = locc.accept_probability(protocol, seed, label, node, p_t)
-                            success[case] += weight * p_t * r_t
-            case1 = {label: (node, p) for label, node, p in level1}
-            for label, node2, p2 in level2:
-                node1, p1 = case1.get(label, (None, 0.0))
-                if label == "":
-                    initial_ok &= all(
-                        bool(np.abs(local / p - eye).max() <= 1e-10)
-                        for node, p in ((node1, p1), (node2, p2))
-                        for local in node.local_states()
-                    )
-                if p1 <= locc.PROB_TOL:
-                    continue
-                if p2 <= locc.PROB_TOL:
-                    # dominated-by-zero is only possible if case I vanished too
-                    ok = False
-                    worst = (seed, label)
-                    continue
-                checked += 1
-                alice1, bob1 = (local / p1 for local in node1.local_states())
-                alice2, bob2 = (local / p2 for local in node2.local_states())
-                rep_a = check_dominance(alice2, p1 * alice1, tol)
-                rep_b = check_dominance(bob2, p1 * bob1, tol)
-                if rep_a.min_eigenvalue < min_alice:
-                    min_alice = rep_a.min_eigenvalue
-                    if not rep_a.holds:
-                        worst = (seed, label)
-                if rep_b.min_eigenvalue < min_bob:
-                    min_bob = rep_b.min_eigenvalue
-                    if not rep_b.holds:
-                        worst = (seed, label)
-                ok = ok and rep_a.holds and rep_b.holds
+                    leaves = level.take(np.flatnonzero(level.probabilities >= locc.PROB_TOL))
+                    r_t = locc.accept_probability(protocol, leaves)
+                    success[case] += float(np.dot(weights[leaves.seeds] * leaves.probabilities, r_t))
+            if depth == 0:
+                initial_ok &= all(
+                    bool(np.abs(local / level.probabilities[:, None, None] - eye).max() <= 1e-10)
+                    for level in (level1, level2)
+                    for local in level.local_states()
+                )
+            # the case-I row of every case-II node, by (seed, transcript)
+            keys1 = (level1.seeds << depth) | level1.codes
+            keys2 = (level2.seeds << depth) | level2.codes
+            rows1 = np.minimum(np.searchsorted(keys1, keys2), max(len(keys1) - 1, 0))
+            found = keys1[rows1] == keys2 if len(keys1) else np.zeros(len(keys2), dtype=bool)
+            p1 = np.where(found, level1.probabilities[rows1], 0.0)
+            p2 = level2.probabilities
+            live = p1 > locc.PROB_TOL
+            # dominated-by-zero is only possible if case I vanished too
+            for row in np.flatnonzero(live & (p2 <= locc.PROB_TOL)).tolist():
+                failures.append((int(level2.seeds[row]), depth, row, level2.label(row), None, None))
+            rows2 = np.flatnonzero(live & (p2 > locc.PROB_TOL))
+            if not len(rows2):
+                continue
+            checked += len(rows2)
+            # p_t sigma_t^I is case I's unnormalized local state
+            alice1, bob1 = level1.frontier.take(rows1[rows2]).local_states()
+            q2 = p2[rows2][:, None, None]
+            alice2, bob2 = (local / q2 for local in level2.frontier.take(rows2).local_states())
+            low_a = _dominance_lows(alice2, alice1)
+            low_b = _dominance_lows(bob2, bob1)
+            min_alice = min(min_alice, float(low_a.min()))
+            min_bob = min(min_bob, float(low_b.min()))
+            for i in np.flatnonzero((low_a < -tol) | (low_b < -tol)).tolist():
+                row = int(rows2[i])
+                failures.append((
+                    int(level2.seeds[row]), depth, row, level2.label(row),
+                    float(low_a[i]) if low_a[i] < -tol else None,
+                    float(low_b[i]) if low_b[i] < -tol else None,
+                ))
 
+    worst = _worst_node(failures)
     p, q = success
     margin = q - p * p / (1 << protocol.bits)
-    ok = ok and initial_ok and margin >= -tol
+    ok = not failures and initial_ok and margin >= -tol
     return SplittingReport(
         n=n,
         bits=protocol.bits,
@@ -408,6 +429,22 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     )
 
 
+def _worst_node(failures: list) -> tuple[int, str] | None:
+    """Replay the failing nodes in tree order: the last one that vanished
+    in case II or set a new lowest failing margin for a party."""
+    worst = None
+    lowest = [np.inf, np.inf]
+    for seed, _, _, label, *lows in sorted(failures, key=lambda f: f[:3]):
+        node = (seed, label)
+        if lows == [None, None]:
+            worst = node
+        for party, low in enumerate(lows):
+            if low is not None and low < lowest[party]:
+                lowest[party] = low
+                worst = node
+    return worst
+
+
 # ---------------------------------------------------------------------------
 # fidelity-model bounds
 
@@ -419,13 +456,35 @@ def verify_neg_fidelity(protocol: Protocol, epsilon: float, tol: float = DOMINAN
     evaluated exactly on the canonical witness, which is enough because
     the ceiling is claimed for every model member.
     """
+    return _neg_fidelity(protocol, epsilon, tol, _witness_conditional(protocol, epsilon))
+
+
+def pos_fidelity_report(n: int, s: int, epsilon: float, tol: float = DOMINANCE_TOL) -> BoundReport:
+    """Check the parity-hash achievability 1 - 2^-s/(1-eps) on the witness."""
+    achieved = _witness_conditional(locc.make_simple_random_hash(n, s), epsilon)
+    return _pos_fidelity(n, s, epsilon, tol, achieved)
+
+
+def hash_fidelity_reports(n: int, s: int, epsilon: float, tol: float = DOMINANCE_TOL) -> list[BoundReport]:
+    """``pos_fidelity_report`` and ``verify_neg_fidelity`` of the parity
+    hash, from one build of the protocol and one witness evaluation."""
+    proto = locc.make_simple_random_hash(n, s)
+    achieved = _witness_conditional(proto, epsilon)
+    return [_pos_fidelity(n, s, epsilon, tol, achieved), _neg_fidelity(proto, epsilon, tol, achieved)]
+
+
+def _witness_conditional(protocol: Protocol, epsilon: float) -> float:
+    return conditional_fidelity(protocol, FidelityModel(protocol.n_pairs, epsilon))
+
+
+def _neg_fidelity(protocol: Protocol, epsilon: float, tol: float, achieved: float) -> BoundReport:
     n = protocol.n_pairs
     s = protocol.bits
     p = ideal_success_probability(protocol)
     return BoundReport(
         theorem="neg-fidelity",
         params={"n": n, "s": s, "epsilon": epsilon},
-        achieved=conditional_fidelity(protocol, FidelityModel(n, epsilon)),
+        achieved=achieved,
         bound=1.0 - epsilon * p / (2.0 ** (s + 1)),
         direction="upper",
         tol=tol,
@@ -433,13 +492,11 @@ def verify_neg_fidelity(protocol: Protocol, epsilon: float, tol: float = DOMINAN
     )
 
 
-def pos_fidelity_report(n: int, s: int, epsilon: float, tol: float = DOMINANCE_TOL) -> BoundReport:
-    """Check the parity-hash achievability 1 - 2^-s/(1-eps) on the witness."""
-    proto = locc.make_simple_random_hash(n, s)
+def _pos_fidelity(n: int, s: int, epsilon: float, tol: float, achieved: float) -> BoundReport:
     return BoundReport(
         theorem="pos-fidelity",
         params={"n": n, "s": s, "epsilon": epsilon},
-        achieved=conditional_fidelity(proto, FidelityModel(n, epsilon)),
+        achieved=achieved,
         bound=1.0 - 2.0**-s / (1.0 - epsilon),
         direction="lower",
         tol=tol,
@@ -508,6 +565,55 @@ def _sweep(name, seed, count, tolerance, margins) -> LemmaReport:
     )
 
 
+LEMMA_BLOCK = 100  # instances per stacked margin evaluation
+
+
+def _blocked_margins(count: int, draw, margins) -> list[float]:
+    """Margins of ``count`` instances.  ``draw(i)`` makes instance i, in
+    order, so the generator is consumed exactly as one instance at a
+    time would; ``margins`` evaluates a block of up to ``LEMMA_BLOCK``
+    instances at once."""
+    out: list[float] = []
+    for start in range(0, count, LEMMA_BLOCK):
+        block = [draw(i) for i in range(start, min(start + LEMMA_BLOCK, count))]
+        out.extend(margins(block).tolist())
+    return out
+
+
+def _by_shape(block: list, shape, evaluate) -> np.ndarray:
+    """``evaluate`` on each group of instances with equal ``shape(instance)``,
+    its results scattered back into block order."""
+    groups: dict[Any, list[int]] = {}
+    for i, instance in enumerate(block):
+        groups.setdefault(shape(instance), []).append(i)
+    out = np.empty(len(block))
+    for rows in groups.values():
+        out[rows] = evaluate([block[i] for i in rows])
+    return out
+
+
+def _amplitudes(states) -> np.ndarray:
+    return np.stack([st.amplitudes for st in states])
+
+
+def _projectors(states) -> np.ndarray:
+    return np.stack([np.outer(st.amplitudes, st.amplitudes.conj()) for st in states])
+
+
+def _first_pairs(states) -> np.ndarray:
+    """(len, 4, 4) first-pair states of equally shaped pure states, or
+    the matrices of two-qubit density matrices."""
+    first = states[0]
+    if isinstance(first, PureState):
+        return first_pair_states(_amplitudes(states), first.n_alice, first.n_bob)
+    return np.stack([st.matrix for st in states])
+
+
+def _channel(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """sum_k K rho K^dag for stacks of zero-padded Kraus sets (len, k, d, d)."""
+    return (kraus @ rho[:, None] @ kraus.conj().swapaxes(-1, -2)).sum(axis=1)
+
+
 def lemma_suite(
     seed: int = 0, count: int = 1000, tolerance_override: float | None = None
 ) -> list[LemmaReport]:
@@ -517,7 +623,9 @@ def lemma_suite(
     violation; the reports record the worst margin seen.  Tolerances
     are fixed per lemma; ``tolerance_override`` replaces them all
     (setting it below float noise, e.g. 1e-15, is the documented way to
-    demonstrate the failure mode).
+    demonstrate the failure mode).  Instances are drawn one at a time
+    through the validated samplers and evaluated in stacked blocks of
+    ``LEMMA_BLOCK``.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -528,66 +636,101 @@ def lemma_suite(
     def tol(default: float) -> float:
         return default if tolerance_override is None else tolerance_override
 
+    def sweep(name: str, default_tol: float, draw, margins) -> None:
+        reports.append(_sweep(name, seed, count, tol(default_tol), _blocked_margins(count, draw, margins)))
+
     gen = substream(seed, "lemma", "pauli-deviation")
-    margins = []
-    for _ in range(count):
+
+    def pauli_pair(_):
         total = int(gen.integers(2, 6))
         na = int(gen.integers(1, total))
-        phi = random_pure_state(gen, na, total - na)
-        psi = random_pure_state(gen, na, total - na)
-        margins.append(2.0 - pauli_deviation_sum(phi, psi))
-    reports.append(_sweep("pauli-deviation-cap", seed, count, tol(1e-9), margins))
+        return random_pure_state(gen, na, total - na), random_pure_state(gen, na, total - na)
+
+    sweep(
+        "pauli-deviation-cap", 1e-9, pauli_pair,
+        lambda block: 2.0 - _by_shape(
+            block,
+            lambda pair: pair[0].dim,
+            lambda pairs: pauli_deviation_sums(
+                _amplitudes(phi for phi, _ in pairs), _amplitudes(psi for _, psi in pairs)
+            ),
+        ),
+    )
 
     gen = substream(seed, "lemma", "bell-identity")
-    margins = []
-    for _ in range(count):
+
+    def bell_state_draw(_):
         na = int(gen.integers(1, 3))
         nb = int(gen.integers(1, 3))
-        lhs, rhs = bell_identity_check(random_pure_state(gen, na, nb))
-        margins.append(-abs(lhs - rhs))
-    reports.append(_sweep("bell-base-fidelity-identity", seed, count, tol(1e-10), margins))
+        return random_pure_state(gen, na, nb)
+
+    def bell_margins(states) -> np.ndarray:
+        lhs, rhs = bell_identity_sides(_first_pairs(states))
+        return -np.abs(lhs - rhs)
+
+    sweep(
+        "bell-base-fidelity-identity", 1e-10, bell_state_draw,
+        lambda block: _by_shape(block, lambda st: (st.n_alice, st.n_bob), bell_margins),
+    )
 
     gen = substream(seed, "lemma", "disentangled-cap")
-    margins = []
-    for i in range(count):
+
+    def disentangled(i):
         if i % 2 == 0:
-            state = random_product_pure(gen, int(gen.integers(1, 3)), int(gen.integers(1, 3)))
-            margins.append(0.5 - base_fidelity(state))
-        else:
-            mix = random_separable_mixture(gen, 1, 1, terms=int(gen.integers(2, 5)))
-            margins.append(0.5 - base_fidelity(mix))
-    reports.append(_sweep("disentangled-base-fidelity-cap", seed, count, tol(1e-9), margins))
+            return random_product_pure(gen, int(gen.integers(1, 3)), int(gen.integers(1, 3)))
+        return random_separable_mixture(gen, 1, 1, terms=int(gen.integers(2, 5)))
+
+    sweep(
+        "disentangled-base-fidelity-cap", 1e-9, disentangled,
+        lambda block: 0.5 - _by_shape(
+            block,
+            lambda st: (type(st), st.n_alice, st.n_bob),
+            lambda states: phi_plus_overlaps(_first_pairs(states)),
+        ),
+    )
 
     gen = substream(seed, "lemma", "linearity")
-    margins = []
-    for _ in range(count):
+
+    def linearity(_):
         sigma = random_pure_state(gen, 1, 1)
         k = int(gen.integers(2, 5))
         weights = gen.dirichlet(np.ones(k))
         members = [random_pure_state(gen, 1, 1) for _ in range(k)]
-        mix = np.zeros((4, 4), dtype=np.complex128)
-        for w, m in zip(weights, members):
-            mix += w * np.outer(m.amplitudes, m.amplitudes.conj())
-        combined = fidelity(DensityMatrix(1, 1, mix, validate=False), sigma)
-        split = sum(w * fidelity(m, sigma) for w, m in zip(weights, members))
-        margins.append(-abs(combined - split))
-    reports.append(_sweep("fidelity-linearity", seed, count, tol(1e-9), margins))
+        return sigma, weights, members
+
+    def linearity_margins(block) -> np.ndarray:
+        sigmas = _projectors(sigma for sigma, _, _ in block)
+        mixes = np.zeros_like(sigmas)
+        for mix, (_, weights, members) in zip(mixes, block):
+            for w, m in zip(weights, members):
+                mix += w * np.outer(m.amplitudes, m.amplitudes.conj())
+        combined = fidelity(mixes, sigmas)
+        # every member against its instance's sigma, in one stack
+        owner = np.repeat(np.arange(len(block)), [len(members) for _, _, members in block])
+        parts = iter(fidelity(_projectors(m for _, _, members in block for m in members), sigmas[owner]))
+        split = [sum(w * next(parts) for w in weights) for _, weights, _ in block]
+        return -np.abs(combined - np.asarray(split))
+
+    sweep("fidelity-linearity", 1e-9, linearity, linearity_margins)
 
     gen = substream(seed, "lemma", "monotonicity")
-    margins = []
-    for _ in range(count):
+
+    def monotonicity(_):
         rho = random_density_matrix(gen, 1, 0)
         sigma = random_density_matrix(gen, 1, 0)
-        kraus = random_kraus_channel(gen, 2, n_kraus=int(gen.integers(2, 4)))
-        before = fidelity(rho, sigma)
-        rho2 = sum(k @ rho.matrix @ k.conj().T for k in kraus)
-        sigma2 = sum(k @ sigma.matrix @ k.conj().T for k in kraus)
-        after = fidelity(
-            DensityMatrix(1, 0, rho2, validate=False),
-            DensityMatrix(1, 0, sigma2, validate=False),
-        )
-        margins.append(after - before)
-    reports.append(_sweep("fidelity-monotonicity", seed, count, tol(1e-9), margins))
+        return rho, sigma, random_kraus_channel(gen, 2, n_kraus=int(gen.integers(2, 4)))
+
+    def monotonicity_margins(block) -> np.ndarray:
+        rhos = np.stack([rho.matrix for rho, _, _ in block])
+        sigmas = np.stack([sigma.matrix for _, sigma, _ in block])
+        kraus = np.zeros((len(block), max(len(ks) for _, _, ks in block), 2, 2), dtype=np.complex128)
+        for padded, (_, _, ks) in zip(kraus, block):
+            padded[: len(ks)] = ks
+        before = fidelity(rhos, sigmas)
+        after = fidelity(_channel(kraus, rhos), _channel(kraus, sigmas))
+        return after - before
+
+    sweep("fidelity-monotonicity", 1e-9, monotonicity, monotonicity_margins)
 
     return reports
 

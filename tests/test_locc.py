@@ -14,6 +14,7 @@ from edplab.errmodels import (
     fidelity_witness,
 )
 from edplab.locc import (
+    PROB_TOL,
     AlwaysAccept,
     ConditionalOutputUndefined,
     ConstantAccept,
@@ -36,12 +37,13 @@ from edplab.qcore import (
     ALICE,
     BOB,
     DensityMatrix,
+    ProductState,
     base_fidelity,
     bell_state,
     epr_state,
     tensor,
 )
-from edplab.sampling import random_density_matrix
+from edplab.sampling import random_density_matrix, random_kraus_channel
 
 
 def measure_z_instrument(n: int, qubit: int) -> Instrument:
@@ -126,14 +128,13 @@ def test_martingale_node_probabilities():
     rng = np.random.default_rng(101)
     proto = random_protocol(rng, 2, 3)
     state = random_density_matrix(rng, 2, 2)
-    for seed in range(proto.n_seeds):
-        levels = list(walk(proto, state, seed))
-        assert len(levels) == proto.bits + 1
-        for level, children in zip(levels, levels[1:]):
-            probability = {label: p for label, _, p in children}
-            for label, _, p in level:
-                total = sum(probability.get(label + bit, 0.0) for bit in "01")
-                assert p == pytest.approx(total, abs=1e-10)
+    levels = list(walk(proto, state))
+    assert len(levels) == proto.bits + 1
+    for level, children in zip(levels, levels[1:]):
+        probability = dict(zip(zip(children.seeds, children.labels), children.probabilities))
+        for seed, label, p in zip(level.seeds, level.labels, level.probabilities):
+            total = sum(probability.get((seed, label + bit), 0.0) for bit in "01")
+            assert p == pytest.approx(total, abs=1e-10)
 
 
 def test_zero_round_protocol_commutes_with_mixing():
@@ -175,9 +176,9 @@ def test_input_shape_rejected():
 # local-state splitting behaviour
 
 
-def _bob_local(node, probability):
-    """Bob's normalized local state at a ``walk`` node."""
-    return node.local_states()[1] / probability
+def _bob_local(level, row):
+    """Bob's normalized local state at a row of a ``walk`` level."""
+    return level.local_states()[1][row] / level.probabilities[row]
 
 
 def test_receiver_state_unchanged_for_product_input():
@@ -192,10 +193,11 @@ def test_receiver_state_unchanged_for_product_input():
     alice_part = random_density_matrix(rng, 1, 0)
     bob_part = random_density_matrix(rng, 0, 1)
     product = tensor(alice_part, bob_part)
-    ((_, root, p_root),), children = walk(proto, product, 0)
-    for _, child, p in children:
+    root, children = walk(proto, product)
+    (_,) = root.probabilities
+    for row, p in enumerate(children.probabilities):
         if p > 1e-12:
-            np.testing.assert_allclose(_bob_local(child, p), _bob_local(root, p_root), atol=1e-10)
+            np.testing.assert_allclose(_bob_local(children, row), _bob_local(root, 0), atol=1e-10)
 
 
 def test_receiver_state_splits_as_mixture_for_entangled_input():
@@ -206,11 +208,12 @@ def test_receiver_state_splits_as_mixture_for_entangled_input():
         accept=AlwaysAccept(),
         output_pair=(0,),
     )
-    ((_, root, p_root),), children = walk(proto, bell_state("phi+"), 0)
+    root, children = walk(proto, bell_state("phi+"))
+    (p_root,) = root.probabilities
     mix = np.zeros((2, 2), dtype=np.complex128)
-    for _, child, p in children:
-        mix += p * _bob_local(child, p)
-    np.testing.assert_allclose(mix / p_root, _bob_local(root, p_root), atol=1e-10)
+    for row, p in enumerate(children.probabilities):
+        mix += p * _bob_local(children, row)
+    np.testing.assert_allclose(mix / p_root, _bob_local(root, 0), atol=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -534,3 +537,65 @@ def test_povm_accept_keeps_a_read_only_copy_of_each_shared_element():
     assert not acc.elements[(1, "")].flags.writeable
     with pytest.raises(ValueError):
         acc.elements[(1, "")][0, 0] = 0.0
+
+
+# ---------------------------------------------------------------------------
+# run statistics
+
+
+def test_run_stats_count_each_round_and_leave_the_result_unchanged():
+    proto = make_simple_random_hash(3, 2)
+    # definite bits on both check pairs make some round-0 outcomes impossible
+    pure = error_state(IndicatorVector.from_string("*00"))
+    product = ProductState.maximally_mixed(3, 3)
+    weighted = [(0.5, pure), (0.5, product)]
+    plain = run(proto, weighted)
+    assert plain.stats is None
+    result = run(proto, weighted, stats=True)
+    assert [(l.component, l.seed, l.transcript, l.probability) for l in result.leaves] == [
+        (l.component, l.seed, l.transcript, l.probability) for l in plain.leaves
+    ]
+    assert result.success_probability == plain.success_probability
+    stats = result.stats
+    assert stats.representations == ("pure", "product")
+    assert stats.seed_blocks == 2
+    assert len(stats.rounds) == proto.bits
+    levels = [list(walk(proto, state)) for state in (pure, product)]
+    for depth, rnd in enumerate(stats.rounds):
+        parents = [comp[depth].probabilities for comp in levels]
+        assert rnd.expanded == sum(int((p >= PROB_TOL).sum()) for p in parents)
+        assert rnd.pruned == sum(int((p < PROB_TOL).sum()) for p in parents)
+        assert rnd.frontier_bytes == max(comp[depth + 1].frontier.nbytes for comp in levels)
+        assert rnd.seconds >= 0.0
+    assert sum(r.pruned for r in stats.rounds) > 0
+    assert stats.peak_frontier_bytes == max(r.frontier_bytes for r in stats.rounds)
+
+
+def test_run_stats_name_a_pure_component_that_turns_dense():
+    rng = np.random.default_rng(12)
+    proto = random_protocol(rng, 1, 2, kraus_per_branch=2)
+    result = run(proto, [(0.5, bell_state("phi+")), (0.5, random_density_matrix(rng, 1, 1))], stats=True)
+    assert result.stats.representations == ("pure->dense", "dense")
+
+
+def test_protocol_stacks_each_distinct_operator_once():
+    from edplab import serialize
+
+    proto = make_simple_random_hash(4, 3)
+    loaded = serialize.protocol_from_json(serialize.protocol_to_json(proto))
+    for p in (proto, loaded):
+        plan = p._plan
+        assert plan is p._plan  # built once per protocol
+        # one row per parity choice, not per seed
+        assert [rnd.ops.shape[:3] for rnd in plan.rounds] == [(8, 2, 1), (4, 2, 1), (2, 2, 1)]
+        assert [rnd.listeners.shape[0] for rnd in plan.rounds] == [8, 4, 2]
+        assert len(plan.elements) == 8
+    # a branch with fewer Kraus operators is padded with zero operators
+    rng = np.random.default_rng(8)
+    k0, k1, k2 = random_kraus_channel(rng, 2, n_kraus=3)
+    instrument = Instrument(branches=((k0,), (k1, k2)))
+    proto = Protocol(1, (1.0,), (Round(ALICE, (instrument,)),), AlwaysAccept(), (0,))
+    ops = proto._plan.rounds[0].ops
+    assert ops.shape == (1, 2, 2, 2, 2)
+    np.testing.assert_array_equal(ops[0, 0, 1], 0.0)
+    np.testing.assert_array_equal(ops[0, 1, 1], k2)

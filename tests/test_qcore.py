@@ -394,3 +394,53 @@ def test_density_matrix_validate_is_not_stored():
     unchecked = DensityMatrix(1, 1, mat, validate=False)
     np.testing.assert_array_equal(checked.matrix, unchecked.matrix)
     assert "validate" not in repr(unchecked)
+
+
+# ---------------------------------------------------------------------------
+# stacked forms
+
+
+def test_stacked_fidelity_and_sqrt_equal_a_per_matrix_loop():
+    rng = np.random.default_rng(909)
+    for n_qubits, rank in ((1, None), (2, None), (2, 1), (3, 2)):
+        rhos = [random_density_matrix(rng, n_qubits, 0, rank=rank) for _ in range(9)]
+        sigmas = [random_density_matrix(rng, n_qubits, 0) for _ in range(9)]
+        rho_stack = np.stack([r.matrix for r in rhos])
+        sigma_stack = np.stack([s.matrix for s in sigmas])
+        stacked = fidelity(rho_stack, sigma_stack)
+        assert stacked.shape == (9,)
+        for value, r, s in zip(stacked, rhos, sigmas):
+            assert value == pytest.approx(fidelity(r, s), abs=1e-12)
+        roots = qcore.hermitian_sqrt(rho_stack)
+        for root, r in zip(roots, rhos):
+            np.testing.assert_allclose(root, qcore.hermitian_sqrt(r.matrix), atol=1e-12)
+        # two leading axes, and a stack of one
+        grid = fidelity(rho_stack.reshape(3, 3, *rho_stack.shape[1:]), sigma_stack.reshape(3, 3, *sigma_stack.shape[1:]))
+        np.testing.assert_allclose(grid.reshape(-1), stacked, atol=1e-15)
+        assert fidelity(rho_stack[:1], sigma_stack[:1])[0] == pytest.approx(stacked[0], abs=1e-15)
+
+
+def test_stacked_sqrt_rejects_any_negative_member():
+    good = random_density_matrix(np.random.default_rng(3), 1, 0).matrix
+    bad = np.diag([1.5, -0.5]).astype(np.complex128)
+    with pytest.raises(InvalidStateError, match="-0.5"):
+        qcore.hermitian_sqrt(np.stack([good, bad, good]))
+
+
+def test_stacked_pure_forms_match_the_state_functions():
+    rng = np.random.default_rng(404)
+    for na, nb in ((1, 1), (1, 2), (2, 1), (2, 2)):
+        phis = [random_pure_state(rng, na, nb) for _ in range(5)]
+        psis = [random_pure_state(rng, na, nb) for _ in range(5)]
+        phi_amps = np.stack([p.amplitudes for p in phis])
+        psi_amps = np.stack([p.amplitudes for p in psis])
+        sums = qcore.pauli_deviation_sums(phi_amps, psi_amps)
+        pairs = qcore.first_pair_states(phi_amps, na, nb)
+        lhs, rhs = qcore.bell_identity_sides(pairs)
+        overlaps = qcore.phi_plus_overlaps(pairs)
+        for i, (phi, psi) in enumerate(zip(phis, psis)):
+            assert sums[i] == pytest.approx(pauli_deviation_sum(phi, psi), abs=1e-12)
+            reference = partial_trace(phi, {(ALICE, 0), (BOB, 0)})
+            np.testing.assert_allclose(pairs[i], reference.matrix, atol=1e-12)
+            assert (lhs[i], rhs[i]) == pytest.approx(bell_identity_check(phi), abs=1e-12)
+            assert overlaps[i] == pytest.approx(pure_overlap(reference, bell_state("phi+")), abs=1e-12)

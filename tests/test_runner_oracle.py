@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edplab.errmodels import fidelity_witness, fidelity_witness_components
+from edplab import locc
+from edplab.errmodels import MeasureRModel, fidelity_witness, fidelity_witness_components
 from edplab.locc import (
     PROB_TOL,
     AlwaysAccept,
@@ -209,15 +210,14 @@ def assert_run_matches(a, b, atol=1e-12):
 def assert_walks_match(protocol, state_a, state_b, atol=1e-12):
     """The transcript trees of two inputs agree node by node: the same
     labels, probabilities and normalized local states."""
-    for seed in range(protocol.n_seeds):
-        levels = zip(walk(protocol, state_a, seed), walk(protocol, state_b, seed), strict=True)
-        for level_a, level_b in levels:
-            assert [label for label, _, _ in level_a] == [label for label, _, _ in level_b]
-            for (_, node_a, pa), (_, node_b, pb) in zip(level_a, level_b):
-                assert pa == pytest.approx(pb, abs=atol)
-                if pb >= PROB_TOL:
-                    for local_a, local_b in zip(node_a.local_states(), node_b.local_states()):
-                        np.testing.assert_allclose(local_a / pa, local_b / pb, atol=atol)
+    for level_a, level_b in zip(walk(protocol, state_a), walk(protocol, state_b), strict=True):
+        assert list(zip(level_a.seeds, level_a.labels)) == list(zip(level_b.seeds, level_b.labels))
+        locals_a, locals_b = level_a.local_states(), level_b.local_states()
+        for row, (pa, pb) in enumerate(zip(level_a.probabilities, level_b.probabilities)):
+            assert pa == pytest.approx(pb, abs=atol)
+            if pb >= PROB_TOL:
+                for local_a, local_b in zip(locals_a, locals_b):
+                    np.testing.assert_allclose(local_a[row] / pa, local_b[row] / pb, atol=atol)
 
 
 def _builtin_protocols(n):
@@ -309,15 +309,63 @@ def test_workspace_instruments_on_product_nodes():
     state = ProductState(random_density_matrix(gen, n, 0), random_density_matrix(gen, 0, n))
     assert_run_matches(run(proto, state), run(proto, state.to_density()))
     assert_walks_match(proto, state, state.to_density())
-    *_, leaves = walk(proto, state, 0)
-    nodes = {label: (node, p) for label, node, p in leaves}
+    *_, leaves = walk(proto, state)
+    rows = {label: row for row, label in enumerate(leaves.labels)}
+    alice_locals, bob_locals = leaves.local_states()
     for bit_a in (0, 1):
         alice = _workspace_channel(instr_a.branches[bit_a], state.alice.matrix, 1)
         for bit_b in (0, 1):
             bob = _workspace_channel(instr_b.branches[bit_b], state.bob.matrix, 2)
             p = float(np.trace(alice).real * np.trace(bob).real)
-            node, probability = nodes[f"{bit_a}{bit_b}"]
+            row = rows[f"{bit_a}{bit_b}"]
+            probability = leaves.probabilities[row]
             assert probability == pytest.approx(p, abs=1e-12)
-            alice_local, bob_local = (local / probability for local in node.local_states())
+            alice_local, bob_local = alice_locals[row] / probability, bob_locals[row] / probability
             np.testing.assert_allclose(alice_local, alice / np.trace(alice), atol=1e-12)
             np.testing.assert_allclose(bob_local, bob / np.trace(bob), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# seed blocks
+
+
+def _block_cases():
+    gen = np.random.default_rng(31)
+    yield make_simple_random_hash(3, 2), fidelity_witness_components(3, 0.3)
+    yield make_simple_random_hash(4, 2), MeasureRModel(4, 2).run_inputs()[3]
+    proto = random_protocol(
+        gen, 2, 2, n_seeds=6, kraus_per_branch=2, accept_kind="povm", with_listeners=True
+    )
+    yield proto, random_density_matrix(gen, 2, 2)
+    proto = random_protocol(gen, 2, 3, n_seeds=5, accept_kind="constant", with_listeners=True)
+    yield proto, ProductState(random_density_matrix(gen, 2, 0), random_density_matrix(gen, 0, 2))
+    yield random_protocol(gen, 1, 2, n_seeds=4, kraus_per_branch=2), random_pure_state(gen, 1, 1)
+
+
+def _seed_bytes(proto, state):
+    """Bytes one seed's widest level takes, per input component, as
+    ``locc.seed_blocks`` counts them."""
+    components = state if isinstance(state, list) else [(1.0, state)]
+    return [locc._row_bytes(proto, st) << proto.bits for _, st in components]
+
+
+@pytest.mark.parametrize("seeds_per_block", [1, 3])
+def test_seed_blocks_leave_the_run_unchanged(monkeypatch, seeds_per_block):
+    monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", 1 << 40)
+    cases = list(_block_cases())
+    whole = [run(proto, state, stats=True) for proto, state in cases]
+    for (proto, state), reference in zip(cases, whole):
+        sizes = _seed_bytes(proto, state)
+        assert reference.stats.seed_blocks == len(sizes)  # one block per component
+        budget = seeds_per_block * max(sizes)
+        monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget)
+        chunked = run(proto, state, stats=True)
+        blocks = sum(-(-proto.n_seeds // (budget // size)) for size in sizes)
+        assert chunked.stats.seed_blocks == blocks
+        if seeds_per_block == 1:
+            assert blocks >= 4
+        assert_run_matches(chunked, reference)
+        assert [leaf.weight for leaf in chunked.leaves] == [leaf.weight for leaf in reference.leaves]
+        assert [(r.expanded, r.pruned) for r in chunked.stats.rounds] == [
+            (r.expanded, r.pruned) for r in reference.stats.rounds
+        ]

@@ -14,11 +14,21 @@ from edplab.locc import (
     random_protocol,
 )
 from edplab.optimize import AscentConfig
+from edplab.qcore import (
+    DensityMatrix,
+    base_fidelity,
+    bell_identity_check,
+    fidelity,
+    pauli_deviation_sum,
+)
 from edplab.rng import substream
 from edplab.sampling import (
     random_density_matrix,
     random_kraus_channel,
     random_povm_element,
+    random_product_pure,
+    random_pure_state,
+    random_separable_mixture,
 )
 
 QUICK = AscentConfig(restarts=3, steps=300, seed=11)
@@ -223,6 +233,15 @@ def test_neg_fidelity_on_random_protocols():
         assert rep.passed, (i, rep)
 
 
+def test_hash_fidelity_reports_equal_the_separate_reports():
+    for n, s, eps in ((2, 1, 0.1), (3, 2, 0.25), (4, 1, 0.2)):
+        joint = [rep.to_record() for rep in verify.hash_fidelity_reports(n, s, eps)]
+        assert joint == [
+            verify.pos_fidelity_report(n, s, eps).to_record(),
+            verify.verify_neg_fidelity(make_simple_random_hash(n, s), eps).to_record(),
+        ]
+
+
 def test_pos_fidelity_reports():
     for n, s, eps in ((2, 1, 0.1), (2, 1, 0.25), (3, 2, 0.25)):
         rep = verify.pos_fidelity_report(n, s, eps)
@@ -263,6 +282,75 @@ def test_lemma_suite_passes_and_is_deterministic():
 def test_lemma_suite_tolerance_override_fails():
     reports = verify.lemma_suite(seed=5, count=60, tolerance_override=1e-15)
     assert any(not r.passed for r in reports)
+
+
+def _scalar_margins(seed, count):
+    """The five lemma margin lists, drawn as ``lemma_suite`` draws them and
+    evaluated one instance at a time through the state-level functions."""
+    out = []
+    gen = substream(seed, "lemma", "pauli-deviation")
+    margins = []
+    for _ in range(count):
+        total = int(gen.integers(2, 6))
+        na = int(gen.integers(1, total))
+        phi = random_pure_state(gen, na, total - na)
+        psi = random_pure_state(gen, na, total - na)
+        margins.append(2.0 - pauli_deviation_sum(phi, psi))
+    out.append(margins)
+    gen = substream(seed, "lemma", "bell-identity")
+    margins = []
+    for _ in range(count):
+        na = int(gen.integers(1, 3))
+        nb = int(gen.integers(1, 3))
+        lhs, rhs = bell_identity_check(random_pure_state(gen, na, nb))
+        margins.append(-abs(lhs - rhs))
+    out.append(margins)
+    gen = substream(seed, "lemma", "disentangled-cap")
+    margins = []
+    for i in range(count):
+        if i % 2 == 0:
+            state = random_product_pure(gen, int(gen.integers(1, 3)), int(gen.integers(1, 3)))
+        else:
+            state = random_separable_mixture(gen, 1, 1, terms=int(gen.integers(2, 5)))
+        margins.append(0.5 - base_fidelity(state))
+    out.append(margins)
+    gen = substream(seed, "lemma", "linearity")
+    margins = []
+    for _ in range(count):
+        sigma = random_pure_state(gen, 1, 1)
+        k = int(gen.integers(2, 5))
+        weights = gen.dirichlet(np.ones(k))
+        members = [random_pure_state(gen, 1, 1) for _ in range(k)]
+        mix = sum(w * m.to_density().matrix for w, m in zip(weights, members))
+        combined = fidelity(DensityMatrix(1, 1, mix, validate=False), sigma)
+        margins.append(-abs(combined - sum(w * fidelity(m, sigma) for w, m in zip(weights, members))))
+    out.append(margins)
+    gen = substream(seed, "lemma", "monotonicity")
+    margins = []
+    for _ in range(count):
+        rho = random_density_matrix(gen, 1, 0)
+        sigma = random_density_matrix(gen, 1, 0)
+        kraus = random_kraus_channel(gen, 2, n_kraus=int(gen.integers(2, 4)))
+
+        def channel(state):
+            return DensityMatrix(1, 0, sum(k @ state.matrix @ k.conj().T for k in kraus), validate=False)
+
+        margins.append(fidelity(channel(rho), channel(sigma)) - fidelity(rho, sigma))
+    out.append(margins)
+    return out
+
+
+@pytest.mark.parametrize("count", [1, 7, 101])
+def test_lemma_blocks_match_one_instance_at_a_time(count):
+    # a negative tolerance counts margins below 0.05 as violations, so the
+    # violation counts are exercised away from float noise
+    for tolerance in (None, -0.05):
+        reports = verify.lemma_suite(seed=13, count=count, tolerance_override=tolerance)
+        for report, margins in zip(reports, _scalar_margins(13, count)):
+            tol = report.tolerance
+            assert report.instances == count
+            assert report.violations == sum(1 for m in margins if m < -tol)
+            assert report.worst_margin == pytest.approx(min(margins), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
