@@ -205,14 +205,29 @@ def _qubit_marginal(mats: np.ndarray, n: int, qubit: int) -> np.ndarray:
     return np.einsum("riajibj->rab", t)
 
 
-def reduce_pairs(frontier: Frontier, n: int, pairs: np.ndarray) -> np.ndarray:
-    """(rows, 4, 4) reduced matrices of each row's output pair."""
-    distinct = sorted(set(pairs.tolist()))  # not np.unique: it imports numpy.ma
+def grouped(keys: list, evaluate) -> np.ndarray:
+    """``evaluate(key, rows)`` on the rows of each distinct key, its results
+    scattered back into row order.
+
+    ``keys`` holds one hashable key per row.  ``rows`` selects the key's
+    rows: an ascending index array, or ``slice(None)`` when every row has
+    the same key, which spares a copy and a scatter.  ``evaluate``
+    returns one result per row along its leading axis.
+    """
+    distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     if len(distinct) == 1:
-        return frontier.reduce_pair(n, distinct[0])
-    out = np.empty((len(frontier), 4, 4), dtype=np.complex128)
-    for pair in distinct:
-        rows = np.flatnonzero(pairs == pair)
-        out[rows] = frontier.take(rows).reduce_pair(n, pair)
+        return evaluate(keys[0], slice(None))
+    ids = np.fromiter(map(distinct.__getitem__, keys), dtype=np.intp, count=len(keys))
+    out = None
+    for key, i in distinct.items():
+        rows = np.flatnonzero(ids == i)
+        values = evaluate(key, rows)
+        if out is None:
+            out = np.empty((len(keys),) + values.shape[1:], dtype=values.dtype)
+        out[rows] = values
     return out
 
+
+def reduce_pairs(frontier: Frontier, n: int, pairs: np.ndarray) -> np.ndarray:
+    """(rows, 4, 4) reduced matrices of each row's output pair."""
+    return grouped(pairs.tolist(), lambda pair, rows: frontier.take(rows).reduce_pair(n, pair))

@@ -41,8 +41,8 @@ by its type:
 ``run`` computes leaf probabilities, output-pair reductions and the
 accept data over a block's last level at once; POVM leaves are grouped
 by their distinct element, whose sqrt(M) is computed once per protocol.
-``run(..., stats=True)`` also reports, per round, the nodes expanded
-and pruned, the largest level and the time taken (``RunStats``).
+Its result also reports, per round, the nodes expanded and pruned, the
+largest level and the time taken (``RunResult.stats``).
 
 Fidelity-model evaluations use pure + product only: the canonical
 witness reaches ``run`` as ``errmodels.fidelity_witness_components``.
@@ -61,7 +61,7 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errmodels import ErrorModel, State, WeightedStates
-from .frontier import Frontier, frontier_of, reduce_pairs
+from .frontier import Frontier, frontier_of, grouped, reduce_pairs
 from .qcore import (
     ALICE,
     BOB,
@@ -399,7 +399,7 @@ class RoundStats(NamedTuple):
 
 
 class RunStats(NamedTuple):
-    """Where a run spent its work; ``run(..., stats=True)`` fills it in.
+    """Where a run spent its work.
 
     ``representations`` names each input component's frontier form:
     ``pure``, ``product`` or ``dense``, or ``pure->dense`` when a
@@ -422,7 +422,7 @@ class RunResult:
     success_probability: float
     output: DensityMatrix
     conditional_output: DensityMatrix | None
-    stats: RunStats | None = None
+    stats: RunStats = field(compare=False)  # timings differ between equal runs
 
 
 # ---------------------------------------------------------------------------
@@ -605,7 +605,8 @@ def _accept(protocol: Protocol, leaves: Level, post: bool = False) -> tuple[np.n
     after a successful sqrt(M) measurement, scaled by p_t * r_t; they are
     None when the rule has no backaction (post = r_t * unconditional).
     Leaves are grouped by their distinct POVM element; p_t * r_t =
-    Tr(M rho_t) is the trace of the measured node sqrt(M) rho_t sqrt(M).
+    Tr(M rho_t) is the trace of the measured node sqrt(M) rho_t sqrt(M),
+    or of its output-pair block.
     """
     rule = protocol.accept
     plan = protocol._plan
@@ -613,23 +614,23 @@ def _accept(protocol: Protocol, leaves: Level, post: bool = False) -> tuple[np.n
         return np.ones(len(leaves)), None
     if isinstance(rule, ConstantAccept):
         return plan.constant[leaves.codes], None
-    which = plan.element_index[leaves.seeds, leaves.codes]
-    r_joint = np.empty(len(leaves))  # p_t * r_t
-    blocks = np.empty((len(leaves), 4, 4), dtype=np.complex128) if post else None
-    for element in sorted(set(which.tolist())):
-        rows = np.flatnonzero(which == element)
+
+    def measure(element: int, rows: np.ndarray) -> np.ndarray:
         root = plan.roots[element]
-        measured = leaves.frontier.take(rows).apply(
-            np.broadcast_to(root, (len(rows), 1, 1) + root.shape), ALICE
-        )
-        r_joint[rows] = measured.norms()
-        if post:
-            blocks[rows] = reduce_pairs(measured, protocol.n_pairs, plan.output_pairs[leaves.seeds[rows]])
+        nodes = leaves.frontier.take(rows)
+        measured = nodes.apply(np.broadcast_to(root, (len(nodes), 1, 1) + root.shape), ALICE)
+        if not post:
+            return measured.norms()
+        return reduce_pairs(measured, protocol.n_pairs, plan.output_pairs[leaves.seeds[rows]])
+
+    values = grouped(plan.element_index[leaves.seeds, leaves.codes].tolist(), measure)
+    r_joint = np.trace(values, axis1=1, axis2=2).real if post else values  # p_t * r_t
     kept = r_joint >= PROB_TOL
     r_t = np.where(kept, r_joint, 0.0) / leaves.probabilities
-    if post:
-        blocks[~kept] = 0.0
-    return r_t, blocks
+    if not post:
+        return r_t, None
+    values[~kept] = 0.0
+    return r_t, values
 
 
 def accept_probability(protocol: Protocol, leaves: Level) -> np.ndarray:
@@ -639,13 +640,13 @@ def accept_probability(protocol: Protocol, leaves: Level) -> np.ndarray:
     return _accept(protocol, leaves)[0]
 
 
-def walk(protocol: Protocol, state: State | ProductState, seeds=None) -> Iterator[Level]:
+def walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray) -> Iterator[Level]:
     """The transcript trees of a block of seeds on one input, level by level.
 
-    Yields the root level, one row per seed of ``seeds`` (default: every
-    seed), then one level per round.  A round expands every node of the
-    previous level at or above ``PROB_TOL`` into its two children; a node
-    below it is yielded but not expanded.  Each round's operators come
+    Yields the root level, one row per seed of ``seeds``, then one level
+    per round.  A round expands every node of the previous level at or
+    above ``PROB_TOL`` into its two children; a node below it is yielded
+    but not expanded.  Each round's operators come
     from the protocol's stacks, built once per protocol.  Only the
     current level is held, so memory follows one level of the block, not
     the whole tree (``seed_blocks`` sizes blocks under
@@ -653,7 +654,7 @@ def walk(protocol: Protocol, state: State | ProductState, seeds=None) -> Iterato
     ``protocol.n_pairs`` pairs.
     """
     plan = protocol._plan
-    seeds = np.arange(protocol.n_seeds) if seeds is None else np.asarray(seeds, dtype=np.intp)
+    seeds = np.asarray(seeds, dtype=np.intp)
     frontier = frontier_of(state, len(seeds))
     level = Level(0, seeds, np.zeros(len(seeds), dtype=np.int64), frontier.norms(), frontier)
     yield level
@@ -669,7 +670,7 @@ def walk(protocol: Protocol, state: State | ProductState, seeds=None) -> Iterato
 
 
 class _Meter:
-    """Per-round counts, sizes and times of a run (``run(..., stats=True)``)."""
+    """Per-round counts, sizes and times of a run."""
 
     def __init__(self, bits: int):
         self.expanded = [0] * bits
@@ -688,15 +689,16 @@ class _Meter:
         clock = time.perf_counter()
         for level in levels:
             elapsed = time.perf_counter() - clock
-            self.peak = max(self.peak, level.frontier.nbytes)
+            size = level.frontier.nbytes
+            self.peak = max(self.peak, size)
             if previous is None:
                 root = level.frontier.kind
             else:
                 r = level.depth - 1
-                alive = int(np.count_nonzero(previous.probabilities >= PROB_TOL))
-                self.expanded[r] += alive
-                self.pruned[r] += len(previous) - alive
-                self.frontier_bytes[r] = max(self.frontier_bytes[r], level.frontier.nbytes)
+                expanded = len(level) // 2  # each expanded node has two children
+                self.expanded[r] += expanded
+                self.pruned[r] += len(previous) - expanded
+                self.frontier_bytes[r] = max(self.frontier_bytes[r], size)
                 self.seconds[r] += elapsed
             yield level
             previous = level
@@ -713,20 +715,20 @@ class _Meter:
         )
 
 
-def run(protocol: Protocol, state, stats: bool = False) -> RunResult:
+def run(protocol: Protocol, state) -> RunResult:
     """Evaluate a protocol exactly on a state or weighted state list.
 
     Every component is walked in seed blocks (``walk``); leaf
     probabilities, the SUCC probability, the output, and the output
     conditioned on SUCC are computed over each block's last level at
-    once and are exact up to float arithmetic.  ``stats=True`` also
-    returns a ``RunStats`` in ``RunResult.stats``.
+    once and are exact up to float arithmetic.  ``RunResult.stats``
+    says where the work went.
     """
     weighted = _coerce_input(protocol, state)
     plan = protocol._plan
     n = protocol.n_pairs
     live_seeds = np.flatnonzero(plan.weights != 0.0)
-    meter = _Meter(protocol.bits) if stats else None
+    meter = _Meter(protocol.bits)
     leaves: list[LeafRecord] = []
     out_acc = np.zeros((4, 4), dtype=np.complex128)
     cond_acc = np.zeros((4, 4), dtype=np.complex128)
@@ -734,11 +736,8 @@ def run(protocol: Protocol, state, stats: bool = False) -> RunResult:
 
     for comp_idx, (comp_w, comp_state) in enumerate(weighted):
         for block in seed_blocks(protocol, [comp_state], live_seeds):
-            levels = walk(protocol, comp_state, block)
-            if meter is not None:
-                levels = meter.levels(levels)
             records: list[tuple[int, LeafRecord]] = []
-            for level in levels:
+            for level in meter.levels(walk(protocol, comp_state, block)):
                 # a dead subtree is recorded once at its root, with the
                 # truncated transcript as the label
                 for row in np.flatnonzero(level.probabilities < PROB_TOL).tolist():
@@ -763,8 +762,7 @@ def run(protocol: Protocol, state, stats: bool = False) -> RunResult:
             # per seed: its dead nodes level by level, then its leaves
             records.sort(key=lambda rec: rec[0])
             leaves.extend(rec for _, rec in records)
-        if meter is not None:
-            meter.representations.append(meter.form)
+        meter.representations.append(meter.form)
 
     output = DensityMatrix(1, 1, out_acc, validate=False)
     conditional = None
@@ -777,7 +775,7 @@ def run(protocol: Protocol, state, stats: bool = False) -> RunResult:
         success_probability=float(success),
         output=output,
         conditional_output=conditional,
-        stats=None if meter is None else meter.stats(),
+        stats=meter.stats(),
     )
 
 

@@ -445,24 +445,22 @@ def hermitian_sqrt(mat: np.ndarray, floor: float = STRUCT_TOL) -> np.ndarray:
     return (vecs * np.sqrt(vals)[..., None, :]) @ vecs.conj().swapaxes(-1, -2)
 
 
-def fidelity(rho, sigma):
+def fidelity(rho: State, sigma: State) -> float:
     """Squared-convention fidelity Tr^2 sqrt(sqrt(rho) sigma sqrt(rho)).
 
-    For rank-1 pure ``sigma`` this equals ``<phi|rho|phi>``.  ``rho`` and
-    ``sigma`` are states, giving a float, or density-matrix stacks of
-    shape (..., d, d), giving one fidelity per leading index; a pair of
-    states is evaluated as a stack of one.
+    For rank-1 pure ``sigma`` this equals ``<phi|rho|phi>``.  Evaluated
+    as a stack of one (``fidelities``).
     """
-    if isinstance(rho, np.ndarray):
-        return _fidelities(rho, np.asarray(sigma, dtype=np.complex128))
     r = as_density(rho)
     s = as_density(sigma)
     if r.dim != s.dim:
         raise ValueError("fidelity requires equal dimensions")
-    return float(_fidelities(r.matrix[None], s.matrix[None])[0])
+    return float(fidelities(r.matrix[None], s.matrix[None])[0])
 
 
-def _fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+def fidelities(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """``fidelity`` of density-matrix stacks of shape (..., d, d), one
+    value per leading index; the matrices are not checked."""
     if rho.shape[-2:] != sigma.shape[-2:]:
         raise ValueError("fidelity requires equal dimensions")
     root = hermitian_sqrt(rho)

@@ -30,6 +30,7 @@ from .errmodels import (
     enumerate_indicators,
     pair_bell_mixture_ensemble,
 )
+from .frontier import grouped
 from .locc import (
     Protocol,
     conditional_fidelity,
@@ -45,7 +46,7 @@ from .qcore import (
     PureState,
     bell_identity_sides,
     epr_state,
-    fidelity,
+    fidelities,
     first_pair_states,
     pauli_deviation_sums,
     phi_plus_overlaps,
@@ -583,13 +584,9 @@ def _blocked_margins(count: int, draw, margins) -> list[float]:
 def _by_shape(block: list, shape, evaluate) -> np.ndarray:
     """``evaluate`` on each group of instances with equal ``shape(instance)``,
     its results scattered back into block order."""
-    groups: dict[Any, list[int]] = {}
-    for i, instance in enumerate(block):
-        groups.setdefault(shape(instance), []).append(i)
-    out = np.empty(len(block))
-    for rows in groups.values():
-        out[rows] = evaluate([block[i] for i in rows])
-    return out
+    keys = [shape(instance) for instance in block]
+    every = np.arange(len(block))
+    return grouped(keys, lambda _, rows: evaluate([block[i] for i in every[rows]]))
 
 
 def _amplitudes(states) -> np.ndarray:
@@ -704,10 +701,10 @@ def lemma_suite(
         for mix, (_, weights, members) in zip(mixes, block):
             for w, m in zip(weights, members):
                 mix += w * np.outer(m.amplitudes, m.amplitudes.conj())
-        combined = fidelity(mixes, sigmas)
+        combined = fidelities(mixes, sigmas)
         # every member against its instance's sigma, in one stack
         owner = np.repeat(np.arange(len(block)), [len(members) for _, _, members in block])
-        parts = iter(fidelity(_projectors(m for _, _, members in block for m in members), sigmas[owner]))
+        parts = iter(fidelities(_projectors(m for _, _, members in block for m in members), sigmas[owner]))
         split = [sum(w * next(parts) for w in weights) for _, weights, _ in block]
         return -np.abs(combined - np.asarray(split))
 
@@ -726,8 +723,8 @@ def lemma_suite(
         kraus = np.zeros((len(block), max(len(ks) for _, _, ks in block), 2, 2), dtype=np.complex128)
         for padded, (_, _, ks) in zip(kraus, block):
             padded[: len(ks)] = ks
-        before = fidelity(rhos, sigmas)
-        after = fidelity(_channel(kraus, rhos), _channel(kraus, sigmas))
+        before = fidelities(rhos, sigmas)
+        after = fidelities(_channel(kraus, rhos), _channel(kraus, sigmas))
         return after - before
 
     sweep("fidelity-monotonicity", 1e-9, monotonicity, monotonicity_margins)

@@ -128,7 +128,7 @@ def test_martingale_node_probabilities():
     rng = np.random.default_rng(101)
     proto = random_protocol(rng, 2, 3)
     state = random_density_matrix(rng, 2, 2)
-    levels = list(walk(proto, state))
+    levels = list(walk(proto, state, np.arange(proto.n_seeds)))
     assert len(levels) == proto.bits + 1
     for level, children in zip(levels, levels[1:]):
         probability = dict(zip(zip(children.seeds, children.labels), children.probabilities))
@@ -193,7 +193,7 @@ def test_receiver_state_unchanged_for_product_input():
     alice_part = random_density_matrix(rng, 1, 0)
     bob_part = random_density_matrix(rng, 0, 1)
     product = tensor(alice_part, bob_part)
-    root, children = walk(proto, product)
+    root, children = walk(proto, product, np.arange(proto.n_seeds))
     (_,) = root.probabilities
     for row, p in enumerate(children.probabilities):
         if p > 1e-12:
@@ -208,7 +208,7 @@ def test_receiver_state_splits_as_mixture_for_entangled_input():
         accept=AlwaysAccept(),
         output_pair=(0,),
     )
-    root, children = walk(proto, bell_state("phi+"))
+    root, children = walk(proto, bell_state("phi+"), np.arange(proto.n_seeds))
     (p_root,) = root.probabilities
     mix = np.zeros((2, 2), dtype=np.complex128)
     for row, p in enumerate(children.probabilities):
@@ -543,24 +543,16 @@ def test_povm_accept_keeps_a_read_only_copy_of_each_shared_element():
 # run statistics
 
 
-def test_run_stats_count_each_round_and_leave_the_result_unchanged():
+def test_run_stats_count_each_round():
     proto = make_simple_random_hash(3, 2)
     # definite bits on both check pairs make some round-0 outcomes impossible
     pure = error_state(IndicatorVector.from_string("*00"))
     product = ProductState.maximally_mixed(3, 3)
-    weighted = [(0.5, pure), (0.5, product)]
-    plain = run(proto, weighted)
-    assert plain.stats is None
-    result = run(proto, weighted, stats=True)
-    assert [(l.component, l.seed, l.transcript, l.probability) for l in result.leaves] == [
-        (l.component, l.seed, l.transcript, l.probability) for l in plain.leaves
-    ]
-    assert result.success_probability == plain.success_probability
-    stats = result.stats
+    stats = run(proto, [(0.5, pure), (0.5, product)]).stats
     assert stats.representations == ("pure", "product")
     assert stats.seed_blocks == 2
     assert len(stats.rounds) == proto.bits
-    levels = [list(walk(proto, state)) for state in (pure, product)]
+    levels = [list(walk(proto, state, np.arange(proto.n_seeds))) for state in (pure, product)]
     for depth, rnd in enumerate(stats.rounds):
         parents = [comp[depth].probabilities for comp in levels]
         assert rnd.expanded == sum(int((p >= PROB_TOL).sum()) for p in parents)
@@ -574,7 +566,7 @@ def test_run_stats_count_each_round_and_leave_the_result_unchanged():
 def test_run_stats_name_a_pure_component_that_turns_dense():
     rng = np.random.default_rng(12)
     proto = random_protocol(rng, 1, 2, kraus_per_branch=2)
-    result = run(proto, [(0.5, bell_state("phi+")), (0.5, random_density_matrix(rng, 1, 1))], stats=True)
+    result = run(proto, [(0.5, bell_state("phi+")), (0.5, random_density_matrix(rng, 1, 1))])
     assert result.stats.representations == ("pure->dense", "dense")
 
 

@@ -407,7 +407,7 @@ def test_stacked_fidelity_and_sqrt_equal_a_per_matrix_loop():
         sigmas = [random_density_matrix(rng, n_qubits, 0) for _ in range(9)]
         rho_stack = np.stack([r.matrix for r in rhos])
         sigma_stack = np.stack([s.matrix for s in sigmas])
-        stacked = fidelity(rho_stack, sigma_stack)
+        stacked = qcore.fidelities(rho_stack, sigma_stack)
         assert stacked.shape == (9,)
         for value, r, s in zip(stacked, rhos, sigmas):
             assert value == pytest.approx(fidelity(r, s), abs=1e-12)
@@ -415,9 +415,11 @@ def test_stacked_fidelity_and_sqrt_equal_a_per_matrix_loop():
         for root, r in zip(roots, rhos):
             np.testing.assert_allclose(root, qcore.hermitian_sqrt(r.matrix), atol=1e-12)
         # two leading axes, and a stack of one
-        grid = fidelity(rho_stack.reshape(3, 3, *rho_stack.shape[1:]), sigma_stack.reshape(3, 3, *sigma_stack.shape[1:]))
+        grid = qcore.fidelities(
+            rho_stack.reshape(3, 3, *rho_stack.shape[1:]), sigma_stack.reshape(3, 3, *sigma_stack.shape[1:])
+        )
         np.testing.assert_allclose(grid.reshape(-1), stacked, atol=1e-15)
-        assert fidelity(rho_stack[:1], sigma_stack[:1])[0] == pytest.approx(stacked[0], abs=1e-15)
+        assert qcore.fidelities(rho_stack[:1], sigma_stack[:1])[0] == pytest.approx(stacked[0], abs=1e-15)
 
 
 def test_stacked_sqrt_rejects_any_negative_member():

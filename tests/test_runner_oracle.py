@@ -210,7 +210,8 @@ def assert_run_matches(a, b, atol=1e-12):
 def assert_walks_match(protocol, state_a, state_b, atol=1e-12):
     """The transcript trees of two inputs agree node by node: the same
     labels, probabilities and normalized local states."""
-    for level_a, level_b in zip(walk(protocol, state_a), walk(protocol, state_b), strict=True):
+    seeds = np.arange(protocol.n_seeds)
+    for level_a, level_b in zip(walk(protocol, state_a, seeds), walk(protocol, state_b, seeds), strict=True):
         assert list(zip(level_a.seeds, level_a.labels)) == list(zip(level_b.seeds, level_b.labels))
         locals_a, locals_b = level_a.local_states(), level_b.local_states()
         for row, (pa, pb) in enumerate(zip(level_a.probabilities, level_b.probabilities)):
@@ -309,7 +310,7 @@ def test_workspace_instruments_on_product_nodes():
     state = ProductState(random_density_matrix(gen, n, 0), random_density_matrix(gen, 0, n))
     assert_run_matches(run(proto, state), run(proto, state.to_density()))
     assert_walks_match(proto, state, state.to_density())
-    *_, leaves = walk(proto, state)
+    *_, leaves = walk(proto, state, np.arange(proto.n_seeds))
     rows = {label: row for row, label in enumerate(leaves.labels)}
     alice_locals, bob_locals = leaves.local_states()
     for bit_a in (0, 1):
@@ -353,13 +354,13 @@ def _seed_bytes(proto, state):
 def test_seed_blocks_leave_the_run_unchanged(monkeypatch, seeds_per_block):
     monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", 1 << 40)
     cases = list(_block_cases())
-    whole = [run(proto, state, stats=True) for proto, state in cases]
+    whole = [run(proto, state) for proto, state in cases]
     for (proto, state), reference in zip(cases, whole):
         sizes = _seed_bytes(proto, state)
         assert reference.stats.seed_blocks == len(sizes)  # one block per component
         budget = seeds_per_block * max(sizes)
         monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget)
-        chunked = run(proto, state, stats=True)
+        chunked = run(proto, state)
         blocks = sum(-(-proto.n_seeds // (budget // size)) for size in sizes)
         assert chunked.stats.seed_blocks == blocks
         if seeds_per_block == 1:
