@@ -439,7 +439,7 @@ class FidelityModel:
         return out
 
     def _sample_members(self) -> list[State]:
-        from .sampling import random_density_matrix, random_pure_state
+        from .sampling import random_amplitudes, random_density_matrix
         from .qcore import epr_fidelity
 
         gen = rngmod.substream(self.seed, "fidelity-model", self.n)
@@ -450,7 +450,7 @@ class FidelityModel:
             if k % 2 == 0:
                 # pure member: rotate the perfect block toward a random
                 # orthogonal direction by exactly the allowed amount
-                chi = random_pure_state(gen, self.n, self.n).amplitudes
+                chi = random_amplitudes(gen, dim)
                 chi = chi - psi.amplitudes * np.vdot(psi.amplitudes, chi)
                 chi = chi / np.linalg.norm(chi)
                 amps = math.sqrt(1.0 - self.epsilon) * psi.amplitudes + math.sqrt(

@@ -212,7 +212,9 @@ def grouped(keys: list, evaluate) -> np.ndarray:
     ``keys`` holds one hashable key per row.  ``rows`` selects the key's
     rows: an ascending index array, or ``slice(None)`` when every row has
     the same key, which spares a copy and a scatter.  ``evaluate``
-    returns one result per row along its leading axis.
+    returns one result per row along its leading axis.  ``reduce_pairs``
+    groups a level's rows by output pair with it, and the lemma sweeps
+    in ``verify`` group instances by shape.
     """
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     if len(distinct) == 1:

@@ -39,10 +39,13 @@ by its type:
 * ``DensityMatrix``: flat (rows, 4^n, 4^n) matrices, O(2^{5n}) per node.
 
 ``run`` computes leaf probabilities, output-pair reductions and the
-accept data over a block's last level at once; POVM leaves are grouped
-by their distinct element, whose sqrt(M) is computed once per protocol.
-Its result also reports, per round, the nodes expanded and pruned, the
-largest level and the time taken (``RunResult.stats``).
+accept data over a block's last level at once; a POVM rule measures the
+whole level in one batched apply, each leaf with its element's sqrt(M),
+which is computed once per distinct element and protocol.  Its result
+keeps each block's leaf arrays and builds the per-leaf records only
+when ``RunResult.leaves`` is read.  It also reports, per round, the
+nodes expanded and pruned, the largest level and the time taken
+(``RunResult.stats``).
 
 Fidelity-model evaluations use pure + product only: the canonical
 witness reaches ``run`` as ``errmodels.fidelity_witness_components``.
@@ -61,7 +64,7 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errmodels import ErrorModel, State, WeightedStates
-from .frontier import Frontier, frontier_of, grouped, reduce_pairs
+from .frontier import Frontier, frontier_of, reduce_pairs
 from .qcore import (
     ALICE,
     BOB,
@@ -412,17 +415,63 @@ class RunStats(NamedTuple):
     peak_frontier_bytes: int
 
 
+class _RecordRows(NamedTuple):
+    """The rows of one level of one seed block that ``RunResult.leaves``
+    records: the level's dead nodes, or its leaves."""
+
+    component: int
+    depth: int
+    seeds: np.ndarray
+    codes: np.ndarray
+    weights: np.ndarray
+    probabilities: np.ndarray | None  # None for dead nodes
+    accept: np.ndarray | None
+    reduced: np.ndarray | None  # (rows, 4, 4) unnormalized output pairs
+
+    def records(self) -> list[LeafRecord]:
+        rows = zip(self.seeds.tolist(), self.codes.tolist(), self.weights.tolist())
+        if self.probabilities is None:
+            return [
+                LeafRecord(self.component, seed, _transcript(code, self.depth), w, 0.0, 0.0, None)
+                for seed, code, w in rows
+            ]
+        outputs = self.reduced / self.probabilities[:, None, None]
+        return [
+            LeafRecord(self.component, seed, _transcript(code, self.depth), w, p, r, out)
+            for (seed, code, w), p, r, out in zip(
+                rows, self.probabilities.tolist(), self.accept.tolist(), outputs
+            )
+        ]
+
+
 @dataclass(frozen=True)
 class RunResult:
     """Exact transcript-tree evaluation of a protocol on one input."""
 
     n_pairs: int
     bits: int
-    leaves: tuple[LeafRecord, ...]
     success_probability: float
     output: DensityMatrix
     conditional_output: DensityMatrix | None
     stats: RunStats = field(compare=False)  # timings differ between equal runs
+    # per seed block, the level rows that ``leaves`` is built from
+    blocks: tuple[tuple[_RecordRows, ...], ...] = field(default=(), repr=False, compare=False)
+
+    @functools.cached_property
+    def leaves(self) -> tuple[LeafRecord, ...]:
+        """One record per leaf and per dead node, built on first read.
+
+        A dead subtree is recorded once, at its root, with the truncated
+        transcript as the label.  Records run component by component and
+        seed by seed; within a seed, dead nodes level by level, then the
+        leaves, each in transcript order.
+        """
+        out: list[LeafRecord] = []
+        for block in self.blocks:
+            records = [rec for rows in block for rec in rows.records()]
+            records.sort(key=lambda rec: rec.seed)
+            out.extend(records)
+        return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -604,9 +653,10 @@ def _accept(protocol: Protocol, leaves: Level, post: bool = False) -> tuple[np.n
     The blocks, (rows, 4, 4), are the unnormalized output-pair states
     after a successful sqrt(M) measurement, scaled by p_t * r_t; they are
     None when the rule has no backaction (post = r_t * unconditional).
-    Leaves are grouped by their distinct POVM element; p_t * r_t =
-    Tr(M rho_t) is the trace of the measured node sqrt(M) rho_t sqrt(M),
-    or of its output-pair block.
+    Every leaf row gets its element's sqrt(M), computed once per distinct
+    element, and the whole level is measured in one batched apply;
+    p_t * r_t = Tr(M rho_t) is the trace of the measured node
+    sqrt(M) rho_t sqrt(M), or of its output-pair block.
     """
     rule = protocol.accept
     plan = protocol._plan
@@ -614,16 +664,12 @@ def _accept(protocol: Protocol, leaves: Level, post: bool = False) -> tuple[np.n
         return np.ones(len(leaves)), None
     if isinstance(rule, ConstantAccept):
         return plan.constant[leaves.codes], None
-
-    def measure(element: int, rows: np.ndarray) -> np.ndarray:
-        root = plan.roots[element]
-        nodes = leaves.frontier.take(rows)
-        measured = nodes.apply(np.broadcast_to(root, (len(nodes), 1, 1) + root.shape), ALICE)
-        if not post:
-            return measured.norms()
-        return reduce_pairs(measured, protocol.n_pairs, plan.output_pairs[leaves.seeds[rows]])
-
-    values = grouped(plan.element_index[leaves.seeds, leaves.codes].tolist(), measure)
+    roots = plan.roots[plan.element_index[leaves.seeds, leaves.codes]]
+    measured = leaves.frontier.apply(roots[:, None, None], ALICE)
+    if post:
+        values = reduce_pairs(measured, protocol.n_pairs, plan.output_pairs[leaves.seeds])
+    else:
+        values = measured.norms()
     r_joint = np.trace(values, axis1=1, axis2=2).real if post else values  # p_t * r_t
     kept = r_joint >= PROB_TOL
     r_t = np.where(kept, r_joint, 0.0) / leaves.probabilities
@@ -729,21 +775,24 @@ def run(protocol: Protocol, state) -> RunResult:
     n = protocol.n_pairs
     live_seeds = np.flatnonzero(plan.weights != 0.0)
     meter = _Meter(protocol.bits)
-    leaves: list[LeafRecord] = []
+    blocks: list[tuple[_RecordRows, ...]] = []
     out_acc = np.zeros((4, 4), dtype=np.complex128)
     cond_acc = np.zeros((4, 4), dtype=np.complex128)
     success = 0.0
 
     for comp_idx, (comp_w, comp_state) in enumerate(weighted):
         for block in seed_blocks(protocol, [comp_state], live_seeds):
-            records: list[tuple[int, LeafRecord]] = []
+            rows: list[_RecordRows] = []
             for level in meter.levels(walk(protocol, comp_state, block)):
-                # a dead subtree is recorded once at its root, with the
-                # truncated transcript as the label
-                for row in np.flatnonzero(level.probabilities < PROB_TOL).tolist():
-                    seed = int(level.seeds[row])
-                    weight = comp_w * protocol.seed_weights[seed]
-                    records.append((seed, LeafRecord(comp_idx, seed, level.label(row), weight, 0.0, 0.0, None)))
+                dead = np.flatnonzero(level.probabilities < PROB_TOL)
+                if len(dead):
+                    seeds = level.seeds[dead]
+                    rows.append(
+                        _RecordRows(
+                            comp_idx, level.depth, seeds, level.codes[dead],
+                            comp_w * plan.weights[seeds], None, None, None,
+                        )
+                    )
             leaf = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
             weight = comp_w * plan.weights[leaf.seeds]
             p_t = leaf.probabilities
@@ -752,16 +801,10 @@ def run(protocol: Protocol, state) -> RunResult:
             out_acc += np.tensordot(weight, reduced, axes=1)
             cond_acc += np.tensordot(weight, r_t[:, None, None] * reduced if post is None else post, axes=1)
             success += float(np.dot(weight * p_t, r_t))
-            outputs = reduced / p_t[:, None, None]
-            records.extend(
-                (seed, LeafRecord(comp_idx, seed, label, w, p, r, out))
-                for seed, label, w, p, r, out in zip(
-                    leaf.seeds.tolist(), leaf.labels, weight.tolist(), p_t.tolist(), r_t.tolist(), outputs
-                )
+            rows.append(
+                _RecordRows(comp_idx, leaf.depth, leaf.seeds, leaf.codes, weight, p_t, r_t, reduced)
             )
-            # per seed: its dead nodes level by level, then its leaves
-            records.sort(key=lambda rec: rec[0])
-            leaves.extend(rec for _, rec in records)
+            blocks.append(tuple(rows))
         meter.representations.append(meter.form)
 
     output = DensityMatrix(1, 1, out_acc, validate=False)
@@ -771,11 +814,11 @@ def run(protocol: Protocol, state) -> RunResult:
     return RunResult(
         n_pairs=n,
         bits=protocol.bits,
-        leaves=tuple(leaves),
         success_probability=float(success),
         output=output,
         conditional_output=conditional,
         stats=meter.stats(),
+        blocks=tuple(blocks),
     )
 
 

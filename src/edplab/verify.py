@@ -43,7 +43,6 @@ from .locc import (
 from .optimize import AscentConfig, PairFidelityObjective, maximize_pair_fidelity
 from .qcore import (
     ProductState,
-    PureState,
     bell_identity_sides,
     epr_state,
     fidelities,
@@ -53,10 +52,10 @@ from .qcore import (
 )
 from .rng import substream
 from .sampling import (
+    random_amplitudes,
     random_density_matrix,
     random_kraus_channel,
-    random_product_pure,
-    random_pure_state,
+    random_product_amplitudes,
     random_separable_mixture,
 )
 
@@ -589,21 +588,23 @@ def _by_shape(block: list, shape, evaluate) -> np.ndarray:
     return grouped(keys, lambda _, rows: evaluate([block[i] for i in every[rows]]))
 
 
-def _amplitudes(states) -> np.ndarray:
-    return np.stack([st.amplitudes for st in states])
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """|a><a| of every amplitude vector of a stack (..., d): (..., d, d)."""
+    return amps[..., :, None] * amps.conj()[..., None, :]
 
 
-def _projectors(states) -> np.ndarray:
-    return np.stack([np.outer(st.amplitudes, st.amplitudes.conj()) for st in states])
+def _draw_shape(draw) -> tuple[int, int, int]:
+    n_alice, n_bob, x = draw
+    return n_alice, n_bob, x.ndim
 
 
-def _first_pairs(states) -> np.ndarray:
-    """(len, 4, 4) first-pair states of equally shaped pure states, or
-    the matrices of two-qubit density matrices."""
-    first = states[0]
-    if isinstance(first, PureState):
-        return first_pair_states(_amplitudes(states), first.n_alice, first.n_bob)
-    return np.stack([st.matrix for st in states])
+def _first_pairs(draws) -> np.ndarray:
+    """(len, 4, 4) first-pair states of equally shaped draws
+    ``(n_alice, n_bob, x)``: ``x`` holds a pure state's amplitudes, or the
+    matrix of a two-qubit density matrix."""
+    n_alice, n_bob, first = draws[0]
+    stack = np.stack([x for _, _, x in draws])
+    return first_pair_states(stack, n_alice, n_bob) if first.ndim == 1 else stack
 
 
 def _channel(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
@@ -620,8 +621,10 @@ def lemma_suite(
     violation; the reports record the worst margin seen.  Tolerances
     are fixed per lemma; ``tolerance_override`` replaces them all
     (setting it below float noise, e.g. 1e-15, is the documented way to
-    demonstrate the failure mode).  Instances are drawn one at a time
-    through the validated samplers and evaluated in stacked blocks of
+    demonstrate the failure mode).  Instances are drawn one at a time,
+    as plain amplitude arrays and matrices, through the samplers, whose
+    fused draws consume the generator exactly as separate real and
+    imaginary draws would; they are evaluated in stacked blocks of
     ``LEMMA_BLOCK``.
     """
     if count < 1:
@@ -640,16 +643,17 @@ def lemma_suite(
 
     def pauli_pair(_):
         total = int(gen.integers(2, 6))
-        na = int(gen.integers(1, total))
-        return random_pure_state(gen, na, total - na), random_pure_state(gen, na, total - na)
+        gen.integers(1, total)  # Alice's share: drawn to keep the stream, unused by the sum
+        dim = 1 << total
+        return random_amplitudes(gen, dim), random_amplitudes(gen, dim)
 
     sweep(
         "pauli-deviation-cap", 1e-9, pauli_pair,
         lambda block: 2.0 - _by_shape(
             block,
-            lambda pair: pair[0].dim,
+            lambda pair: len(pair[0]),
             lambda pairs: pauli_deviation_sums(
-                _amplitudes(phi for phi, _ in pairs), _amplitudes(psi for _, psi in pairs)
+                np.stack([phi for phi, _ in pairs]), np.stack([psi for _, psi in pairs])
             ),
         ),
     )
@@ -659,54 +663,62 @@ def lemma_suite(
     def bell_state_draw(_):
         na = int(gen.integers(1, 3))
         nb = int(gen.integers(1, 3))
-        return random_pure_state(gen, na, nb)
+        return na, nb, random_amplitudes(gen, 1 << (na + nb))
 
-    def bell_margins(states) -> np.ndarray:
-        lhs, rhs = bell_identity_sides(_first_pairs(states))
+    def bell_margins(draws) -> np.ndarray:
+        lhs, rhs = bell_identity_sides(_first_pairs(draws))
         return -np.abs(lhs - rhs)
 
     sweep(
         "bell-base-fidelity-identity", 1e-10, bell_state_draw,
-        lambda block: _by_shape(block, lambda st: (st.n_alice, st.n_bob), bell_margins),
+        lambda block: _by_shape(block, _draw_shape, bell_margins),
     )
 
     gen = substream(seed, "lemma", "disentangled-cap")
 
     def disentangled(i):
         if i % 2 == 0:
-            return random_product_pure(gen, int(gen.integers(1, 3)), int(gen.integers(1, 3)))
-        return random_separable_mixture(gen, 1, 1, terms=int(gen.integers(2, 5)))
+            na = int(gen.integers(1, 3))
+            nb = int(gen.integers(1, 3))
+            return na, nb, random_product_amplitudes(gen, na, nb)
+        return 1, 1, random_separable_mixture(gen, 1, 1, terms=int(gen.integers(2, 5))).matrix
 
     sweep(
         "disentangled-base-fidelity-cap", 1e-9, disentangled,
         lambda block: 0.5 - _by_shape(
-            block,
-            lambda st: (type(st), st.n_alice, st.n_bob),
-            lambda states: phi_plus_overlaps(_first_pairs(states)),
+            block, _draw_shape, lambda draws: phi_plus_overlaps(_first_pairs(draws))
         ),
     )
 
     gen = substream(seed, "lemma", "linearity")
 
     def linearity(_):
-        sigma = random_pure_state(gen, 1, 1)
+        sigma = random_amplitudes(gen, 4)
         k = int(gen.integers(2, 5))
         weights = gen.dirichlet(np.ones(k))
-        members = [random_pure_state(gen, 1, 1) for _ in range(k)]
-        return sigma, weights, members
+        return sigma, weights, [random_amplitudes(gen, 4) for _ in range(k)]
 
     def linearity_margins(block) -> np.ndarray:
-        sigmas = _projectors(sigma for sigma, _, _ in block)
+        # members zero-padded to (len, widest, 4); both sums run member by
+        # member in draw order, so a padded slot adds an exact zero
+        counts = np.array([len(w) for _, w, _ in block])
+        present = np.arange(counts.max()) < counts[:, None]
+        weights = np.zeros(present.shape)
+        weights[present] = np.concatenate([w for _, w, _ in block])
+        members = np.zeros(present.shape + (4,), dtype=np.complex128)
+        members[present] = [m for _, _, ms in block for m in ms]
+        projectors = _projectors(members)
+        sigmas = _projectors(np.stack([sigma for sigma, _, _ in block]))
+        parts = np.zeros(present.shape)
+        parts[present] = fidelities(
+            projectors[present], np.broadcast_to(sigmas[:, None], projectors.shape)[present]
+        )
         mixes = np.zeros_like(sigmas)
-        for mix, (_, weights, members) in zip(mixes, block):
-            for w, m in zip(weights, members):
-                mix += w * np.outer(m.amplitudes, m.amplitudes.conj())
-        combined = fidelities(mixes, sigmas)
-        # every member against its instance's sigma, in one stack
-        owner = np.repeat(np.arange(len(block)), [len(members) for _, _, members in block])
-        parts = iter(fidelities(_projectors(m for _, _, members in block for m in members), sigmas[owner]))
-        split = [sum(w * next(parts) for w in weights) for _, weights, _ in block]
-        return -np.abs(combined - np.asarray(split))
+        split = np.zeros(len(block))
+        for j in range(present.shape[1]):
+            mixes += weights[:, j, None, None] * projectors[:, j]
+            split += weights[:, j] * parts[:, j]
+        return -np.abs(fidelities(mixes, sigmas) - split)
 
     sweep("fidelity-linearity", 1e-9, linearity, linearity_margins)
 

@@ -563,6 +563,32 @@ def test_run_stats_count_each_round():
     assert stats.peak_frontier_bytes == max(r.frontier_bytes for r in stats.rounds)
 
 
+def test_leaf_records_are_built_on_read_in_seed_order():
+    proto = make_simple_random_hash(3, 2)
+    pure = error_state(IndicatorVector.from_string("*00"))
+    product = ProductState.maximally_mixed(3, 3)
+    result = run(proto, [(0.5, pure), (0.5, product)])
+    assert "leaves" not in vars(result)
+    # per component and seed: dead nodes level by level, then the leaves
+    keys, probabilities = [], []
+    for comp, state in enumerate((pure, product)):
+        for seed in range(proto.n_seeds):
+            levels = list(walk(proto, state, np.array([seed])))
+            for level in levels:
+                dead = np.flatnonzero(level.probabilities < PROB_TOL).tolist()
+                keys += [(comp, seed, level.label(row), True) for row in dead]
+                probabilities += [0.0] * len(dead)
+            live = np.flatnonzero(levels[-1].probabilities >= PROB_TOL).tolist()
+            keys += [(comp, seed, levels[-1].label(row), False) for row in live]
+            probabilities += levels[-1].probabilities[live].tolist()
+    leaves = result.leaves
+    assert result.leaves is leaves
+    assert [(l.component, l.seed, l.transcript, l.output_state is None) for l in leaves] == keys
+    assert any(dead for *_, dead in keys)
+    assert [l.probability for l in leaves] == pytest.approx(probabilities, abs=1e-12)
+    assert [l.weight for l in leaves] == [0.5 * proto.seed_weights[l.seed] for l in leaves]
+
+
 def test_run_stats_name_a_pure_component_that_turns_dense():
     rng = np.random.default_rng(12)
     proto = random_protocol(rng, 1, 2, kraus_per_branch=2)

@@ -8,12 +8,14 @@ independently-tested qcore partial trace.  It shares no evolution or
 reduction code with the runner.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edplab import locc
+from edplab import locc, verify
 from edplab.errmodels import MeasureRModel, fidelity_witness, fidelity_witness_components
 from edplab.locc import (
     PROB_TOL,
@@ -38,6 +40,7 @@ from edplab.qcore import (
     DensityMatrix,
     ProductState,
     as_density,
+    epr_state,
     hermitian_sqrt,
     partial_trace,
 )
@@ -370,3 +373,100 @@ def test_seed_blocks_leave_the_run_unchanged(monkeypatch, seeds_per_block):
         assert [(r.expanded, r.pruned) for r in chunked.stats.rounds] == [
             (r.expanded, r.pruned) for r in reference.stats.rounds
         ]
+
+
+# ---------------------------------------------------------------------------
+# the gathered POVM accept step
+
+
+def _accept_per_element(protocol, leaves):
+    """r_t and the post blocks of ``locc._accept``, measured one distinct
+    POVM element at a time with a broadcast sqrt(M) computed on the spot."""
+    plan = protocol._plan
+    elements = plan.element_index[leaves.seeds, leaves.codes]
+    r_joint = np.zeros(len(leaves))
+    blocks = np.zeros((len(leaves), 4, 4), dtype=np.complex128)
+    for element in np.unique(elements).tolist():
+        rows = np.flatnonzero(elements == element)
+        root = hermitian_sqrt(plan.elements[element], floor=1e-9)
+        ops = np.broadcast_to(root, (len(rows), 1, 1) + root.shape)
+        measured = leaves.frontier.take(rows).apply(ops, ALICE)
+        r_joint[rows] = measured.norms()
+        for i, row in enumerate(rows.tolist()):
+            pair = protocol.output_pair_for(int(leaves.seeds[row]))
+            blocks[row] = measured.take([i]).reduce_pair(protocol.n_pairs, pair)[0]
+    kept = r_joint >= PROB_TOL
+    blocks[~kept] = 0.0
+    return np.where(kept, r_joint, 0.0) / leaves.probabilities, blocks
+
+
+def _mixed_element_protocols():
+    gen = np.random.default_rng(53)
+    yield make_simple_random_hash(3, 2)
+    yield random_protocol(gen, 2, 2, n_seeds=3, accept_kind="povm", with_listeners=True)
+
+
+def _mixed_element_cases():
+    gen = np.random.default_rng(59)
+    for proto in _mixed_element_protocols():
+        n = proto.n_pairs
+        yield proto, random_pure_state(gen, n, n)
+        yield proto, ProductState(random_density_matrix(gen, n, 0), random_density_matrix(gen, 0, n))
+        yield proto, random_density_matrix(gen, n, n)
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_gathered_accept_matches_per_element_and_oracle(case):
+    proto, state = list(_mixed_element_cases())[case]
+    mixed_blocks = 0
+    for block in locc.seed_blocks(proto, [state], np.arange(proto.n_seeds)):
+        *_, level = walk(proto, state, block)
+        leaves = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
+        # the point of the case: one block's leaves need several elements
+        mixed_blocks += len(np.unique(proto._plan.element_index[leaves.seeds, leaves.codes])) > 1
+        r_ref, post_ref = _accept_per_element(proto, leaves)
+        r_t, post = locc._accept(proto, leaves, post=True)
+        np.testing.assert_allclose(r_t, r_ref, atol=1e-12)
+        np.testing.assert_allclose(post, post_ref, atol=1e-12)
+        np.testing.assert_allclose(locc.accept_probability(proto, leaves), r_ref, atol=1e-12)
+    assert mixed_blocks
+    result = run(proto, state)
+    succ, out, cond = oracle(proto, state)
+    assert result.success_probability == pytest.approx(succ, abs=1e-12)
+    np.testing.assert_allclose(result.output.matrix, out, atol=1e-12)
+    np.testing.assert_allclose(result.conditional_output.matrix, cond, atol=1e-12)
+
+
+@pytest.mark.parametrize("index", range(2))
+def test_splitting_report_with_gathered_accept(monkeypatch, index):
+    proto = list(_mixed_element_protocols())[index]
+    n = proto.n_pairs
+    gathered = verify.verify_splitting(proto)
+
+    def accept_per_element(protocol, leaves, post=False):
+        return _accept_per_element(protocol, leaves)[0], None
+
+    monkeypatch.setattr(locc, "_accept", accept_per_element)
+    per_element = verify.verify_splitting(proto)
+    for field in dataclasses.fields(gathered):
+        a, b = getattr(gathered, field.name), getattr(per_element, field.name)
+        assert a == (pytest.approx(b, abs=1e-12) if isinstance(b, float) else b), field.name
+    assert gathered.p_success_perfect == pytest.approx(oracle(proto, epr_state(n))[0], abs=1e-12)
+    mixed = ProductState.maximally_mixed(n, n)
+    assert gathered.q_success_mixed == pytest.approx(oracle(proto, mixed)[0], abs=1e-12)
+
+
+def test_accept_roots_are_computed_once_per_distinct_element(monkeypatch):
+    calls = []
+
+    def counting(m, *args, **kwargs):
+        calls.append(len(m))
+        return hermitian_sqrt(m, *args, **kwargs)
+
+    monkeypatch.setattr(locc, "hermitian_sqrt", counting)
+    proto = make_simple_random_hash(3, 2)
+    dense = random_density_matrix(np.random.default_rng(2), 3, 3)
+    for state in (epr_state(3), ProductState.maximally_mixed(3, 3), dense):
+        run(proto, state)
+    verify.verify_splitting(proto)
+    assert calls == [len(proto._plan.elements)]

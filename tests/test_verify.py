@@ -284,6 +284,19 @@ def test_lemma_suite_tolerance_override_fails():
     assert any(not r.passed for r in reports)
 
 
+def test_lemma_suite_golden_stream():
+    # pins the generator stream and the margin arithmetic bit for bit:
+    # these are the values of the unfused, one-state-at-a-time sweep
+    reports = verify.lemma_suite(seed=7, count=300)
+    assert [(r.lemma, repr(r.worst_margin), r.instances, r.violations) for r in reports] == [
+        ("pauli-deviation-cap", "0.08575891412604242", 300, 0),
+        ("bell-base-fidelity-identity", "-8.881784197001252e-16", 300, 0),
+        ("disentangled-base-fidelity-cap", "0.0004987246105332965", 300, 0),
+        ("fidelity-linearity", "-1.8318679906315083e-15", 300, 0),
+        ("fidelity-monotonicity", "0.002812898151622001", 300, 0),
+    ]
+
+
 def _scalar_margins(seed, count):
     """The five lemma margin lists, drawn as ``lemma_suite`` draws them and
     evaluated one instance at a time through the state-level functions."""
