@@ -17,9 +17,15 @@ together and yields one ``Level`` per depth: the nodes of every seed of
 the block at that depth, in seed order and then transcript order, as
 one stacked array per representation with a leading row axis, plus
 each row's seed, transcript code and probability.  A node below
-``PROB_TOL`` is yielded but not expanded.  Each round's Kraus operators
-and listener unitaries are stacked once per protocol (a branch with
-fewer Kraus operators is padded with zero operators), so a round is one
+``PROB_TOL`` is yielded but not expanded.
+
+A protocol holds each operator once.  A round keeps its distinct
+instruments and listener unitaries plus per-seed index arrays, and a
+POVM accept rule its distinct elements plus a (seed, transcript) index;
+the shared-randomness seeds only index into them.  Each round's
+operators are stacked once per round from the distinct operators (a
+branch with fewer Kraus operators is padded with zero operators), and
+each level gathers its rows' operators by seed, so a round is one
 batched matmul per operator slot over the whole level.  ``seed_blocks``
 cuts the seeds into blocks whose widest level fits
 ``FRONTIER_BUDGET_BYTES``, which bounds memory.  Instruments are given
@@ -41,7 +47,7 @@ by its type:
 ``run`` computes leaf probabilities, output-pair reductions and the
 accept data over a block's last level at once; a POVM rule measures the
 whole level in one batched apply, each leaf with its element's sqrt(M),
-which is computed once per distinct element and protocol.  Its result
+which the rule computes once per distinct element.  Its result
 keeps each block's leaf arrays and builds the per-leaf records only
 when ``RunResult.leaves`` is read.  It also reports, per round, the
 nodes expanded and pruned, the largest level and the time taken
@@ -57,6 +63,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping, NamedTuple
@@ -104,17 +111,20 @@ def _frozen(value) -> np.ndarray:
     return _read_only(np.array(value, dtype=np.complex128))
 
 
-# Per-seed data (instruments, listeners, output pairs) broadcasts: a
-# one-entry tuple serves every seed, otherwise there is one entry per seed.
+def _per_seed(entries: np.ndarray, seeds: np.ndarray) -> np.ndarray:
+    """The entry of each of ``seeds`` in per-seed data (instrument and
+    listener indexes, output pairs): one entry serves every seed, which
+    clipping gives, and otherwise every seed is in range."""
+    return entries.take(seeds, mode="clip")
 
 
-def _seed_entry(entries: tuple, seed: int):
-    return entries[0] if len(entries) == 1 else entries[seed]
-
-
-def _check_seed_entries(entries: tuple, n_seeds: int, what: str) -> None:
-    if len(entries) not in (1, n_seeds):
-        raise ValueError(f"{what} must have one entry or one per seed")
+def _index(index, size: int, what: str, ndim: int = 1, low: int = 0) -> np.ndarray:
+    """A read-only integer array of ``ndim`` axes with entries in [low,
+    size); None gives 0, 1, ..., size - 1."""
+    arr = np.arange(size) if index is None else np.array(index)
+    if arr.ndim != ndim or arr.dtype.kind not in "iu" or not arr.size or not low <= arr.min() <= arr.max() < size:
+        raise ValueError(f"{what} must be a non-empty {ndim}-d integer array into {size} entries")
+    return _read_only(arr.astype(np.intp))
 
 
 @dataclass(frozen=True)
@@ -189,48 +199,68 @@ class Instrument:
 class Round:
     """One communication round: ``party`` sends the instrument's bit.
 
-    ``instruments`` holds one instrument per seed; a length-1 tuple is
-    shared by every seed.  The listening party may apply a local
-    unitary in the same round (``listener_unitaries``, per seed); local
-    unitaries carry no communication.
+    ``instruments`` holds the round's distinct instruments and
+    ``instrument_index`` each seed's entry among them (one index entry
+    serves every seed); ``None`` gives one index entry per instrument, in
+    order.  The listening party may apply a local unitary in the same
+    round, held the same way (``listener_unitaries``,
+    ``listener_index``); local unitaries carry no communication.
+
+    ``kraus_stack`` and ``listener_stack`` are what the runner gathers
+    each level's operators from, built on first use.
     """
 
     party: str
     instruments: tuple[Instrument, ...]
     listener_unitaries: tuple[np.ndarray, ...] | None = None
+    instrument_index: np.ndarray | None = None
+    listener_index: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.party not in (ALICE, BOB):
             raise ValueError(f"unknown party {self.party!r}")
-        if not self.instruments:
+        instruments = tuple(self.instruments)
+        if not instruments:
             raise ValueError("round needs at least one instrument")
-        object.__setattr__(self, "instruments", tuple(self.instruments))
-        if self.listener_unitaries is not None:
-            # one check and one read-only copy per distinct caller object
-            frozen: dict[int, np.ndarray] = {}
-            for u in self.listener_unitaries:
-                if id(u) in frozen:
-                    continue
-                arr = frozen[id(u)] = _frozen(u)
-                if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not (
-                    np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])).max() <= 1e-9
-                ):
-                    raise ValueError("listener operation must be unitary")
-            object.__setattr__(
-                self, "listener_unitaries", tuple(frozen[id(u)] for u in self.listener_unitaries)
-            )
+        index = _index(self.instrument_index, len(instruments), "instrument_index")
+        object.__setattr__(self, "instruments", instruments)
+        object.__setattr__(self, "instrument_index", index)
+        if self.listener_unitaries is None:
+            if self.listener_index is not None:
+                raise ValueError("listener_index needs listener_unitaries")
+            return
+        listeners = tuple(_frozen(u) for u in self.listener_unitaries)
+        for arr in listeners:
+            if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not (
+                np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])).max() <= 1e-9
+            ):
+                raise ValueError("listener operation must be unitary")
+        object.__setattr__(self, "listener_unitaries", listeners)
+        object.__setattr__(self, "listener_index", _index(self.listener_index, len(listeners), "listener_index"))
+
+    @functools.cached_property
+    def kraus_stack(self) -> np.ndarray:
+        """(instruments, 2 branches, Kraus slots, d, d); a branch with
+        fewer Kraus operators is padded with zero operators."""
+        width = max(len(branch) for ins in self.instruments for branch in ins.kraus)
+        d = self.instruments[0].dim >> self.instruments[0].n_workspace
+        stack = np.zeros((len(self.instruments), 2, width, d, d), dtype=np.complex128)
+        for row, ins in enumerate(self.instruments):
+            for bit, branch in enumerate(ins.kraus):
+                for j, k in enumerate(branch):
+                    stack[row, bit, j] = k
+        return _read_only(stack)
+
+    @functools.cached_property
+    def listener_stack(self) -> np.ndarray | None:
+        """(listeners, 1, 1, d, d)."""
+        if self.listener_unitaries is None:
+            return None
+        return _read_only(np.stack(self.listener_unitaries)[:, None, None])
 
     @property
     def listener(self) -> str:
         return BOB if self.party == ALICE else ALICE
-
-    def for_seed(self, seed: int) -> Instrument:
-        return _seed_entry(self.instruments, seed)
-
-    def listener_for_seed(self, seed: int) -> np.ndarray | None:
-        if self.listener_unitaries is None:
-            return None
-        return _seed_entry(self.listener_unitaries, seed)
 
 
 class AlwaysAccept:
@@ -252,31 +282,37 @@ class ConstantAccept:
             if not 0.0 <= float(r) <= 1.0:
                 raise ValueError(f"accept probability {r} outside [0, 1]")
 
-    def probability(self, transcript: str) -> float:
+    def probabilities(self, codes: np.ndarray) -> np.ndarray:
+        """The accept probability of each leaf, by transcript code."""
         if isinstance(self.values, (int, float)):
-            return float(self.values)
-        return float(self.values[transcript])
+            return np.full(len(codes), float(self.values))
+        # ``Protocol`` checked one value per transcript, and equal-length
+        # binary strings sort in code order
+        return np.array([float(r) for _, r in sorted(self.values.items())])[codes]
 
 
 @dataclass(frozen=True)
 class PovmAccept:
-    """Accept via a POVM element on Alice's register per (seed, leaf)."""
+    """Accept via a POVM element on Alice's register per (seed, leaf).
 
-    elements: Mapping[tuple[int, str], np.ndarray]
+    ``elements`` holds the distinct elements and ``index[seed, code]``,
+    an (n_seeds, 2**bits) integer array, the element of the leaf whose
+    transcript has the binary digits of ``code``; -1 marks a leaf
+    without one, which ``Protocol`` rejects.  ``roots`` is sqrt(M) of
+    every element, computed on first use in one batched call.
+    """
+
+    elements: tuple[np.ndarray, ...]
+    index: np.ndarray
 
     def __post_init__(self) -> None:
-        # one read-only copy per distinct caller object, so elements the
-        # caller shared stay shared (the per-run sqrt(M) cache keys on them)
-        frozen: dict[int, np.ndarray] = {}
-        for m in self.elements.values():
-            if id(m) not in frozen:
-                frozen[id(m)] = _frozen(m)
-        object.__setattr__(
-            self, "elements", {key: frozen[id(m)] for key, m in self.elements.items()}
-        )
+        elements = tuple(_frozen(m) for m in self.elements)
+        object.__setattr__(self, "elements", elements)
+        object.__setattr__(self, "index", _index(self.index, len(elements), "POVM element index", ndim=2, low=-1))
 
-    def element(self, seed: int, transcript: str) -> np.ndarray:
-        return self.elements[(seed, transcript)]
+    @functools.cached_property
+    def roots(self) -> np.ndarray:
+        return hermitian_sqrt(np.stack(self.elements), floor=1e-9)
 
 
 AcceptRule = AlwaysAccept | ConstantAccept | PovmAccept
@@ -288,9 +324,10 @@ class Protocol:
 
     Deterministic protocols are the special case of a point-mass seed
     distribution.  ``output_pair`` designates which pair both parties
-    output, per seed (length-1 tuples broadcast).  Construction checks
-    everything ``run`` relies on: register sizes, and an accept value
-    for every (seed, transcript) of length ``bits``.
+    output, per seed (a length-1 tuple serves every seed).  Construction
+    checks everything ``run`` relies on: register sizes, per-seed
+    lengths, and exactly one accept value for every (seed, transcript)
+    of length ``bits``.
     """
 
     n_pairs: int
@@ -310,13 +347,18 @@ class Protocol:
         if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
             raise ValueError("seed weights must form a distribution")
         pairs = tuple(int(j) for j in self.output_pair)
-        _check_seed_entries(pairs, len(weights), "output_pair")
+
+        def check_per_seed(entries, what: str) -> None:
+            if len(entries) not in (1, len(weights)):
+                raise ValueError(f"{what} must have one entry or one per seed")
+
+        check_per_seed(pairs, "output_pair")
         if any(not 0 <= j < self.n_pairs for j in pairs):
             raise ValueError("output pair index out of range")
         for rnd in self.rounds:
-            _check_seed_entries(rnd.instruments, len(weights), "round instruments")
-            if rnd.listener_unitaries is not None:
-                _check_seed_entries(rnd.listener_unitaries, len(weights), "listener unitaries")
+            check_per_seed(rnd.instrument_index, "round instruments")
+            if rnd.listener_index is not None:
+                check_per_seed(rnd.listener_index, "listener unitaries")
             for instrument in rnd.instruments:
                 if instrument.dim != 1 << (self.n_pairs + instrument.n_workspace):
                     raise ValueError("instrument dimension does not match the party register")
@@ -341,35 +383,39 @@ class Protocol:
     def deterministic(self) -> bool:
         return self.n_seeds == 1
 
-    def output_pair_for(self, seed: int) -> int:
-        return _seed_entry(self.output_pair, seed)
-
-    @functools.cached_property
-    def _plan(self) -> "_Plan":
-        """The rounds and accept rule as stacked arrays, for the runner."""
-        return _Plan(self)
+    @property
+    def multi_kraus(self) -> bool:
+        """Whether a branch has several Kraus operators, which turns a
+        pure frontier dense."""
+        return any(rnd.kraus_stack.shape[2] > 1 for rnd in self.rounds)
 
 
 def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
-    """Every reachable leaf needs an accept value; POVM elements must be
-    operators 0 <= M <= I on Alice's register."""
-    transcripts = ["".join(t) for t in itertools.product("01", repeat=bits)]
+    """Every leaf needs exactly one accept value, and every value must
+    name a leaf; POVM elements must be operators 0 <= M <= I on Alice's
+    register.  Missing values are reported first."""
     if isinstance(rule, ConstantAccept) and not isinstance(rule.values, (int, float)):
+        transcripts = ["".join(t) for t in itertools.product("01", repeat=bits)]
         missing = [t for t in transcripts if t not in rule.values]
         if missing:
             raise ValueError(f"accept rule has no value for transcript {missing[0]!r}")
+        known = set(transcripts)
+        stray = [t for t in rule.values if t not in known]
+        if stray:
+            raise ValueError(f"accept rule has a value for transcript {stray[0]!r}, which names no leaf")
     if not isinstance(rule, PovmAccept):
         return
-    missing = [(s, t) for s in range(n_seeds) for t in transcripts if (s, t) not in rule.elements]
+    if rule.index.shape != (n_seeds, 1 << bits):
+        raise ValueError(
+            f"accept rule needs a POVM element index of shape {(n_seeds, 1 << bits)}, not {rule.index.shape}"
+        )
+    missing = [(seed, _transcript(code, bits)) for seed, code in np.argwhere(rule.index < 0).tolist()]
     if missing:
         raise ValueError(f"accept rule has no POVM element for (seed, transcript) {missing[0]}")
-    # built-in protocols and loaded specs share one array per distinct
-    # element: check each once
-    unique = list({id(m): m for m in rule.elements.values()}.values())
     dim = 1 << n
-    if any(m.shape != (dim, dim) for m in unique):
+    if any(m.shape != (dim, dim) for m in rule.elements):
         raise ValueError("accept POVM elements must act on Alice's register")
-    stack = np.stack(unique)
+    stack = np.stack(rule.elements)
     if not np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= 1e-9:
         raise ValueError("accept POVM elements must be Hermitian")
     eig = np.linalg.eigvalsh(stack)
@@ -475,86 +521,11 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# the protocol as stacked arrays
+# seed blocks
 
 # Bytes one seed block's widest level may take.  A block holds as many
 # seeds as fit; a seed whose level alone is larger gets a block of its own.
 FRONTIER_BUDGET_BYTES = 1 << 17
-
-
-class _RoundStack(NamedTuple):
-    """One round's instruments and listeners, each distinct one stored once."""
-
-    party: str
-    listener: str
-    ops: np.ndarray  # (distinct instruments, 2 branches, kraus, d, d), zero padded
-    op_index: np.ndarray  # (n_seeds,): each seed's row of ops
-    listeners: np.ndarray | None  # (distinct listeners, 1, 1, d, d)
-    listener_index: np.ndarray | None  # (n_seeds,)
-
-
-def _distinct(entries, key) -> tuple[list, np.ndarray]:
-    """The distinct entries by ``key``, and each entry's index into them."""
-    index: dict = {}
-    unique = []
-    rows = []
-    for entry in entries:
-        k = key(entry)
-        if k not in index:
-            index[k] = len(unique)
-            unique.append(entry)
-        rows.append(index[k])
-    return unique, np.asarray(rows, dtype=np.intp)
-
-
-def _stack_round(rnd: Round, dim: int, n_seeds: int) -> _RoundStack:
-    # per-seed tuples broadcast, so a one-entry index serves every seed
-    instruments, op_index = _distinct(
-        rnd.instruments, lambda ins: tuple(tuple(map(id, branch)) for branch in ins.kraus)
-    )
-    width = max(len(branch) for ins in instruments for branch in ins.kraus)
-    ops = np.zeros((len(instruments), 2, width, dim, dim), dtype=np.complex128)
-    for row, ins in enumerate(instruments):
-        for bit, branch in enumerate(ins.kraus):
-            for j, k in enumerate(branch):
-                ops[row, bit, j] = k
-    listeners = listener_index = None
-    if rnd.listener_unitaries is not None:
-        unique, listener_index = _distinct(rnd.listener_unitaries, id)
-        listeners = np.stack(unique)[:, None, None]
-        listener_index = np.broadcast_to(listener_index, (n_seeds,))
-    return _RoundStack(
-        rnd.party, rnd.listener, ops, np.broadcast_to(op_index, (n_seeds,)), listeners, listener_index
-    )
-
-
-class _Plan:
-    """A protocol's rounds, output pairs and accept rule as arrays indexed
-    by seed and transcript code, built once per protocol."""
-
-    def __init__(self, protocol: "Protocol"):
-        n_seeds = protocol.n_seeds
-        self.weights = np.asarray(protocol.seed_weights)
-        self.output_pairs = np.broadcast_to(np.asarray(protocol.output_pair), (n_seeds,))
-        self.rounds = tuple(
-            _stack_round(rnd, 1 << protocol.n_pairs, n_seeds) for rnd in protocol.rounds
-        )
-        self.multi_kraus = any(rnd.ops.shape[2] > 1 for rnd in self.rounds)
-        transcripts = ["".join(t) for t in itertools.product("01", repeat=protocol.bits)]
-        rule = protocol.accept
-        if isinstance(rule, ConstantAccept):
-            self.constant = np.array([rule.probability(t) for t in transcripts])
-        if isinstance(rule, PovmAccept):
-            elements, index = _distinct(
-                (rule.element(s, t) for s in range(n_seeds) for t in transcripts), id
-            )
-            self.elements = elements
-            self.element_index = index.reshape(n_seeds, len(transcripts))
-
-    @functools.cached_property
-    def roots(self) -> np.ndarray:
-        """sqrt(M) of every distinct POVM element, in one batched call."""
-        return hermitian_sqrt(np.stack(self.elements), floor=1e-9)
 
 
 def _row_bytes(protocol: "Protocol", state: State | ProductState) -> int:
@@ -562,7 +533,7 @@ def _row_bytes(protocol: "Protocol", state: State | ProductState) -> int:
     da, db = 1 << state.n_alice, 1 << state.n_bob
     if isinstance(state, ProductState):
         return 16 * (da * da + db * db)
-    if isinstance(state, PureState) and not protocol._plan.multi_kraus:
+    if isinstance(state, PureState) and not protocol.multi_kraus:
         return 16 * da * db
     return 16 * (da * db) ** 2
 
@@ -659,15 +630,15 @@ def _accept(protocol: Protocol, leaves: Level, post: bool = False) -> tuple[np.n
     sqrt(M) rho_t sqrt(M), or of its output-pair block.
     """
     rule = protocol.accept
-    plan = protocol._plan
     if isinstance(rule, AlwaysAccept):
         return np.ones(len(leaves)), None
     if isinstance(rule, ConstantAccept):
-        return plan.constant[leaves.codes], None
-    roots = plan.roots[plan.element_index[leaves.seeds, leaves.codes]]
+        return rule.probabilities(leaves.codes), None
+    roots = rule.roots[rule.index[leaves.seeds, leaves.codes]]
     measured = leaves.frontier.apply(roots[:, None, None], ALICE)
     if post:
-        values = reduce_pairs(measured, protocol.n_pairs, plan.output_pairs[leaves.seeds])
+        pairs = _per_seed(np.asarray(protocol.output_pair), leaves.seeds)
+        values = reduce_pairs(measured, protocol.n_pairs, pairs)
     else:
         values = measured.norms()
     r_joint = np.trace(values, axis1=1, axis2=2).real if post else values  # p_t * r_t
@@ -692,24 +663,24 @@ def walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray) -> 
     Yields the root level, one row per seed of ``seeds``, then one level
     per round.  A round expands every node of the previous level at or
     above ``PROB_TOL`` into its two children; a node below it is yielded
-    but not expanded.  Each round's operators come
-    from the protocol's stacks, built once per protocol.  Only the
+    but not expanded.  Each round's operators are gathered by seed from
+    the round's stacks.  Only the
     current level is held, so memory follows one level of the block, not
     the whole tree (``seed_blocks`` sizes blocks under
     ``FRONTIER_BUDGET_BYTES``).  ``state`` must live on
     ``protocol.n_pairs`` pairs.
     """
-    plan = protocol._plan
     seeds = np.asarray(seeds, dtype=np.intp)
     frontier = frontier_of(state, len(seeds))
     level = Level(0, seeds, np.zeros(len(seeds), dtype=np.int64), frontier.norms(), frontier)
     yield level
-    for depth, rnd in enumerate(plan.rounds, 1):
+    for depth, rnd in enumerate(protocol.rounds, 1):
         parents = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
         nodes = parents.frontier
-        if rnd.listeners is not None:
-            nodes = nodes.apply(rnd.listeners[rnd.listener_index[parents.seeds]], rnd.listener)
-        children = nodes.apply(rnd.ops[rnd.op_index[parents.seeds]], rnd.party)
+        if rnd.listener_stack is not None:
+            listeners = rnd.listener_stack[_per_seed(rnd.listener_index, parents.seeds)]
+            nodes = nodes.apply(listeners, rnd.listener)
+        children = nodes.apply(rnd.kraus_stack[_per_seed(rnd.instrument_index, parents.seeds)], rnd.party)
         codes = (2 * parents.codes[:, None] + np.arange(2)).reshape(-1)
         level = Level(depth, np.repeat(parents.seeds, 2), codes, children.norms(), children)
         yield level
@@ -771,9 +742,10 @@ def run(protocol: Protocol, state) -> RunResult:
     says where the work went.
     """
     weighted = _coerce_input(protocol, state)
-    plan = protocol._plan
     n = protocol.n_pairs
-    live_seeds = np.flatnonzero(plan.weights != 0.0)
+    seed_weights = np.asarray(protocol.seed_weights)
+    output_pairs = np.asarray(protocol.output_pair)
+    live_seeds = np.flatnonzero(seed_weights != 0.0)
     meter = _Meter(protocol.bits)
     blocks: list[tuple[_RecordRows, ...]] = []
     out_acc = np.zeros((4, 4), dtype=np.complex128)
@@ -790,13 +762,13 @@ def run(protocol: Protocol, state) -> RunResult:
                     rows.append(
                         _RecordRows(
                             comp_idx, level.depth, seeds, level.codes[dead],
-                            comp_w * plan.weights[seeds], None, None, None,
+                            comp_w * seed_weights[seeds], None, None, None,
                         )
                     )
             leaf = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
-            weight = comp_w * plan.weights[leaf.seeds]
+            weight = comp_w * seed_weights[leaf.seeds]
             p_t = leaf.probabilities
-            reduced = reduce_pairs(leaf.frontier, n, plan.output_pairs[leaf.seeds])
+            reduced = reduce_pairs(leaf.frontier, n, _per_seed(output_pairs, leaf.seeds))
             r_t, post = _accept(protocol, leaf, post=True)
             out_acc += np.tensordot(weight, reduced, axes=1)
             cond_acc += np.tensordot(weight, r_t[:, None, None] * reduced if post is None else post, axes=1)
@@ -972,48 +944,47 @@ def make_simple_random_hash(n: int, s: int) -> Protocol:
         for size in range(check + 1):
             subsets.extend(itertools.combinations(free, size))
         round_choices.append(subsets)
-    seeds = list(itertools.product(*[range(len(c)) for c in round_choices]))
-    weight = 1.0 / len(seeds)
+    # a seed is one choice per round; seed j makes choice choices[k][j] in
+    # round k, the seeds running in itertools.product order
+    sizes = [len(c) for c in round_choices]
+    n_seeds = math.prod(sizes)
+    choices = np.unravel_index(np.arange(n_seeds), sizes)
 
     rounds = []
     for k in range(s):
         check = n - 1 - k
-        # one instrument and one listener per parity choice, shared by
-        # every seed that makes the choice
-        circuits = [_read_only(_parity_circuit(n, members, check)) for members in round_choices[k]]
-        instruments = [
+        # one instrument and one listener per parity choice
+        circuits = tuple(_read_only(_parity_circuit(n, members, check)) for members in round_choices[k])
+        instruments = tuple(
             Instrument(branches=tuple((_bit_projector(n, check, bit) @ c,) for bit in (0, 1)))
             for c in circuits
-        ]
+        )
         rounds.append(
             Round(
                 party=BOB,
-                instruments=tuple(instruments[seed[k]] for seed in seeds),
+                instruments=instruments,
                 # Alice folds the same parity into her check qubit; the CNOT
                 # layer is what frees the surviving pairs from the check pair
-                listener_unitaries=tuple(circuits[seed[k]] for seed in seeds),
+                listener_unitaries=circuits,
+                instrument_index=choices[k],
+                listener_index=choices[k],
             )
         )
 
     # Alice's deferred check measurement: her check qubits must repeat
-    # Bob's announced bits in every round
-    projectors: dict[str, np.ndarray] = {}
-    for bits in itertools.product("01", repeat=s):
+    # Bob's announced bits in every round; every seed checks the same way
+    projectors = []
+    for bits in itertools.product((0, 1), repeat=s):
         proj = np.eye(1 << n, dtype=np.complex128)
         for k, bit in enumerate(bits):
-            proj = proj @ _bit_projector(n, n - 1 - k, int(bit))
-        projectors["".join(bits)] = proj
-    elements = {
-        (seed_idx, transcript): proj
-        for seed_idx in range(len(seeds))
-        for transcript, proj in projectors.items()
-    }
+            proj = proj @ _bit_projector(n, n - 1 - k, bit)
+        projectors.append(proj)
 
     return Protocol(
         n_pairs=n,
-        seed_weights=(weight,) * len(seeds),
+        seed_weights=(1.0 / n_seeds,) * n_seeds,
         rounds=tuple(rounds),
-        accept=PovmAccept(elements=elements),
+        accept=PovmAccept(projectors, np.broadcast_to(np.arange(1 << s), (n_seeds, 1 << s))),
         output_pair=(0,),
         name=f"simple-random-hash-s{s}",
     )
@@ -1078,12 +1049,11 @@ def random_protocol(
             }
         )
     else:
+        # one element per (seed, transcript), drawn in that order
+        n_leaves = n_seeds << n_rounds
         accept = PovmAccept(
-            elements={
-                (seed, "".join(bits)): random_povm_element(rng, 1 << n)
-                for seed in range(n_seeds)
-                for bits in itertools.product("01", repeat=n_rounds)
-            }
+            tuple(random_povm_element(rng, 1 << n) for _ in range(n_leaves)),
+            np.arange(n_leaves).reshape(n_seeds, -1),
         )
     weights = rng.dirichlet(np.ones(n_seeds)) if n_seeds > 1 else np.array([1.0])
     return Protocol(

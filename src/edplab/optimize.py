@@ -143,13 +143,6 @@ class PairFidelityObjective:
         e_alice = e_alice.transpose(2, 0, 1).reshape(d, d)
         return value, e_alice, e_bob
 
-    def value_and_gradient(
-        self, u_alice: np.ndarray, u_bob: np.ndarray
-    ) -> tuple[float, np.ndarray, np.ndarray]:
-        """Value and the anti-Hermitian Riemannian gradients E U^H - U E^H."""
-        value, e_alice, e_bob = self.value_and_euclidean_gradient(u_alice, u_bob)
-        return value, _omega(e_alice, u_alice), _omega(e_bob, u_bob)
-
 
 def maximize_pair_fidelity(objective: PairFidelityObjective, config: AscentConfig) -> AscentResult:
     """Best objective value over the unitary pair, multi-start polar ascent."""

@@ -19,12 +19,21 @@ read-only, and every reference to it shares that one array.  A table
 entry must be square with a power-of-two side within the qubit cap,
 name each ``(i, j)`` inside its shape at most once, and hold finite
 numbers; any other document raises ``SpecParseError``.
+
+A protocol holds each distinct operator once plus per-seed indexes into
+them; the writer expands the indexes into the ``*_by_seed`` lists and
+one ``elements`` entry per (seed, transcript).  The loader builds one
+instrument per distinct ``kraus_by_seed`` entry (same table references
+and workspace) and shares listeners and POVM elements by table index;
+each inline literal stands alone.  Every POVM entry must name its own
+leaf: a seed below the seed count and one transcript bit per round.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from typing import Any, Callable
@@ -246,7 +255,17 @@ def _matrix(ref: Any, table: list[np.ndarray], path: str) -> np.ndarray:
     return table[ref]
 
 
-def _accept_to_json(rule: AcceptRule, ref: Callable[[np.ndarray], int]) -> dict[str, Any]:
+def _shared(items: list, seen: dict, key: Any, build: Callable[[], Any]) -> int:
+    """The index into ``items`` of the object ``key`` names, built and
+    appended on first sight.  An inline literal's key is a fresh
+    ``object()``, so it is never shared."""
+    if key not in seen:
+        seen[key] = len(items)
+        items.append(build())
+    return seen[key]
+
+
+def _accept_to_json(rule: AcceptRule, ref: Callable[[np.ndarray], int], bits: int) -> dict[str, Any]:
     if isinstance(rule, AlwaysAccept):
         return {"kind": "always"}
     if isinstance(rule, ConstantAccept):
@@ -254,15 +273,17 @@ def _accept_to_json(rule: AcceptRule, ref: Callable[[np.ndarray], int]) -> dict[
             return {"kind": "constant", "value": float(rule.values)}
         return {"kind": "constant", "values": {k: float(v) for k, v in sorted(rule.values.items())}}
     if isinstance(rule, PovmAccept):
+        transcripts = ["".join(t) for t in itertools.product("01", repeat=bits)]
         elements = [
-            {"seed": seed, "transcript": transcript, "matrix": ref(mat)}
-            for (seed, transcript), mat in sorted(rule.elements.items())
+            {"seed": seed, "transcript": transcript, "matrix": ref(rule.elements[i])}
+            for seed, row in enumerate(rule.index.tolist())
+            for transcript, i in zip(transcripts, row)
         ]
         return {"kind": "povm", "elements": elements}
     raise TypeError(f"unknown accept rule {rule!r}")
 
 
-def _accept_from_json(doc: Any, table: list[np.ndarray]) -> AcceptRule:
+def _accept_from_json(doc: Any, table: list[np.ndarray], n_seeds: int, bits: int) -> AcceptRule:
     if not isinstance(doc, dict) or "kind" not in doc:
         raise SpecParseError("accept_rule: expected an object with a 'kind' field")
     kind = doc["kind"]
@@ -276,13 +297,28 @@ def _accept_from_json(doc: Any, table: list[np.ndarray]) -> AcceptRule:
             raise SpecParseError("accept_rule.values: expected an object")
         return ConstantAccept({str(k): _float(v, f"accept_rule.values.{k}") for k, v in values.items()})
     if kind == "povm":
-        elements = {}
+        # -1 marks a leaf no entry names; ``Protocol`` reports the first
+        elements: list[np.ndarray] = []
+        seen: dict[Any, int] = {}
+        index = np.full((n_seeds, 1 << bits), -1, dtype=np.intp)
+        stray = None
         for idx, entry in enumerate(_list(doc.get("elements", []), "accept_rule.elements")):
+            where = f"accept_rule.elements[{idx}]"
             if not isinstance(entry, dict) or "seed" not in entry or "transcript" not in entry:
-                raise SpecParseError(f"accept_rule.elements[{idx}]: needs seed and transcript")
-            key = (_int(entry["seed"], f"accept_rule.elements[{idx}].seed"), str(entry["transcript"]))
-            elements[key] = _matrix(entry.get("matrix"), table, f"accept_rule.elements[{idx}].matrix")
-        return PovmAccept(elements=elements)
+                raise SpecParseError(f"{where}: needs seed and transcript")
+            seed, transcript = _int(entry["seed"], f"{where}.seed"), str(entry["transcript"])
+            ref = entry.get("matrix")
+            mat = _matrix(ref, table, f"{where}.matrix")
+            leaf = 0 <= seed < n_seeds and len(transcript) == bits and not transcript.strip("01")
+            code = int(transcript, 2) if leaf and bits else 0
+            if not leaf or index[seed, code] >= 0:
+                what = "names no leaf" if not leaf else "repeats an earlier entry's leaf"
+                stray = stray or f"{where}: (seed, transcript) {(seed, transcript)} {what}"
+                continue
+            index[seed, code] = _shared(elements, seen, object() if isinstance(ref, list) else ref, lambda: mat)
+        if stray is not None and (index >= 0).all():
+            raise SpecParseError(stray)
+        return PovmAccept(tuple(elements), index)
     raise SpecParseError(f"accept_rule: unknown kind {kind!r}")
 
 
@@ -304,16 +340,16 @@ def protocol_to_json(protocol: Protocol) -> dict[str, Any]:
             "party": rnd.party,
             "kraus_by_seed": [
                 {
-                    "branches": [[ref(k) for k in branch] for branch in ins.branches],
-                    "n_workspace": ins.n_workspace,
+                    "branches": [[ref(k) for k in branch] for branch in rnd.instruments[i].branches],
+                    "n_workspace": rnd.instruments[i].n_workspace,
                 }
-                for ins in rnd.instruments
+                for i in rnd.instrument_index.tolist()
             ],
         }
         if rnd.listener_unitaries is not None:
-            round_doc["listener_by_seed"] = [ref(u) for u in rnd.listener_unitaries]
+            round_doc["listener_by_seed"] = [ref(rnd.listener_unitaries[i]) for i in rnd.listener_index.tolist()]
         rounds.append(round_doc)
-    accept = _accept_to_json(protocol.accept, ref)
+    accept = _accept_to_json(protocol.accept, ref, protocol.bits)
     return {
         "name": protocol.name,
         "n": protocol.n_pairs,
@@ -340,38 +376,47 @@ def protocol_from_json(doc: Any) -> Protocol:
     for ridx, round_doc in enumerate(_list(doc.get("rounds", []), "protocol.rounds")):
         if not isinstance(round_doc, dict) or "party" not in round_doc:
             raise SpecParseError(f"rounds[{ridx}]: expected an object with a party")
-        instruments = []
+        # entries with the same table references share one instrument
+        instruments: list[Instrument] = []
+        seen: dict[Any, int] = {}
+        instrument_index = []
         seeds = _list(round_doc.get("kraus_by_seed", []), f"rounds[{ridx}].kraus_by_seed")
         for sidx, ins_doc in enumerate(seeds):
             where = f"rounds[{ridx}].kraus_by_seed[{sidx}]"
             branches = ins_doc.get("branches") if isinstance(ins_doc, dict) else None
             if not isinstance(branches, list) or len(branches) != 2:
                 raise SpecParseError(f"{where}.branches: expected two branches")
+            refs = tuple(tuple(_list(branch, f"{where}.branches[{bidx}]")) for bidx, branch in enumerate(branches))
             parsed = tuple(
-                tuple(
-                    _matrix(k, table, f"{where}.branches[{bidx}][{kidx}]")
-                    for kidx, k in enumerate(_list(branch, f"{where}.branches[{bidx}]"))
-                )
-                for bidx, branch in enumerate(branches)
+                tuple(_matrix(k, table, f"{where}.branches[{bidx}][{kidx}]") for kidx, k in enumerate(branch))
+                for bidx, branch in enumerate(refs)
             )
             n_workspace = _int(ins_doc.get("n_workspace", 0), f"{where}.n_workspace")
-            try:
-                instruments.append(Instrument(branches=parsed, n_workspace=n_workspace))
-            except ValueError as exc:
-                raise SpecParseError(f"{where}: {exc}") from exc
-        listener = None
+            inline = any(isinstance(k, list) for branch in refs for k in branch)
+
+            def build() -> Instrument:
+                try:
+                    return Instrument(branches=parsed, n_workspace=n_workspace)
+                except ValueError as exc:
+                    raise SpecParseError(f"{where}: {exc}") from exc
+
+            instrument_index.append(_shared(instruments, seen, object() if inline else (refs, n_workspace), build))
+        listeners = listener_index = None
         if "listener_by_seed" in round_doc:
             where = f"rounds[{ridx}].listener_by_seed"
-            listener = tuple(
-                _matrix(u, table, f"{where}[{uidx}]")
-                for uidx, u in enumerate(_list(round_doc["listener_by_seed"], where))
-            )
+            listeners, seen, listener_index = [], {}, []
+            for uidx, u in enumerate(_list(round_doc["listener_by_seed"], where)):
+                mat = _matrix(u, table, f"{where}[{uidx}]")
+                key = object() if isinstance(u, list) else u
+                listener_index.append(_shared(listeners, seen, key, lambda: mat))
         try:
             rounds.append(
                 Round(
                     party=str(round_doc["party"]),
                     instruments=tuple(instruments),
-                    listener_unitaries=listener,
+                    listener_unitaries=None if listeners is None else tuple(listeners),
+                    instrument_index=instrument_index or None,
+                    listener_index=listener_index or None,
                 )
             )
         except ValueError as exc:
@@ -381,7 +426,7 @@ def protocol_from_json(doc: Any) -> Protocol:
             n_pairs=n,
             seed_weights=tuple(_float(w, "protocol.shared_randomness") for w in weights),
             rounds=tuple(rounds),
-            accept=_accept_from_json(doc.get("accept_rule", {"kind": "always"}), table),
+            accept=_accept_from_json(doc.get("accept_rule", {"kind": "always"}), table, len(weights), len(rounds)),
             output_pair=tuple(
                 _int(j, "protocol.output_pair") for j in _list(doc.get("output_pair", [0]), "protocol.output_pair")
             ),

@@ -100,19 +100,6 @@ def _dominance_lows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((diff + adjoint) / 2.0)[..., 0]
 
 
-def povm_dominance_consequence(
-    rho: np.ndarray, sigma: np.ndarray, a: float, povm: list[np.ndarray], tol: float = DOMINANCE_TOL
-) -> bool:
-    """If rho dominates a*sigma then every POVM outcome obeys
-    p_m >= a * q_m; returns whether the supplied measurement does."""
-    for element in povm:
-        p_m = float(np.trace(element @ rho).real)
-        q_m = float(np.trace(element @ sigma).real)
-        if p_m < a * q_m - tol:
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # bound reports
 

@@ -736,6 +736,12 @@ def _bad_spec(path, value):
     return argv
 
 
+def _with_element(**edits):
+    """The hash spec's accept elements plus a copy of the first, edited."""
+    elements = _HASH_DOC["accept_rule"]["elements"]
+    return elements + [{**elements[0], **edits}]
+
+
 BAD_INPUTS = {
     "bounds without --model": lambda t: ["bounds", "--n", "1"],
     "measure-r without --r": lambda t: ["bounds", "--model", "measure-r", "--n", "1"],
@@ -783,6 +789,14 @@ BAD_INPUTS = {
         "protocol", "--spec", _edited(t, "spec.json", _HASH_DOC, (), _HASH_DOC),
         "--input", _edited(t, "state.json", serialize.state_to_json(epr_state(2)), ("n_alice",), _INF),
         "--emit-run", str(t / "run.json")],
+    # an accept entry that names no leaf, or a leaf a second time
+    "spec accept seed beyond the seeds": _bad_spec(("accept_rule", "elements"), _with_element(seed=7)),
+    "spec accept negative seed": _bad_spec(("accept_rule", "elements"), _with_element(seed=-1)),
+    "spec accept transcript too long": _bad_spec(("accept_rule", "elements"), _with_element(transcript="0110")),
+    "spec accept transcript not bits": _bad_spec(("accept_rule", "elements"), _with_element(transcript="x")),
+    "spec accept duplicate leaf": _bad_spec(("accept_rule", "elements"), _with_element()),
+    "spec constant accept stray transcript": _bad_spec(
+        ("accept_rule",), {"kind": "constant", "values": {"0": 0.5, "1": 0.5, "x": 0.5}}),
     "model r Infinity": lambda t: [
         "protocol", "--spec", _edited(t, "spec.json", _HASH_DOC, (), _HASH_DOC),
         "--model-file", _edited(t, "model.json", {"model": "measure_r", "n": 2, "r": 1}, ("r",), _INF)],

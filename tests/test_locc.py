@@ -434,7 +434,7 @@ def test_povm_accept_success_matches_expectation():
         n_pairs=1,
         seed_weights=(1.0,),
         rounds=(),
-        accept=PovmAccept(elements={(0, ""): m}),
+        accept=PovmAccept((m,), [[0]]),
         output_pair=(0,),
     )
     rho = random_density_matrix(rng, 1, 1)
@@ -490,12 +490,22 @@ def test_accept_rule_must_cover_every_transcript():
         _one_pair_protocol(ConstantAccept({"0": 0.5}), (rnd,))
     with pytest.raises(ValueError, match="transcript ''"):
         _one_pair_protocol(ConstantAccept({"x": 0.5}))
-    # a POVM rule is keyed by (seed, transcript)
+    # a POVM rule is indexed by (seed, transcript)
     with pytest.raises(ValueError, match="POVM element"):
-        _one_pair_protocol(PovmAccept({(0, "0"): np.eye(2)}), (rnd,))
+        _one_pair_protocol(PovmAccept((np.eye(2),), [[0, -1]]), (rnd,))
     with pytest.raises(ValueError, match="POVM element"):
-        Protocol(1, (0.5, 0.5), (), PovmAccept({(0, ""): np.eye(2)}), (0,))
+        Protocol(1, (0.5, 0.5), (), PovmAccept((np.eye(2),), [[0]]), (0,))
     _one_pair_protocol(ConstantAccept({"0": 0.5, "1": 1.0}), (rnd,))
+
+
+def test_accept_values_must_name_a_leaf():
+    rnd = Round(ALICE, (measure_z_instrument(1, 0),))
+    with pytest.raises(ValueError, match="transcript 'x', which names no leaf"):
+        _one_pair_protocol(ConstantAccept({"0": 0.5, "1": 1.0, "x": 0.5}), (rnd,))
+    with pytest.raises(ValueError, match=r"shape \(1, 2\)"):
+        _one_pair_protocol(PovmAccept((np.eye(2),), [[0, 0, 0]]), (rnd,))
+    with pytest.raises(ValueError, match="index"):
+        PovmAccept((np.eye(2),), [[0, 1]])
 
 
 def test_povm_elements_must_lie_between_zero_and_identity():
@@ -505,8 +515,8 @@ def test_povm_elements_must_lie_between_zero_and_identity():
     nan[0, 1] = NAN
     for bad in (3.0 * np.eye(2), -half, not_hermitian, nan, np.eye(4), np.eye(2)[:, :1]):
         with pytest.raises(ValueError):
-            _one_pair_protocol(PovmAccept({(0, ""): bad}))
-    proto = _one_pair_protocol(PovmAccept({(0, ""): half}))
+            _one_pair_protocol(PovmAccept((bad,), [[0]]))
+    proto = _one_pair_protocol(PovmAccept((half,), [[0]]))
     assert run(proto, bell_state("phi+")).success_probability == pytest.approx(0.5, abs=1e-12)
 
 
@@ -520,6 +530,29 @@ def test_protocol_rejects_registers_of_the_wrong_size():
         Round(ALICE, (measure_z_instrument(1, 0),), listener_unitaries=(np.eye(2)[:1],))
 
 
+def test_round_indexes_name_its_distinct_operators():
+    z0, z1 = measure_z_instrument(1, 0), measure_z_instrument(1, 0)
+    rnd = Round(ALICE, (z0, z1), listener_unitaries=(np.eye(2),), instrument_index=[1, 0, 1], listener_index=[0])
+    assert rnd.instrument_index.tolist() == [1, 0, 1] and rnd.listener_index.tolist() == [0]
+    assert Round(ALICE, (z0, z1)).instrument_index.tolist() == [0, 1]
+    Protocol(1, (0.5, 0.25, 0.25), (rnd,), AlwaysAccept(), (0,))
+    with pytest.raises(ValueError, match="one per seed"):
+        Protocol(1, (0.5, 0.5), (rnd,), AlwaysAccept(), (0,))
+    for bad in ([2], [-1], [], [0.0], [[0]]):
+        with pytest.raises(ValueError, match="instrument_index"):
+            Round(ALICE, (z0, z1), instrument_index=bad)
+    with pytest.raises(ValueError, match="listener_unitaries"):
+        Round(ALICE, (z0,), listener_index=[0])
+    with pytest.raises(ValueError, match="listener_index"):
+        Round(ALICE, (z0,), listener_unitaries=(np.eye(2),), listener_index=[1])
+    mixed = Round(ALICE, (z0, measure_z_instrument(2, 0)))
+    with pytest.raises(ValueError, match="instrument dimension"):
+        Protocol(1, (0.5, 0.5), (mixed,), AlwaysAccept(), (0,))
+    mixed = Round(ALICE, (z0,), listener_unitaries=(np.eye(2), np.eye(4)))
+    with pytest.raises(ValueError, match="listener unitary"):
+        Protocol(1, (0.5, 0.5), (mixed,), AlwaysAccept(), (0,))
+
+
 @pytest.mark.parametrize("maker", [make_random_pair, make_random_permutation])
 def test_no_communication_makers_reject_no_pairs(maker):
     with pytest.raises(ValueError, match="at least one pair"):
@@ -529,14 +562,17 @@ def test_no_communication_makers_reject_no_pairs(maker):
 def test_povm_accept_keeps_a_read_only_copy_of_each_shared_element():
     m = 0.5 * np.eye(2, dtype=np.complex128)
     other = [[1.0, 0.0], [0.0, 0.0]]
-    acc = PovmAccept({(0, "0"): m, (0, "1"): m, (1, ""): other})
+    index = np.array([[0, 0], [1, 1]])
+    acc = PovmAccept((m, other), index)
     m[:] = 7.0
-    np.testing.assert_array_equal(acc.elements[(0, "0")], 0.5 * np.eye(2))
-    assert acc.elements[(0, "0")] is acc.elements[(0, "1")]
-    assert not acc.elements[(0, "0")].flags.writeable
-    assert not acc.elements[(1, "")].flags.writeable
+    index[:] = 0
+    np.testing.assert_array_equal(acc.elements[0], 0.5 * np.eye(2))
+    assert acc.index.tolist() == [[0, 0], [1, 1]]
+    assert not acc.elements[0].flags.writeable
+    assert not acc.elements[1].flags.writeable
+    assert not acc.index.flags.writeable
     with pytest.raises(ValueError):
-        acc.elements[(1, "")][0, 0] = 0.0
+        acc.elements[1][0, 0] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -602,18 +638,18 @@ def test_protocol_stacks_each_distinct_operator_once():
     proto = make_simple_random_hash(4, 3)
     loaded = serialize.protocol_from_json(serialize.protocol_to_json(proto))
     for p in (proto, loaded):
-        plan = p._plan
-        assert plan is p._plan  # built once per protocol
         # one row per parity choice, not per seed
-        assert [rnd.ops.shape[:3] for rnd in plan.rounds] == [(8, 2, 1), (4, 2, 1), (2, 2, 1)]
-        assert [rnd.listeners.shape[0] for rnd in plan.rounds] == [8, 4, 2]
-        assert len(plan.elements) == 8
+        assert [len(rnd.instruments) for rnd in p.rounds] == [8, 4, 2]
+        assert [rnd.kraus_stack.shape[:3] for rnd in p.rounds] == [(8, 2, 1), (4, 2, 1), (2, 2, 1)]
+        assert [rnd.listener_stack.shape[0] for rnd in p.rounds] == [8, 4, 2]
+        assert all(len(rnd.instrument_index) == len(rnd.listener_index) == 64 for rnd in p.rounds)
+        assert len(p.accept.elements) == 8
     # a branch with fewer Kraus operators is padded with zero operators
     rng = np.random.default_rng(8)
     k0, k1, k2 = random_kraus_channel(rng, 2, n_kraus=3)
     instrument = Instrument(branches=((k0,), (k1, k2)))
     proto = Protocol(1, (1.0,), (Round(ALICE, (instrument,)),), AlwaysAccept(), (0,))
-    ops = proto._plan.rounds[0].ops
+    ops = proto.rounds[0].kraus_stack
     assert ops.shape == (1, 2, 2, 2, 2)
     np.testing.assert_array_equal(ops[0, 0, 1], 0.0)
     np.testing.assert_array_equal(ops[0, 1, 1], k2)

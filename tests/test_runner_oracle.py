@@ -53,6 +53,11 @@ def _embed(op: np.ndarray, party: str, n: int) -> np.ndarray:
     return np.kron(op, eye) if party == ALICE else np.kron(eye, op)
 
 
+def _entry(entries, seed: int):
+    """A seed's entry of per-seed data; a one-entry list serves every seed."""
+    return entries[0] if len(entries) == 1 else entries[seed]
+
+
 def oracle(protocol: Protocol, state):
     """(success probability, output 4x4, conditional output 4x4 or None)."""
     n = protocol.n_pairs
@@ -63,9 +68,11 @@ def oracle(protocol: Protocol, state):
     for seed, w in enumerate(protocol.seed_weights):
         states = {"": rho0}
         for rnd in protocol.rounds:
-            instr = rnd.for_seed(seed)
+            instr = rnd.instruments[_entry(rnd.instrument_index, seed)]
             assert instr.n_workspace == 0, "oracle covers workspace-free instruments"
-            listener = rnd.listener_for_seed(seed)
+            listener = None
+            if rnd.listener_unitaries is not None:
+                listener = rnd.listener_unitaries[_entry(rnd.listener_index, seed)]
             new = {}
             for t, rho in states.items():
                 if listener is not None:
@@ -78,7 +85,7 @@ def oracle(protocol: Protocol, state):
                         acc += g @ rho @ g.conj().T
                     new[t + str(bit)] = acc
             states = new
-        pair = protocol.output_pair_for(seed)
+        pair = _entry(protocol.output_pair, seed)
         keep = {(ALICE, pair), (BOB, pair)}
         for t, rho in states.items():
             p_t = float(np.trace(rho).real)
@@ -91,16 +98,17 @@ def oracle(protocol: Protocol, state):
             if isinstance(rule, AlwaysAccept):
                 r_t, post = 1.0, reduced
             elif isinstance(rule, ConstantAccept):
-                r_t = rule.probability(t)
+                r_t = float(rule.values if isinstance(rule.values, (int, float)) else rule.values[t])
                 post = reduced
             else:
                 assert isinstance(rule, PovmAccept)
-                m = _embed(rule.element(seed, t), ALICE, n)
+                element = rule.elements[rule.index[seed, int(t, 2) if t else 0]]
+                m = _embed(element, ALICE, n)
                 r_t = float(np.trace(m @ rho).real) / p_t
                 if r_t < 1e-12:
                     r_t, post = 0.0, np.zeros((4, 4))
                 else:
-                    root = _embed(hermitian_sqrt(rule.element(seed, t), floor=1e-9), ALICE, n)
+                    root = _embed(hermitian_sqrt(element, floor=1e-9), ALICE, n)
                     squeezed = root @ rho @ root.conj().T
                     weight = float(np.trace(squeezed).real)
                     post = (
@@ -382,18 +390,18 @@ def test_seed_blocks_leave_the_run_unchanged(monkeypatch, seeds_per_block):
 def _accept_per_element(protocol, leaves):
     """r_t and the post blocks of ``locc._accept``, measured one distinct
     POVM element at a time with a broadcast sqrt(M) computed on the spot."""
-    plan = protocol._plan
-    elements = plan.element_index[leaves.seeds, leaves.codes]
+    rule = protocol.accept
+    elements = rule.index[leaves.seeds, leaves.codes]
     r_joint = np.zeros(len(leaves))
     blocks = np.zeros((len(leaves), 4, 4), dtype=np.complex128)
     for element in np.unique(elements).tolist():
         rows = np.flatnonzero(elements == element)
-        root = hermitian_sqrt(plan.elements[element], floor=1e-9)
+        root = hermitian_sqrt(rule.elements[element], floor=1e-9)
         ops = np.broadcast_to(root, (len(rows), 1, 1) + root.shape)
         measured = leaves.frontier.take(rows).apply(ops, ALICE)
         r_joint[rows] = measured.norms()
         for i, row in enumerate(rows.tolist()):
-            pair = protocol.output_pair_for(int(leaves.seeds[row]))
+            pair = _entry(protocol.output_pair, int(leaves.seeds[row]))
             blocks[row] = measured.take([i]).reduce_pair(protocol.n_pairs, pair)[0]
     kept = r_joint >= PROB_TOL
     blocks[~kept] = 0.0
@@ -423,7 +431,7 @@ def test_gathered_accept_matches_per_element_and_oracle(case):
         *_, level = walk(proto, state, block)
         leaves = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
         # the point of the case: one block's leaves need several elements
-        mixed_blocks += len(np.unique(proto._plan.element_index[leaves.seeds, leaves.codes])) > 1
+        mixed_blocks += len(np.unique(proto.accept.index[leaves.seeds, leaves.codes])) > 1
         r_ref, post_ref = _accept_per_element(proto, leaves)
         r_t, post = locc._accept(proto, leaves, post=True)
         np.testing.assert_allclose(r_t, r_ref, atol=1e-12)
@@ -469,4 +477,4 @@ def test_accept_roots_are_computed_once_per_distinct_element(monkeypatch):
     for state in (epr_state(3), ProductState.maximally_mixed(3, 3), dense):
         run(proto, state)
     verify.verify_splitting(proto)
-    assert calls == [len(proto._plan.elements)]
+    assert calls == [len(proto.accept.elements)]

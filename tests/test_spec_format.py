@@ -2,6 +2,7 @@
 table indices or inline matrix literals wherever a matrix goes, and a
 loader that shares one read-only array per table entry."""
 
+import hashlib
 import json
 import math
 
@@ -38,16 +39,31 @@ def _same_bits(a, b):
     return np.shape(a) == np.shape(b) and np.array_equal(_bits(a), _bits(b))
 
 
+def _by_seed(entries, index):
+    """Per-seed entries from distinct ones and a per-seed index."""
+    return [entries[i] for i in index.tolist()]
+
+
+def _elements(proto):
+    """((seed, transcript), element) of every leaf, in (seed, transcript) order."""
+    rule = proto.accept
+    transcripts = [locc._transcript(code, proto.bits) for code in range(1 << proto.bits)]
+    return [
+        ((seed, t), rule.elements[i]) for seed, row in enumerate(rule.index.tolist()) for t, i in zip(transcripts, row)
+    ]
+
+
 def _matrices(proto):
-    """Every matrix of a protocol, in one fixed order."""
+    """Every matrix of a protocol, seed by seed, in one fixed order."""
     out = []
     for rnd in proto.rounds:
-        for ins in rnd.instruments:
+        for ins in _by_seed(rnd.instruments, rnd.instrument_index):
             out += [k for branch in ins.branches for k in branch]
             out += [k for branch in ins.kraus for k in branch]
-        out += list(rnd.listener_unitaries or ())
+        if rnd.listener_unitaries is not None:
+            out += _by_seed(rnd.listener_unitaries, rnd.listener_index)
     if isinstance(proto.accept, locc.PovmAccept):
-        out += [m for _, m in sorted(proto.accept.elements.items())]
+        out += [m for _, m in _elements(proto)]
     return out
 
 
@@ -59,9 +75,11 @@ def _through_text(proto):
 
 def _assert_same_protocol(a, b):
     assert (a.name, a.n_pairs, a.seed_weights, a.output_pair) == (b.name, b.n_pairs, b.seed_weights, b.output_pair)
-    assert [(r.party, len(r.instruments)) for r in a.rounds] == [(r.party, len(r.instruments)) for r in b.rounds]
-    assert [i.n_workspace for r in a.rounds for i in r.instruments] == [
-        i.n_workspace for r in b.rounds for i in r.instruments
+    assert [(r.party, len(r.instrument_index)) for r in a.rounds] == [
+        (r.party, len(r.instrument_index)) for r in b.rounds
+    ]
+    assert [i.n_workspace for r in a.rounds for i in _by_seed(r.instruments, r.instrument_index)] == [
+        i.n_workspace for r in b.rounds for i in _by_seed(r.instruments, r.instrument_index)
     ]
     assert type(a.accept) is type(b.accept)
     if isinstance(a.accept, ConstantAccept):
@@ -138,15 +156,17 @@ def _inline_document(proto):
                     "branches": [[serialize.matrix_to_json(k) for k in b] for b in ins.branches],
                     "n_workspace": ins.n_workspace,
                 }
-                for ins in rnd.instruments
+                for ins in _by_seed(rnd.instruments, rnd.instrument_index)
             ],
         }
         if rnd.listener_unitaries is not None:
-            round_doc["listener_by_seed"] = [serialize.matrix_to_json(u) for u in rnd.listener_unitaries]
+            round_doc["listener_by_seed"] = [
+                serialize.matrix_to_json(u) for u in _by_seed(rnd.listener_unitaries, rnd.listener_index)
+            ]
         rounds.append(round_doc)
     elements = [
         {"seed": seed, "transcript": t, "matrix": serialize.matrix_to_json(m)}
-        for (seed, t), m in sorted(proto.accept.elements.items())
+        for (seed, t), m in _elements(proto)
     ]
     return {
         "name": proto.name,
@@ -184,7 +204,8 @@ def test_inline_literal_and_index_mix_in_one_spec():
     proto = make_simple_random_hash(3, 1)
     doc = serialize.protocol_to_json(proto)
     listeners = doc["rounds"][0]["listener_by_seed"]
-    listeners[1] = serialize.matrix_to_json(proto.rounds[0].listener_unitaries[1])
+    rnd = proto.rounds[0]
+    listeners[1] = serialize.matrix_to_json(rnd.listener_unitaries[rnd.listener_index[1]])
     _assert_same_protocol(proto, serialize.protocol_from_json(doc))
 
 
@@ -195,18 +216,23 @@ def test_table_entries_load_as_one_shared_read_only_array():
     # one object per table entry, reached from every field that names it
     by_index = {}
     for rnd_doc, rnd in zip(doc["rounds"], back.rounds):
-        for ins_doc, ins in zip(rnd_doc["kraus_by_seed"], rnd.instruments):
+        instruments = _by_seed(rnd.instruments, rnd.instrument_index)
+        for ins_doc, ins in zip(rnd_doc["kraus_by_seed"], instruments, strict=True):
             for b_doc, branch in zip(ins_doc["branches"], ins.branches):
                 for idx, k in zip(b_doc, branch):
                     by_index.setdefault(idx, set()).add(id(k))
-        for idx, u in zip(rnd_doc["listener_by_seed"], rnd.listener_unitaries):
+        listeners = _by_seed(rnd.listener_unitaries, rnd.listener_index)
+        for idx, u in zip(rnd_doc["listener_by_seed"], listeners, strict=True):
             by_index.setdefault(idx, set()).add(id(u))
-    for el in doc["accept_rule"]["elements"]:
-        by_index.setdefault(el["matrix"], set()).add(id(back.accept.element(el["seed"], el["transcript"])))
+    elements = _elements(back)
+    for el, (key, m) in zip(doc["accept_rule"]["elements"], elements, strict=True):
+        assert key == (el["seed"], el["transcript"])
+        by_index.setdefault(el["matrix"], set()).add(id(m))
     assert sorted(by_index) == list(range(len(doc["arrays"])))
     assert all(len(ids) == 1 for ids in by_index.values())
     # seeds share the accept projector of a transcript
-    first, last = back.accept.element(0, "01"), back.accept.element(back.n_seeds - 1, "01")
+    first, last = elements[1][1], elements[-3][1]
+    assert (elements[1][0], elements[-3][0]) == ((0, "01"), (back.n_seeds - 1, "01"))
     assert first is last and not first.flags.writeable
     assert all(not m.flags.writeable for m in _matrices(back))
 
@@ -264,3 +290,62 @@ def _edit(path, value):
 def test_arrays_table_rejections_name_the_reason(path, value, message):
     with pytest.raises(SpecParseError, match=message):
         serialize.protocol_from_json(_edit(path, value))
+
+
+def _add_element(**edits):
+    def edit(elements):
+        return elements + [{**elements[0], **edits}]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_add_element(seed=7), r"elements\[4\]: \(seed, transcript\) \(7, '0'\) names no leaf"),
+        (_add_element(seed=-1, transcript="x"), r"elements\[4\]: \(seed, transcript\) \(-1, 'x'\) names no leaf"),
+        (_add_element(transcript="0110"), r"elements\[4\]: \(seed, transcript\) \(0, '0110'\) names no leaf"),
+        (_add_element(), r"elements\[4\]: \(seed, transcript\) \(0, '0'\) repeats an earlier entry's leaf"),
+        # a missing leaf is reported before an entry that names none
+        (lambda e: [{**e[0], "seed": 7}] + e[1:], r"no POVM element for \(seed, transcript\) \(0, '0'\)"),
+        (lambda e: e[1:], r"no POVM element for \(seed, transcript\) \(0, '0'\)"),
+    ],
+)
+def test_povm_entries_name_one_leaf_each(edit, message):
+    with pytest.raises(SpecParseError, match=message):
+        serialize.protocol_from_json(_edit(("accept_rule", "elements"), edit))
+
+
+def test_loaded_hash_builds_each_distinct_operator_once():
+    proto = make_simple_random_hash(5, 3)
+    loaded = serialize.protocol_from_json(json.loads(json.dumps(serialize.protocol_to_json(proto))))
+    for p in (proto, loaded):
+        assert p.n_seeds == 512
+        assert [len(rnd.instruments) for rnd in p.rounds] == [16, 8, 4]
+        assert len({id(ins) for rnd in p.rounds for ins in rnd.instruments}) == 28
+        assert len(p.accept.elements) == 8 and p.accept.index.shape == (512, 8)
+
+
+# sha256 of the spec bytes at the commit before protocols held indexes
+# into their distinct operators; the index form writes the same bytes
+GOLDEN_SPECS = {
+    ("simple-random-hash", 4, 3): "1bf556eee21924968591f6950fc1c156d28e4c438d06f672653e4764e6487d3a",
+    ("simple-random-hash", 5, 1): "f6694e21e4cbc20a06be56fe2b9e974cadfd55d5fe5bdf0e5f21ebe10986b567",
+    ("simple-random-hash", 5, 3): "19919f8aafc915366cd73c76f1579d87a0413e0f8c7a002fec6b0413489ebc5c",
+    ("random-permutation", 3, None): "9ead8d74b170df76df5706624674a85041f6e8f8367ee70b61b3e66cc2922d64",
+    ("first-pair", 2, None): "39a40ce1f11e47695aa159a121e78e2fe3ea73d8c6398dd6b6953c8e390bd124",
+}
+
+
+@pytest.mark.parametrize("maker, n, s", sorted(GOLDEN_SPECS, key=str))
+def test_protocol_make_writes_the_golden_bytes(tmp_path, maker, n, s):
+    out = tmp_path / "spec.json"
+    argv = ["protocol", "--make", maker, "--n", str(n), "--out", str(out)]
+    assert main(argv + (["--s", str(s)] if s else [])) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN_SPECS[(maker, n, s)]
+
+
+def test_workspace_spec_text_is_golden():
+    text = json.dumps(serialize.protocol_to_json(_signed_zero_protocol()), indent=2, sort_keys=True)
+    digest = "bb0e8eed0c60242a76846e61e8075c800a839850c636173d76f51ff9d1867f9c"
+    assert hashlib.sha256(text.encode()).hexdigest() == digest

@@ -25,7 +25,6 @@ from edplab.rng import substream
 from edplab.sampling import (
     random_density_matrix,
     random_kraus_channel,
-    random_povm_element,
     random_product_pure,
     random_pure_state,
     random_separable_mixture,
@@ -80,15 +79,6 @@ def test_dominance_transitive_on_random_instances():
         assert verify.check_dominance(a, b).holds
         assert verify.check_dominance(b, c).holds
         assert verify.check_dominance(a, c).holds
-
-
-def test_povm_dominance_consequence():
-    rng = np.random.default_rng(5)
-    sigma = random_density_matrix(rng, 1, 0).matrix
-    rho = 0.5 * sigma + 0.5 * random_density_matrix(rng, 1, 0).matrix
-    a = 0.5  # rho >= 0.5 sigma by construction
-    povm = [random_povm_element(rng, 2) for _ in range(4)]
-    assert verify.povm_dominance_consequence(rho, sigma, a, povm)
 
 
 # ---------------------------------------------------------------------------
