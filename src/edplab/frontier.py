@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .qcore import ALICE, DensityMatrix, ProductState, PureState
+from .qcore import ALICE, DensityMatrix, ProductState, PureState, pair_states
 
 
 class Pure:
@@ -50,10 +50,7 @@ class Pure:
 
     def reduce_pair(self, n: int, pair: int) -> np.ndarray:
         """(rows, 4, 4) reduced matrices of (Alice ``pair``, Bob ``pair``)."""
-        rows = len(self)
-        t = self.psi.reshape((rows,) + (2,) * (2 * n))
-        t = np.moveaxis(t, (1 + pair, 1 + n + pair), (1, 2)).reshape(rows, 4, 1 << (2 * n - 2))
-        return t @ t.conj().swapaxes(1, 2)
+        return pair_states(self.psi, pair)
 
     def local_states(self) -> tuple[np.ndarray, np.ndarray]:
         """(alice, bob) marginals, each (rows, d, d)."""

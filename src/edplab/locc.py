@@ -45,9 +45,13 @@ by its type:
 * ``DensityMatrix``: flat (rows, 4^n, 4^n) matrices, O(2^{5n}) per node.
 
 ``run`` computes leaf probabilities, output-pair reductions and the
-accept data over a block's last level at once; a POVM rule measures the
+accept data over a block's last level at once.  Leaves are scored in one
+place, ``_score_leaves``, which ``run`` and the splitting tracker in
+``verify`` both call: it keeps the live leaves, gathers each row's
+output pair once and takes r_t from one accept formula (``_accept``),
+the trace of the measured output-pair block.  A POVM rule measures the
 whole level in one batched apply, each leaf with its element's sqrt(M),
-which the rule computes once per distinct element.  Its result
+which the rule computes once per distinct element.  ``run``'s result
 keeps each block's leaf arrays and builds the per-leaf records only
 when ``RunResult.leaves`` is read.  It also reports, per round, the
 nodes expanded and pruned, the largest level and the time taken
@@ -617,17 +621,17 @@ def _coerce_input(protocol: Protocol, state) -> WeightedStates:
     return weighted
 
 
-def _accept(protocol: Protocol, leaves: Level, post: bool = False) -> tuple[np.ndarray, np.ndarray | None]:
-    """Accept probabilities r_t and, with ``post``, the accept-conditioned
-    output blocks of leaves whose probabilities are all >= PROB_TOL.
+def _accept(protocol: Protocol, leaves: Level, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Accept probabilities r_t and the accept-conditioned output blocks of
+    leaves whose probabilities are all >= PROB_TOL; ``pairs`` holds each
+    row's output pair.
 
     The blocks, (rows, 4, 4), are the unnormalized output-pair states
     after a successful sqrt(M) measurement, scaled by p_t * r_t; they are
     None when the rule has no backaction (post = r_t * unconditional).
     Every leaf row gets its element's sqrt(M), computed once per distinct
     element, and the whole level is measured in one batched apply;
-    p_t * r_t = Tr(M rho_t) is the trace of the measured node
-    sqrt(M) rho_t sqrt(M), or of its output-pair block.
+    p_t * r_t = Tr(M rho_t) is the trace of the measured output-pair block.
     """
     rule = protocol.accept
     if isinstance(rule, AlwaysAccept):
@@ -635,26 +639,20 @@ def _accept(protocol: Protocol, leaves: Level, post: bool = False) -> tuple[np.n
     if isinstance(rule, ConstantAccept):
         return rule.probabilities(leaves.codes), None
     roots = rule.roots[rule.index[leaves.seeds, leaves.codes]]
-    measured = leaves.frontier.apply(roots[:, None, None], ALICE)
-    if post:
-        pairs = _per_seed(np.asarray(protocol.output_pair), leaves.seeds)
-        values = reduce_pairs(measured, protocol.n_pairs, pairs)
-    else:
-        values = measured.norms()
-    r_joint = np.trace(values, axis1=1, axis2=2).real if post else values  # p_t * r_t
+    post = reduce_pairs(leaves.frontier.apply(roots[:, None, None], ALICE), protocol.n_pairs, pairs)
+    r_joint = np.trace(post, axis1=1, axis2=2).real  # p_t * r_t
     kept = r_joint >= PROB_TOL
-    r_t = np.where(kept, r_joint, 0.0) / leaves.probabilities
-    if not post:
-        return r_t, None
-    values[~kept] = 0.0
-    return r_t, values
+    post[~kept] = 0.0
+    return np.where(kept, r_joint, 0.0) / leaves.probabilities, post
 
 
-def accept_probability(protocol: Protocol, leaves: Level) -> np.ndarray:
-    """r_t, the probability that Alice declares SUCC, for every row of a
-    last level whose probabilities are all >= PROB_TOL; 0 where
-    p_t * r_t < PROB_TOL."""
-    return _accept(protocol, leaves)[0]
+def _score_leaves(protocol: Protocol, level: Level) -> tuple[Level, np.ndarray, np.ndarray, np.ndarray | None]:
+    """The live leaves of a last level (probability >= PROB_TOL), each
+    one's output pair, and their r_t and post blocks (``_accept``).
+    ``run`` and the splitting tracker both score leaves here."""
+    leaves = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
+    pairs = _per_seed(np.asarray(protocol.output_pair), leaves.seeds)
+    return (leaves, pairs, *_accept(protocol, leaves, pairs))
 
 
 def walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray) -> Iterator[Level]:
@@ -744,7 +742,6 @@ def run(protocol: Protocol, state) -> RunResult:
     weighted = _coerce_input(protocol, state)
     n = protocol.n_pairs
     seed_weights = np.asarray(protocol.seed_weights)
-    output_pairs = np.asarray(protocol.output_pair)
     live_seeds = np.flatnonzero(seed_weights != 0.0)
     meter = _Meter(protocol.bits)
     blocks: list[tuple[_RecordRows, ...]] = []
@@ -765,11 +762,10 @@ def run(protocol: Protocol, state) -> RunResult:
                             comp_w * seed_weights[seeds], None, None, None,
                         )
                     )
-            leaf = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
+            leaf, pairs, r_t, post = _score_leaves(protocol, level)
             weight = comp_w * seed_weights[leaf.seeds]
             p_t = leaf.probabilities
-            reduced = reduce_pairs(leaf.frontier, n, _per_seed(output_pairs, leaf.seeds))
-            r_t, post = _accept(protocol, leaf, post=True)
+            reduced = reduce_pairs(leaf.frontier, n, pairs)
             out_acc += np.tensordot(weight, reduced, axes=1)
             cond_acc += np.tensordot(weight, r_t[:, None, None] * reduced if post is None else post, axes=1)
             success += float(np.dot(weight * p_t, r_t))

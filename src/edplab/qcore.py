@@ -64,6 +64,15 @@ def _check_capacity(total: int) -> None:
         raise CapacityError(f"{total} qubits exceed the configured cap of {cap}")
 
 
+def _check_parts(arr: np.ndarray, what: str) -> None:
+    """Every entry of a unit vector or of a unit-trace PSD matrix has
+    modulus at most 1.  Checked on the real and imaginary parts, before
+    any sum, so that huge finite entries are rejected without overflow."""
+    part = max(float(np.abs(arr.real).max()), float(np.abs(arr.imag).max()))
+    if not part <= 1.0 + STRUCT_TOL:
+        raise InvalidStateError(f"{what} has an entry part of size {part}, beyond 1")
+
+
 def qubit_axis(qubit: Qubit, n_alice: int, n_bob: int) -> int:
     """Tensor axis of a ``(party, index)`` qubit in the global layout."""
     party, idx = qubit
@@ -95,6 +104,7 @@ class PureState:
             raise ValueError(
                 f"amplitude vector has shape {amps.shape}, expected ({self.dim},)"
             )
+        _check_parts(amps, "unit-norm state")
         norm = float(np.linalg.norm(amps))
         if not abs(norm - 1.0) <= STRUCT_TOL:
             raise InvalidStateError(f"state norm {norm} deviates from 1")
@@ -145,6 +155,7 @@ class DensityMatrix:
         if validate:
             if not np.isfinite(mat).all():
                 raise InvalidStateError("matrix has non-finite entries")
+            _check_parts(mat, "unit-trace PSD matrix")
             if np.abs(mat - mat.conj().T).max() > STRUCT_TOL:
                 raise InvalidStateError("matrix is not Hermitian within 1e-10")
             trace = complex(np.trace(mat))
@@ -492,14 +503,14 @@ def epr_fidelity(state: State) -> float:
     return pure_overlap(state, epr_state(n))
 
 
-def base_fidelity(state: State) -> float:
+def base_fidelity(state: State | ProductState) -> float:
     """Fidelity of the first qubit pair (Alice 0, Bob 0) with phi+."""
     if state.n_alice < 1 or state.n_bob < 1:
         raise ValueError("base_fidelity needs at least one qubit per party")
     if isinstance(state, PureState):
-        pair = first_pair_states(state.amplitudes, state.n_alice, state.n_bob)
+        pair = pair_states(state.amplitudes.reshape(1 << state.n_alice, 1 << state.n_bob))
     elif state.n_alice == 1 and state.n_bob == 1:
-        pair = state.matrix
+        pair = as_density(state).matrix
     else:
         pair = partial_trace(state, {(ALICE, 0), (BOB, 0)}).matrix
     return float(phi_plus_overlaps(pair))
@@ -510,12 +521,13 @@ def base_fidelity(state: State) -> float:
 # and below evaluate a stack of one.
 
 
-def first_pair_states(amps: np.ndarray, n_alice: int, n_bob: int) -> np.ndarray:
-    """(..., 4, 4) reduced states of the first pair (Alice 0, Bob 0) of
-    pure states given as amplitude stacks (..., 2^(n_alice + n_bob))."""
-    lead = amps.shape[:-1]
-    t = amps.reshape(lead + (2, 1 << (n_alice - 1), 2, 1 << (n_bob - 1)))
-    t = t.swapaxes(-3, -2).reshape(lead + (4, 1 << (n_alice + n_bob - 2)))
+def pair_states(psi: np.ndarray, pair: int = 0) -> np.ndarray:
+    """(..., 4, 4) reduced states of qubit pair ``pair`` (Alice ``pair``,
+    Bob ``pair``) of unnormalized pure states given as amplitude matrices
+    (..., dA, dB), rows indexing Alice's register."""
+    *lead, da, db = psi.shape
+    t = psi.reshape((*lead, 1 << pair, 2, da >> (pair + 1), 1 << pair, 2, db >> (pair + 1)))
+    t = np.moveaxis(t, (-5, -2), (-6, -5)).reshape((*lead, 4, (da * db) >> 2))
     return t @ t.conj().swapaxes(-1, -2)
 
 
@@ -562,7 +574,8 @@ def bell_identity_check(phi: PureState) -> tuple[float, float]:
     """
     if phi.n_alice < 1 or phi.n_bob < 1:
         raise ValueError("need at least one pair")
-    lhs, rhs = bell_identity_sides(first_pair_states(phi.amplitudes, phi.n_alice, phi.n_bob))
+    pair = pair_states(phi.amplitudes.reshape(1 << phi.n_alice, 1 << phi.n_bob))
+    lhs, rhs = bell_identity_sides(pair)
     return float(lhs), float(rhs)
 
 

@@ -58,11 +58,6 @@ class SpecParseError(ValueError):
     """Malformed specification document; the message names the field."""
 
 
-# what int(), float(), complex() and indexing raise on a JSON value of the
-# wrong shape, kind or size (``Infinity`` and huge integers overflow)
-_BAD_VALUE = (KeyError, IndexError, TypeError, ValueError, OverflowError)
-
-
 def _is_int(value: Any) -> bool:
     """A JSON integer: floats, numeric strings and booleans are not."""
     return isinstance(value, int) and not isinstance(value, bool)
@@ -74,11 +69,17 @@ def _int(value: Any, path: str) -> int:
     return value
 
 
-def _float(value: Any, path: str) -> float:
-    try:
-        return float(value)
-    except _BAD_VALUE as exc:
-        raise SpecParseError(f"{path}: expected a number") from exc
+def _finite(value: Any, path: str) -> float:
+    """A finite JSON number: numeric strings, booleans, NaN and the
+    infinities are not."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:  # an integer beyond the float range
+            x = math.inf
+        if math.isfinite(x):
+            return x
+    raise SpecParseError(f"{path}: non-finite or non-numeric value, expected a finite number")
 
 
 def _list(value: Any, path: str) -> list:
@@ -93,14 +94,10 @@ def matrix_to_json(mat: np.ndarray) -> list[list[list[float]]]:
 
 
 def matrix_from_json(data: Any, path: str = "matrix") -> np.ndarray:
-    try:
-        arr = np.asarray(
-            [[complex(entry[0], entry[1]) for entry in row] for row in data],
-            dtype=np.complex128,
-        )
-    except _BAD_VALUE as exc:
-        raise SpecParseError(f"{path}: expected nested [re, im] pairs") from exc
-    return arr
+    rows = [vector_from_json(row, f"{path}[{i}]") for i, row in enumerate(_list(data, path))]
+    if len({len(row) for row in rows}) > 1:
+        raise SpecParseError(f"{path}: rows of unequal length")
+    return np.asarray(rows, dtype=np.complex128)
 
 
 def vector_to_json(vec: np.ndarray) -> list[list[float]]:
@@ -108,10 +105,13 @@ def vector_to_json(vec: np.ndarray) -> list[list[float]]:
 
 
 def vector_from_json(data: Any, path: str = "vector") -> np.ndarray:
-    try:
-        return np.asarray([complex(e[0], e[1]) for e in data], dtype=np.complex128)
-    except _BAD_VALUE as exc:
-        raise SpecParseError(f"{path}: expected [re, im] pairs") from exc
+    return np.array([_complex(e, f"{path}[{k}]") for k, e in enumerate(_list(data, path))], dtype=np.complex128)
+
+
+def _complex(entry: Any, path: str) -> complex:
+    if not isinstance(entry, list) or len(entry) != 2:
+        raise SpecParseError(f"{path}: expected an [re, im] pair")
+    return complex(_finite(entry[0], f"{path}.re"), _finite(entry[1], f"{path}.im"))
 
 
 def state_to_json(state: PureState | DensityMatrix) -> dict[str, Any]:
@@ -168,11 +168,11 @@ def error_model_from_json(doc: Any) -> ErrorModel:
     if kind == "measure_r":
         cls, args = MeasureRModel, (field(_int, "n"), field(_int, "r"))
     elif kind == "depolarization":
-        cls, args = DepolarizationModel, (field(_int, "n"), field(_float, "p"))
+        cls, args = DepolarizationModel, (field(_int, "n"), field(_finite, "p"))
     elif kind == "fidelity":
         cls, args = FidelityModel, (
             field(_int, "n"),
-            field(_float, "epsilon"),
+            field(_finite, "epsilon"),
             field(_int, "samples", 0),
             field(_int, "seed", 0),
         )
@@ -191,17 +191,6 @@ def error_model_from_json(doc: Any) -> ErrorModel:
 def _is_index(value: Any, size: int) -> bool:
     """A JSON integer in [0, size)."""
     return _is_int(value) and 0 <= value < size
-
-
-def _finite(value: Any, path: str) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            x = float(value)
-        except OverflowError:  # an integer beyond the float range
-            x = math.inf
-        if math.isfinite(x):
-            return x
-    raise SpecParseError(f"{path}: expected a finite number")
 
 
 def _sparse_to_json(arr: np.ndarray) -> dict[str, Any]:
@@ -291,11 +280,11 @@ def _accept_from_json(doc: Any, table: list[np.ndarray], n_seeds: int, bits: int
         return AlwaysAccept()
     if kind == "constant":
         if "value" in doc:
-            return ConstantAccept(_float(doc["value"], "accept_rule.value"))
+            return ConstantAccept(_finite(doc["value"], "accept_rule.value"))
         values = doc.get("values")
         if not isinstance(values, dict):
             raise SpecParseError("accept_rule.values: expected an object")
-        return ConstantAccept({str(k): _float(v, f"accept_rule.values.{k}") for k, v in values.items()})
+        return ConstantAccept({str(k): _finite(v, f"accept_rule.values.{k}") for k, v in values.items()})
     if kind == "povm":
         # -1 marks a leaf no entry names; ``Protocol`` reports the first
         elements: list[np.ndarray] = []
@@ -424,7 +413,7 @@ def protocol_from_json(doc: Any) -> Protocol:
     try:
         return Protocol(
             n_pairs=n,
-            seed_weights=tuple(_float(w, "protocol.shared_randomness") for w in weights),
+            seed_weights=tuple(_finite(w, "protocol.shared_randomness") for w in weights),
             rounds=tuple(rounds),
             accept=_accept_from_json(doc.get("accept_rule", {"kind": "always"}), table, len(weights), len(rounds)),
             output_pair=tuple(

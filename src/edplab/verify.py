@@ -46,7 +46,7 @@ from .qcore import (
     bell_identity_sides,
     epr_state,
     fidelities,
-    first_pair_states,
+    pair_states,
     pauli_deviation_sums,
     phi_plus_overlaps,
 )
@@ -331,10 +331,12 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     The two cases are walked in lockstep, one seed block and one level
     at a time, so memory follows one level of the block's trees; each
     level is checked with one batched eigenvalue call per party.  p and
-    q are summed over the last level, the leaves, as ``run`` sums them.
-    ``worst_node`` is the last failing node in tree order (seed, then
-    depth, then transcript) that set a new lowest margin or whose case
-    II probability vanished.
+    q are scored over the last level, the leaves, as ``run`` computes
+    them (``locc._score_leaves``).  A node's margin is the lower of the
+    two parties' lowest eigenvalues, and -inf where case II vanished
+    under a live case-I node.  ``worst_node`` is the (seed, transcript)
+    of the lowest margin, the first in tree order (seed, then depth,
+    then transcript) among equal ones, when that margin is below -tol.
     """
     n = protocol.n_pairs
     perfect = epr_state(n)
@@ -346,10 +348,7 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     min_bob = np.inf
     checked = 0
     success = [0.0, 0.0]  # p and q
-    # failing nodes as (seed, depth, row, transcript, alice low, bob low):
-    # a low is None where that party holds, both are None where case II
-    # vanished under a live case-I node
-    failures: list[tuple[int, int, int, str, float | None, float | None]] = []
+    lowest = (np.inf,)  # (margin, seed, depth, row, transcript) of the lowest node
     live_seeds = np.flatnonzero(weights != 0.0)
     for block in locc.seed_blocks(protocol, (perfect, mixed), live_seeds):
         walks = zip(locc.walk(protocol, perfect, block), locc.walk(protocol, mixed, block))
@@ -357,8 +356,7 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
             depth = level1.depth
             if depth == protocol.bits:
                 for case, level in enumerate((level1, level2)):
-                    leaves = level.take(np.flatnonzero(level.probabilities >= locc.PROB_TOL))
-                    r_t = locc.accept_probability(protocol, leaves)
+                    leaves, _, r_t, _ = locc._score_leaves(protocol, level)
                     success[case] += float(np.dot(weights[leaves.seeds] * leaves.probabilities, r_t))
             if depth == 0:
                 initial_ok &= all(
@@ -373,63 +371,44 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
             found = keys1[rows1] == keys2 if len(keys1) else np.zeros(len(keys2), dtype=bool)
             p1 = np.where(found, level1.probabilities[rows1], 0.0)
             p2 = level2.probabilities
-            live = p1 > locc.PROB_TOL
+            live = p1 >= locc.PROB_TOL
             # dominated-by-zero is only possible if case I vanished too
-            for row in np.flatnonzero(live & (p2 <= locc.PROB_TOL)).tolist():
-                failures.append((int(level2.seeds[row]), depth, row, level2.label(row), None, None))
-            rows2 = np.flatnonzero(live & (p2 > locc.PROB_TOL))
-            if not len(rows2):
-                continue
-            checked += len(rows2)
-            # p_t sigma_t^I is case I's unnormalized local state
-            alice1, bob1 = level1.frontier.take(rows1[rows2]).local_states()
-            q2 = p2[rows2][:, None, None]
-            alice2, bob2 = (local / q2 for local in level2.frontier.take(rows2).local_states())
-            low_a = _dominance_lows(alice2, alice1)
-            low_b = _dominance_lows(bob2, bob1)
-            min_alice = min(min_alice, float(low_a.min()))
-            min_bob = min(min_bob, float(low_b.min()))
-            for i in np.flatnonzero((low_a < -tol) | (low_b < -tol)).tolist():
-                row = int(rows2[i])
-                failures.append((
-                    int(level2.seeds[row]), depth, row, level2.label(row),
-                    float(low_a[i]) if low_a[i] < -tol else None,
-                    float(low_b[i]) if low_b[i] < -tol else None,
-                ))
+            margins = np.where(live & (p2 < locc.PROB_TOL), -np.inf, np.inf)
+            rows2 = np.flatnonzero(live & (p2 >= locc.PROB_TOL))
+            if len(rows2):
+                checked += len(rows2)
+                # p_t sigma_t^I is case I's unnormalized local state
+                alice1, bob1 = level1.frontier.take(rows1[rows2]).local_states()
+                q2 = p2[rows2][:, None, None]
+                alice2, bob2 = (local / q2 for local in level2.frontier.take(rows2).local_states())
+                low_a = _dominance_lows(alice2, alice1)
+                low_b = _dominance_lows(bob2, bob1)
+                min_alice = min(min_alice, float(low_a.min()))
+                min_bob = min(min_bob, float(low_b.min()))
+                margins[rows2] = np.minimum(low_a, low_b)
+            if len(margins):
+                row = int(np.argmin(margins))  # the first lowest row
+                node = (float(margins[row]), int(level2.seeds[row]), depth, row)
+                if node < lowest[:4]:
+                    lowest = (*node, level2.label(row))
 
-    worst = _worst_node(failures)
+    failed = lowest[0] < -tol
     p, q = success
     margin = q - p * p / (1 << protocol.bits)
-    ok = not failures and initial_ok and margin >= -tol
+    ok = not failed and initial_ok and margin >= -tol
     return SplittingReport(
         n=n,
         bits=protocol.bits,
         initial_condition_ok=bool(initial_ok),
         min_alice_margin=float(min_alice if checked else 0.0),
         min_bob_margin=float(min_bob if checked else 0.0),
-        worst_node=worst,
+        worst_node=(lowest[1], lowest[4]) if failed else None,
         p_success_perfect=float(p),
         q_success_mixed=float(q),
         success_margin=float(margin),
         nodes_checked=checked,
         passed=bool(ok),
     )
-
-
-def _worst_node(failures: list) -> tuple[int, str] | None:
-    """Replay the failing nodes in tree order: the last one that vanished
-    in case II or set a new lowest failing margin for a party."""
-    worst = None
-    lowest = [np.inf, np.inf]
-    for seed, _, _, label, *lows in sorted(failures, key=lambda f: f[:3]):
-        node = (seed, label)
-        if lows == [None, None]:
-            worst = node
-        for party, low in enumerate(lows):
-            if low is not None and low < lowest[party]:
-                lowest[party] = low
-                worst = node
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -591,7 +570,7 @@ def _first_pairs(draws) -> np.ndarray:
     matrix of a two-qubit density matrix."""
     n_alice, n_bob, first = draws[0]
     stack = np.stack([x for _, _, x in draws])
-    return first_pair_states(stack, n_alice, n_bob) if first.ndim == 1 else stack
+    return pair_states(stack.reshape(-1, 1 << n_alice, 1 << n_bob)) if first.ndim == 1 else stack
 
 
 def _channel(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -658,6 +659,31 @@ def test_cli_emit_run_invalid_input_state_names_the_file(tmp_path, capsys):
     assert f"{state}: state: " in err and "norm" in err
 
 
+def _huge_entries(kind):
+    """A 2+2 state document whose finite entries overflow any sum of them."""
+    if kind == "amplitudes":
+        return {"n_alice": 2, "n_bob": 2, "amplitudes": [[1e200, 0.0]] * 16}
+    mat = np.eye(16, dtype=np.complex128) / 16
+    if kind == "diagonal":
+        mat[0, 0] = mat[1, 1] = 1e308
+    else:
+        mat[0, 1], mat[1, 0] = 1e308, -1e308
+    return serialize.state_to_json(DensityMatrix(2, 2, mat, validate=False))
+
+
+@pytest.mark.parametrize("kind", ["amplitudes", "diagonal", "off-diagonal"])
+def test_cli_emit_run_huge_input_state_is_rejected_without_overflow(tmp_path, capsys, kind):
+    spec = tmp_path / "fp.json"
+    assert main(["protocol", "--make", "first-pair", "--n", "2", "--out", str(spec)]) == 0
+    state = _write(tmp_path, "big.json", json.dumps(_huge_entries(kind)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        code = main(["protocol", "--spec", str(spec), "--input", state, "--emit-run", str(tmp_path / "r.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "beyond 1" in err
+
+
 # ---------------------------------------------------------------------------
 # malformed input: parsers raise only SpecParseError, the CLI exits 2
 
@@ -736,6 +762,15 @@ def _bad_spec(path, value):
     return argv
 
 
+def _bad_model(kind, key, value):
+    def argv(tmp_path):
+        spec = _edited(tmp_path, "spec.json", _HASH_DOC, (), _HASH_DOC)
+        model = _edited(tmp_path, "model.json", {"model": kind, "n": 2, key: 0.1}, (key,), value)
+        return ["protocol", "--spec", spec, "--model-file", model]
+
+    return argv
+
+
 def _with_element(**edits):
     """The hash spec's accept elements plus a copy of the first, edited."""
     elements = _HASH_DOC["accept_rule"]["elements"]
@@ -797,6 +832,23 @@ BAD_INPUTS = {
     "spec accept duplicate leaf": _bad_spec(("accept_rule", "elements"), _with_element()),
     "spec constant accept stray transcript": _bad_spec(
         ("accept_rule",), {"kind": "constant", "values": {"0": 0.5, "1": 0.5, "x": 0.5}}),
+    # JSON numbers only: numeric strings and booleans are not numbers
+    "spec shared_randomness a string": _bad_spec(("shared_randomness", 0), "0.5"),
+    "spec shared_randomness a bool": _bad_spec(("shared_randomness",), [True, False]),
+    "spec constant accept value a bool": _bad_spec(("accept_rule",), {"kind": "constant", "value": True}),
+    "spec constant accept values entry a string": _bad_spec(
+        ("accept_rule",), {"kind": "constant", "values": {"0": "0.5", "1": 0.5}}),
+    "spec inline matrix part a bool": _bad_spec(
+        ("rounds", 0, "listener_by_seed", 0),
+        [[[i == j, False] for j in range(4)] for i in range(4)]),
+    "state amplitude part a bool": lambda t: [
+        "protocol", "--spec", _edited(t, "spec.json", _HASH_DOC, (), _HASH_DOC),
+        "--input", _edited(t, "state.json", serialize.state_to_json(epr_state(2)), ("amplitudes",),
+                           [[True, False]] + [[False, False]] * 15),
+        "--emit-run", str(t / "run.json")],
+    "model p a string": _bad_model("depolarization", "p", "0.2"),
+    "model p a bool": _bad_model("depolarization", "p", True),
+    "model epsilon a string": _bad_model("fidelity", "epsilon", "0.1"),
     "model r Infinity": lambda t: [
         "protocol", "--spec", _edited(t, "spec.json", _HASH_DOC, (), _HASH_DOC),
         "--model-file", _edited(t, "model.json", {"model": "measure_r", "n": 2, "r": 1}, ("r",), _INF)],

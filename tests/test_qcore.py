@@ -8,6 +8,7 @@ from edplab.qcore import (
     CapacityError,
     DensityMatrix,
     InvalidStateError,
+    ProductState,
     PureState,
     UnitaryOp,
     apply_unitary,
@@ -230,6 +231,26 @@ def test_base_fidelity_of_00():
     assert base_fidelity(ket(1, 1, 0)) == pytest.approx(0.5, abs=1e-15)
 
 
+def test_base_fidelity_of_product_states():
+    rng = np.random.default_rng(19)
+    for n in (1, 2):
+        assert base_fidelity(ProductState.maximally_mixed(n, n)) == pytest.approx(0.25, abs=1e-15)
+        state = ProductState(random_density_matrix(rng, n, 0), random_density_matrix(rng, 0, n))
+        assert base_fidelity(state) == pytest.approx(base_fidelity(state.to_density()), abs=1e-15)
+
+
+def test_pair_states_reduce_any_pair():
+    rng = np.random.default_rng(23)
+    for na, nb in ((1, 1), (2, 3), (3, 2), (3, 3)):
+        phis = [random_pure_state(rng, na, nb) for _ in range(3)]
+        psi = np.stack([phi.amplitudes.reshape(1 << na, 1 << nb) for phi in phis])
+        for pair in range(min(na, nb)):
+            pairs = qcore.pair_states(psi, pair)
+            for phi, got in zip(phis, pairs):
+                reference = partial_trace(phi, {(ALICE, pair), (BOB, pair)}).matrix
+                np.testing.assert_allclose(got, reference, atol=1e-12)
+
+
 def test_disentangled_base_fidelity_cap():
     rng = np.random.default_rng(17)
     for _ in range(200):
@@ -437,7 +458,7 @@ def test_stacked_pure_forms_match_the_state_functions():
         phi_amps = np.stack([p.amplitudes for p in phis])
         psi_amps = np.stack([p.amplitudes for p in psis])
         sums = qcore.pauli_deviation_sums(phi_amps, psi_amps)
-        pairs = qcore.first_pair_states(phi_amps, na, nb)
+        pairs = qcore.pair_states(phi_amps.reshape(-1, 1 << na, 1 << nb))
         lhs, rhs = qcore.bell_identity_sides(pairs)
         overlaps = qcore.phi_plus_overlaps(pairs)
         for i, (phi, psi) in enumerate(zip(phis, psis)):

@@ -429,14 +429,12 @@ def test_gathered_accept_matches_per_element_and_oracle(case):
     mixed_blocks = 0
     for block in locc.seed_blocks(proto, [state], np.arange(proto.n_seeds)):
         *_, level = walk(proto, state, block)
-        leaves = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
+        leaves, _, r_t, post = locc._score_leaves(proto, level)
         # the point of the case: one block's leaves need several elements
         mixed_blocks += len(np.unique(proto.accept.index[leaves.seeds, leaves.codes])) > 1
         r_ref, post_ref = _accept_per_element(proto, leaves)
-        r_t, post = locc._accept(proto, leaves, post=True)
         np.testing.assert_allclose(r_t, r_ref, atol=1e-12)
         np.testing.assert_allclose(post, post_ref, atol=1e-12)
-        np.testing.assert_allclose(locc.accept_probability(proto, leaves), r_ref, atol=1e-12)
     assert mixed_blocks
     result = run(proto, state)
     succ, out, cond = oracle(proto, state)
@@ -451,8 +449,8 @@ def test_splitting_report_with_gathered_accept(monkeypatch, index):
     n = proto.n_pairs
     gathered = verify.verify_splitting(proto)
 
-    def accept_per_element(protocol, leaves, post=False):
-        return _accept_per_element(protocol, leaves)[0], None
+    def accept_per_element(protocol, leaves, pairs):
+        return _accept_per_element(protocol, leaves)
 
     monkeypatch.setattr(locc, "_accept", accept_per_element)
     per_element = verify.verify_splitting(proto)

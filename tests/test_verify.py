@@ -3,21 +3,28 @@ import itertools
 import numpy as np
 import pytest
 
-from edplab import verify
+from edplab import locc, verify
 from edplab.errmodels import consistent_extended, enumerate_extended
 from edplab.locc import (
     AlwaysAccept,
     ConditionalOutputUndefined,
     ConstantAccept,
+    Instrument,
     Protocol,
+    Round,
     make_simple_random_hash,
     random_protocol,
+    run,
 )
 from edplab.optimize import AscentConfig
 from edplab.qcore import (
+    ALICE,
+    BOB,
     DensityMatrix,
+    ProductState,
     base_fidelity,
     bell_identity_check,
+    epr_state,
     fidelity,
     pauli_deviation_sum,
 )
@@ -123,6 +130,42 @@ def test_splitting_random_protocol_sweep():
         )
         rep = verify.verify_splitting(proto)
         assert rep.passed, (i, rep)
+
+
+def _splitting_run_cases():
+    for n, s in ((2, 1), (3, 1), (3, 2)):
+        yield make_simple_random_hash(n, s)
+    for i in range(6):
+        gen = substream(77, "test-splitting-run", i)
+        yield random_protocol(
+            gen, int(gen.integers(1, 3)), int(gen.integers(1, 4)), n_seeds=int(gen.integers(1, 3)),
+            kraus_per_branch=1 + i % 2, accept_kind="povm", with_listeners=bool(i % 2),
+        )
+
+
+def test_splitting_success_probabilities_are_runs():
+    # the tracker scores leaves through run's helper, so wherever its seed
+    # blocks are run's, p and q are run's success probabilities bit for bit
+    for proto in _splitting_run_cases():
+        n = proto.n_pairs
+        perfect, mixed = epr_state(n), ProductState.maximally_mixed(n, n)
+        seeds = np.arange(proto.n_seeds)
+        assert len(locc.seed_blocks(proto, (perfect, mixed), seeds)) == 1
+        rep = verify.verify_splitting(proto)
+        assert rep.p_success_perfect == run(proto, perfect).success_probability
+        assert rep.q_success_mixed == run(proto, mixed).success_probability
+
+
+def test_splitting_fails_where_case_two_vanishes_under_a_live_node():
+    # Bob measures Z, then Alice's branch 0 keeps a weight 3e-12 of |0>:
+    # on transcript 00 case I keeps 1.5e-12 >= PROB_TOL, case II 7.5e-13
+    z = Instrument(branches=((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
+    faint = 3e-12
+    thin = Instrument(branches=((np.diag([np.sqrt(faint), 0.0]),), (np.diag([np.sqrt(1 - faint), 1.0]),)))
+    proto = Protocol(1, (1.0,), (Round(BOB, (z,)), Round(ALICE, (thin,))), AlwaysAccept(), (0,))
+    rep = verify.verify_splitting(proto)
+    assert rep.passed is False
+    assert rep.worst_node == (0, "00")
 
 
 def test_splitting_beyond_three_pairs():
