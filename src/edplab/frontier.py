@@ -9,9 +9,21 @@ matrices, ``Product`` local factors or ``Dense`` flat matrices (see
 the children row by row, branch by branch: the child of row i and
 branch b is row i * branches + b.  A branch with fewer Kraus operators
 is padded with zero operators.
+
+A level holds each distinct node state once, in a ``ClassTable`` that
+merges rows by exact content: ``content_keys`` buckets rows by a float
+key that equal rows share, and a bytewise comparison of the rows' words
+confirms each match, so a key collision costs time, never correctness,
+and rows that differ only in the sign of a zero stay apart.  This is the
+unique table of decision-diagram simulators (QMDD, Miller & Thornton
+2006; DDSIM, Zulehner & Wille 2019).
 """
 
 from __future__ import annotations
+
+import functools
+import math
+import random
 
 import numpy as np
 
@@ -28,6 +40,13 @@ class Pure:
 
     def __len__(self) -> int:
         return self.psi.shape[0]
+
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        return (self.psi,)
+
+    def with_parts(self, psi: np.ndarray) -> "Pure":
+        return Pure(psi)
 
     @property
     def nbytes(self) -> int:
@@ -80,6 +99,13 @@ class Product:
         return self.alice.shape[0]
 
     @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        return (self.alice, self.bob)
+
+    def with_parts(self, alice: np.ndarray, bob: np.ndarray) -> "Product":
+        return Product(alice, bob)
+
+    @property
     def nbytes(self) -> int:
         return self.alice.nbytes + self.bob.nbytes
 
@@ -123,6 +149,13 @@ class Dense:
 
     def __len__(self) -> int:
         return self.rho.shape[0]
+
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        return (self.rho,)
+
+    def with_parts(self, rho: np.ndarray) -> "Dense":
+        return Dense(rho, self.dA, self.dB)
 
     @property
     def nbytes(self) -> int:
@@ -230,3 +263,118 @@ def grouped(keys: list, evaluate) -> np.ndarray:
 def reduce_pairs(frontier: Frontier, n: int, pairs: np.ndarray) -> np.ndarray:
     """(rows, 4, 4) reduced matrices of each row's output pair."""
     return grouped(pairs.tolist(), lambda pair, rows: frontier.take(rows).reduce_pair(n, pair))
+
+
+def child_row_bytes(nodes: Frontier, width: int) -> int:
+    """Bytes of one child of ``nodes`` under operator stacks with ``width``
+    Kraus slots: a multi-Kraus stack turns pure nodes dense."""
+    if isinstance(nodes, Pure) and width > 1:
+        _, da, db = nodes.psi.shape
+        return 16 * (da * db) ** 2
+    return sum(part.itemsize * math.prod(part.shape[1:]) for part in nodes.parts)
+
+
+@functools.cache
+def _probe(words: int) -> np.ndarray:
+    """A fixed random vector; Python's generator spares numpy's random
+    module, which a run would otherwise be the first to load."""
+    draw = random.Random(0x5EED).random
+    return np.array([draw() - 0.5 for _ in range(words)])
+
+
+def content_keys(frontier: Frontier) -> np.ndarray:
+    """A float key per row that equal rows share: the row's words, read
+    as float64, projected on a fixed random vector.  ``einsum`` computes
+    each row's sum on its own, so equal rows get equal keys wherever
+    they sit (a BLAS matrix-vector product does not guarantee that)."""
+    keys = [np.einsum("rw,w->r", words, _probe(words.shape[1])) for words in map(_words, frontier.parts)]
+    return keys[0] if len(keys) == 1 else sum(keys)
+
+
+def _words(part: np.ndarray) -> np.ndarray:
+    """The rows of ``part`` flattened to float64 words, (rows, words)."""
+    return part.reshape(len(part), math.prod(part.shape[1:])).view(np.float64)
+
+
+def _same(a: Frontier, rows_a: np.ndarray, b: Frontier, rows_b: np.ndarray) -> np.ndarray:
+    """Whether row ``rows_a[k]`` of ``a`` holds the same bytes as row
+    ``rows_b[k]`` of ``b``, for each k."""
+    same = np.ones(len(rows_a), dtype=bool)
+    for part_a, part_b in zip(a.parts, b.parts):
+        same &= (_words(part_a[rows_a]).view(np.uint64) == _words(part_b[rows_b]).view(np.uint64)).all(axis=1)
+    return same
+
+
+class ClassTable:
+    """The distinct node states of one level, each held once, in order of
+    first appearance: a unique table.
+
+    ``add`` merges rows into the table by exact content and returns each
+    row's class.  A row is bucketed by its ``content_keys`` value and
+    compared bytewise with the first class of its bucket, and only on a
+    mismatch (a key collision) with the bucket's other classes.  Rows are
+    kept in arrays that grow by doubling, so adding costs no copy of the
+    table; ``frontier`` views the classes.
+    """
+
+    def __init__(self) -> None:
+        self._store: Frontier | None = None  # the classes, then spare rows
+        self._first: dict[float, int] = {}  # each key's first class
+        self._more: dict[float, list[int]] = {}  # a key's other classes, after a collision
+        self.size = 0
+
+    def __len__(self) -> int:
+        return self.size
+
+    def frontier(self, size: int | None = None) -> Frontier:
+        """The first ``size`` classes (all by default), a view."""
+        return self._store.take(slice(0, self.size if size is None else size))
+
+    def _append(self, rows: Frontier) -> None:
+        end = self.size + len(rows)
+        if self._store is None:
+            self._store = rows  # fresh rows, adopted without a copy
+        elif end > len(self._store):
+            grown = rows.with_parts(
+                *(np.empty((max(end, 2 * self.size),) + part.shape[1:], part.dtype) for part in rows.parts)
+            )
+            for old, new in zip(self._store.parts, grown.parts):
+                new[: self.size] = old[: self.size]
+            self._store = grown
+        if self._store is not rows:
+            for new, part in zip(self._store.parts, rows.parts):
+                new[self.size : end] = part
+        self.size = end
+
+    def add(self, rows: Frontier) -> np.ndarray:
+        """Merge ``rows``, freshly computed, into the table; the class of
+        each row.  Rows that match no class become new classes, in row
+        order."""
+        keys = content_keys(rows).tolist()
+        first, start = self._first, self.size
+        if len(set(keys)) == len(keys) and first.keys().isdisjoint(keys):  # every row opens a class
+            first.update(zip(keys, range(start, start + len(keys))))
+            self._append(rows)
+            return np.arange(start, start + len(keys))
+        classes = np.empty(len(rows), dtype=np.intp)
+        fresh, matched = [], []
+        for row, key in enumerate(keys):
+            head = first.setdefault(key, start + len(fresh))
+            classes[row] = head
+            (fresh if head == start + len(fresh) else matched).append(row)
+        self._append(rows.take(fresh))
+        if not matched:
+            return classes
+        matched = np.array(matched)
+        table = self.frontier()
+        for row in matched[~_same(table, classes[matched], rows, matched)].tolist():  # key collisions
+            others = self._more.setdefault(keys[row], [])
+            hits = [c for c in others if _same(table, np.array([c]), rows, np.array([row]))[0]]
+            if hits:
+                classes[row] = hits[0]
+            else:
+                classes[row] = self.size
+                others.append(self.size)
+                self._append(rows.take([row]))
+                table = self.frontier()
+        return classes

@@ -13,26 +13,34 @@ measurement), and is not counted as communication.
 Evaluation is exact: the full transcript tree is enumerated per seed,
 never sampled.  ``walk`` is the only traversal, and ``run`` and the
 splitting tracker in ``verify`` consume it.  It walks a block of seeds
-together and yields one ``Level`` per depth: the nodes of every seed of
-the block at that depth, in seed order and then transcript order, as
-one stacked array per representation with a leading row axis, plus
-each row's seed, transcript code and probability.  A node below
-``PROB_TOL`` is yielded but not expanded.
+together and yields one ``Level`` per depth, content-addressed: the
+level holds each distinct node state once, as one stacked array per
+representation with a leading row axis (its class table), plus per
+(seed, transcript) row its seed, transcript code, probability and class
+index.  Rows run in seed order and then transcript order.  A node below
+``PROB_TOL`` is yielded but not expanded.  Most rows of a hash protocol
+repeat: on a measure-r (5,2) input, hash (5,2) reaches about 28 distinct
+leaves from 500 leaf rows on average.
 
 A protocol holds each operator once.  A round keeps its distinct
 instruments and listener unitaries plus per-seed index arrays, and a
 POVM accept rule its distinct elements plus a (seed, transcript) index;
-the shared-randomness seeds only index into them.  Each round's
-operators are stacked once per round from the distinct operators (a
-branch with fewer Kraus operators is padded with zero operators), and
-each level gathers its rows' operators by seed, so a round is one
-batched matmul per operator slot over the whole level.  ``seed_blocks``
-cuts the seeds into blocks whose widest level fits
-``FRONTIER_BUDGET_BYTES``, which bounds memory.  Instruments are given
-directly in Kraus form, which subsumes local ancillas; an instrument
-may additionally declare workspace qubits that are appended in |0> for
-its round and traced out afterwards (compiled into plain Kraus
-operators when it is built).
+the shared-randomness seeds only index into them.  A round is applied
+once per distinct (parent class, listener, instrument) triple, with the
+operators of a chunk of triples stacked from the distinct instruments (a
+branch with fewer Kraus operators is padded with zero operators), so a
+chunk is one batched matmul per operator slot.  Its children are merged
+into the next level's class table by exact content
+(``frontier.ClassTable``).  Chunks hold at most ``FRONTIER_BUDGET_BYTES``
+of children.  ``run`` walks all seeds of an input together and cuts the
+block at a seed boundary where its class table would pass the budget by
+more than its merges saved, so a protocol without repeated nodes is cut
+at the budget; ``seed_blocks`` cuts seeds into blocks sized in rows for
+the splitting tracker, whose paired walks must not be cut.  Instruments
+are given directly in Kraus form, which subsumes local ancillas; an
+instrument may additionally declare workspace qubits that are appended
+in |0> for its round and traced out afterwards (compiled into plain
+Kraus operators when it is built).
 
 ``run`` is linear in its input and takes a weighted component list;
 each component keeps one representation through its whole tree, picked
@@ -44,17 +52,17 @@ by its type:
   runner operation is one-sided, so the form is kept throughout;
 * ``DensityMatrix``: flat (rows, 4^n, 4^n) matrices, O(2^{5n}) per node.
 
-``run`` computes leaf probabilities, output-pair reductions and the
-accept data over a block's last level at once.  Leaves are scored in one
-place, ``_score_leaves``, which ``run`` and the splitting tracker in
-``verify`` both call: it keeps the live leaves, gathers each row's
-output pair once and takes r_t from one accept formula (``_accept``),
-the trace of the measured output-pair block.  A POVM rule measures the
-whole level in one batched apply, each leaf with its element's sqrt(M),
-which the rule computes once per distinct element.  ``run``'s result
-keeps each block's leaf arrays and builds the per-leaf records only
-when ``RunResult.leaves`` is read.  It also reports, per round, the
-nodes expanded and pruned, the largest level and the time taken
+Leaves are scored in one place, ``_score_leaves``, which ``run`` and the
+splitting tracker in ``verify`` both call: it keeps the live leaves and
+scores them once per distinct (class, accept entry, output pair), taking
+r_t from one accept formula (``_accept``), the trace of the measured
+output-pair block.  A POVM rule measures all scored leaves in one
+batched apply, each with its element's sqrt(M), which the rule computes
+once per distinct element.  ``run`` sums the leaves' weights per scored
+entry; its result keeps the entries' values and each leaf's entry, and
+builds the per-leaf records only when ``RunResult.leaves`` is read.  It
+also reports, per round, the nodes expanded and pruned, the distinct
+children, the largest class table and the time taken
 (``RunResult.stats``).
 
 Fidelity-model evaluations use pure + product only: the canonical
@@ -75,7 +83,7 @@ from typing import Iterator, Mapping, NamedTuple
 import numpy as np
 
 from .errmodels import ErrorModel, State, WeightedStates
-from .frontier import Frontier, frontier_of, reduce_pairs
+from .frontier import ClassTable, Frontier, child_row_bytes, frontier_of, reduce_pairs
 from .qcore import (
     ALICE,
     BOB,
@@ -120,6 +128,17 @@ def _per_seed(entries: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     listener indexes, output pairs): one entry serves every seed, which
     clipping gives, and otherwise every seed is in range."""
     return entries.take(seeds, mode="clip")
+
+
+def _distinct(entries: np.ndarray) -> tuple[list[int] | None, list[int]]:
+    """The distinct values of ``entries`` in order of first appearance, and
+    each entry's position among them (None when all are distinct)."""
+    values = entries.tolist()
+    distinct = list(dict.fromkeys(values))
+    if len(distinct) == len(values):
+        return None, distinct
+    position = {value: i for i, value in enumerate(distinct)}
+    return [position[value] for value in values], distinct
 
 
 def _index(index, size: int, what: str, ndim: int = 1, low: int = 0) -> np.ndarray:
@@ -210,8 +229,9 @@ class Round:
     round, held the same way (``listener_unitaries``,
     ``listener_index``); local unitaries carry no communication.
 
-    ``kraus_stack`` and ``listener_stack`` are what the runner gathers
-    each level's operators from, built on first use.
+    ``kraus_ops`` and ``listener_ops`` stack the operators of given
+    index entries for the runner, from the distinct operators, so a
+    round holds no second copy of them.
     """
 
     party: str
@@ -243,24 +263,40 @@ class Round:
         object.__setattr__(self, "listener_index", _index(self.listener_index, len(listeners), "listener_index"))
 
     @functools.cached_property
-    def kraus_stack(self) -> np.ndarray:
-        """(instruments, 2 branches, Kraus slots, d, d); a branch with
-        fewer Kraus operators is padded with zero operators."""
-        width = max(len(branch) for ins in self.instruments for branch in ins.kraus)
-        d = self.instruments[0].dim >> self.instruments[0].n_workspace
-        stack = np.zeros((len(self.instruments), 2, width, d, d), dtype=np.complex128)
-        for row, ins in enumerate(self.instruments):
-            for bit, branch in enumerate(ins.kraus):
-                for j, k in enumerate(branch):
-                    stack[row, bit, j] = k
-        return _read_only(stack)
+    def width(self) -> int:
+        """Kraus slots per branch: the most Kraus operators of any branch."""
+        return max(len(branch) for ins in self.instruments for branch in ins.kraus)
 
     @functools.cached_property
-    def listener_stack(self) -> np.ndarray | None:
-        """(listeners, 1, 1, d, d)."""
-        if self.listener_unitaries is None:
-            return None
-        return _read_only(np.stack(self.listener_unitaries)[:, None, None])
+    def _slots(self) -> tuple[tuple[np.ndarray, ...], ...]:
+        """Per instrument, its Kraus operators branch by branch, each branch
+        padded to ``width`` with one shared zero operator: references, not
+        copies."""
+        d = self.instruments[0].dim >> self.instruments[0].n_workspace
+        zero = np.zeros((d, d), dtype=np.complex128)
+        return tuple(
+            tuple(k for branch in ins.kraus for k in branch + (zero,) * (self.width - len(branch)))
+            for ins in self.instruments
+        )
+
+    def kraus_ops(self, entries: np.ndarray) -> np.ndarray:
+        """(len(entries), 2 branches, width, d, d) Kraus operators of the
+        instruments ``entries``; a branch with fewer Kraus operators is
+        padded with zero operators."""
+        rows, distinct = _distinct(entries)
+        slots = self._slots
+        d = slots[0][0].shape[0]
+        stack = np.array([k for entry in distinct for k in slots[entry]], dtype=np.complex128)
+        stack = stack.reshape(len(distinct), 2, self.width, d, d)
+        return stack if rows is None else stack[rows]
+
+    def listener_ops(self, entries: np.ndarray) -> np.ndarray:
+        """(len(entries), 1, 1, d, d) listener unitaries ``entries``."""
+        rows, distinct = _distinct(entries)
+        d = self.listener_unitaries[0].shape[0]
+        stack = np.array([self.listener_unitaries[entry] for entry in distinct], dtype=np.complex128)
+        stack = stack.reshape(len(distinct), 1, 1, d, d)
+        return stack if rows is None else stack[rows]
 
     @property
     def listener(self) -> str:
@@ -391,7 +427,7 @@ class Protocol:
     def multi_kraus(self) -> bool:
         """Whether a branch has several Kraus operators, which turns a
         pure frontier dense."""
-        return any(rnd.kraus_stack.shape[2] > 1 for rnd in self.rounds)
+        return any(rnd.width > 1 for rnd in self.rounds)
 
 
 def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
@@ -447,7 +483,8 @@ class RoundStats(NamedTuple):
 
     expanded: int  # nodes of the previous level the round expanded
     pruned: int  # nodes of the previous level below PROB_TOL, left unexpanded
-    frontier_bytes: int  # the largest level the round produced for one seed block
+    distinct: int  # distinct child states the round produced: the class table rows
+    frontier_bytes: int  # the largest class table the round produced for one seed block
     seconds: float
 
 
@@ -467,29 +504,31 @@ class RunStats(NamedTuple):
 
 class _RecordRows(NamedTuple):
     """The rows of one level of one seed block that ``RunResult.leaves``
-    records: the level's dead nodes, or its leaves."""
+    records: the level's dead nodes, or its leaves.  Leaves keep their
+    values once per scored entry (``_Scores``) and each row's entry."""
 
     component: int
     depth: int
     seeds: np.ndarray
     codes: np.ndarray
     weights: np.ndarray
-    probabilities: np.ndarray | None  # None for dead nodes
-    accept: np.ndarray | None
-    reduced: np.ndarray | None  # (rows, 4, 4) unnormalized output pairs
+    entries: np.ndarray | None = None  # None for dead nodes
+    probabilities: np.ndarray | None = None  # per entry
+    accept: np.ndarray | None = None
+    reduced: np.ndarray | None = None  # (entries, 4, 4) unnormalized output pairs
 
     def records(self) -> list[LeafRecord]:
         rows = zip(self.seeds.tolist(), self.codes.tolist(), self.weights.tolist())
-        if self.probabilities is None:
+        if self.entries is None:
             return [
                 LeafRecord(self.component, seed, _transcript(code, self.depth), w, 0.0, 0.0, None)
                 for seed, code, w in rows
             ]
-        outputs = self.reduced / self.probabilities[:, None, None]
+        outputs = (self.reduced / self.probabilities[:, None, None])[self.entries]
         return [
             LeafRecord(self.component, seed, _transcript(code, self.depth), w, p, r, out)
             for (seed, code, w), p, r, out in zip(
-                rows, self.probabilities.tolist(), self.accept.tolist(), outputs
+                rows, self.probabilities[self.entries].tolist(), self.accept[self.entries].tolist(), outputs
             )
         ]
 
@@ -504,8 +543,8 @@ class RunResult:
     output: DensityMatrix
     conditional_output: DensityMatrix | None
     stats: RunStats = field(compare=False)  # timings differ between equal runs
-    # per seed block, the level rows that ``leaves`` is built from
-    blocks: tuple[tuple[_RecordRows, ...], ...] = field(default=(), repr=False, compare=False)
+    # the level rows that ``leaves`` is built from, in walk order
+    rows: tuple[_RecordRows, ...] = field(default=(), repr=False, compare=False)
 
     @functools.cached_property
     def leaves(self) -> tuple[LeafRecord, ...]:
@@ -516,35 +555,38 @@ class RunResult:
         seed by seed; within a seed, dead nodes level by level, then the
         leaves, each in transcript order.
         """
-        out: list[LeafRecord] = []
-        for block in self.blocks:
-            records = [rec for rows in block for rec in rows.records()]
-            records.sort(key=lambda rec: rec.seed)
-            out.extend(records)
-        return tuple(out)
+        records = [rec for rows in self.rows for rec in rows.records()]
+        # a walk reaches each seed's levels in depth order, so a stable sort suffices
+        records.sort(key=lambda rec: (rec.component, rec.seed))
+        return tuple(records)
 
 
 # ---------------------------------------------------------------------------
 # seed blocks
 
-# Bytes one seed block's widest level may take.  A block holds as many
-# seeds as fit; a seed whose level alone is larger gets a block of its own.
+# The one memory bound of a walk.  A round applies at most this many bytes
+# of children at once; ``run`` cuts a block at a seed boundary where its
+# class table would pass it by more than the table's merges saved
+# (``_fits``), and a seed whose level alone is larger is a block of its
+# own; ``seed_blocks`` sizes blocks whose widest level, in rows, fits it.
 FRONTIER_BUDGET_BYTES = 1 << 17
 
 
 def _row_bytes(protocol: "Protocol", state: State | ProductState) -> int:
-    """Bytes of one node of ``state``'s frontier."""
-    da, db = 1 << state.n_alice, 1 << state.n_bob
-    if isinstance(state, ProductState):
-        return 16 * (da * da + db * db)
-    if isinstance(state, PureState) and not protocol.multi_kraus:
-        return 16 * da * db
-    return 16 * (da * db) ** 2
+    """Bytes of one node of ``state``'s frontier below the root."""
+    return child_row_bytes(frontier_of(state, 1), 2 if protocol.multi_kraus else 1)
 
 
 def seed_blocks(protocol: "Protocol", states, seeds: np.ndarray) -> list[np.ndarray]:
-    """``seeds`` cut into consecutive blocks whose widest level, for any of
-    ``states``, fits ``FRONTIER_BUDGET_BYTES``."""
+    """``seeds`` cut into consecutive blocks whose widest level, counted
+    in rows, fits ``FRONTIER_BUDGET_BYTES`` for any of ``states``.
+
+    A class table never holds more rows than its level, so ``walk`` over
+    such a block stays within the budget.  The splitting tracker walks
+    its two cases over these blocks in lockstep; ``run`` does not use
+    them, since it walks all seeds of an input together and cuts them
+    where their class table would not fit.
+    """
     per_seed = max(_row_bytes(protocol, st) for st in states) << protocol.bits
     size = max(1, FRONTIER_BUDGET_BYTES // per_seed)
     return [seeds[i : i + size] for i in range(0, len(seeds), size)]
@@ -564,18 +606,26 @@ class Level:
     Row i is the node of seed ``seeds[i]`` reached by the transcript
     whose ``depth`` bits, first round first, are the binary digits of
     ``codes[i]``.  Rows run in seed order, then in transcript order.
-    ``frontier`` holds the unnormalized node states as stacked arrays
-    and ``probabilities`` their traces.
+    The level is content-addressed: ``frontier`` holds each distinct
+    unnormalized node state once, as stacked arrays, and ``classes[i]``
+    is row i's entry in it.  ``probabilities`` holds the rows' traces.
     """
 
-    __slots__ = ("depth", "seeds", "codes", "probabilities", "frontier")
+    __slots__ = ("depth", "seeds", "codes", "classes", "probabilities", "frontier")
 
     def __init__(
-        self, depth: int, seeds: np.ndarray, codes: np.ndarray, probabilities: np.ndarray, frontier: Frontier
+        self,
+        depth: int,
+        seeds: np.ndarray,
+        codes: np.ndarray,
+        classes: np.ndarray,
+        probabilities: np.ndarray,
+        frontier: Frontier,
     ):
         self.depth = depth
         self.seeds = seeds
         self.codes = codes
+        self.classes = classes
         self.probabilities = probabilities
         self.frontier = frontier
 
@@ -592,16 +642,25 @@ class Level:
         return _transcript(int(self.codes[row]), self.depth)
 
     def take(self, rows: np.ndarray) -> "Level":
-        """The level restricted to ``rows``, ascending row indices."""
+        """The level restricted to ``rows``, ascending row indices; the
+        class table is shared."""
         if len(rows) == len(self):
             return self
         return Level(
-            self.depth, self.seeds[rows], self.codes[rows], self.probabilities[rows], self.frontier.take(rows)
+            self.depth, self.seeds[rows], self.codes[rows], self.classes[rows], self.probabilities[rows], self.frontier
         )
 
+    def states(self) -> Frontier:
+        """The node state of every row."""
+        if len(self.classes) == len(self.frontier) and (self.classes[1:] > self.classes[:-1]).all():
+            return self.frontier  # one row per class, in order
+        return self.frontier.take(self.classes)
+
     def local_states(self) -> tuple[np.ndarray, np.ndarray]:
-        """(alice, bob) unnormalized marginals of every row, each (rows, d, d)."""
-        return self.frontier.local_states()
+        """(alice, bob) unnormalized marginals of every row, each (rows, d, d),
+        computed once per class."""
+        alice, bob = self.frontier.local_states()
+        return alice[self.classes], bob[self.classes]
 
 
 def _coerce_input(protocol: Protocol, state) -> WeightedStates:
@@ -621,6 +680,19 @@ def _coerce_input(protocol: Protocol, state) -> WeightedStates:
     return weighted
 
 
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct key, ascending, and each row's
+    index among the distinct keys in that order."""
+    if (keys[1:] > keys[:-1]).all():  # every key new: a protocol without repeated nodes
+        rows = np.arange(len(keys))
+        return rows, rows
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
+
+
 def _accept(protocol: Protocol, leaves: Level, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """Accept probabilities r_t and the accept-conditioned output blocks of
     leaves whose probabilities are all >= PROB_TOL; ``pairs`` holds each
@@ -630,7 +702,7 @@ def _accept(protocol: Protocol, leaves: Level, pairs: np.ndarray) -> tuple[np.nd
     after a successful sqrt(M) measurement, scaled by p_t * r_t; they are
     None when the rule has no backaction (post = r_t * unconditional).
     Every leaf row gets its element's sqrt(M), computed once per distinct
-    element, and the whole level is measured in one batched apply;
+    element, and all rows are measured in one batched apply;
     p_t * r_t = Tr(M rho_t) is the trace of the measured output-pair block.
     """
     rule = protocol.accept
@@ -639,93 +711,246 @@ def _accept(protocol: Protocol, leaves: Level, pairs: np.ndarray) -> tuple[np.nd
     if isinstance(rule, ConstantAccept):
         return rule.probabilities(leaves.codes), None
     roots = rule.roots[rule.index[leaves.seeds, leaves.codes]]
-    post = reduce_pairs(leaves.frontier.apply(roots[:, None, None], ALICE), protocol.n_pairs, pairs)
+    post = reduce_pairs(leaves.states().apply(roots[:, None, None], ALICE), protocol.n_pairs, pairs)
     r_joint = np.trace(post, axis1=1, axis2=2).real  # p_t * r_t
     kept = r_joint >= PROB_TOL
     post[~kept] = 0.0
     return np.where(kept, r_joint, 0.0) / leaves.probabilities, post
 
 
-def _score_leaves(protocol: Protocol, level: Level) -> tuple[Level, np.ndarray, np.ndarray, np.ndarray | None]:
-    """The live leaves of a last level (probability >= PROB_TOL), each
-    one's output pair, and their r_t and post blocks (``_accept``).
-    ``run`` and the splitting tracker both score leaves here."""
+class _Scores(NamedTuple):
+    """A last level's live leaves, scored once per entry: per distinct
+    (node class, accept entry, output pair), where the accept entry is
+    the leaf's POVM element, or its transcript under per-transcript
+    constants."""
+
+    leaves: Level
+    entries: np.ndarray  # each leaf's entry
+    scored: Level  # the first leaf of each entry
+    pairs: np.ndarray  # each entry's output pair
+    accept: np.ndarray  # each entry's r_t
+    post: np.ndarray | None  # each entry's accept-conditioned block (``_accept``)
+
+    def totals(self, weights: np.ndarray) -> tuple[np.ndarray, float]:
+        """The leaves' ``weights`` summed per entry, and the weighted SUCC
+        probability sum_t w_t p_t r_t."""
+        summed = np.bincount(self.entries, weights, minlength=len(self.scored))
+        return summed, float(np.dot(summed * self.scored.probabilities, self.accept))
+
+
+def _score_leaves(protocol: Protocol, level: Level) -> _Scores:
+    """The live leaves of a last level (probability >= PROB_TOL), their
+    entries, and each entry's output pair, r_t and post block
+    (``_accept``).  ``run`` and the splitting tracker both score leaves
+    here."""
     leaves = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
     pairs = _per_seed(np.asarray(protocol.output_pair), leaves.seeds)
-    return (leaves, pairs, *_accept(protocol, leaves, pairs))
+    rule = protocol.accept
+    if isinstance(rule, PovmAccept):
+        accept, count = rule.index[leaves.seeds, leaves.codes], len(rule.elements)
+    elif isinstance(rule, ConstantAccept) and not isinstance(rule.values, (int, float)):
+        accept, count = leaves.codes, 1 << level.depth
+    else:
+        accept, count = 0, 1
+    first, entries = _first_seen((leaves.classes * count + accept) * protocol.n_pairs + pairs)
+    scored = leaves.take(first)
+    return _Scores(leaves, entries, scored, pairs[first], *_accept(protocol, scored, pairs[first]))
 
 
 def walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray) -> Iterator[Level]:
     """The transcript trees of a block of seeds on one input, level by level.
 
-    Yields the root level, one row per seed of ``seeds``, then one level
-    per round.  A round expands every node of the previous level at or
-    above ``PROB_TOL`` into its two children; a node below it is yielded
-    but not expanded.  Each round's operators are gathered by seed from
-    the round's stacks.  Only the
-    current level is held, so memory follows one level of the block, not
-    the whole tree (``seed_blocks`` sizes blocks under
-    ``FRONTIER_BUDGET_BYTES``).  ``state`` must live on
-    ``protocol.n_pairs`` pairs.
+    Yields the root level, one row per seed of ``seeds`` and one class,
+    then one level per round.  A round expands every node of the
+    previous level at or above ``PROB_TOL`` into its two children; a
+    node below it is yielded but not expanded.  The round applies its
+    listener and instrument once per distinct (parent class, listener,
+    instrument) triple, in chunks of at most ``FRONTIER_BUDGET_BYTES`` of
+    children, and merges the children into the next level's class table
+    by exact content (``frontier.ClassTable``).  Only the current level
+    is held, so memory follows one level's class table; callers that
+    need a bound size their blocks in rows with ``seed_blocks``.  The
+    walk never cuts the block, so it yields exactly one level per depth.
+    ``state`` must live on ``protocol.n_pairs`` pairs.
     """
+    return _walk(protocol, state, seeds, cut=False)
+
+
+def _walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray, cut: bool) -> Iterator[Level]:
+    """``walk``; with ``cut``, a block whose class table would not fit
+    (``_fits``) is cut at a seed boundary: the seeds before the cut are
+    walked to the last depth, then the rest are expanded from the same
+    parent level, which is held until then.  A depth then comes as
+    several levels, in seed order, depth first.  ``run`` walks all seeds
+    of an input this way."""
     seeds = np.asarray(seeds, dtype=np.intp)
-    frontier = frontier_of(state, len(seeds))
-    level = Level(0, seeds, np.zeros(len(seeds), dtype=np.int64), frontier.norms(), frontier)
+    root = frontier_of(state, 1)
+    classes = np.zeros(len(seeds), dtype=np.intp)
+    level = Level(0, seeds, np.zeros(len(seeds), dtype=np.int64), classes, root.norms()[classes], root)
+    yield from _descend(protocol, level, cut)
+
+
+def _descend(protocol: Protocol, level: Level, cut: bool) -> Iterator[Level]:
+    """``level`` and, depth first, the levels below it.  A level is let go
+    once its children are computed, unless a cut leaves parents for later."""
     yield level
-    for depth, rnd in enumerate(protocol.rounds, 1):
-        parents = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
-        nodes = parents.frontier
-        if rnd.listener_stack is not None:
-            listeners = rnd.listener_stack[_per_seed(rnd.listener_index, parents.seeds)]
-            nodes = nodes.apply(listeners, rnd.listener)
-        children = nodes.apply(rnd.kraus_stack[_per_seed(rnd.instrument_index, parents.seeds)], rnd.party)
-        codes = (2 * parents.codes[:, None] + np.arange(2)).reshape(-1)
-        level = Level(depth, np.repeat(parents.seeds, 2), codes, children.norms(), children)
-        yield level
+    if level.depth == protocol.bits:
+        return
+    rnd = protocol.rounds[level.depth]
+    parents = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
+    del level
+    while parents is not None:
+        children, parents = _expand(rnd, parents, cut)
+        below = _descend(protocol, children, cut)
+        del children
+        yield from below
+
+
+def _expand(rnd: Round, parents: Level, cut: bool) -> tuple[Level, Level | None]:
+    """The children of ``parents``, all live, and the parents left for a
+    later block when ``cut`` is set and the children's class table had to
+    be cut (None when it was not).
+
+    Triples are applied in the order of their first row, in chunks of at
+    most ``FRONTIER_BUDGET_BYTES`` of children.  With ``cut``, a chunk
+    past the budget is as large as the table's room takes at the share
+    of children that opened a class so far (``_room``); where not one
+    more triple fits, or the table did not fit after all (``_fits``), the
+    block is cut at the last seed boundary whose rows' classes fit.  A
+    protocol without repeated nodes is thus cut at the budget without
+    applying any triple twice.
+    """
+    seeds = parents.seeds
+    instruments = _per_seed(rnd.instrument_index, seeds)
+    listeners = np.zeros_like(instruments) if rnd.listener_index is None else _per_seed(rnd.listener_index, seeds)
+    n_listeners = 1 if rnd.listener_unitaries is None else len(rnd.listener_unitaries)
+    first, triples = _first_seen((parents.classes * n_listeners + listeners) * len(rnd.instruments) + instruments)
+    row_bytes = child_row_bytes(parents.frontier, rnd.width)
+    most = max(1, FRONTIER_BUDGET_BYTES // (2 * row_bytes))
+    table = ClassTable()
+    classes = np.empty(2 * len(first), dtype=np.intp)  # the children of triple t are 2t and 2t + 1
+    done, kept, size, needed = 0, len(parents), None, None
+    while True:  # at least once: no parents still give an empty level of the children's form
+        count = most
+        # a table within the budget fits (``_fits``), so cuts are weighed only past it
+        if cut and (len(table) + 2 * count) * row_bytes > FRONTIER_BUDGET_BYTES:
+            if needed is None:
+                # the row where each seed but the first starts, and the triples the rows before it need
+                starts = np.flatnonzero(seeds[1:] != seeds[:-1]) + 1
+                needed = np.searchsorted(first, starts)
+            if len(needed) and needed[0] <= done:  # a seed boundary whose rows are all expanded
+                opened = (len(table) + 1) / (2 * done + 1)
+                covered = 2 * row_bytes * int(np.count_nonzero(triples < done))
+                room = _room(len(table) * row_bytes, covered, opened) / (2 * row_bytes)
+                if room < 1:  # not one more triple fits at the share so far
+                    kept, size = _cut(classes, done, starts, needed, row_bytes)
+                    break
+                count = int(min(most, room))
+        chunk = first[done : done + count]
+        nodes = parents.frontier.take(parents.classes[chunk])
+        if rnd.listener_unitaries is not None:
+            nodes = nodes.apply(rnd.listener_ops(listeners[chunk]), rnd.listener)
+        children = nodes.apply(rnd.kraus_ops(instruments[chunk]), rnd.party)
+        classes[2 * done : 2 * (done + len(chunk))] = table.add(children)
+        done += len(chunk)
+        if cut and len(table) * row_bytes > FRONTIER_BUDGET_BYTES and len(needed) and needed[0] <= done:
+            covered = 2 * row_bytes * int(np.count_nonzero(triples < done))
+            if not _fits(len(table) * row_bytes, covered):
+                kept, size = _cut(classes, done, starts, needed, row_bytes)
+                break
+        if done == len(first):
+            break
+    frontier = table.frontier(size)
+    rows = classes[(2 * triples[:kept, None] + np.arange(2)).reshape(-1)]
+    level = Level(
+        parents.depth + 1,
+        np.repeat(seeds[:kept], 2),
+        (2 * parents.codes[:kept, None] + np.arange(2)).reshape(-1),
+        rows,
+        frontier.norms()[rows],
+        frontier,
+    )
+    rest = parents.take(np.arange(kept, len(parents))) if kept < len(parents) else None
+    return level, rest
+
+
+def _cut(classes: np.ndarray, done: int, starts: np.ndarray, needed: np.ndarray, row_bytes: int) -> tuple[int, int]:
+    """Where ``_expand`` cuts a block once ``done`` triples are applied:
+    the last seed boundary whose rows are all expanded and whose classes
+    fit, or the first one when none fits, and the classes kept."""
+    ready = np.flatnonzero(needed <= done)
+    top = np.maximum.accumulate(classes[: 2 * done]) + 1  # the classes the first t triples use
+    sizes = np.where(needed[ready] > 0, top[2 * needed[ready] - 1], 0).tolist()
+    fit = [i for i, b in enumerate(ready.tolist()) if _fits(sizes[i] * row_bytes, 2 * int(starts[b]) * row_bytes)]
+    pick = fit[-1] if fit else 0
+    return int(starts[ready[pick]]), sizes[pick]
+
+
+def _fits(table_bytes: int, row_bytes: int) -> bool:
+    """Whether a class table of ``table_bytes`` standing for rows of
+    ``row_bytes`` may be held: it may pass ``FRONTIER_BUDGET_BYTES`` by
+    no more than the bytes its merges saved, ``row_bytes - table_bytes``."""
+    return 2 * table_bytes <= row_bytes + FRONTIER_BUDGET_BYTES
+
+
+def _room(table_bytes: int, row_bytes: int, opened: float) -> float:
+    """The most bytes of children that keep the table within ``_fits``
+    when a share ``opened`` of them open classes: unbounded while at most
+    half of them do."""
+    if 2 * opened <= 1:
+        return math.inf
+    return (row_bytes + FRONTIER_BUDGET_BYTES - 2 * table_bytes) / (2 * opened - 1)
 
 
 class _Meter:
     """Per-round counts, sizes and times of a run."""
 
     def __init__(self, bits: int):
+        self.bits = bits
         self.expanded = [0] * bits
         self.pruned = [0] * bits
+        self.distinct = [0] * bits
         self.frontier_bytes = [0] * bits
         self.seconds = [0.0] * bits
         self.peak = 0
         self.blocks = 0
         self.representations: list[str] = []
-        self.form = ""  # the last block's: its root's, then its leaves' if they differ
 
     def levels(self, levels: Iterator[Level]) -> Iterator[Level]:
-        """Pass ``levels`` through, charging each round the time it took."""
-        self.blocks += 1
-        previous = None
+        """Pass one component's ``levels`` through, charging each round the
+        time it took, and record the component's representation: its
+        root's, then its leaves' if they differ."""
+        forms = []
         clock = time.perf_counter()
         for level in levels:
             elapsed = time.perf_counter() - clock
             size = level.frontier.nbytes
             self.peak = max(self.peak, size)
-            if previous is None:
-                root = level.frontier.kind
-            else:
+            if level.depth:
                 r = level.depth - 1
-                expanded = len(level) // 2  # each expanded node has two children
-                self.expanded[r] += expanded
-                self.pruned[r] += len(previous) - expanded
+                self.distinct[r] += len(level.frontier)
                 self.frontier_bytes[r] = max(self.frontier_bytes[r], size)
                 self.seconds[r] += elapsed
+            if level.depth < self.bits:
+                live = int(np.count_nonzero(level.probabilities >= PROB_TOL))
+                self.expanded[level.depth] += live
+                self.pruned[level.depth] += len(level) - live
+            else:
+                self.blocks += 1
+            if level.depth in (0, self.bits):
+                forms.append(level.frontier.kind)
             yield level
-            previous = level
             clock = time.perf_counter()
-        leaf = previous.frontier.kind
-        self.form = root if root == leaf else f"{root}->{leaf}"
+        root, leaf = forms[0], forms[-1]
+        self.representations.append(root if root == leaf else f"{root}->{leaf}")
 
     def stats(self) -> RunStats:
         return RunStats(
             representations=tuple(self.representations),
             seed_blocks=self.blocks,
-            rounds=tuple(map(RoundStats, self.expanded, self.pruned, self.frontier_bytes, self.seconds)),
+            rounds=tuple(
+                map(RoundStats, self.expanded, self.pruned, self.distinct, self.frontier_bytes, self.seconds)
+            ),
             peak_frontier_bytes=self.peak,
         )
 
@@ -733,47 +958,50 @@ class _Meter:
 def run(protocol: Protocol, state) -> RunResult:
     """Evaluate a protocol exactly on a state or weighted state list.
 
-    Every component is walked in seed blocks (``walk``); leaf
-    probabilities, the SUCC probability, the output, and the output
-    conditioned on SUCC are computed over each block's last level at
-    once and are exact up to float arithmetic.  ``RunResult.stats``
-    says where the work went.
+    Every component is walked with all its live seeds as one block,
+    which the walk cuts at seed boundaries where a class table would not
+    fit (``_walk``, ``_fits``).
+    Leaves are scored once per distinct entry (``_score_leaves``), and
+    leaf probabilities, the SUCC probability, the output, and the output
+    conditioned on SUCC are computed from the entries' values weighted by
+    their leaves' summed weights; they are exact up to float arithmetic.
+    ``RunResult.stats`` says where the work went.
     """
     weighted = _coerce_input(protocol, state)
     n = protocol.n_pairs
     seed_weights = np.asarray(protocol.seed_weights)
     live_seeds = np.flatnonzero(seed_weights != 0.0)
     meter = _Meter(protocol.bits)
-    blocks: list[tuple[_RecordRows, ...]] = []
+    records: list[_RecordRows] = []
     out_acc = np.zeros((4, 4), dtype=np.complex128)
     cond_acc = np.zeros((4, 4), dtype=np.complex128)
     success = 0.0
 
     for comp_idx, (comp_w, comp_state) in enumerate(weighted):
-        for block in seed_blocks(protocol, [comp_state], live_seeds):
-            rows: list[_RecordRows] = []
-            for level in meter.levels(walk(protocol, comp_state, block)):
-                dead = np.flatnonzero(level.probabilities < PROB_TOL)
-                if len(dead):
-                    seeds = level.seeds[dead]
-                    rows.append(
-                        _RecordRows(
-                            comp_idx, level.depth, seeds, level.codes[dead],
-                            comp_w * seed_weights[seeds], None, None, None,
-                        )
-                    )
-            leaf, pairs, r_t, post = _score_leaves(protocol, level)
-            weight = comp_w * seed_weights[leaf.seeds]
-            p_t = leaf.probabilities
-            reduced = reduce_pairs(leaf.frontier, n, pairs)
-            out_acc += np.tensordot(weight, reduced, axes=1)
-            cond_acc += np.tensordot(weight, r_t[:, None, None] * reduced if post is None else post, axes=1)
-            success += float(np.dot(weight * p_t, r_t))
-            rows.append(
-                _RecordRows(comp_idx, leaf.depth, leaf.seeds, leaf.codes, weight, p_t, r_t, reduced)
+        for level in meter.levels(_walk(protocol, comp_state, live_seeds, cut=True)):
+            dead = np.flatnonzero(level.probabilities < PROB_TOL)
+            if len(dead):
+                seeds = level.seeds[dead]
+                records.append(
+                    _RecordRows(comp_idx, level.depth, seeds, level.codes[dead], comp_w * seed_weights[seeds])
+                )
+            if level.depth < protocol.bits:
+                continue
+            scores = _score_leaves(protocol, level)
+            leaves, scored = scores.leaves, scores.scored
+            weight = comp_w * seed_weights[leaves.seeds]
+            summed, succ = scores.totals(weight)
+            reduced = reduce_pairs(scored.states(), n, scores.pairs)
+            post = scores.accept[:, None, None] * reduced if scores.post is None else scores.post
+            out_acc += np.dot(summed, reduced.reshape(-1, 16)).reshape(4, 4)
+            cond_acc += np.dot(summed, post.reshape(-1, 16)).reshape(4, 4)
+            success += succ
+            records.append(
+                _RecordRows(
+                    comp_idx, leaves.depth, leaves.seeds, leaves.codes, weight,
+                    scores.entries, scored.probabilities, scores.accept, reduced,
+                )
             )
-            blocks.append(tuple(rows))
-        meter.representations.append(meter.form)
 
     output = DensityMatrix(1, 1, out_acc, validate=False)
     conditional = None
@@ -786,7 +1014,7 @@ def run(protocol: Protocol, state) -> RunResult:
         output=output,
         conditional_output=conditional,
         stats=meter.stats(),
-        blocks=tuple(blocks),
+        rows=tuple(records),
     )
 
 

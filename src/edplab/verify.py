@@ -3,7 +3,8 @@ splitting tracker, bound probes via unitary ascent, lemma property
 sweeps, and exact counting identities.
 
 The splitting tracker reads the transcript tree through ``locc.walk``,
-the only traversal, which ``locc.run`` also consumes.
+the only traversal, which ``locc.run`` also consumes; it reads each row's
+node through the level's class index.
 
 Every report carries explicit pass criteria.  A bound probe passes only
 when the best value found sits between the matching protocol's value
@@ -329,7 +330,9 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     q >= p^2 / 2^s.
 
     The two cases are walked in lockstep, one seed block and one level
-    at a time, so memory follows one level of the block's trees; each
+    at a time, so memory follows one level of the block's trees (the
+    blocks are ``locc.seed_blocks``, sized in rows, which ``walk`` never
+    cuts, so the two walks yield one level per depth each); each
     level is checked with one batched eigenvalue call per party.  p and
     q are scored over the last level, the leaves, as ``run`` computes
     them (``locc._score_leaves``).  A node's margin is the lower of the
@@ -351,13 +354,13 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     lowest = (np.inf,)  # (margin, seed, depth, row, transcript) of the lowest node
     live_seeds = np.flatnonzero(weights != 0.0)
     for block in locc.seed_blocks(protocol, (perfect, mixed), live_seeds):
-        walks = zip(locc.walk(protocol, perfect, block), locc.walk(protocol, mixed, block))
+        walks = zip(locc.walk(protocol, perfect, block), locc.walk(protocol, mixed, block), strict=True)
         for level1, level2 in walks:
             depth = level1.depth
             if depth == protocol.bits:
                 for case, level in enumerate((level1, level2)):
-                    leaves, _, r_t, _ = locc._score_leaves(protocol, level)
-                    success[case] += float(np.dot(weights[leaves.seeds] * leaves.probabilities, r_t))
+                    scores = locc._score_leaves(protocol, level)
+                    success[case] += scores.totals(weights[scores.leaves.seeds])[1]
             if depth == 0:
                 initial_ok &= all(
                     bool(np.abs(local / level.probabilities[:, None, None] - eye).max() <= 1e-10)
@@ -377,10 +380,11 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
             rows2 = np.flatnonzero(live & (p2 >= locc.PROB_TOL))
             if len(rows2):
                 checked += len(rows2)
-                # p_t sigma_t^I is case I's unnormalized local state
-                alice1, bob1 = level1.frontier.take(rows1[rows2]).local_states()
+                # p_t sigma_t^I is case I's unnormalized local state; local
+                # states are computed once per class and read by row
+                alice1, bob1 = (local[level1.classes[rows1[rows2]]] for local in level1.frontier.local_states())
                 q2 = p2[rows2][:, None, None]
-                alice2, bob2 = (local / q2 for local in level2.frontier.take(rows2).local_states())
+                alice2, bob2 = (local[level2.classes[rows2]] / q2 for local in level2.frontier.local_states())
                 low_a = _dominance_lows(alice2, alice1)
                 low_b = _dominance_lows(bob2, bob1)
                 min_alice = min(min_alice, float(low_a.min()))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -281,6 +282,17 @@ def test_cli_protocol_emit_run(tmp_path):
     assert doc["success_probability"] == pytest.approx(0.5, abs=1e-12)
     cond = serialize.matrix_from_json(doc["conditional_output"])
     np.testing.assert_allclose(cond, np.eye(4) / 4, atol=1e-10)
+
+
+def test_cli_emit_run_bytes_are_pinned(tmp_path):
+    # hash (4,3) on a measure-r (4,2) error state: the file's sha256 was
+    # recorded with the per-row runner, before nodes were merged by content
+    spec, state, out = tmp_path / "srh.json", tmp_path / "state.json", tmp_path / "run.json"
+    assert main(["protocol", "--make", "simple-random-hash", "--n", "4", "--s", "3", "--out", str(spec)]) == 0
+    state.write_text(json.dumps(serialize.state_to_json(MeasureRModel(4, 2).run_inputs()[3])))
+    assert main(["protocol", "--spec", str(spec), "--input", str(state), "--emit-run", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "40642c5f8360da3ed9e5b40c2603e7e69e0b8c95c61d2ab836d82f5cdbe8a0a8"
 
 
 def test_cli_seed_validation():

@@ -28,6 +28,7 @@ from edplab.locc import (
     make_random_pair,
     make_random_permutation,
     make_simple_random_hash,
+    model_fidelities,
     protocol_fidelity,
     random_protocol,
     run,
@@ -599,6 +600,42 @@ def test_run_stats_count_each_round():
     assert stats.peak_frontier_bytes == max(r.frontier_bytes for r in stats.rounds)
 
 
+def test_run_stats_count_distinct_children():
+    # hash (5,2) on a measure-r input: the 128 seeds reach few distinct
+    # nodes, and the counts per round still match one walk per seed
+    proto = make_simple_random_hash(5, 2)
+    state = MeasureRModel(5, 2).run_inputs()[0]
+    stats = run(proto, state).stats
+    assert stats.seed_blocks == 1
+    depth2 = stats.rounds[1]
+    assert 8 * depth2.distinct <= 2 * depth2.expanded
+    live, dead, rows = [0, 0], [0, 0], [0, 0]
+    for seed in range(proto.n_seeds):
+        for level in walk(proto, state, np.array([seed])):
+            if level.depth < proto.bits:
+                live[level.depth] += int((level.probabilities >= PROB_TOL).sum())
+                dead[level.depth] += int((level.probabilities < PROB_TOL).sum())
+            if level.depth:
+                rows[level.depth - 1] += len(level)
+    assert [(r.expanded, r.pruned) for r in stats.rounds] == list(zip(live, dead))
+    assert [2 * r.expanded for r in stats.rounds] == rows
+    assert all(r.distinct <= n for r, n in zip(stats.rounds, rows))
+    assert stats.peak_frontier_bytes == max(r.frontier_bytes for r in stats.rounds)
+
+
+@pytest.mark.parametrize("s", [2, 3])
+def test_deep_hash_fidelities_on_measure_r(s):
+    # the deep hash cells the class walk makes affordable; values recorded
+    # with the per-row runner
+    fid, cond = model_fidelities(make_simple_random_hash(5, s), MeasureRModel(5, 2))
+    assert fid == pytest.approx(0.5000000000000001, abs=1e-12)
+    assert cond == pytest.approx(0.5, abs=1e-12)
+
+
+def test_deep_hash_is_ideal():
+    assert ideal_success_probability(make_simple_random_hash(5, 3)) == pytest.approx(1.0, abs=1e-12)
+
+
 def test_leaf_records_are_built_on_read_in_seed_order():
     proto = make_simple_random_hash(3, 2)
     pure = error_state(IndicatorVector.from_string("*00"))
@@ -640,8 +677,10 @@ def test_protocol_stacks_each_distinct_operator_once():
     for p in (proto, loaded):
         # one row per parity choice, not per seed
         assert [len(rnd.instruments) for rnd in p.rounds] == [8, 4, 2]
-        assert [rnd.kraus_stack.shape[:3] for rnd in p.rounds] == [(8, 2, 1), (4, 2, 1), (2, 2, 1)]
-        assert [rnd.listener_stack.shape[0] for rnd in p.rounds] == [8, 4, 2]
+        stacks = [rnd.kraus_ops(np.arange(len(rnd.instruments))) for rnd in p.rounds]
+        assert [ops.shape[:3] for ops in stacks] == [(8, 2, 1), (4, 2, 1), (2, 2, 1)]
+        listeners = [rnd.listener_ops(np.arange(len(rnd.listener_unitaries))) for rnd in p.rounds]
+        assert [ops.shape[0] for ops in listeners] == [8, 4, 2]
         assert all(len(rnd.instrument_index) == len(rnd.listener_index) == 64 for rnd in p.rounds)
         assert len(p.accept.elements) == 8
     # a branch with fewer Kraus operators is padded with zero operators
@@ -649,7 +688,7 @@ def test_protocol_stacks_each_distinct_operator_once():
     k0, k1, k2 = random_kraus_channel(rng, 2, n_kraus=3)
     instrument = Instrument(branches=((k0,), (k1, k2)))
     proto = Protocol(1, (1.0,), (Round(ALICE, (instrument,)),), AlwaysAccept(), (0,))
-    ops = proto.rounds[0].kraus_stack
+    ops = proto.rounds[0].kraus_ops(np.array([0]))
     assert ops.shape == (1, 2, 2, 2, 2)
     np.testing.assert_array_equal(ops[0, 0, 1], 0.0)
     np.testing.assert_array_equal(ops[0, 1, 1], k2)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edplab import locc, verify
+from edplab import frontier, locc, verify
 from edplab.errmodels import MeasureRModel, fidelity_witness, fidelity_witness_components
 from edplab.locc import (
     PROB_TOL,
@@ -39,6 +39,7 @@ from edplab.qcore import (
     BOB,
     DensityMatrix,
     ProductState,
+    PureState,
     as_density,
     epr_state,
     hermitian_sqrt,
@@ -363,6 +364,10 @@ def _seed_bytes(proto, state):
 
 @pytest.mark.parametrize("seeds_per_block", [1, 3])
 def test_seed_blocks_leave_the_run_unchanged(monkeypatch, seeds_per_block):
+    # ``run`` walks all seeds of a component as one block and cuts it where
+    # its class table would not fit: a protocol without repeated nodes (the
+    # random cases) is cut as row-sized blocks are, while the hash cases,
+    # whose few classes fit, stay one block per component
     monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", 1 << 40)
     cases = list(_block_cases())
     whole = [run(proto, state) for proto, state in cases]
@@ -372,15 +377,122 @@ def test_seed_blocks_leave_the_run_unchanged(monkeypatch, seeds_per_block):
         budget = seeds_per_block * max(sizes)
         monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget)
         chunked = run(proto, state)
-        blocks = sum(-(-proto.n_seeds // (budget // size)) for size in sizes)
+        if proto.name == "random":
+            blocks = sum(-(-proto.n_seeds // (budget // size)) for size in sizes)
+            assert chunked.stats.peak_frontier_bytes <= budget
+            if seeds_per_block == 1:
+                assert blocks >= 4
+        else:
+            blocks = len(sizes)
         assert chunked.stats.seed_blocks == blocks
-        if seeds_per_block == 1:
-            assert blocks >= 4
         assert_run_matches(chunked, reference)
         assert [leaf.weight for leaf in chunked.leaves] == [leaf.weight for leaf in reference.leaves]
         assert [(r.expanded, r.pruned) for r in chunked.stats.rounds] == [
             (r.expanded, r.pruned) for r in reference.stats.rounds
         ]
+
+
+def _by_depth(levels):
+    """Per depth, the (seed, code, label, probability) of every row of the
+    levels at that depth, in the order they come."""
+    rows = {}
+    for level in levels:
+        rows.setdefault(level.depth, []).extend(
+            zip(level.seeds.tolist(), level.codes.tolist(), level.labels, level.probabilities.tolist())
+        )
+    return rows
+
+
+def _components(state):
+    return [st for _, st in state] if isinstance(state, list) else [state]
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_class_walk_rows_equal_per_seed_walks(monkeypatch, case):
+    # a block's walk merges nodes across seeds, and ``run``'s walk cuts
+    # blocks; neither may change a row's seed, transcript or probability
+    proto, state = list(_block_cases())[case]
+    for component in _components(state):
+        per_seed = {}
+        for seed in range(proto.n_seeds):
+            for depth, rows in _by_depth(walk(proto, component, np.array([seed]))).items():
+                per_seed.setdefault(depth, []).extend(rows)
+        seeds = np.arange(proto.n_seeds)
+        assert _by_depth(walk(proto, component, seeds)) == per_seed
+        monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", _seed_bytes(proto, component)[0])
+        assert _by_depth(locc._walk(proto, component, seeds, cut=True)) == per_seed
+        monkeypatch.undo()
+
+
+def _collision_cases():
+    gen = np.random.default_rng(67)
+    povm = random_protocol(gen, 2, 2, n_seeds=3, accept_kind="povm", with_listeners=True)
+    kraus = random_protocol(gen, 2, 2, n_seeds=2, kraus_per_branch=2, accept_kind="constant")
+    for proto in (make_simple_random_hash(3, 2), povm, kraus):
+        n = proto.n_pairs
+        yield proto, random_pure_state(gen, n, n)
+        yield proto, ProductState(random_density_matrix(gen, n, 0), random_density_matrix(gen, 0, n))
+        yield proto, random_density_matrix(gen, n, n)
+    # the hash on a measure-r input merges many nodes, so every bucket is shared
+    yield make_simple_random_hash(3, 2), MeasureRModel(3, 1).run_inputs()[2]
+
+
+def _records(result):
+    return [
+        (leaf.component, leaf.seed, leaf.transcript, leaf.weight, leaf.probability, leaf.accept_probability,
+         None if leaf.output_state is None else leaf.output_state.tobytes())
+        for leaf in result.leaves
+    ]
+
+
+@pytest.mark.parametrize("case", range(10))
+def test_colliding_content_keys_leave_the_run_unchanged(monkeypatch, case):
+    # with one key for every row, every row lands in one bucket and only the
+    # bytewise comparison tells classes apart
+    proto, state = list(_collision_cases())[case]
+    reference = run(proto, state)
+    monkeypatch.setattr(frontier, "content_keys", lambda rows: np.zeros(len(rows)))
+    colliding = run(proto, state)
+    assert_run_matches(colliding, reference)
+    assert _records(colliding) == _records(reference)
+    assert [r.distinct for r in colliding.stats.rounds] == [r.distinct for r in reference.stats.rounds]
+
+
+def test_rows_differing_in_the_sign_of_zero_stay_apart():
+    # +0.0 and -0.0 share a content key but not their bytes: they are two
+    # classes, and inputs that differ only there match the dense oracle
+    psi = np.zeros((2, 4, 4), dtype=np.complex128)
+    psi[:, 0, 0] = psi[:, 3, 3] = 0.5
+    psi[1, 1, 2] = -0.0
+    rows = frontier.Pure(psi)
+    assert frontier.content_keys(rows)[0] == frontier.content_keys(rows)[1]
+    table = frontier.ClassTable()
+    assert table.add(rows).tolist() == [0, 1]
+    assert table.add(frontier.Pure(psi[::-1].copy())).tolist() == [1, 0]
+    plus = epr_state(2).amplitudes.copy()
+    minus = np.where(plus == 0, -0.0, plus)
+    assert np.array_equal(plus, minus) and plus.tobytes() != minus.tobytes()
+    for proto in (make_simple_random_hash(2, 1), random_protocol(np.random.default_rng(5), 2, 2, n_seeds=2)):
+        for amplitudes in (plus, minus):
+            assert_matches_oracle(proto, PureState(2, 2, amplitudes))
+
+
+def test_protocol_without_repeated_nodes_stays_within_the_budget():
+    # every node of a random protocol is distinct, so the class tables are
+    # its levels: ``run`` cuts them at the budget, as row-sized blocks would
+    gen = np.random.default_rng(41)
+    proto = random_protocol(gen, 3, 3, n_seeds=40, accept_kind="povm", with_listeners=True)
+    state = random_pure_state(gen, 3, 3)
+    assert locc._row_bytes(proto, state) * proto.n_seeds << proto.bits > 2 * locc.FRONTIER_BUDGET_BYTES
+    result = run(proto, state)
+    stats = result.stats
+    assert stats.seed_blocks > 2
+    assert stats.peak_frontier_bytes <= locc.FRONTIER_BUDGET_BYTES
+    assert [r.distinct for r in stats.rounds] == [2 * r.expanded for r in stats.rounds]
+    succ, out, cond = oracle(proto, state)
+    assert result.success_probability == pytest.approx(succ, abs=1e-12)
+    np.testing.assert_allclose(result.output.matrix, out, atol=1e-12)
+    np.testing.assert_allclose(result.conditional_output.matrix, cond, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +510,7 @@ def _accept_per_element(protocol, leaves):
         rows = np.flatnonzero(elements == element)
         root = hermitian_sqrt(rule.elements[element], floor=1e-9)
         ops = np.broadcast_to(root, (len(rows), 1, 1) + root.shape)
-        measured = leaves.frontier.take(rows).apply(ops, ALICE)
+        measured = leaves.states().take(rows).apply(ops, ALICE)
         r_joint[rows] = measured.norms()
         for i, row in enumerate(rows.tolist()):
             pair = _entry(protocol.output_pair, int(leaves.seeds[row]))
@@ -429,7 +541,9 @@ def test_gathered_accept_matches_per_element_and_oracle(case):
     mixed_blocks = 0
     for block in locc.seed_blocks(proto, [state], np.arange(proto.n_seeds)):
         *_, level = walk(proto, state, block)
-        leaves, _, r_t, post = locc._score_leaves(proto, level)
+        scores = locc._score_leaves(proto, level)
+        # one row per scored entry: per distinct (class, element, output pair)
+        leaves, r_t, post = scores.scored, scores.accept, scores.post
         # the point of the case: one block's leaves need several elements
         mixed_blocks += len(np.unique(proto.accept.index[leaves.seeds, leaves.codes])) > 1
         r_ref, post_ref = _accept_per_element(proto, leaves)
