@@ -73,6 +73,7 @@ witness reaches ``run`` as ``errmodels.fidelity_witness_components``.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -565,10 +566,11 @@ class RunResult:
 # seed blocks
 
 # The one memory bound of a walk.  A round applies at most this many bytes
-# of children at once; ``run`` cuts a block at a seed boundary where its
-# class table would pass it by more than the table's merges saved
-# (``_fits``), and a seed whose level alone is larger is a block of its
-# own; ``seed_blocks`` sizes blocks whose widest level, in rows, fits it.
+# of children at once, or one seed's children if they alone are more;
+# ``run`` cuts a block at a seed boundary where its class table would pass
+# it by more than the table's merges saved (``_fits``), and a seed whose
+# level alone is larger is a block of its own; ``seed_blocks`` sizes
+# blocks whose widest level, in rows, fits it.
 FRONTIER_BUDGET_BYTES = 1 << 17
 
 
@@ -812,7 +814,8 @@ def _expand(rnd: Round, parents: Level, cut: bool) -> tuple[Level, Level | None]
     be cut (None when it was not).
 
     Triples are applied in the order of their first row, in chunks of at
-    most ``FRONTIER_BUDGET_BYTES`` of children.  With ``cut``, a chunk
+    most ``FRONTIER_BUDGET_BYTES`` of children, or of one seed's new
+    triples where those alone are more.  With ``cut``, a chunk
     past the budget is as large as the table's room takes at the share
     of children that opened a class so far (``_room``); where not one
     more triple fits, or the table did not fit after all (``_fits``), the
@@ -825,27 +828,29 @@ def _expand(rnd: Round, parents: Level, cut: bool) -> tuple[Level, Level | None]
     listeners = np.zeros_like(instruments) if rnd.listener_index is None else _per_seed(rnd.listener_index, seeds)
     n_listeners = 1 if rnd.listener_unitaries is None else len(rnd.listener_unitaries)
     first, triples = _first_seen((parents.classes * n_listeners + listeners) * len(rnd.instruments) + instruments)
+    # the row where each seed but the first starts, and the triples the rows before it need
+    starts = np.flatnonzero(seeds[1:] != seeds[:-1]) + 1
+    needed = np.searchsorted(first, starts)
+    seed_ends = needed.tolist() + [len(first)]  # as a list, for the chunk loop
     row_bytes = child_row_bytes(parents.frontier, rnd.width)
     most = max(1, FRONTIER_BUDGET_BYTES // (2 * row_bytes))
     table = ClassTable()
     classes = np.empty(2 * len(first), dtype=np.intp)  # the children of triple t are 2t and 2t + 1
-    done, kept, size, needed = 0, len(parents), None, None
+    done, kept, size = 0, len(parents), None
     while True:  # at least once: no parents still give an empty level of the children's form
         count = most
-        # a table within the budget fits (``_fits``), so cuts are weighed only past it
-        if cut and (len(table) + 2 * count) * row_bytes > FRONTIER_BUDGET_BYTES:
-            if needed is None:
-                # the row where each seed but the first starts, and the triples the rows before it need
-                starts = np.flatnonzero(seeds[1:] != seeds[:-1]) + 1
-                needed = np.searchsorted(first, starts)
-            if len(needed) and needed[0] <= done:  # a seed boundary whose rows are all expanded
-                opened = (len(table) + 1) / (2 * done + 1)
-                covered = 2 * row_bytes * int(np.count_nonzero(triples < done))
-                room = _room(len(table) * row_bytes, covered, opened) / (2 * row_bytes)
-                if room < 1:  # not one more triple fits at the share so far
-                    kept, size = _cut(classes, done, starts, needed, row_bytes)
-                    break
-                count = int(min(most, room))
+        # a table within the budget fits (``_fits``), so cuts are weighed only past it, and
+        # only where a seed boundary has all its rows expanded
+        if cut and (len(table) + 2 * count) * row_bytes > FRONTIER_BUDGET_BYTES and len(needed) and needed[0] <= done:
+            opened = (len(table) + 1) / (2 * done + 1)
+            covered = 2 * row_bytes * int(np.count_nonzero(triples < done))
+            room = _room(len(table) * row_bytes, covered, opened) / (2 * row_bytes)
+            if room < 1:  # not one more triple fits at the share so far
+                kept, size = _cut(classes, done, starts, needed, row_bytes)
+                break
+            count = int(min(most, room))
+        # a seed's triples that alone pass the budget are applied together, as one block
+        count = max(count, seed_ends[bisect.bisect_right(seed_ends, done)] - done if done < len(first) else 0)
         chunk = first[done : done + count]
         nodes = parents.frontier.take(parents.classes[chunk])
         if rnd.listener_unitaries is not None:
@@ -880,10 +885,10 @@ def _cut(classes: np.ndarray, done: int, starts: np.ndarray, needed: np.ndarray,
     fit, or the first one when none fits, and the classes kept."""
     ready = np.flatnonzero(needed <= done)
     top = np.maximum.accumulate(classes[: 2 * done]) + 1  # the classes the first t triples use
-    sizes = np.where(needed[ready] > 0, top[2 * needed[ready] - 1], 0).tolist()
-    fit = [i for i, b in enumerate(ready.tolist()) if _fits(sizes[i] * row_bytes, 2 * int(starts[b]) * row_bytes)]
-    pick = fit[-1] if fit else 0
-    return int(starts[ready[pick]]), sizes[pick]
+    sizes = top[2 * needed[ready] - 1]  # every seed needs a triple, so needed >= 1
+    fit = np.flatnonzero(2 * sizes * row_bytes <= 2 * starts[ready] * row_bytes + FRONTIER_BUDGET_BYTES)
+    pick = fit[-1] if len(fit) else 0
+    return int(starts[ready[pick]]), int(sizes[pick])
 
 
 def _fits(table_bytes: int, row_bytes: int) -> bool:
