@@ -314,7 +314,7 @@ class ClassTable:
     compared bytewise with the first class of its bucket, and only on a
     mismatch (a key collision) with the bucket's other classes.  Rows are
     kept in arrays that grow by doubling, so adding costs no copy of the
-    table; ``frontier`` views the classes.
+    table; ``frontier`` hands the classes out in arrays of their own size.
     """
 
     def __init__(self) -> None:
@@ -327,8 +327,17 @@ class ClassTable:
         return self.size
 
     def frontier(self, size: int | None = None) -> Frontier:
-        """The first ``size`` classes (all by default), a view."""
-        return self._store.take(slice(0, self.size if size is None else size))
+        """The first ``size`` classes (all by default), copied out of the
+        store when it holds more rows, so that the frontier's bytes are
+        the bytes it keeps allocated."""
+        size = self.size if size is None else size
+        if len(self._store) == size:
+            return self._store
+        return self._store.with_parts(*(part[:size].copy() for part in self._store.parts))
+
+    def _classes(self) -> Frontier:
+        """The classes so far, a view of the store."""
+        return self._store.take(slice(0, self.size))
 
     def _append(self, rows: Frontier) -> None:
         end = self.size + len(rows)
@@ -366,7 +375,7 @@ class ClassTable:
         if not matched:
             return classes
         matched = np.array(matched)
-        table = self.frontier()
+        table = self._classes()
         for row in matched[~_same(table, classes[matched], rows, matched)].tolist():  # key collisions
             others = self._more.setdefault(keys[row], [])
             hits = [c for c in others if _same(table, np.array([c]), rows, np.array([row]))[0]]
@@ -376,5 +385,5 @@ class ClassTable:
                 classes[row] = self.size
                 others.append(self.size)
                 self._append(rows.take([row]))
-                table = self.frontier()
+                table = self._classes()
         return classes

@@ -14,33 +14,39 @@ Evaluation is exact: the full transcript tree is enumerated per seed,
 never sampled.  ``walk`` is the only traversal, and ``run`` and the
 splitting tracker in ``verify`` consume it.  It walks a block of seeds
 together and yields one ``Level`` per depth, content-addressed: the
-level holds each distinct node state once, as one stacked array per
-representation with a leading row axis (its class table), plus per
-(seed, transcript) row its seed, transcript code, probability and class
-index.  Rows run in seed order and then transcript order.  A node below
-``PROB_TOL`` is yielded but not expanded.  Most rows of a hash protocol
-repeat: on a measure-r (5,2) input, hash (5,2) reaches about 28 distinct
-leaves from 500 leaf rows on average.
+level holds its node states as one stacked array per representation
+with a leading row axis (its class table), plus per (seed, transcript)
+row its seed, transcript code, probability and class index.  Rows run
+in seed order and then transcript order.  A node below ``PROB_TOL`` is
+yielded but not expanded.  Most rows of a hash protocol repeat: on a
+measure-r (5,2) input, hash (5,2) reaches about 28 distinct leaves from
+500 leaf rows on average.
 
 A protocol holds each operator once.  A round keeps its distinct
 instruments and listener unitaries plus per-seed index arrays, and a
 POVM accept rule its distinct elements plus a (seed, transcript) index;
-the shared-randomness seeds only index into them.  A round is applied
-once per distinct (parent class, listener, instrument) triple, with the
-operators of a chunk of triples stacked from the distinct instruments (a
-branch with fewer Kraus operators is padded with zero operators), so a
-chunk is one batched matmul per operator slot.  Its children are merged
-into the next level's class table by exact content
-(``frontier.ClassTable``).  Chunks hold at most ``FRONTIER_BUDGET_BYTES``
-of children.  ``run`` walks all seeds of an input together and cuts the
-block at a seed boundary where its class table would pass the budget by
-more than its merges saved, so a protocol without repeated nodes is cut
-at the budget; ``seed_blocks`` cuts seeds into blocks sized in rows for
-the splitting tracker, whose paired walks must not be cut.  Instruments
-are given directly in Kraus form, which subsumes local ancillas; an
-instrument may additionally declare workspace qubits that are appended
-in |0> for its round and traced out afterwards (compiled into plain
-Kraus operators when it is built).
+the shared-randomness seeds only index into them.  A level that passes
+``FRONTIER_BUDGET_BYTES`` when counted in rows, and whose nodes are
+shared, is merged: the round is applied once per distinct (parent
+class, listener, instrument) triple, in chunks of at most the budget of
+children, with each chunk's operators stacked from the distinct
+instruments (a branch with fewer Kraus operators is padded with zero
+operators), so a chunk is one batched matmul per operator slot; the
+children are merged into the next level's class table by exact content
+(``frontier.ClassTable``).  Any other level is expanded row by row, with
+each row's operators gathered from the round's stacks, and each child is
+a class of its own: a level within the budget needs no table, and a
+level that shares no node is taken to have children that share none.
+So a protocol without repeated nodes is walked row by row below its
+root.  ``run`` walks all seeds of an input
+together and cuts the block at a seed boundary where a class table would
+pass the budget by more than its merges saved, or where a level
+expanded row by row would pass it; ``seed_blocks`` cuts seeds into
+blocks sized in rows for the splitting tracker, whose paired walks must
+not be cut.  Instruments are given directly in Kraus form, which
+subsumes local ancillas; an instrument may additionally declare
+workspace qubits that are appended in |0> for its round and traced out
+afterwards (compiled into plain Kraus operators when it is built).
 
 ``run`` is linear in its input and takes a weighted component list;
 each component keeps one representation through its whole tree, picked
@@ -131,15 +137,17 @@ def _per_seed(entries: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     return entries.take(seeds, mode="clip")
 
 
-def _distinct(entries: np.ndarray) -> tuple[list[int] | None, list[int]]:
-    """The distinct values of ``entries`` in order of first appearance, and
-    each entry's position among them (None when all are distinct)."""
-    values = entries.tolist()
-    distinct = list(dict.fromkeys(values))
-    if len(distinct) == len(values):
-        return None, distinct
-    position = {value: i for i, value in enumerate(distinct)}
-    return [position[value] for value in values], distinct
+def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The first row of each distinct key, ascending, and each row's
+    index among the distinct keys in that order."""
+    if (keys[1:] > keys[:-1]).all():  # every key new: a protocol without repeated nodes
+        rows = np.arange(len(keys))
+        return rows, rows
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return first[order], rank[inverse]
 
 
 def _index(index, size: int, what: str, ndim: int = 1, low: int = 0) -> np.ndarray:
@@ -230,9 +238,12 @@ class Round:
     round, held the same way (``listener_unitaries``,
     ``listener_index``); local unitaries carry no communication.
 
-    ``kraus_ops`` and ``listener_ops`` stack the operators of given
-    index entries for the runner, from the distinct operators, so a
-    round holds no second copy of them.
+    ``kraus_stack`` and ``listener_stack`` stack every distinct operator
+    once, on first use: a walk that expands a level row by row gathers
+    each row's operators from them.  ``kraus_ops`` and ``listener_ops``
+    stack the operators of given entries: a walk that merges nodes
+    stacks each chunk's operators so, and never builds the round-wide
+    stacks, a second copy of every operator, for it.
     """
 
     party: str
@@ -269,6 +280,19 @@ class Round:
         return max(len(branch) for ins in self.instruments for branch in ins.kraus)
 
     @functools.cached_property
+    def kraus_stack(self) -> np.ndarray:
+        """(instruments, 2 branches, width, d, d); a branch with fewer
+        Kraus operators is padded with zero operators."""
+        return _read_only(self.kraus_ops(np.arange(len(self.instruments))))
+
+    @functools.cached_property
+    def listener_stack(self) -> np.ndarray | None:
+        """(listeners, 1, 1, d, d)."""
+        if self.listener_unitaries is None:
+            return None
+        return _read_only(self.listener_ops(np.arange(len(self.listener_unitaries))))
+
+    @functools.cached_property
     def _slots(self) -> tuple[tuple[np.ndarray, ...], ...]:
         """Per instrument, its Kraus operators branch by branch, each branch
         padded to ``width`` with one shared zero operator: references, not
@@ -282,22 +306,17 @@ class Round:
 
     def kraus_ops(self, entries: np.ndarray) -> np.ndarray:
         """(len(entries), 2 branches, width, d, d) Kraus operators of the
-        instruments ``entries``; a branch with fewer Kraus operators is
-        padded with zero operators."""
-        rows, distinct = _distinct(entries)
+        instruments ``entries``, stacked from their own arrays; a branch
+        with fewer Kraus operators is padded with zero operators."""
         slots = self._slots
         d = slots[0][0].shape[0]
-        stack = np.array([k for entry in distinct for k in slots[entry]], dtype=np.complex128)
-        stack = stack.reshape(len(distinct), 2, self.width, d, d)
-        return stack if rows is None else stack[rows]
+        stack = np.array([k for entry in entries.tolist() for k in slots[entry]], dtype=np.complex128)
+        return stack.reshape(len(entries), 2, self.width, d, d)
 
     def listener_ops(self, entries: np.ndarray) -> np.ndarray:
         """(len(entries), 1, 1, d, d) listener unitaries ``entries``."""
-        rows, distinct = _distinct(entries)
-        d = self.listener_unitaries[0].shape[0]
-        stack = np.array([self.listener_unitaries[entry] for entry in distinct], dtype=np.complex128)
-        stack = stack.reshape(len(distinct), 1, 1, d, d)
-        return stack if rows is None else stack[rows]
+        stack = np.array([self.listener_unitaries[entry] for entry in entries.tolist()], dtype=np.complex128)
+        return stack[:, None, None]
 
     @property
     def listener(self) -> str:
@@ -484,8 +503,8 @@ class RoundStats(NamedTuple):
 
     expanded: int  # nodes of the previous level the round expanded
     pruned: int  # nodes of the previous level below PROB_TOL, left unexpanded
-    distinct: int  # distinct child states the round produced: the class table rows
-    frontier_bytes: int  # the largest class table the round produced for one seed block
+    distinct: int  # class table rows the round produced: distinct children where it merged, else all
+    frontier_bytes: int  # the largest class table the round produced for one seed block, as allocated
     seconds: float
 
 
@@ -565,12 +584,14 @@ class RunResult:
 # ---------------------------------------------------------------------------
 # seed blocks
 
-# The one memory bound of a walk.  A round applies at most this many bytes
-# of children at once, or one seed's children if they alone are more;
-# ``run`` cuts a block at a seed boundary where its class table would pass
-# it by more than the table's merges saved (``_fits``), and a seed whose
-# level alone is larger is a block of its own; ``seed_blocks`` sizes
-# blocks whose widest level, in rows, fits it.
+# The one memory bound of a walk.  A level within it, counted in rows, is
+# expanded row by row; a larger one that shares nodes is merged, applying
+# at most this many bytes of children at once, or one seed's children if
+# they alone are more.  ``run`` cuts a block at a seed boundary where a
+# class table would pass it by more than the table's merges saved
+# (``_fits``), or where a level expanded row by row would pass it, and a
+# seed whose level alone is larger is a block of its own; ``seed_blocks``
+# sizes blocks whose widest level, in rows, fits it.
 FRONTIER_BUDGET_BYTES = 1 << 17
 
 
@@ -583,11 +604,11 @@ def seed_blocks(protocol: "Protocol", states, seeds: np.ndarray) -> list[np.ndar
     """``seeds`` cut into consecutive blocks whose widest level, counted
     in rows, fits ``FRONTIER_BUDGET_BYTES`` for any of ``states``.
 
-    A class table never holds more rows than its level, so ``walk`` over
-    such a block stays within the budget.  The splitting tracker walks
-    its two cases over these blocks in lockstep; ``run`` does not use
-    them, since it walks all seeds of an input together and cuts them
-    where their class table would not fit.
+    Every level of such a block fits the budget in rows, so ``walk``
+    expands it row by row, and stays within the budget.  The splitting
+    tracker walks its two cases over these blocks in lockstep; ``run``
+    does not use them, since it walks all seeds of an input together and
+    cuts them where a level would not fit.
     """
     per_seed = max(_row_bytes(protocol, st) for st in states) << protocol.bits
     size = max(1, FRONTIER_BUDGET_BYTES // per_seed)
@@ -610,10 +631,12 @@ class Level:
     ``codes[i]``.  Rows run in seed order, then in transcript order.
     The level is content-addressed: ``frontier`` holds each distinct
     unnormalized node state once, as stacked arrays, and ``classes[i]``
-    is row i's entry in it.  ``probabilities`` holds the rows' traces.
+    is row i's entry in it (a level expanded row by row holds a class
+    per row, so it may hold equal states twice).  ``probabilities``
+    holds the rows' traces.
     """
 
-    __slots__ = ("depth", "seeds", "codes", "classes", "probabilities", "frontier")
+    __slots__ = ("depth", "seeds", "codes", "classes", "probabilities", "frontier", "_apart")
 
     def __init__(
         self,
@@ -623,6 +646,7 @@ class Level:
         classes: np.ndarray,
         probabilities: np.ndarray,
         frontier: Frontier,
+        apart: bool | None = None,
     ):
         self.depth = depth
         self.seeds = seeds
@@ -630,6 +654,7 @@ class Level:
         self.classes = classes
         self.probabilities = probabilities
         self.frontier = frontier
+        self._apart = apart  # ``apart``, when the maker knows it
 
     def __len__(self) -> int:
         return len(self.seeds)
@@ -649,12 +674,25 @@ class Level:
         if len(rows) == len(self):
             return self
         return Level(
-            self.depth, self.seeds[rows], self.codes[rows], self.classes[rows], self.probabilities[rows], self.frontier
+            self.depth,
+            self.seeds[rows],
+            self.codes[rows],
+            self.classes[rows],
+            self.probabilities[rows],
+            self.frontier,
+            self._apart or None,  # rows of a level that shares no node share none
         )
+
+    @property
+    def apart(self) -> bool:
+        """Whether every row is a class of its own: the level shares no node."""
+        if self._apart is None:
+            self._apart = bool((self.classes[1:] > self.classes[:-1]).all())
+        return self._apart
 
     def states(self) -> Frontier:
         """The node state of every row."""
-        if len(self.classes) == len(self.frontier) and (self.classes[1:] > self.classes[:-1]).all():
+        if len(self.classes) == len(self.frontier) and self.apart:
             return self.frontier  # one row per class, in order
         return self.frontier.take(self.classes)
 
@@ -680,19 +718,6 @@ def _coerce_input(protocol: Protocol, state) -> WeightedStates:
     if abs(total - 1.0) > 1e-9:
         raise ValueError(f"input weights sum to {total}, expected 1")
     return weighted
-
-
-def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The first row of each distinct key, ascending, and each row's
-    index among the distinct keys in that order."""
-    if (keys[1:] > keys[:-1]).all():  # every key new: a protocol without repeated nodes
-        rows = np.arange(len(keys))
-        return rows, rows
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return first[order], rank[inverse]
 
 
 def _accept(protocol: Protocol, leaves: Level, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -747,6 +772,8 @@ def _score_leaves(protocol: Protocol, level: Level) -> _Scores:
     here."""
     leaves = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
     pairs = _per_seed(np.asarray(protocol.output_pair), leaves.seeds)
+    if leaves.apart:  # a class per leaf, so an entry per leaf
+        return _Scores(leaves, np.arange(len(leaves)), leaves, pairs, *_accept(protocol, leaves, pairs))
     rule = protocol.accept
     if isinstance(rule, PovmAccept):
         accept, count = rule.index[leaves.seeds, leaves.codes], len(rule.elements)
@@ -765,79 +792,175 @@ def walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray) -> 
     Yields the root level, one row per seed of ``seeds`` and one class,
     then one level per round.  A round expands every node of the
     previous level at or above ``PROB_TOL`` into its two children; a
-    node below it is yielded but not expanded.  The round applies its
-    listener and instrument once per distinct (parent class, listener,
-    instrument) triple, in chunks of at most ``FRONTIER_BUDGET_BYTES`` of
-    children, and merges the children into the next level's class table
-    by exact content (``frontier.ClassTable``).  Only the current level
-    is held, so memory follows one level's class table; callers that
-    need a bound size their blocks in rows with ``seed_blocks``.  The
-    walk never cuts the block, so it yields exactly one level per depth.
-    ``state`` must live on ``protocol.n_pairs`` pairs.
+    node below it is yielded but not expanded.  A level that passes
+    ``FRONTIER_BUDGET_BYTES`` in rows and shares nodes is merged: the
+    round applies its listener and instrument once per distinct (parent
+    class, listener, instrument) triple, in chunks of at most the budget
+    of children, and merges the children into the next level's class
+    table by exact content (``frontier.ClassTable``).  Any other level is
+    expanded row by row, a class per child (``_descend``).  Only the
+    current level is held, so memory follows one level's class table;
+    callers that need a bound size their blocks in rows with
+    ``seed_blocks``, and the levels of such a block are expanded row by
+    row.  The walk never cuts the block, so it yields exactly one level
+    per depth.  ``state`` must live on ``protocol.n_pairs`` pairs.
     """
     return _walk(protocol, state, seeds, cut=False)
 
 
 def _walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray, cut: bool) -> Iterator[Level]:
-    """``walk``; with ``cut``, a block whose class table would not fit
-    (``_fits``) is cut at a seed boundary: the seeds before the cut are
-    walked to the last depth, then the rest are expanded from the same
-    parent level, which is held until then.  A depth then comes as
-    several levels, in seed order, depth first.  ``run`` walks all seeds
-    of an input this way."""
+    """``walk``; with ``cut``, a block whose level would not fit is cut at
+    a seed boundary: a merged level where its class table would not fit
+    (``_fits``), a level expanded row by row where its children would
+    pass the budget.  The seeds before the cut are walked to the last
+    depth, then the rest are expanded from the same parent level, which
+    is held until then.  A depth then comes as several levels, in seed
+    order, depth first.  ``run`` walks all seeds of an input this way."""
     seeds = np.asarray(seeds, dtype=np.intp)
     root = frontier_of(state, 1)
-    classes = np.zeros(len(seeds), dtype=np.intp)
-    level = Level(0, seeds, np.zeros(len(seeds), dtype=np.int64), classes, root.norms()[classes], root)
+    classes = np.zeros(len(seeds), dtype=np.intp)  # every seed's root is the input: one class
+    level = Level(0, seeds, np.zeros(len(seeds), dtype=np.int64), classes, root.norms()[classes], root, len(seeds) <= 1)
     yield from _descend(protocol, level, cut)
 
 
 def _descend(protocol: Protocol, level: Level, cut: bool) -> Iterator[Level]:
     """``level`` and, depth first, the levels below it.  A level is let go
-    once its children are computed, unless a cut leaves parents for later."""
+    once its children are computed, unless a cut leaves parents for later.
+
+    Whether a level is merged is decided once for the level, before any
+    cut: where the level, counted in rows, would pass
+    ``FRONTIER_BUDGET_BYTES`` and its parents share a node, each distinct
+    (parent class, listener, instrument) triple is applied once and the
+    children are merged by content into a class table
+    (``_merged_children``).  Otherwise the level is expanded row by row,
+    in one batch, and each child is a class of its own
+    (``_row_children``): a level within the budget needs no table, and a
+    level whose parents share no node is taken to have children that
+    share none.  So a protocol without repeated nodes is walked row by
+    row below its root, and the splitting tracker's row-sized blocks are
+    never merged.
+    """
     yield level
     if level.depth == protocol.bits:
         return
     rnd = protocol.rounds[level.depth]
     parents = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
+    row_bytes = child_row_bytes(parents.frontier, rnd.width)
+    by_rows = parents.apart or 2 * len(parents) * row_bytes <= FRONTIER_BUDGET_BYTES
     del level
     while parents is not None:
-        children, parents = _expand(rnd, parents, cut)
+        children, parents, by_rows = _expand(rnd, parents, row_bytes, by_rows, cut)
         below = _descend(protocol, children, cut)
         del children
         yield from below
 
 
-def _expand(rnd: Round, parents: Level, cut: bool) -> tuple[Level, Level | None]:
-    """The children of ``parents``, all live, and the parents left for a
-    later block when ``cut`` is set and the children's class table had to
-    be cut (None when it was not).
+def _expand(
+    rnd: Round, parents: Level, row_bytes: int, by_rows: bool, cut: bool
+) -> tuple[Level, Level | None, bool]:
+    """The children of ``parents``, whose children take ``row_bytes`` each,
+    expanded ``by_rows`` or merged (``_descend``); the parents left for a
+    later block when ``cut`` is set and the block had to be cut (None
+    when it was not); and whether those are to be expanded by rows."""
+    instruments = _per_seed(rnd.instrument_index, parents.seeds)
+    listeners = None if rnd.listener_index is None else _per_seed(rnd.listener_index, parents.seeds)
+    if by_rows:
+        return (*_row_children(_Ops(rnd, listeners, instruments), parents, row_bytes if cut else 0), True)
+    keys = parents.classes if listeners is None else parents.classes * len(rnd.listener_unitaries) + listeners
+    first, triples = _first_seen(keys * len(rnd.instruments) + instruments)
+    ops = _Ops(rnd, None if listeners is None else listeners[first], instruments[first])
+    return _merged_children(ops, parents, first, triples, row_bytes, cut)
+
+
+class _Ops(NamedTuple):
+    """A round and the listener and instrument entries of the rows, or
+    of the distinct triples, that a level applies, in order."""
+
+    rnd: Round
+    listeners: np.ndarray | None  # None for a round without listener unitaries
+    instruments: np.ndarray
+
+    def apply(self, nodes: Frontier, entries: slice, stacked: bool) -> Frontier:
+        """The children of ``nodes``, whose operators are ``entries``: the
+        listener unitary, then the instrument, gathered from the round's
+        stacks when ``stacked``, else stacked for these entries alone."""
+        rnd = self.rnd
+        if self.listeners is not None:
+            listeners = self.listeners[entries]
+            nodes = nodes.apply(rnd.listener_stack[listeners] if stacked else rnd.listener_ops(listeners), rnd.listener)
+        instruments = self.instruments[entries]
+        return nodes.apply(rnd.kraus_stack[instruments] if stacked else rnd.kraus_ops(instruments), rnd.party)
+
+
+def _child_level(parents: Level, classes: np.ndarray | None, frontier: Frontier) -> Level:
+    """The level of the children of ``parents``, two per row, whose
+    classes in ``frontier`` are ``classes``; None when each child is a
+    class of its own, in order."""
+    norms = frontier.norms()
+    return Level(
+        parents.depth + 1,
+        np.repeat(parents.seeds, 2),
+        (2 * parents.codes[:, None] + np.arange(2)).reshape(-1),
+        np.arange(len(norms)) if classes is None else classes,
+        norms if classes is None else norms[classes],
+        frontier,
+        True if classes is None else None,
+    )
+
+
+def _seed_starts(seeds: np.ndarray) -> np.ndarray:
+    """The row where each seed of ``seeds``, in seed order, but the first
+    starts."""
+    return np.flatnonzero(seeds[1:] != seeds[:-1]) + 1
+
+
+def _split(parents: Level, kept: int) -> tuple[Level, Level | None]:
+    """The first ``kept`` rows of ``parents``, and the rest (None when
+    there are none)."""
+    if kept == len(parents):
+        return parents, None
+    return parents.take(np.arange(kept)), parents.take(np.arange(kept, len(parents)))
+
+
+def _row_children(ops: _Ops, parents: Level, row_bytes: int) -> tuple[Level, Level | None]:
+    """``_expand`` row by row: each row's two children, applied in one
+    batch, are classes of their own.  Given the children's ``row_bytes``
+    (0 for a walk that is not cut), the block is cut at the last seed
+    boundary whose rows' children fit the budget (a first seed whose
+    children alone pass it is a block of its own), which is where
+    ``_fits`` cuts a table that merged nothing."""
+    kept = len(parents)
+    if 2 * kept * row_bytes > FRONTIER_BUDGET_BYTES:
+        starts = _seed_starts(parents.seeds)
+        if len(starts):
+            kept = int(starts[max(0, np.searchsorted(starts, FRONTIER_BUDGET_BYTES // (2 * row_bytes), "right") - 1)])
+    block, rest = _split(parents, kept)
+    return _child_level(block, None, ops.apply(block.states(), slice(0, kept), stacked=True)), rest
+
+
+def _merged_children(
+    ops: _Ops, parents: Level, first: np.ndarray, triples: np.ndarray, row_bytes: int, cut: bool
+) -> tuple[Level, Level | None, bool]:
+    """``_expand`` through a class table: the children of the distinct
+    triples are merged by content (``frontier.ClassTable``).
 
     Triples are applied in the order of their first row, in chunks of at
     most ``FRONTIER_BUDGET_BYTES`` of children, or of one seed's new
-    triples where those alone are more.  With ``cut``, a chunk
-    past the budget is as large as the table's room takes at the share
-    of children that opened a class so far (``_room``); where not one
-    more triple fits, or the table did not fit after all (``_fits``), the
-    block is cut at the last seed boundary whose rows' classes fit.  A
-    protocol without repeated nodes is thus cut at the budget without
-    applying any triple twice.
+    triples where those alone are more.  With ``cut``, a chunk past the
+    budget is as large as the table's room takes at the share of
+    children that opened a class so far (``_room``); where not one more
+    triple fits, or the table did not fit after all (``_fits``), the
+    block is cut at the last seed boundary whose rows' classes fit
+    (``_cut``).
     """
-    seeds = parents.seeds
-    instruments = _per_seed(rnd.instrument_index, seeds)
-    listeners = np.zeros_like(instruments) if rnd.listener_index is None else _per_seed(rnd.listener_index, seeds)
-    n_listeners = 1 if rnd.listener_unitaries is None else len(rnd.listener_unitaries)
-    first, triples = _first_seen((parents.classes * n_listeners + listeners) * len(rnd.instruments) + instruments)
-    # the row where each seed but the first starts, and the triples the rows before it need
-    starts = np.flatnonzero(seeds[1:] != seeds[:-1]) + 1
-    needed = np.searchsorted(first, starts)
+    starts = _seed_starts(parents.seeds)
+    needed = np.searchsorted(first, starts)  # the triples the rows before each start need
     seed_ends = needed.tolist() + [len(first)]  # as a list, for the chunk loop
-    row_bytes = child_row_bytes(parents.frontier, rnd.width)
     most = max(1, FRONTIER_BUDGET_BYTES // (2 * row_bytes))
     table = ClassTable()
     classes = np.empty(2 * len(first), dtype=np.intp)  # the children of triple t are 2t and 2t + 1
     done, kept, size = 0, len(parents), None
-    while True:  # at least once: no parents still give an empty level of the children's form
+    while done < len(first):
         count = most
         # a table within the budget fits (``_fits``), so cuts are weighed only past it, and
         # only where a seed boundary has all its rows expanded
@@ -850,33 +973,22 @@ def _expand(rnd: Round, parents: Level, cut: bool) -> tuple[Level, Level | None]
                 break
             count = int(min(most, room))
         # a seed's triples that alone pass the budget are applied together, as one block
-        count = max(count, seed_ends[bisect.bisect_right(seed_ends, done)] - done if done < len(first) else 0)
-        chunk = first[done : done + count]
-        nodes = parents.frontier.take(parents.classes[chunk])
-        if rnd.listener_unitaries is not None:
-            nodes = nodes.apply(rnd.listener_ops(listeners[chunk]), rnd.listener)
-        children = nodes.apply(rnd.kraus_ops(instruments[chunk]), rnd.party)
-        classes[2 * done : 2 * (done + len(chunk))] = table.add(children)
-        done += len(chunk)
+        count = max(count, seed_ends[bisect.bisect_right(seed_ends, done)] - done)
+        chunk = slice(done, min(done + count, len(first)))
+        children = ops.apply(parents.frontier.take(parents.classes[first[chunk]]), chunk, stacked=False)
+        classes[2 * chunk.start : 2 * chunk.stop] = table.add(children)
+        done = chunk.stop
         if cut and len(table) * row_bytes > FRONTIER_BUDGET_BYTES and len(needed) and needed[0] <= done:
             covered = 2 * row_bytes * int(np.count_nonzero(triples < done))
             if not _fits(len(table) * row_bytes, covered):
                 kept, size = _cut(classes, done, starts, needed, row_bytes)
                 break
-        if done == len(first):
-            break
-    frontier = table.frontier(size)
+    block, rest = _split(parents, kept)
     rows = classes[(2 * triples[:kept, None] + np.arange(2)).reshape(-1)]
-    level = Level(
-        parents.depth + 1,
-        np.repeat(seeds[:kept], 2),
-        (2 * parents.codes[:kept, None] + np.arange(2)).reshape(-1),
-        rows,
-        frontier.norms()[rows],
-        frontier,
-    )
-    rest = parents.take(np.arange(kept, len(parents))) if kept < len(parents) else None
-    return level, rest
+    # one seed's children filled the table, and its triples, all distinct, merged nothing: the
+    # rest is expanded row by row, as blocks of about one seed that share nothing
+    by_rows = rest is None or (kept == starts[0] and len(first) == len(parents) and len(table) == 2 * done)
+    return _child_level(block, rows, table.frontier(size)), rest, by_rows
 
 
 def _cut(classes: np.ndarray, done: int, starts: np.ndarray, needed: np.ndarray, row_bytes: int) -> tuple[int, int]:
@@ -886,15 +998,16 @@ def _cut(classes: np.ndarray, done: int, starts: np.ndarray, needed: np.ndarray,
     ready = np.flatnonzero(needed <= done)
     top = np.maximum.accumulate(classes[: 2 * done]) + 1  # the classes the first t triples use
     sizes = top[2 * needed[ready] - 1]  # every seed needs a triple, so needed >= 1
-    fit = np.flatnonzero(2 * sizes * row_bytes <= 2 * starts[ready] * row_bytes + FRONTIER_BUDGET_BYTES)
+    fit = np.flatnonzero(_fits(sizes * row_bytes, 2 * starts[ready] * row_bytes))
     pick = fit[-1] if len(fit) else 0
     return int(starts[ready[pick]]), int(sizes[pick])
 
 
-def _fits(table_bytes: int, row_bytes: int) -> bool:
+def _fits(table_bytes, row_bytes):
     """Whether a class table of ``table_bytes`` standing for rows of
     ``row_bytes`` may be held: it may pass ``FRONTIER_BUDGET_BYTES`` by
-    no more than the bytes its merges saved, ``row_bytes - table_bytes``."""
+    no more than the bytes its merges saved, ``row_bytes - table_bytes``.
+    Elementwise on arrays of sizes."""
     return 2 * table_bytes <= row_bytes + FRONTIER_BUDGET_BYTES
 
 
@@ -964,8 +1077,8 @@ def run(protocol: Protocol, state) -> RunResult:
     """Evaluate a protocol exactly on a state or weighted state list.
 
     Every component is walked with all its live seeds as one block,
-    which the walk cuts at seed boundaries where a class table would not
-    fit (``_walk``, ``_fits``).
+    which the walk cuts at seed boundaries where a level would not fit
+    (``_walk``).
     Leaves are scored once per distinct entry (``_score_leaves``), and
     leaf probabilities, the SUCC probability, the output, and the output
     conditioned on SUCC are computed from the entries' values weighted by

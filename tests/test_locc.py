@@ -677,10 +677,8 @@ def test_protocol_stacks_each_distinct_operator_once():
     for p in (proto, loaded):
         # one row per parity choice, not per seed
         assert [len(rnd.instruments) for rnd in p.rounds] == [8, 4, 2]
-        stacks = [rnd.kraus_ops(np.arange(len(rnd.instruments))) for rnd in p.rounds]
-        assert [ops.shape[:3] for ops in stacks] == [(8, 2, 1), (4, 2, 1), (2, 2, 1)]
-        listeners = [rnd.listener_ops(np.arange(len(rnd.listener_unitaries))) for rnd in p.rounds]
-        assert [ops.shape[0] for ops in listeners] == [8, 4, 2]
+        assert [rnd.kraus_stack.shape[:3] for rnd in p.rounds] == [(8, 2, 1), (4, 2, 1), (2, 2, 1)]
+        assert [rnd.listener_stack.shape[0] for rnd in p.rounds] == [8, 4, 2]
         assert all(len(rnd.instrument_index) == len(rnd.listener_index) == 64 for rnd in p.rounds)
         assert len(p.accept.elements) == 8
     # a branch with fewer Kraus operators is padded with zero operators
@@ -688,7 +686,37 @@ def test_protocol_stacks_each_distinct_operator_once():
     k0, k1, k2 = random_kraus_channel(rng, 2, n_kraus=3)
     instrument = Instrument(branches=((k0,), (k1, k2)))
     proto = Protocol(1, (1.0,), (Round(ALICE, (instrument,)),), AlwaysAccept(), (0,))
-    ops = proto.rounds[0].kraus_ops(np.array([0]))
+    ops = proto.rounds[0].kraus_stack
     assert ops.shape == (1, 2, 2, 2, 2)
     np.testing.assert_array_equal(ops[0, 0, 1], 0.0)
     np.testing.assert_array_equal(ops[0, 1, 1], k2)
+
+
+def test_chunk_operators_equal_the_round_stacks():
+    # a merged level stacks each chunk's operators from the distinct
+    # instruments alone; they must equal the round-wide stacks' rows
+    rng = np.random.default_rng(12)
+    k0, k1, k2 = random_kraus_channel(rng, 2, n_kraus=3)
+    padded = Instrument(branches=((k0,), (k1, k2)))
+    rounds = [
+        make_simple_random_hash(4, 3).rounds[1],
+        Round(BOB, (padded, random_protocol(rng, 1, 1, kraus_per_branch=2).rounds[0].instruments[0])),
+    ]
+    for rnd in rounds:
+        count = len(rnd.instruments)
+        for entries in (np.arange(count), np.arange(count)[::-1], np.array([1, 0, 1, 1, 0]) % count):
+            np.testing.assert_array_equal(rnd.kraus_ops(entries), rnd.kraus_stack[entries])
+            if rnd.listener_unitaries is not None:
+                np.testing.assert_array_equal(rnd.listener_ops(entries), rnd.listener_stack[entries])
+
+
+def test_merged_walk_builds_no_round_stacks():
+    # the round-wide stacks are a second copy of every operator: a run that
+    # merges its levels stacks each chunk's operators instead, while a walk
+    # row by row gathers from the stacks
+    proto = make_simple_random_hash(5, 1)
+    run(proto, MeasureRModel(5, 3).run_inputs()[0])
+    assert not {"kraus_stack", "listener_stack"} & set(vars(proto.rounds[0]))
+    walked = make_simple_random_hash(5, 1)
+    list(walk(walked, epr_state(5), np.array([0])))
+    assert {"kraus_stack", "listener_stack"} <= set(vars(walked.rounds[0]))

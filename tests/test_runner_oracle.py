@@ -362,34 +362,79 @@ def _seed_bytes(proto, state):
     return [locc._row_bytes(proto, st) << proto.bits for _, st in components]
 
 
+def _strict_fits(table_bytes, row_bytes):
+    """A class table may not pass the budget at all, so ``run`` cuts
+    tables that the budget's own rule would hold."""
+    return table_bytes <= locc.FRONTIER_BUDGET_BYTES
+
+
 @pytest.mark.parametrize("seeds_per_block", [1, 3])
 def test_seed_blocks_leave_the_run_unchanged(monkeypatch, seeds_per_block):
-    # ``run`` walks all seeds of a component as one block and cuts it where
-    # its class table would not fit: a protocol without repeated nodes (the
-    # random cases) is cut as row-sized blocks are, while the hash cases,
-    # whose few classes fit, stay one block per component
+    # ``run`` walks all seeds of a component as one block and cuts it at seed
+    # boundaries: the random cases, without repeated nodes, go row by row and
+    # are cut where row-sized blocks were; the hash cases merge nodes, and a
+    # strict table cap at half a seed's leaves cuts them too
     monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", 1 << 40)
     cases = list(_block_cases())
     whole = [run(proto, state) for proto, state in cases]
+    monkeypatch.setattr(locc, "_fits", _strict_fits)
     for (proto, state), reference in zip(cases, whole):
         sizes = _seed_bytes(proto, state)
         assert reference.stats.seed_blocks == len(sizes)  # one block per component
-        budget = seeds_per_block * max(sizes)
+        budget = seeds_per_block * max(sizes) // (1 if proto.name == "random" else 2)
         monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget)
         chunked = run(proto, state)
         if proto.name == "random":
-            blocks = sum(-(-proto.n_seeds // (budget // size)) for size in sizes)
+            assert chunked.stats.seed_blocks == sum(-(-proto.n_seeds // (budget // size)) for size in sizes)
             assert chunked.stats.peak_frontier_bytes <= budget
-            if seeds_per_block == 1:
-                assert blocks >= 4
-        else:
-            blocks = len(sizes)
-        assert chunked.stats.seed_blocks == blocks
+        if seeds_per_block == 1:
+            assert chunked.stats.seed_blocks >= 4
         assert_run_matches(chunked, reference)
         assert [leaf.weight for leaf in chunked.leaves] == [leaf.weight for leaf in reference.leaves]
         assert [(r.expanded, r.pruned) for r in chunked.stats.rounds] == [
             (r.expanded, r.pruned) for r in reference.stats.rounds
         ]
+
+
+def _merged_cut_cases():
+    # hash inputs whose children merge in part, so that a table cap of four
+    # nodes cuts tables that hold merged classes
+    yield make_simple_random_hash(3, 2), MeasureRModel(3, 1).run_inputs()[4]
+    yield make_simple_random_hash(4, 2), MeasureRModel(4, 2).run_inputs()[4]
+
+
+@pytest.mark.parametrize("colliding", [False, True])
+@pytest.mark.parametrize("case", range(2))
+def test_cut_class_tables_leave_the_run_unchanged(monkeypatch, case, colliding):
+    # a cut keeps a prefix of the table's classes, views them, and starts the
+    # rest of the block on a new table; with one content key for every row,
+    # the tables merge by bytes alone
+    proto, state = list(_merged_cut_cases())[case]
+    reference = run(proto, state)
+    merged_cuts = []
+    cut = locc._cut
+
+    def recording_cut(classes, done, *args):
+        merged_cuts.append(bool(classes[: 2 * done].max() + 1 < 2 * done))  # the children so far merged
+        return cut(classes, done, *args)
+
+    budget = 4 * locc._row_bytes(proto, state)
+    monkeypatch.setattr(locc, "_cut", recording_cut)
+    monkeypatch.setattr(locc, "_fits", _strict_fits)
+    monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget)
+    if colliding:
+        monkeypatch.setattr(frontier, "content_keys", lambda rows: np.zeros(len(rows)))
+    chunked = run(proto, state)
+    assert any(merged_cuts)
+    assert chunked.stats.seed_blocks >= 4
+    assert chunked.stats.peak_frontier_bytes <= budget
+    assert any(r.distinct < 2 * r.expanded for r in chunked.stats.rounds)
+    assert_run_matches(chunked, reference)
+    assert _records(chunked) == _records(reference)
+    assert [(r.expanded, r.pruned) for r in chunked.stats.rounds] == [
+        (r.expanded, r.pruned) for r in reference.stats.rounds
+    ]
+    assert_matches_oracle(proto, state)
 
 
 def _by_depth(levels):
@@ -475,6 +520,22 @@ def test_rows_differing_in_the_sign_of_zero_stay_apart():
     for proto in (make_simple_random_hash(2, 1), random_protocol(np.random.default_rng(5), 2, 2, n_seeds=2)):
         for amplitudes in (plus, minus):
             assert_matches_oracle(proto, PureState(2, 2, amplitudes))
+
+
+def test_class_table_hands_out_arrays_of_its_own_size():
+    # the table grows its store by doubling; the frontier it hands out holds
+    # the classes alone, in arrays of their own, so that a level's bytes are
+    # what it keeps allocated
+    gen = np.random.default_rng(3)
+    rows = [random_density_matrix(gen, 1, 1).matrix for _ in range(5)]
+    table = frontier.ClassTable()
+    for chunk in ([0, 1], [1, 2, 3], [0, 4, 4], [2]):
+        table.add(frontier.Dense(np.array([rows[i] for i in chunk]), 2, 2))
+    assert len(table) == 5
+    for size in (None, 3):
+        rho = table.frontier(size).rho
+        assert rho.flags.owndata and len(rho) == (5 if size is None else size)
+        np.testing.assert_array_equal(rho, np.array(rows[: len(rho)]))
 
 
 def test_protocol_without_repeated_nodes_stays_within_the_budget():
