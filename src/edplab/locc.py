@@ -696,11 +696,15 @@ class Level:
             return self.frontier  # one row per class, in order
         return self.frontier.take(self.classes)
 
-    def local_states(self) -> tuple[np.ndarray, np.ndarray]:
-        """(alice, bob) unnormalized marginals of every row, each (rows, d, d),
-        computed once per class."""
-        alice, bob = self.frontier.local_states()
-        return alice[self.classes], bob[self.classes]
+    def local_states(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """(alice, bob) unnormalized marginals of ``rows`` (every row by
+        default), each (len(rows), d, d), computed once per class."""
+        classes = self.classes if rows is None else self.classes[rows]
+        first, index = _first_seen(classes)
+        alice, bob = self.frontier.take(classes[first]).local_states()
+        if len(first) == len(classes):
+            return alice, bob
+        return alice[index], bob[index]
 
 
 def _coerce_input(protocol: Protocol, state) -> WeightedStates:

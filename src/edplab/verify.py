@@ -380,11 +380,10 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
             rows2 = np.flatnonzero(live & (p2 >= locc.PROB_TOL))
             if len(rows2):
                 checked += len(rows2)
-                # p_t sigma_t^I is case I's unnormalized local state; local
-                # states are computed once per class and read by row
-                alice1, bob1 = (local[level1.classes[rows1[rows2]]] for local in level1.frontier.local_states())
+                # p_t sigma_t^I is case I's unnormalized local state
+                alice1, bob1 = level1.local_states(rows1[rows2])
                 q2 = p2[rows2][:, None, None]
-                alice2, bob2 = (local[level2.classes[rows2]] / q2 for local in level2.frontier.local_states())
+                alice2, bob2 = (local / q2 for local in level2.local_states(rows2))
                 low_a = _dominance_lows(alice2, alice1)
                 low_b = _dominance_lows(bob2, bob1)
                 min_alice = min(min_alice, float(low_a.min()))
