@@ -92,7 +92,7 @@ def _config_defaults(parser: argparse.ArgumentParser, command: str, path: str) -
                 value = _parse_bool(raw)
             else:
                 value = action.type(raw) if action.type is not None else raw
-        except ValueError as exc:
+        except (ValueError, argparse.ArgumentTypeError) as exc:
             raise ValueError(f"{path}: {key}: {exc}") from exc
         if action.choices is not None and value not in action.choices:
             raise ValueError(
@@ -100,6 +100,17 @@ def _config_defaults(parser: argparse.ArgumentParser, command: str, path: str) -
             )
         defaults[action.dest] = value
     return defaults
+
+
+def _seed(text: str) -> int:
+    """A master seed: an integer in [0, 2**64), the range ``rng.substream`` takes."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid seed {text!r}") from None
+    if not 0 <= value < 2**64:
+        raise argparse.ArgumentTypeError(f"seed must be a 64-bit unsigned value, got {value}")
+    return value
 
 
 def _require(value: Any, message: str) -> Any:
@@ -280,6 +291,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 tasks.extend(
                     {"model": model, "n": n, "s": s, "epsilon": e} for e in eps
                 )
+    if args.seed + len(tasks) > 2**64:
+        raise ValueError(f"the seeds of {len(tasks)} cells from {args.seed} pass 2**64 - 1")
     for idx, task in enumerate(tasks):
         task["seed"] = args.seed + idx
 
@@ -303,18 +316,21 @@ _MODELS = ("measure-r", "depolarization", "fidelity")
 def build_parser() -> argparse.ArgumentParser:
     """The one place each option's type, choices and default are declared;
     ``--config`` values are parsed against the same declarations."""
+    # exit_on_error=False: a flag that fails its type or choices raises
+    # ArgumentError, which ``main`` reports as bad input like any other
     parser = argparse.ArgumentParser(
         prog="edplab",
+        exit_on_error=False,
         description="exact evaluation and verification of LOCC distillation protocols",
         epilog="EDPLAB_MAX_QUBITS overrides the dense-storage qubit cap (default 14)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name: str, func: Callable[[argparse.Namespace], int], summary: str):
-        p = sub.add_parser(name, help=summary)
+        p = sub.add_parser(name, help=summary, exit_on_error=False)
         p.set_defaults(func=func, parser=p)
         p.add_argument("--config", help="flat key=value config file; flags win")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
+        p.add_argument("--seed", type=_seed, default=0, help="master seed in [0, 2**64) (default %(default)s)")
         p.add_argument("--format", choices=("json", "csv"), default="json", help="output format")
         p.add_argument("--out", help="output path (default stdout)")
         return p
@@ -377,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

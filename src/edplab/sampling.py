@@ -5,6 +5,12 @@ are reproducible byte for byte.  Every complex Gaussian draw takes its
 real and imaginary parts from one ``standard_normal`` call, real parts
 first: a ``Generator`` fills one call of 2k numbers from the same stream
 as two calls of k, so the values are those of separate draws.
+
+A sampler is a raw draw, ``rng.standard_normal((2,) + shape)``, plus a
+finisher that does the algebra on a stack of raw draws (m, 2, *shape)
+at once, each row bit for bit as alone.  The single-instance samplers
+finish a stack of one; the lemma sweeps make only the raw draws, in the
+same order and so from the same stream, and finish a block at a time.
 """
 
 from __future__ import annotations
@@ -20,14 +26,58 @@ def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndar
     return draw[0] + 1j * draw[1]
 
 
+def _complex(raw: np.ndarray) -> np.ndarray:
+    """``_complex_normal`` of each raw draw of a stack (m, 2, *shape)."""
+    return raw[:, 0] + 1j * raw[:, 1]
+
+
+def unit_vectors(raw: np.ndarray) -> np.ndarray:
+    """(m, 2, d) raw draws to (m, d) unit vectors, each ``v / norm(v)``."""
+    vec = _complex(raw)
+    re, im = vec.real, vec.imag
+    # np.linalg.norm's sum: a dot of the real parts plus a dot of the
+    # imaginary parts, each on the stride-2 view; other sums differ in
+    # the last bit
+    sq = (re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None])[:, 0, 0]
+    return vec / np.sqrt(sq)[:, None]
+
+
+def products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of the rows of (m, da) and (m, db): (m, da * db)."""
+    return (a[:, :, None] * b[:, None, :]).reshape(len(a), -1)
+
+
+def mixtures(weights: np.ndarray, amps: np.ndarray) -> np.ndarray:
+    """sum_j w_j |a_j><a_j| of (m, k) weights and (m, k, d) amplitudes:
+    (m, d, d), accumulated term by term from zeros."""
+    m, k, d = amps.shape
+    mat = np.zeros((m, d, d), dtype=np.complex128)
+    for j in range(k):
+        mat += weights[:, j, None, None] * (amps[:, j, :, None] * amps[:, j, None, :].conj())
+    return mat
+
+
+def wishart(raw: np.ndarray) -> np.ndarray:
+    """(m, 2, d, rank) raw draws to (m, d, d) unit-trace Wishart matrices."""
+    g = _complex(raw)
+    mat = g @ g.conj().swapaxes(-1, -2)
+    return mat / np.trace(mat, axis1=-2, axis2=-1)[:, None, None]
+
+
+def kraus_sets(raw: np.ndarray, dim: int) -> np.ndarray:
+    """(m, 2, k * dim, dim) raw draws to (m, k, dim, dim) Kraus sets, the
+    blocks of the Q factor, a random Stinespring isometry."""
+    q, _ = np.linalg.qr(_complex(raw))
+    return q.reshape(len(q), -1, dim, dim)
+
+
 def random_amplitudes(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Uniformly random unit vector in C^dim, as a plain array.
 
     The primitive behind every random pure state; sweeps that only read
     amplitudes use it directly and build no ``PureState``.
     """
-    vec = _complex_normal(rng, (dim,))
-    return vec / np.linalg.norm(vec)
+    return unit_vectors(rng.standard_normal((2, dim))[None])[0]
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -50,14 +100,14 @@ def random_density_matrix(
         rank = dim
     elif rank < 1:
         raise ValueError(f"rank must be at least 1, got {rank}")
-    g = _complex_normal(rng, (dim, rank))
-    mat = g @ g.conj().T
-    return DensityMatrix(n_alice, n_bob, mat / np.trace(mat), validate=False)
+    mat = wishart(rng.standard_normal((2, dim, rank))[None])[0]
+    return DensityMatrix(n_alice, n_bob, mat, validate=False)
 
 
 def random_product_amplitudes(rng: np.random.Generator, n_alice: int, n_bob: int) -> np.ndarray:
     """Amplitudes of a random product state |a>^A (x) |b>^B."""
-    return np.kron(random_amplitudes(rng, 1 << n_alice), random_amplitudes(rng, 1 << n_bob))
+    a = random_amplitudes(rng, 1 << n_alice)
+    return products(a[None], random_amplitudes(rng, 1 << n_bob)[None])[0]
 
 
 def random_product_pure(rng: np.random.Generator, n_alice: int, n_bob: int) -> PureState:
@@ -72,12 +122,8 @@ def random_separable_mixture(
     if terms < 1:
         raise ValueError(f"terms must be at least 1, got {terms}")
     weights = rng.dirichlet(np.ones(terms))
-    dim = 1 << (n_alice + n_bob)
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    for w in weights:
-        amps = random_product_amplitudes(rng, n_alice, n_bob)
-        mat += w * np.outer(amps, amps.conj())
-    return DensityMatrix(n_alice, n_bob, mat, validate=False)
+    amps = [random_product_amplitudes(rng, n_alice, n_bob) for _ in range(terms)]
+    return DensityMatrix(n_alice, n_bob, mixtures(weights[None], np.stack(amps)[None])[0], validate=False)
 
 
 def random_kraus_channel(
@@ -86,9 +132,7 @@ def random_kraus_channel(
     """Trace-preserving Kraus set from a random Stinespring isometry."""
     if n_kraus < 1:
         raise ValueError(f"n_kraus must be at least 1, got {n_kraus}")
-    q, _ = np.linalg.qr(_complex_normal(rng, (n_kraus * dim, dim)))
-    # q: (n_kraus*dim, dim) isometry, q^dag q = I
-    return [q[k * dim : (k + 1) * dim, :].copy() for k in range(n_kraus)]
+    return list(kraus_sets(rng.standard_normal((2, n_kraus * dim, dim))[None], dim)[0])
 
 
 def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:

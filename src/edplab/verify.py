@@ -52,13 +52,7 @@ from .qcore import (
     phi_plus_overlaps,
 )
 from .rng import substream
-from .sampling import (
-    random_amplitudes,
-    random_density_matrix,
-    random_kraus_channel,
-    random_product_amplitudes,
-    random_separable_mixture,
-)
+from .sampling import kraus_sets, mixtures, products, unit_vectors, wishart
 
 DOMINANCE_TOL = 1e-9
 CERTIFICATE_TOL = 1e-6
@@ -538,10 +532,10 @@ LEMMA_BLOCK = 100  # instances per stacked margin evaluation
 
 
 def _blocked_margins(count: int, draw, margins) -> list[float]:
-    """Margins of ``count`` instances.  ``draw(i)`` makes instance i, in
-    order, so the generator is consumed exactly as one instance at a
-    time would; ``margins`` evaluates a block of up to ``LEMMA_BLOCK``
-    instances at once."""
+    """Margins of ``count`` instances.  ``draw(i)`` makes the generator
+    calls of instance i, in order, so the generator is consumed exactly
+    as one instance at a time would; ``margins`` finishes and evaluates
+    a block of up to ``LEMMA_BLOCK`` raw instances at once."""
     out: list[float] = []
     for start in range(0, count, LEMMA_BLOCK):
         block = [draw(i) for i in range(start, min(start + LEMMA_BLOCK, count))]
@@ -562,20 +556,6 @@ def _projectors(amps: np.ndarray) -> np.ndarray:
     return amps[..., :, None] * amps.conj()[..., None, :]
 
 
-def _draw_shape(draw) -> tuple[int, int, int]:
-    n_alice, n_bob, x = draw
-    return n_alice, n_bob, x.ndim
-
-
-def _first_pairs(draws) -> np.ndarray:
-    """(len, 4, 4) first-pair states of equally shaped draws
-    ``(n_alice, n_bob, x)``: ``x`` holds a pure state's amplitudes, or the
-    matrix of a two-qubit density matrix."""
-    n_alice, n_bob, first = draws[0]
-    stack = np.stack([x for _, _, x in draws])
-    return pair_states(stack.reshape(-1, 1 << n_alice, 1 << n_bob)) if first.ndim == 1 else stack
-
-
 def _channel(kraus: np.ndarray, rho: np.ndarray) -> np.ndarray:
     """sum_k K rho K^dag for stacks of zero-padded Kraus sets (len, k, d, d)."""
     return (kraus @ rho[:, None] @ kraus.conj().swapaxes(-1, -2)).sum(axis=1)
@@ -591,10 +571,14 @@ def lemma_suite(
     are fixed per lemma; ``tolerance_override`` replaces them all
     (setting it below float noise, e.g. 1e-15, is the documented way to
     demonstrate the failure mode).  Instances are drawn one at a time,
-    as plain amplitude arrays and matrices, through the samplers, whose
-    fused draws consume the generator exactly as separate real and
-    imaginary draws would; they are evaluated in stacked blocks of
-    ``LEMMA_BLOCK``.
+    but a draw makes only the samplers' generator calls, in their order,
+    and keeps the raw normals; consecutive normal draws of one shape are
+    fused into one call, which consumes the generator as separate calls
+    do.  A block of ``LEMMA_BLOCK`` instances is then finished by the
+    samplers' stacked finishers, one call per group of equal shape, and
+    evaluated in stacks.  A finisher gives each row bit for bit what the
+    single-instance sampler gives, so every margin is that of drawing
+    and evaluating one instance at a time.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
@@ -613,18 +597,15 @@ def lemma_suite(
     def pauli_pair(_):
         total = int(gen.integers(2, 6))
         gen.integers(1, total)  # Alice's share: drawn to keep the stream, unused by the sum
-        dim = 1 << total
-        return random_amplitudes(gen, dim), random_amplitudes(gen, dim)
+        return gen.standard_normal((2, 2, 1 << total))  # phi's raw draw, then psi's
+
+    def pauli_margins(pairs) -> np.ndarray:
+        raw = np.stack(pairs)
+        return 2.0 - pauli_deviation_sums(unit_vectors(raw[:, 0]), unit_vectors(raw[:, 1]))
 
     sweep(
         "pauli-deviation-cap", 1e-9, pauli_pair,
-        lambda block: 2.0 - _by_shape(
-            block,
-            lambda pair: len(pair[0]),
-            lambda pairs: pauli_deviation_sums(
-                np.stack([phi for phi, _ in pairs]), np.stack([psi for _, psi in pairs])
-            ),
-        ),
+        lambda block: _by_shape(block, np.shape, pauli_margins),
     )
 
     gen = substream(seed, "lemma", "bell-identity")
@@ -632,40 +613,57 @@ def lemma_suite(
     def bell_state_draw(_):
         na = int(gen.integers(1, 3))
         nb = int(gen.integers(1, 3))
-        return na, nb, random_amplitudes(gen, 1 << (na + nb))
+        return na, nb, gen.standard_normal((2, 1 << (na + nb)))
 
     def bell_margins(draws) -> np.ndarray:
-        lhs, rhs = bell_identity_sides(_first_pairs(draws))
+        na, nb, _ = draws[0]
+        amps = unit_vectors(np.stack([raw for _, _, raw in draws]))
+        lhs, rhs = bell_identity_sides(pair_states(amps.reshape(-1, 1 << na, 1 << nb)))
         return -np.abs(lhs - rhs)
 
     sweep(
         "bell-base-fidelity-identity", 1e-10, bell_state_draw,
-        lambda block: _by_shape(block, _draw_shape, bell_margins),
+        lambda block: _by_shape(block, lambda draw: draw[:2], bell_margins),
     )
 
     gen = substream(seed, "lemma", "disentangled-cap")
 
     def disentangled(i):
+        # a product state (n_alice, n_bob, Alice's raw draw, Bob's), or a
+        # two-qubit mixture (None, None, weights, raw draws (terms, party, 2, 2))
         if i % 2 == 0:
             na = int(gen.integers(1, 3))
             nb = int(gen.integers(1, 3))
-            return na, nb, random_product_amplitudes(gen, na, nb)
-        return 1, 1, random_separable_mixture(gen, 1, 1, terms=int(gen.integers(2, 5))).matrix
+            return na, nb, gen.standard_normal((2, 1 << na)), gen.standard_normal((2, 1 << nb))
+        weights = gen.dirichlet(np.ones(int(gen.integers(2, 5))))
+        return None, None, weights, gen.standard_normal((len(weights), 2, 2, 2))
+
+    def mixture_pairs(draws) -> np.ndarray:
+        raw = np.stack([raw for _, _, _, raw in draws])
+        alice, bob = (unit_vectors(raw[:, :, party].reshape(-1, 2, 2)) for party in (0, 1))
+        amps = products(alice, bob).reshape(raw.shape[:2] + (4,))
+        return mixtures(np.stack([weights for _, _, weights, _ in draws]), amps)
+
+    def disentangled_margins(draws) -> np.ndarray:
+        na, nb, _, _ = draws[0]
+        if na is None:
+            pairs = _by_shape(draws, lambda draw: len(draw[2]), mixture_pairs)
+        else:
+            alice, bob = (unit_vectors(np.stack([draw[j] for draw in draws])) for j in (2, 3))
+            pairs = pair_states(products(alice, bob).reshape(-1, 1 << na, 1 << nb))
+        return 0.5 - phi_plus_overlaps(pairs)
 
     sweep(
         "disentangled-base-fidelity-cap", 1e-9, disentangled,
-        lambda block: 0.5 - _by_shape(
-            block, _draw_shape, lambda draws: phi_plus_overlaps(_first_pairs(draws))
-        ),
+        lambda block: _by_shape(block, lambda draw: draw[:2], disentangled_margins),
     )
 
     gen = substream(seed, "lemma", "linearity")
 
     def linearity(_):
-        sigma = random_amplitudes(gen, 4)
-        k = int(gen.integers(2, 5))
-        weights = gen.dirichlet(np.ones(k))
-        return sigma, weights, [random_amplitudes(gen, 4) for _ in range(k)]
+        sigma = gen.standard_normal((2, 4))
+        weights = gen.dirichlet(np.ones(int(gen.integers(2, 5))))
+        return sigma, weights, gen.standard_normal((len(weights), 2, 4))
 
     def linearity_margins(block) -> np.ndarray:
         # members zero-padded to (len, widest, 4); both sums run member by
@@ -675,9 +673,9 @@ def lemma_suite(
         weights = np.zeros(present.shape)
         weights[present] = np.concatenate([w for _, w, _ in block])
         members = np.zeros(present.shape + (4,), dtype=np.complex128)
-        members[present] = [m for _, _, ms in block for m in ms]
+        members[present] = unit_vectors(np.concatenate([raw for _, _, raw in block]))
         projectors = _projectors(members)
-        sigmas = _projectors(np.stack([sigma for sigma, _, _ in block]))
+        sigmas = _projectors(unit_vectors(np.stack([sigma for sigma, _, _ in block])))
         parts = np.zeros(present.shape)
         parts[present] = fidelities(
             projectors[present], np.broadcast_to(sigmas[:, None], projectors.shape)[present]
@@ -694,16 +692,17 @@ def lemma_suite(
     gen = substream(seed, "lemma", "monotonicity")
 
     def monotonicity(_):
-        rho = random_density_matrix(gen, 1, 0)
-        sigma = random_density_matrix(gen, 1, 0)
-        return rho, sigma, random_kraus_channel(gen, 2, n_kraus=int(gen.integers(2, 4)))
+        states = gen.standard_normal((2, 2, 2, 2))  # rho's raw draw, then sigma's
+        return states, gen.standard_normal((2, 2 * int(gen.integers(2, 4)), 2))
 
     def monotonicity_margins(block) -> np.ndarray:
-        rhos = np.stack([rho.matrix for rho, _, _ in block])
-        sigmas = np.stack([sigma.matrix for _, sigma, _ in block])
-        kraus = np.zeros((len(block), max(len(ks) for _, _, ks in block), 2, 2), dtype=np.complex128)
-        for padded, (_, _, ks) in zip(kraus, block):
-            padded[: len(ks)] = ks
+        states = np.stack([states for states, _ in block])
+        rhos, sigmas = wishart(states[:, 0]), wishart(states[:, 1])
+        counts = np.array([raw.shape[1] // 2 for _, raw in block])
+        kraus = np.zeros((len(block), counts.max(), 2, 2), dtype=np.complex128)
+        for k in set(counts.tolist()):
+            rows = np.flatnonzero(counts == k)
+            kraus[rows, :k] = kraus_sets(np.stack([block[i][1] for i in rows]), 2)
         before = fidelities(rhos, sigmas)
         after = fidelities(_channel(kraus, rhos), _channel(kraus, sigmas))
         return after - before

@@ -299,6 +299,49 @@ def test_cli_seed_validation():
     assert main(["lemmas", "--count", "5", "--seed", "-3"]) == 2
 
 
+def test_cli_lemmas_bytes_are_pinned(tmp_path):
+    # the file's sha256 was recorded with samplers that finished each
+    # instance alone, before the sweeps finished their draws per block
+    out = tmp_path / "lemmas.json"
+    assert main(["lemmas", "--seed", "5301", "--count", "1000", "--out", str(out)]) == 0
+    digest = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert digest == "3e9081fa706da5e8f07759a46ea5d83b054298fc0d8df92d0b2f191bf55cb750"
+
+
+SEEDED_COMMANDS = {
+    "lemmas": ["lemmas", "--count", "5"],
+    "bounds": ["bounds", "--model", "fidelity", "--epsilon", "0.25"],
+    "protocol": ["protocol", "--make", "first-pair"],
+    "sweep": ["sweep", "--model", "measure-r", "--n", "1..2"],
+}
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "seven"])
+@pytest.mark.parametrize("command", sorted(SEEDED_COMMANDS))
+def test_cli_bad_seed_exits_2_on_every_subcommand(tmp_path, capsys, command, seed):
+    out = tmp_path / "out.json"
+    assert main([*SEEDED_COMMANDS[command], "--seed", seed, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("error:") == 1 and "seed" in err
+    assert not out.exists()
+    if command != "protocol":  # a config file does not set protocol's unused seed
+        cfg = _write(tmp_path, "c.cfg", f"seed = {seed}\n")
+        assert main([*SEEDED_COMMANDS[command], "--config", cfg, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("error:") == 1 and "seed" in err
+        assert not out.exists()
+
+
+def test_cli_sweep_rejects_cell_seeds_past_64_bits(tmp_path, capsys):
+    # five cells: seeds 2**64 - 5 ... 2**64 - 1 fit, one more does not
+    out = tmp_path / "out.json"
+    argv = ["sweep", "--model", "measure-r", "--n", "1..2", "--out", str(out)]
+    assert main([*argv, "--seed", str(2**64 - 4)]) == 2
+    assert capsys.readouterr().err.startswith("error:") and not out.exists()
+    assert main([*argv, "--seed", str(2**64 - 5)]) == 0
+    assert [rec["seed"] for rec in read_json(out)] == list(range(2**64 - 5, 2**64))
+
+
 def test_cli_bounds_depolarization(tmp_path):
     out = tmp_path / "bounds.json"
     code = main(
