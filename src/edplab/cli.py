@@ -229,9 +229,10 @@ def cmd_protocol(args: argparse.Namespace) -> int:
         kind = _require(args.model, "--model or --model-file is required")
         aliases = {"measure-r": "measure_r", "depolar": "depolarization"}
         doc: dict[str, Any] = {"model": aliases.get(kind, kind), "n": proto.n_pairs}
-        for key in ("r", "p", "epsilon"):
-            if getattr(args, key) is not None:
-                doc[key] = getattr(args, key)
+        # the one flag the kind reads; the others are ignored, as a model file's are not
+        key = {"measure_r": "r", "depolarization": "p", "fidelity": "epsilon"}.get(doc["model"])
+        if key is not None and getattr(args, key) is not None:
+            doc[key] = getattr(args, key)
         model = serialize.error_model_from_json(doc)
 
     fid, cond = model_fidelities(proto, model)

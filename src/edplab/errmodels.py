@@ -20,6 +20,7 @@ dense matrix only on demand.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -357,6 +358,22 @@ def fidelity_witness(n: int, epsilon: float) -> DensityMatrix:
     return collapse(fidelity_witness_components(n, epsilon))
 
 
+@functools.cache
+def _error_diagonals(n: int, r: int) -> np.ndarray:
+    """(2^r C(n, r), 2^n): the diagonal of each degree-r error state's
+    amplitude matrix, in ``enumerate_indicators`` order.  Entry x is
+    2^(-(n-r)/2) where x agrees with the indicator vector on its r
+    measured pairs, and 0 elsewhere (``error_state``)."""
+    positions = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp).reshape(math.comb(n, r), r)
+    # the measured bits of each vector, first position first, in itertools.product order
+    bits = (np.arange(1 << r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
+    xbits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # x's bit of each pair
+    agree = (xbits[:, positions][:, :, None] == bits).all(axis=-1).reshape(1 << n, -1).T
+    diagonals = agree * 2.0 ** (-(n - r) / 2.0)
+    diagonals.setflags(write=False)  # shared by every call
+    return diagonals
+
+
 @dataclass(frozen=True)
 class MeasureRModel:
     """r of n pairs measured in the computational basis, adversarially
@@ -371,8 +388,21 @@ class MeasureRModel:
         if not 0 <= self.r <= self.n:
             raise ValueError(f"need 0 <= r <= n, got n={self.n}, r={self.r}")
 
+    def amplitudes(self, inputs: slice = slice(None)) -> np.ndarray:
+        """The amplitude matrices of the error states ``inputs`` (all by
+        default), in ``enumerate_indicators`` order, rows indexing Alice's
+        register: one read-only (states, 2^n, 2^n) array, built without a
+        loop per state.  Each is diagonal (``_error_diagonals``)."""
+        _check_capacity(2 * self.n)
+        diagonals = _error_diagonals(self.n, self.r)[inputs]
+        amps = np.zeros((len(diagonals), 1 << self.n, 1 << self.n), dtype=np.complex128)
+        every = np.arange(1 << self.n)
+        amps[:, every, every] = diagonals
+        amps.setflags(write=False)
+        return amps
+
     def states(self) -> list[State]:
-        return [error_state(v) for v in enumerate_indicators(self.n, self.r)]
+        return [PureState(self.n, self.n, amps.reshape(-1)) for amps in self.amplitudes()]
 
     def run_inputs(self) -> list[RunInput]:
         return self.states()

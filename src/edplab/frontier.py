@@ -242,9 +242,9 @@ def grouped(keys: list, evaluate) -> np.ndarray:
     ``keys`` holds one hashable key per row.  ``rows`` selects the key's
     rows: an ascending index array, or ``slice(None)`` when every row has
     the same key, which spares a copy and a scatter.  ``evaluate``
-    returns one result per row along its leading axis.  ``reduce_pairs``
-    groups a level's rows by output pair with it, and the lemma sweeps
-    in ``verify`` group instances by shape.
+    returns one result per row along its leading axis.  ``locc`` groups a
+    level's rows by output pair with it, and the lemma sweeps in
+    ``verify`` group instances by shape.
     """
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     if len(distinct) == 1:
@@ -258,11 +258,6 @@ def grouped(keys: list, evaluate) -> np.ndarray:
             out = np.empty((len(keys),) + values.shape[1:], dtype=values.dtype)
         out[rows] = values
     return out
-
-
-def reduce_pairs(frontier: Frontier, n: int, pairs: np.ndarray) -> np.ndarray:
-    """(rows, 4, 4) reduced matrices of each row's output pair."""
-    return grouped(pairs.tolist(), lambda pair, rows: frontier.take(rows).reduce_pair(n, pair))
 
 
 def child_row_bytes(nodes: Frontier, width: int) -> int:
@@ -313,8 +308,9 @@ class ClassTable:
     row's class.  A row is bucketed by its ``content_keys`` value and
     compared bytewise with the first class of its bucket, and only on a
     mismatch (a key collision) with the bucket's other classes.  Rows are
-    kept in arrays that grow by doubling, so adding costs no copy of the
-    table; ``frontier`` hands the classes out in arrays of their own size.
+    kept in arrays that grow by half when full, so most adds copy no
+    class; ``frontier`` hands the classes out in arrays of their own size,
+    and ``view`` without a copy.
     """
 
     def __init__(self) -> None:
@@ -335,18 +331,18 @@ class ClassTable:
             return self._store
         return self._store.with_parts(*(part[:size].copy() for part in self._store.parts))
 
-    def _classes(self) -> Frontier:
-        """The classes so far, a view of the store."""
-        return self._store.take(slice(0, self.size))
+    def view(self, size: int | None = None) -> Frontier:
+        """The first ``size`` classes (all by default) as a view of the
+        store, which may hold more rows: for a level let go at once."""
+        return self._store.take(slice(0, self.size if size is None else size))
 
     def _append(self, rows: Frontier) -> None:
         end = self.size + len(rows)
         if self._store is None:
             self._store = rows  # fresh rows, adopted without a copy
         elif end > len(self._store):
-            grown = rows.with_parts(
-                *(np.empty((max(end, 2 * self.size),) + part.shape[1:], part.dtype) for part in rows.parts)
-            )
+            size = max(end, self.size + self.size // 2)
+            grown = rows.with_parts(*(np.empty((size,) + part.shape[1:], part.dtype) for part in rows.parts))
             for old, new in zip(self._store.parts, grown.parts):
                 new[: self.size] = old[: self.size]
             self._store = grown
@@ -375,7 +371,7 @@ class ClassTable:
         if not matched:
             return classes
         matched = np.array(matched)
-        table = self._classes()
+        table = self.view()
         for row in matched[~_same(table, classes[matched], rows, matched)].tolist():  # key collisions
             others = self._more.setdefault(keys[row], [])
             hits = [c for c in others if _same(table, np.array([c]), rows, np.array([row]))[0]]
@@ -385,5 +381,5 @@ class ClassTable:
                 classes[row] = self.size
                 others.append(self.size)
                 self._append(rows.take([row]))
-                table = self._classes()
+                table = self.view()
         return classes

@@ -34,14 +34,16 @@ instruments (a branch with fewer Kraus operators is padded with zero
 operators), so a chunk is one batched matmul per operator slot; the
 children are merged into the next level's class table by exact content
 (``frontier.ClassTable``).  Any other level is expanded row by row, with
-each row's operators gathered from the round's stacks, and each child is
-a class of its own: a level within the budget needs no table, and a
-level that shares no node is taken to have children that share none.
-So a protocol without repeated nodes is walked row by row below its
-root.  ``run`` walks all seeds of an input
-together and cuts the block at a seed boundary where a class table would
-pass the budget by more than its merges saved, or where a level
-expanded row by row would pass it; ``seed_blocks`` cuts seeds into
+the rows' operators stacked the same way, and each child is a class of
+its own: a level within the budget needs no table, and a level that
+shares no node is taken to have children that share none.  So a
+protocol without repeated nodes is walked row by row below its root.
+``run`` walks all seeds of an input together, and ``model_fidelities``
+all seeds of a block of a measure-r model's error states, with rows
+keyed by (input, seed, transcript); the block is cut at an (input,
+seed) boundary where a class table would pass the budget by more than
+its merges saved, or where a level expanded row by row would pass it;
+``seed_blocks`` cuts seeds into
 blocks sized in rows for the splitting tracker, whose paired walks must
 not be cut.  Instruments are given directly in Kraus form, which
 subsumes local ancillas; an instrument may additionally declare
@@ -62,13 +64,13 @@ Leaves are scored in one place, ``_score_leaves``, which ``run`` and the
 splitting tracker in ``verify`` both call: it keeps the live leaves and
 scores them once per distinct (class, accept entry, output pair), taking
 r_t from one accept formula (``_accept``), the trace of the measured
-output-pair block.  A POVM rule measures all scored leaves in one
-batched apply, each with its element's sqrt(M), which the rule computes
-once per distinct element.  ``run`` sums the leaves' weights per scored
-entry; its result keeps the entries' values and each leaf's entry, and
-builds the per-leaf records only when ``RunResult.leaves`` is read.  It
-also reports, per round, the nodes expanded and pruned, the distinct
-children, the largest class table and the time taken
+output-pair block.  A POVM rule measures the scored leaves in batched
+applies, each with its element's sqrt(M), which the rule computes once
+per distinct element.  Each input sums its leaves' weights per scored
+entry.  ``run``'s result keeps the entries' values and each leaf's
+entry, and builds the per-leaf records only when ``RunResult.leaves``
+is read.  It also reports, per round, the nodes expanded and pruned, the
+distinct children, the largest class table and the time taken
 (``RunResult.stats``).
 
 Fidelity-model evaluations use pure + product only: the canonical
@@ -89,8 +91,8 @@ from typing import Iterator, Mapping, NamedTuple
 
 import numpy as np
 
-from .errmodels import ErrorModel, State, WeightedStates
-from .frontier import ClassTable, Frontier, child_row_bytes, frontier_of, reduce_pairs
+from .errmodels import ErrorModel, MeasureRModel, State, WeightedStates
+from .frontier import ClassTable, Frontier, Pure, child_row_bytes, frontier_of, grouped
 from .qcore import (
     ALICE,
     BOB,
@@ -132,9 +134,11 @@ def _frozen(value) -> np.ndarray:
 
 def _per_seed(entries: np.ndarray, seeds: np.ndarray) -> np.ndarray:
     """The entry of each of ``seeds`` in per-seed data (instrument and
-    listener indexes, output pairs): one entry serves every seed, which
-    clipping gives, and otherwise every seed is in range."""
-    return entries.take(seeds, mode="clip")
+    listener indexes, output pairs), which holds one entry for every
+    seed or one entry that serves them all.  A seed may
+    be a row key of a block of inputs, ``input * n_seeds + seed``
+    (``Level``), so it is read modulo the entries."""
+    return entries[seeds % len(entries)]
 
 
 def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -238,12 +242,9 @@ class Round:
     round, held the same way (``listener_unitaries``,
     ``listener_index``); local unitaries carry no communication.
 
-    ``kraus_stack`` and ``listener_stack`` stack every distinct operator
-    once, on first use: a walk that expands a level row by row gathers
-    each row's operators from them.  ``kraus_ops`` and ``listener_ops``
-    stack the operators of given entries: a walk that merges nodes
-    stacks each chunk's operators so, and never builds the round-wide
-    stacks, a second copy of every operator, for it.
+    ``kraus_ops`` and ``listener_ops`` stack the operators of given
+    entries from the instruments' own arrays: a walk stacks the
+    operators of each batch of rows, or of distinct triples, it applies.
     """
 
     party: str
@@ -278,19 +279,6 @@ class Round:
     def width(self) -> int:
         """Kraus slots per branch: the most Kraus operators of any branch."""
         return max(len(branch) for ins in self.instruments for branch in ins.kraus)
-
-    @functools.cached_property
-    def kraus_stack(self) -> np.ndarray:
-        """(instruments, 2 branches, width, d, d); a branch with fewer
-        Kraus operators is padded with zero operators."""
-        return _read_only(self.kraus_ops(np.arange(len(self.instruments))))
-
-    @functools.cached_property
-    def listener_stack(self) -> np.ndarray | None:
-        """(listeners, 1, 1, d, d)."""
-        if self.listener_unitaries is None:
-            return None
-        return _read_only(self.listener_ops(np.arange(len(self.listener_unitaries))))
 
     @functools.cached_property
     def _slots(self) -> tuple[tuple[np.ndarray, ...], ...]:
@@ -624,11 +612,13 @@ def _transcript(code: int, depth: int) -> str:
 
 
 class Level:
-    """One depth of the transcript trees of a block of seeds.
+    """One depth of the transcript trees of a block of inputs and seeds.
 
-    Row i is the node of seed ``seeds[i]`` reached by the transcript
-    whose ``depth`` bits, first round first, are the binary digits of
-    ``codes[i]``.  Rows run in seed order, then in transcript order.
+    Row i is the node of seed ``seeds[i] % n_seeds`` on the input
+    ``seeds[i] // n_seeds`` of the block reached by the transcript whose
+    ``depth`` bits, first round first, are the binary digits of
+    ``codes[i]``; a walk of one input keys its rows by the seed alone.
+    Rows run in input order, then seed order, then transcript order.
     The level is content-addressed: ``frontier`` holds each distinct
     unnormalized node state once, as stacked arrays, and ``classes[i]``
     is row i's entry in it (a level expanded row by row holds a class
@@ -733,20 +723,43 @@ def _accept(protocol: Protocol, leaves: Level, pairs: np.ndarray) -> tuple[np.nd
     after a successful sqrt(M) measurement, scaled by p_t * r_t; they are
     None when the rule has no backaction (post = r_t * unconditional).
     Every leaf row gets its element's sqrt(M), computed once per distinct
-    element, and all rows are measured in one batched apply;
-    p_t * r_t = Tr(M rho_t) is the trace of the measured output-pair block.
+    element, and the rows are measured in batched applies
+    (``_output_pairs``); p_t * r_t = Tr(M rho_t) is the trace of the
+    measured output-pair block.
     """
     rule = protocol.accept
     if isinstance(rule, AlwaysAccept):
         return np.ones(len(leaves)), None
     if isinstance(rule, ConstantAccept):
         return rule.probabilities(leaves.codes), None
-    roots = rule.roots[rule.index[leaves.seeds, leaves.codes]]
-    post = reduce_pairs(leaves.states().apply(roots[:, None, None], ALICE), protocol.n_pairs, pairs)
+    elements = rule.index[leaves.seeds % protocol.n_seeds, leaves.codes]
+    post = _output_pairs(
+        protocol, leaves, pairs, lambda rows, nodes: nodes.apply(rule.roots[elements[rows]][:, None, None], ALICE)
+    )
     r_joint = np.trace(post, axis1=1, axis2=2).real  # p_t * r_t
     kept = r_joint >= PROB_TOL
     post[~kept] = 0.0
     return np.where(kept, r_joint, 0.0) / leaves.probabilities, post
+
+
+def _output_pairs(protocol: Protocol, level: Level, pairs: np.ndarray, measure=None) -> np.ndarray:
+    """(rows, 4, 4) unnormalized output-pair states of ``level``'s rows,
+    whose output pairs are ``pairs``, each row's state first replaced by
+    ``measure(rows, states)`` when given.  The rows of each output pair
+    are taken from the class table in chunks whose states take at most
+    ``FRONTIER_BUDGET_BYTES`` (one row at least): a leaf level merged by
+    content may hold more than the budget."""
+    size = max(1, FRONTIER_BUDGET_BYTES // child_row_bytes(level.frontier, 1))
+    every = np.arange(len(level))
+
+    def evaluate(pair: int, rows) -> np.ndarray:
+        blocks = []
+        for chunk in np.split(every[rows], range(size, len(every[rows]), size)):
+            nodes = level.take(chunk).states()
+            blocks.append((nodes if measure is None else measure(chunk, nodes)).reduce_pair(protocol.n_pairs, pair))
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+
+    return grouped(pairs.tolist(), evaluate)
 
 
 class _Scores(NamedTuple):
@@ -762,11 +775,16 @@ class _Scores(NamedTuple):
     accept: np.ndarray  # each entry's r_t
     post: np.ndarray | None  # each entry's accept-conditioned block (``_accept``)
 
-    def totals(self, weights: np.ndarray) -> tuple[np.ndarray, float]:
-        """The leaves' ``weights`` summed per entry, and the weighted SUCC
-        probability sum_t w_t p_t r_t."""
-        summed = np.bincount(self.entries, weights, minlength=len(self.scored))
-        return summed, float(np.dot(summed * self.scored.probabilities, self.accept))
+    def totals(self, weights: np.ndarray, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, float]:
+        """The entries that the leaves ``rows`` (all by default) reach with
+        a weight, ascending; the leaves' ``weights`` summed per such entry;
+        and their weighted SUCC probability sum_t w_t p_t r_t.  Sums skip
+        the entries of other rows, which only leaves of other inputs of a
+        block reach, so an input's sums do not depend on its block."""
+        summed = np.bincount(self.entries[rows], weights, minlength=len(self.scored))
+        used = np.flatnonzero(summed)
+        summed = summed[used]
+        return used, summed, float(np.dot(summed * self.scored.probabilities[used], self.accept[used]))
 
 
 def _score_leaves(protocol: Protocol, level: Level) -> _Scores:
@@ -780,7 +798,7 @@ def _score_leaves(protocol: Protocol, level: Level) -> _Scores:
         return _Scores(leaves, np.arange(len(leaves)), leaves, pairs, *_accept(protocol, leaves, pairs))
     rule = protocol.accept
     if isinstance(rule, PovmAccept):
-        accept, count = rule.index[leaves.seeds, leaves.codes], len(rule.elements)
+        accept, count = rule.index[leaves.seeds % protocol.n_seeds, leaves.codes], len(rule.elements)
     elif isinstance(rule, ConstantAccept) and not isinstance(rule.values, (int, float)):
         accept, count = leaves.codes, 1 << level.depth
     else:
@@ -809,21 +827,25 @@ def walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray) -> 
     row.  The walk never cuts the block, so it yields exactly one level
     per depth.  ``state`` must live on ``protocol.n_pairs`` pairs.
     """
-    return _walk(protocol, state, seeds, cut=False)
+    return _walk(protocol, frontier_of(state, 1), seeds, cut=False)
 
 
-def _walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray, cut: bool) -> Iterator[Level]:
-    """``walk``; with ``cut``, a block whose level would not fit is cut at
-    a seed boundary: a merged level where its class table would not fit
-    (``_fits``), a level expanded row by row where its children would
-    pass the budget.  The seeds before the cut are walked to the last
-    depth, then the rest are expanded from the same parent level, which
-    is held until then.  A depth then comes as several levels, in seed
-    order, depth first.  ``run`` walks all seeds of an input this way."""
+def _walk(protocol: Protocol, roots: Frontier, seeds: np.ndarray, cut: bool) -> Iterator[Level]:
+    """``walk`` of a block of inputs, the rows of ``roots``: every input
+    with every seed of ``seeds``, its rows keyed ``input * n_seeds +
+    seed`` (``Level``), so that input boundaries are seed boundaries and
+    the root level holds one class per input.  With ``cut``, a block
+    whose level would not fit is cut at a seed boundary: a merged level
+    where its class table would not fit (``_fits``), a level expanded row
+    by row where its children would pass the budget.  The seeds before
+    the cut are walked to the last depth, then the rest are expanded from
+    the same parent level, which is held until then.  A depth then comes
+    as several levels, in row order, depth first.  ``run`` and
+    ``model_fidelities`` walk all seeds of their inputs this way."""
     seeds = np.asarray(seeds, dtype=np.intp)
-    root = frontier_of(state, 1)
-    classes = np.zeros(len(seeds), dtype=np.intp)  # every seed's root is the input: one class
-    level = Level(0, seeds, np.zeros(len(seeds), dtype=np.int64), classes, root.norms()[classes], root, len(seeds) <= 1)
+    classes = np.repeat(np.arange(len(roots)), len(seeds))  # every seed's root is its input
+    keys = classes * protocol.n_seeds + np.tile(seeds, len(roots))
+    level = Level(0, keys, np.zeros(len(keys), dtype=np.int64), classes, roots.norms()[classes], roots, len(seeds) <= 1)
     yield from _descend(protocol, level, cut)
 
 
@@ -851,21 +873,24 @@ def _descend(protocol: Protocol, level: Level, cut: bool) -> Iterator[Level]:
     parents = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
     row_bytes = child_row_bytes(parents.frontier, rnd.width)
     by_rows = parents.apart or 2 * len(parents) * row_bytes <= FRONTIER_BUDGET_BYTES
+    leaves = level.depth + 1 == protocol.bits
     del level
     while parents is not None:
-        children, parents, by_rows = _expand(rnd, parents, row_bytes, by_rows, cut)
+        children, parents, by_rows = _expand(rnd, parents, row_bytes, by_rows, cut, leaves)
         below = _descend(protocol, children, cut)
         del children
         yield from below
 
 
 def _expand(
-    rnd: Round, parents: Level, row_bytes: int, by_rows: bool, cut: bool
+    rnd: Round, parents: Level, row_bytes: int, by_rows: bool, cut: bool, leaves: bool
 ) -> tuple[Level, Level | None, bool]:
     """The children of ``parents``, whose children take ``row_bytes`` each,
     expanded ``by_rows`` or merged (``_descend``); the parents left for a
     later block when ``cut`` is set and the block had to be cut (None
-    when it was not); and whether those are to be expanded by rows."""
+    when it was not); and whether those are to be expanded by rows.
+    Merged children that are ``leaves`` are scored and let go at once,
+    so their level views its class table's store instead of a copy."""
     instruments = _per_seed(rnd.instrument_index, parents.seeds)
     listeners = None if rnd.listener_index is None else _per_seed(rnd.listener_index, parents.seeds)
     if by_rows:
@@ -873,7 +898,7 @@ def _expand(
     keys = parents.classes if listeners is None else parents.classes * len(rnd.listener_unitaries) + listeners
     first, triples = _first_seen(keys * len(rnd.instruments) + instruments)
     ops = _Ops(rnd, None if listeners is None else listeners[first], instruments[first])
-    return _merged_children(ops, parents, first, triples, row_bytes, cut)
+    return _merged_children(ops, parents, first, triples, row_bytes, cut, leaves)
 
 
 class _Ops(NamedTuple):
@@ -884,16 +909,13 @@ class _Ops(NamedTuple):
     listeners: np.ndarray | None  # None for a round without listener unitaries
     instruments: np.ndarray
 
-    def apply(self, nodes: Frontier, entries: slice, stacked: bool) -> Frontier:
+    def apply(self, nodes: Frontier, entries: slice) -> Frontier:
         """The children of ``nodes``, whose operators are ``entries``: the
-        listener unitary, then the instrument, gathered from the round's
-        stacks when ``stacked``, else stacked for these entries alone."""
+        listener unitary, then the instrument, stacked for these entries."""
         rnd = self.rnd
         if self.listeners is not None:
-            listeners = self.listeners[entries]
-            nodes = nodes.apply(rnd.listener_stack[listeners] if stacked else rnd.listener_ops(listeners), rnd.listener)
-        instruments = self.instruments[entries]
-        return nodes.apply(rnd.kraus_stack[instruments] if stacked else rnd.kraus_ops(instruments), rnd.party)
+            nodes = nodes.apply(rnd.listener_ops(self.listeners[entries]), rnd.listener)
+        return nodes.apply(rnd.kraus_ops(self.instruments[entries]), rnd.party)
 
 
 def _child_level(parents: Level, classes: np.ndarray | None, frontier: Frontier) -> Level:
@@ -939,11 +961,11 @@ def _row_children(ops: _Ops, parents: Level, row_bytes: int) -> tuple[Level, Lev
         if len(starts):
             kept = int(starts[max(0, np.searchsorted(starts, FRONTIER_BUDGET_BYTES // (2 * row_bytes), "right") - 1)])
     block, rest = _split(parents, kept)
-    return _child_level(block, None, ops.apply(block.states(), slice(0, kept), stacked=True)), rest
+    return _child_level(block, None, ops.apply(block.states(), slice(0, kept))), rest
 
 
 def _merged_children(
-    ops: _Ops, parents: Level, first: np.ndarray, triples: np.ndarray, row_bytes: int, cut: bool
+    ops: _Ops, parents: Level, first: np.ndarray, triples: np.ndarray, row_bytes: int, cut: bool, leaves: bool
 ) -> tuple[Level, Level | None, bool]:
     """``_expand`` through a class table: the children of the distinct
     triples are merged by content (``frontier.ClassTable``).
@@ -979,7 +1001,7 @@ def _merged_children(
         # a seed's triples that alone pass the budget are applied together, as one block
         count = max(count, seed_ends[bisect.bisect_right(seed_ends, done)] - done)
         chunk = slice(done, min(done + count, len(first)))
-        children = ops.apply(parents.frontier.take(parents.classes[first[chunk]]), chunk, stacked=False)
+        children = ops.apply(parents.frontier.take(parents.classes[first[chunk]]), chunk)
         classes[2 * chunk.start : 2 * chunk.stop] = table.add(children)
         done = chunk.stop
         if cut and len(table) * row_bytes > FRONTIER_BUDGET_BYTES and len(needed) and needed[0] <= done:
@@ -992,7 +1014,7 @@ def _merged_children(
     # one seed's children filled the table, and its triples, all distinct, merged nothing: the
     # rest is expanded row by row, as blocks of about one seed that share nothing
     by_rows = rest is None or (kept == starts[0] and len(first) == len(parents) and len(table) == 2 * done)
-    return _child_level(block, rows, table.frontier(size)), rest, by_rows
+    return _child_level(block, rows, table.view(size) if leaves else table.frontier(size)), rest, by_rows
 
 
 def _cut(classes: np.ndarray, done: int, starts: np.ndarray, needed: np.ndarray, row_bytes: int) -> tuple[int, int]:
@@ -1077,64 +1099,78 @@ class _Meter:
         )
 
 
+def _sums(inputs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Zeros for ``_evaluate`` to sum into: per input, its output and
+    accept-conditioned output, (inputs, 4, 4), and SUCC probability."""
+    return np.zeros((inputs, 4, 4), np.complex128), np.zeros((inputs, 4, 4), np.complex128), np.zeros(inputs)
+
+
+def _evaluate(protocol: Protocol, roots: Frontier, weights, sums, meter: _Meter, records=None, component=0) -> None:
+    """Walk the inputs ``roots`` together, with all live seeds, as one
+    block that the walk cuts at (input, seed) boundaries where a level
+    would not fit (``_walk``), and add input i's output, accept-conditioned
+    output and SUCC probability, weighted by ``weights[i]``, to row i of
+    ``sums`` (``_sums``).  Leaves are scored once per distinct entry across the
+    block's inputs (``_score_leaves``), and each input sums its leaves'
+    weights per entry.  ``records``, when given, gets the level rows that
+    ``RunResult.leaves`` is built from, under ``component``."""
+    n_seeds, (out, cond, success) = protocol.n_seeds, sums
+    seed_weights = np.asarray(protocol.seed_weights)
+    for level in meter.levels(_walk(protocol, roots, np.flatnonzero(seed_weights != 0.0), cut=True)):
+        dead = np.flatnonzero(level.probabilities < PROB_TOL)
+        if len(dead) and records is not None:
+            inputs, seeds = np.divmod(level.seeds[dead], n_seeds)
+            weight = weights[inputs] * seed_weights[seeds]
+            records.append(_RecordRows(component, level.depth, seeds, level.codes[dead], weight))
+        if level.depth < protocol.bits:
+            continue
+        scores = _score_leaves(protocol, level)
+        leaves, scored = scores.leaves, scores.scored
+        inputs, seeds = np.divmod(leaves.seeds, n_seeds)
+        weight = weights[inputs] * seed_weights[seeds]
+        reduced = _output_pairs(protocol, scored, scores.pairs)
+        post = scores.accept[:, None, None] * reduced if scores.post is None else scores.post
+        # rows run in input order: sum each input's leaves on their own
+        bounds = [0, *(np.flatnonzero(inputs[1:] != inputs[:-1]) + 1).tolist(), len(inputs)]
+        for start, stop in zip(bounds, bounds[1:]):
+            used, summed, succ = scores.totals(weight[start:stop], slice(start, stop))
+            i = inputs[start]
+            out[i] += np.dot(summed, reduced.reshape(-1, 16)[used]).reshape(4, 4)
+            cond[i] += np.dot(summed, post.reshape(-1, 16)[used]).reshape(4, 4)
+            success[i] += succ
+        if records is not None:
+            records.append(
+                _RecordRows(
+                    component, leaves.depth, seeds, leaves.codes, weight,
+                    scores.entries, scored.probabilities, scores.accept, reduced,
+                )
+            )
+
+
 def run(protocol: Protocol, state) -> RunResult:
     """Evaluate a protocol exactly on a state or weighted state list.
 
     Every component is walked with all its live seeds as one block,
     which the walk cuts at seed boundaries where a level would not fit
-    (``_walk``).
+    (``_evaluate``).
     Leaves are scored once per distinct entry (``_score_leaves``), and
     leaf probabilities, the SUCC probability, the output, and the output
     conditioned on SUCC are computed from the entries' values weighted by
     their leaves' summed weights; they are exact up to float arithmetic.
     ``RunResult.stats`` says where the work went.
     """
-    weighted = _coerce_input(protocol, state)
-    n = protocol.n_pairs
-    seed_weights = np.asarray(protocol.seed_weights)
-    live_seeds = np.flatnonzero(seed_weights != 0.0)
     meter = _Meter(protocol.bits)
     records: list[_RecordRows] = []
-    out_acc = np.zeros((4, 4), dtype=np.complex128)
-    cond_acc = np.zeros((4, 4), dtype=np.complex128)
-    success = 0.0
-
-    for comp_idx, (comp_w, comp_state) in enumerate(weighted):
-        for level in meter.levels(_walk(protocol, comp_state, live_seeds, cut=True)):
-            dead = np.flatnonzero(level.probabilities < PROB_TOL)
-            if len(dead):
-                seeds = level.seeds[dead]
-                records.append(
-                    _RecordRows(comp_idx, level.depth, seeds, level.codes[dead], comp_w * seed_weights[seeds])
-                )
-            if level.depth < protocol.bits:
-                continue
-            scores = _score_leaves(protocol, level)
-            leaves, scored = scores.leaves, scores.scored
-            weight = comp_w * seed_weights[leaves.seeds]
-            summed, succ = scores.totals(weight)
-            reduced = reduce_pairs(scored.states(), n, scores.pairs)
-            post = scores.accept[:, None, None] * reduced if scores.post is None else scores.post
-            out_acc += np.dot(summed, reduced.reshape(-1, 16)).reshape(4, 4)
-            cond_acc += np.dot(summed, post.reshape(-1, 16)).reshape(4, 4)
-            success += succ
-            records.append(
-                _RecordRows(
-                    comp_idx, leaves.depth, leaves.seeds, leaves.codes, weight,
-                    scores.entries, scored.probabilities, scores.accept, reduced,
-                )
-            )
-
-    output = DensityMatrix(1, 1, out_acc, validate=False)
-    conditional = None
-    if success > PROB_TOL:
-        conditional = DensityMatrix(1, 1, cond_acc / success, validate=False)
+    sums = _sums(1)
+    for component, (weight, st) in enumerate(_coerce_input(protocol, state)):
+        _evaluate(protocol, frontier_of(st, 1), np.array([weight]), sums, meter, records, component)
+    (out,), (cond,), (success,) = sums
     return RunResult(
-        n_pairs=n,
+        n_pairs=protocol.n_pairs,
         bits=protocol.bits,
         success_probability=float(success),
-        output=output,
-        conditional_output=conditional,
+        output=DensityMatrix(1, 1, out, validate=False),
+        conditional_output=DensityMatrix(1, 1, cond / success, validate=False) if success > PROB_TOL else None,
         stats=meter.stats(),
         rows=tuple(records),
     )
@@ -1153,22 +1189,46 @@ def ideal_success_probability(protocol: Protocol) -> float:
 
 def model_fidelities(protocol: Protocol, model: ErrorModel) -> tuple[float, float | None]:
     """Minimum output fidelity and minimum conditional-output fidelity
-    over the model's evaluated states, from one run per state.
+    over the model's evaluated states.
+
+    A measure-r model's error states (``MeasureRModel.amplitudes``) are
+    evaluated in blocks of inputs whose root stack fits
+    ``FRONTIER_BUDGET_BYTES``: each block is walked once, with rows keyed
+    by (input, seed, transcript), and its leaves are scored once per
+    distinct entry (``_evaluate``).  Any other model's inputs are
+    evaluated one ``run`` each.
 
     The conditional value is None when some state never reaches SUCC.
     For the fidelity model the evaluated set is the witness plus any
     sampled members, so each value is a witness minimum (an upper
     estimate of the true model minimum).
     """
-    from .qcore import base_fidelity
+    from .qcore import phi_plus_overlaps  # ``base_fidelity`` of a pair, for a stack of pairs
 
     values, conditional = [], []
-    for st in model.run_inputs():
-        result = run(protocol, st)
-        values.append(base_fidelity(result.output))
-        if result.conditional_output is not None:
-            conditional.append(base_fidelity(result.conditional_output))
-    return min(values), min(conditional) if len(conditional) == len(values) else None
+    for out, cond in _model_outputs(protocol, model):
+        values.append(phi_plus_overlaps(out).min())
+        conditional.append(None if cond is None else phi_plus_overlaps(cond).min())
+    return float(min(values)), None if None in conditional else float(min(conditional))
+
+
+def _model_outputs(protocol: Protocol, model: ErrorModel) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
+    """Per block of the model's inputs, their outputs and their outputs
+    conditioned on SUCC, (inputs, 4, 4) each; None for the latter when
+    one of them never reaches SUCC."""
+    if not isinstance(model, MeasureRModel):
+        for st in model.run_inputs():
+            result = run(protocol, st)
+            cond = result.conditional_output
+            yield result.output.matrix[None], None if cond is None else cond.matrix[None]
+        return
+    count = math.comb(model.n, model.r) << model.r  # error states, one per indicator vector
+    size = max(1, FRONTIER_BUDGET_BYTES >> (2 * model.n + 4))  # inputs of 2^n x 2^n complex amplitudes
+    for start in range(0, count, size):
+        roots = Pure(model.amplitudes(slice(start, start + size)))
+        out, cond, success = sums = _sums(len(roots))
+        _evaluate(protocol, roots, np.ones(len(roots)), sums, _Meter(protocol.bits))
+        yield out, cond / success[:, None, None] if (success > PROB_TOL).all() else None
 
 
 def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
@@ -1333,80 +1393,4 @@ def make_simple_random_hash(n: int, s: int) -> Protocol:
         accept=PovmAccept(projectors, np.broadcast_to(np.arange(1 << s), (n_seeds, 1 << s))),
         output_pair=(0,),
         name=f"simple-random-hash-s{s}",
-    )
-
-
-# ---------------------------------------------------------------------------
-# random protocols for property sweeps
-
-
-def random_instrument(rng: np.random.Generator, n_qubits: int, kraus_per_branch: int = 1) -> Instrument:
-    """Random two-branch trace-preserving instrument on a register."""
-    from .sampling import random_kraus_channel
-
-    dim = 1 << n_qubits
-    ops = random_kraus_channel(rng, dim, n_kraus=2 * kraus_per_branch)
-    return Instrument(
-        branches=(tuple(ops[:kraus_per_branch]), tuple(ops[kraus_per_branch:]))
-    )
-
-
-def random_protocol(
-    rng: np.random.Generator,
-    n: int,
-    n_rounds: int,
-    n_seeds: int = 1,
-    kraus_per_branch: int = 1,
-    accept_kind: str | None = None,
-    with_listeners: bool = False,
-) -> Protocol:
-    """Random LOCC protocol for property sweeps.
-
-    Senders alternate randomly; instruments are random trace-preserving
-    splits; the accept rule is drawn among always / constant-per-leaf /
-    random POVM unless pinned by ``accept_kind``.  ``with_listeners``
-    additionally equips most rounds with a random local unitary on the
-    listening party's register.
-    """
-    from .sampling import random_povm_element, random_unitary
-
-    rounds = tuple(
-        Round(
-            party=ALICE if rng.random() < 0.5 else BOB,
-            instruments=tuple(
-                random_instrument(rng, n, kraus_per_branch) for _ in range(n_seeds)
-            ),
-            listener_unitaries=tuple(
-                random_unitary(rng, 1 << n) for _ in range(n_seeds)
-            )
-            if with_listeners and rng.random() < 0.7
-            else None,
-        )
-        for _ in range(n_rounds)
-    )
-    kind = accept_kind or rng.choice(["always", "constant", "povm"])
-    if kind == "always":
-        accept: AcceptRule = AlwaysAccept()
-    elif kind == "constant":
-        accept = ConstantAccept(
-            values={
-                "".join(bits): float(rng.uniform())
-                for bits in itertools.product("01", repeat=n_rounds)
-            }
-        )
-    else:
-        # one element per (seed, transcript), drawn in that order
-        n_leaves = n_seeds << n_rounds
-        accept = PovmAccept(
-            tuple(random_povm_element(rng, 1 << n) for _ in range(n_leaves)),
-            np.arange(n_leaves).reshape(n_seeds, -1),
-        )
-    weights = rng.dirichlet(np.ones(n_seeds)) if n_seeds > 1 else np.array([1.0])
-    return Protocol(
-        n_pairs=n,
-        seed_weights=tuple(float(w) for w in weights),
-        rounds=rounds,
-        accept=accept,
-        output_pair=tuple(int(rng.integers(n)) for _ in range(n_seeds)),
-        name="random",
     )

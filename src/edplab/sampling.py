@@ -1,7 +1,7 @@
 """Seeded samplers for states, channels, and unitaries.
 
-These feed the property sweeps; all take an explicit generator so runs
-are reproducible byte for byte.  Every complex Gaussian draw takes its
+These feed the property sweeps, which also draw random protocols here;
+all take an explicit generator so runs are reproducible byte for byte.  Every complex Gaussian draw takes its
 real and imaginary parts from one ``standard_normal`` call, real parts
 first: a ``Generator`` fills one call of 2k numbers from the same stream
 as two calls of k, so the values are those of separate draws.
@@ -15,9 +15,13 @@ same order and so from the same stream, and finish a block at a time.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
-from .qcore import DensityMatrix, PureState
+from .locc import AcceptRule, AlwaysAccept, ConstantAccept, Instrument, PovmAccept, Protocol, Round
+from .qcore import ALICE, BOB, DensityMatrix, PureState
 
 
 def _complex_normal(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
@@ -140,3 +144,77 @@ def random_povm_element(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = _complex_normal(rng, (dim, dim))
     h = g @ g.conj().T
     return h / (np.linalg.eigvalsh(h)[-1] + rng.uniform(0.0, 1.0))
+
+
+# ---------------------------------------------------------------------------
+# random protocols for property sweeps
+
+
+def random_instrument(rng: np.random.Generator, n_qubits: int, kraus_per_branch: int = 1) -> Instrument:
+    """Random two-branch trace-preserving instrument on a register."""
+    dim = 1 << n_qubits
+    ops = random_kraus_channel(rng, dim, n_kraus=2 * kraus_per_branch)
+    return Instrument(
+        branches=(tuple(ops[:kraus_per_branch]), tuple(ops[kraus_per_branch:]))
+    )
+
+
+def random_protocol(
+    rng: np.random.Generator,
+    n: int,
+    n_rounds: int,
+    n_seeds: int = 1,
+    kraus_per_branch: int = 1,
+    accept_kind: str | None = None,
+    with_listeners: bool = False,
+    pool: int | None = None,
+) -> Protocol:
+    """Random LOCC protocol for property sweeps.
+
+    Senders alternate randomly; instruments are random trace-preserving
+    splits; the accept rule is drawn among always / constant-per-leaf /
+    random POVM unless pinned by ``accept_kind``.  ``with_listeners``
+    additionally equips most rounds with a random local unitary on the
+    listening party's register.  Every seed draws its own instrument,
+    listener and POVM elements, unless ``pool`` is given: then each round
+    draws ``pool`` instruments and listeners, the rule ``pool`` elements,
+    and the seeds index into them at random, so that they share nodes.
+    """
+    count = n_seeds if pool is None else pool
+
+    def index(shape):
+        return None if pool is None else rng.integers(pool, size=shape)
+
+    def draw_round() -> Round:
+        party = ALICE if rng.random() < 0.5 else BOB
+        instruments = tuple(random_instrument(rng, n, kraus_per_branch) for _ in range(count))
+        listeners = None
+        if with_listeners and rng.random() < 0.7:
+            listeners = tuple(random_unitary(rng, 1 << n) for _ in range(count))
+        return Round(party, instruments, listeners, index(n_seeds), None if listeners is None else index(n_seeds))
+
+    rounds = tuple(draw_round() for _ in range(n_rounds))
+    kind = accept_kind or rng.choice(["always", "constant", "povm"])
+    if kind == "always":
+        accept: AcceptRule = AlwaysAccept()
+    elif kind == "constant":
+        accept = ConstantAccept(
+            values={
+                "".join(bits): float(rng.uniform())
+                for bits in itertools.product("01", repeat=n_rounds)
+            }
+        )
+    else:
+        # without a pool, one element per (seed, transcript), drawn in that order
+        shape = (n_seeds, 1 << n_rounds)
+        elements = tuple(random_povm_element(rng, 1 << n) for _ in range(math.prod(shape) if pool is None else pool))
+        accept = PovmAccept(elements, np.arange(len(elements)).reshape(shape) if pool is None else index(shape))
+    weights = rng.dirichlet(np.ones(n_seeds)) if n_seeds > 1 else np.array([1.0])
+    return Protocol(
+        n_pairs=n,
+        seed_weights=tuple(float(w) for w in weights),
+        rounds=rounds,
+        accept=accept,
+        output_pair=tuple(int(rng.integers(n)) for _ in range(n_seeds)),
+        name="random",
+    )

@@ -161,8 +161,10 @@ def error_model_from_json(doc: Any) -> ErrorModel:
     if not isinstance(doc, dict) or "model" not in doc:
         raise SpecParseError("error model: expected an object with a 'model' field")
     kind = doc["model"]
+    known = {"model"}
 
     def field(read, key, default=None):
+        known.add(key)
         return read(doc.get(key, default), f"model.{key}")
 
     if kind == "measure_r":
@@ -178,6 +180,9 @@ def error_model_from_json(doc: Any) -> ErrorModel:
         )
     else:
         raise SpecParseError(f"error model: unknown kind {kind!r}")
+    stray = [key for key in doc if key not in known]
+    if stray:
+        raise SpecParseError(f"error model ({kind}): unknown key {stray[0]!r}")
     try:
         return cls(*args)
     except ValueError as exc:

@@ -354,7 +354,7 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
             if depth == protocol.bits:
                 for case, level in enumerate((level1, level2)):
                     scores = locc._score_leaves(protocol, level)
-                    success[case] += scores.totals(weights[scores.leaves.seeds])[1]
+                    success[case] += scores.totals(weights[scores.leaves.seeds])[2]
             if depth == 0:
                 initial_ok &= all(
                     bool(np.abs(local / level.probabilities[:, None, None] - eye).max() <= 1e-10)

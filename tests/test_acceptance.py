@@ -43,11 +43,11 @@ from edplab.locc import (
     make_random_pair,
     make_simple_random_hash,
     protocol_fidelity,
-    random_protocol,
     run,
 )
 from edplab.optimize import AscentConfig
 from edplab.qcore import DensityMatrix, base_fidelity, epr_state
+from edplab.sampling import random_protocol
 from edplab.rng import substream
 
 

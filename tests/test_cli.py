@@ -676,6 +676,34 @@ def test_cli_depolarization_model_file_no_pairs_is_rejected_on_load(tmp_path, ca
     assert "error model (depolarization): need at least one pair, got n=0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("model", [
+    {"model": "measure_r", "n": 2, "r": 1},
+    {"model": "depolarization", "n": 2, "p": 0.2},
+    {"model": "fidelity", "n": 2, "epsilon": 0.2, "samples": 1, "seed": 3},
+])
+def test_cli_model_file_with_a_foreign_key_is_rejected(tmp_path, capsys, model):
+    spec = tmp_path / "rp.json"
+    assert main(["protocol", "--make", "random-pair", "--n", "2", "--out", str(spec)]) == 0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    assert main(["protocol", "--spec", str(spec), "--model-file", str(path), "--out", str(tmp_path / "a.json")]) == 0
+    path.write_text(json.dumps(model | {"colour": 1}))
+    capsys.readouterr()
+    assert main(["protocol", "--spec", str(spec), "--model-file", str(path), "--out", str(tmp_path / "b.json")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "'colour'" in err[0]
+    assert not (tmp_path / "b.json").exists()
+
+
+def test_cli_model_flags_the_kind_does_not_read_are_ignored(tmp_path):
+    spec = tmp_path / "rp.json"
+    assert main(["protocol", "--make", "random-pair", "--n", "2", "--out", str(spec)]) == 0
+    out = tmp_path / "eval.json"
+    assert main(["protocol", "--spec", str(spec), "--model", "measure-r", "--r", "1", "--p", "0.2",
+                 "--epsilon", "0.1", "--out", str(out)]) == 0
+    assert read_json(out)[0]["fidelity"] == pytest.approx(0.75, abs=1e-12)
+
+
 @pytest.mark.parametrize("maker", ["random-pair", "random-permutation"])
 def test_cli_protocol_make_no_pairs_is_parameter_error(tmp_path, maker):
     out = tmp_path / "spec.json"

@@ -374,6 +374,19 @@ def test_measure_r_model_states():
     assert sum(w for w, _ in mix) == pytest.approx(1.0)
 
 
+def test_measure_r_amplitudes_are_the_error_states_bit_for_bit():
+    for n in range(1, 6):
+        for r in range(n + 1):
+            model = MeasureRModel(n, r)
+            expected = [error_state(v).amplitudes for v in enumerate_indicators(n, r)]
+            amplitudes = model.amplitudes()
+            assert amplitudes.shape == (len(expected), 1 << n, 1 << n)
+            assert not amplitudes.flags.writeable
+            assert amplitudes.tobytes() == np.stack(expected).tobytes()
+            assert model.amplitudes(slice(1, 4)).tobytes() == amplitudes[1:4].tobytes()
+            assert [st.amplitudes.tobytes() for st in model.states()] == [a.tobytes() for a in expected]
+
+
 def test_fidelity_model_members_have_required_fidelity():
     model = FidelityModel(2, 0.2, samples=6, seed=9)
     states = model.states()

@@ -13,6 +13,7 @@ from edplab.errmodels import (
     extended_error_state,
     fidelity_witness,
 )
+from edplab import locc
 from edplab.locc import (
     PROB_TOL,
     AlwaysAccept,
@@ -30,7 +31,6 @@ from edplab.locc import (
     make_simple_random_hash,
     model_fidelities,
     protocol_fidelity,
-    random_protocol,
     run,
     walk,
 )
@@ -44,7 +44,7 @@ from edplab.qcore import (
     epr_state,
     tensor,
 )
-from edplab.sampling import random_density_matrix, random_kraus_channel
+from edplab.sampling import random_density_matrix, random_kraus_channel, random_protocol
 
 
 def measure_z_instrument(n: int, qubit: int) -> Instrument:
@@ -632,6 +632,31 @@ def test_deep_hash_fidelities_on_measure_r(s):
     assert cond == pytest.approx(0.5, abs=1e-12)
 
 
+@pytest.mark.parametrize("maker, n, s, r", [
+    (make_random_pair, 4, None, 2),
+    (make_simple_random_hash, 3, 2, 1),
+    (make_simple_random_hash, 4, 3, 2),
+    (make_simple_random_hash, 5, 1, 3),
+])
+def test_measure_r_blocks_equal_one_run_per_error_state(maker, n, s, r):
+    # a measure-r model's error states are walked in blocks of inputs; each
+    # input's outputs must be its own run's
+    proto = maker(n) if s is None else maker(n, s)
+    model = MeasureRModel(n, r)
+    blocks = list(locc._model_outputs(proto, model))
+    outputs = np.concatenate([out for out, _ in blocks])
+    conditionals = np.concatenate([cond for _, cond in blocks])
+    assert len(blocks) > 1 or n < 5
+    singles = [run(proto, state) for state in model.states()]
+    assert len(outputs) == len(singles)
+    for output, conditional, single in zip(outputs, conditionals, singles):
+        np.testing.assert_allclose(output, single.output.matrix, atol=1e-12)
+        np.testing.assert_allclose(conditional, single.conditional_output.matrix, atol=1e-12)
+    fid, cond = model_fidelities(proto, model)
+    assert fid == pytest.approx(min(base_fidelity(single.output) for single in singles), abs=1e-15)
+    assert cond == pytest.approx(min(base_fidelity(single.conditional_output) for single in singles), abs=1e-15)
+
+
 def test_deep_hash_is_ideal():
     assert ideal_success_probability(make_simple_random_hash(5, 3)) == pytest.approx(1.0, abs=1e-12)
 
@@ -677,8 +702,9 @@ def test_protocol_stacks_each_distinct_operator_once():
     for p in (proto, loaded):
         # one row per parity choice, not per seed
         assert [len(rnd.instruments) for rnd in p.rounds] == [8, 4, 2]
-        assert [rnd.kraus_stack.shape[:3] for rnd in p.rounds] == [(8, 2, 1), (4, 2, 1), (2, 2, 1)]
-        assert [rnd.listener_stack.shape[0] for rnd in p.rounds] == [8, 4, 2]
+        every = [np.arange(len(rnd.instruments)) for rnd in p.rounds]
+        assert [rnd.kraus_ops(e).shape[:3] for rnd, e in zip(p.rounds, every)] == [(8, 2, 1), (4, 2, 1), (2, 2, 1)]
+        assert [rnd.listener_ops(e).shape[0] for rnd, e in zip(p.rounds, every)] == [8, 4, 2]
         assert all(len(rnd.instrument_index) == len(rnd.listener_index) == 64 for rnd in p.rounds)
         assert len(p.accept.elements) == 8
     # a branch with fewer Kraus operators is padded with zero operators
@@ -686,15 +712,15 @@ def test_protocol_stacks_each_distinct_operator_once():
     k0, k1, k2 = random_kraus_channel(rng, 2, n_kraus=3)
     instrument = Instrument(branches=((k0,), (k1, k2)))
     proto = Protocol(1, (1.0,), (Round(ALICE, (instrument,)),), AlwaysAccept(), (0,))
-    ops = proto.rounds[0].kraus_stack
+    ops = proto.rounds[0].kraus_ops(np.array([0]))
     assert ops.shape == (1, 2, 2, 2, 2)
     np.testing.assert_array_equal(ops[0, 0, 1], 0.0)
     np.testing.assert_array_equal(ops[0, 1, 1], k2)
 
 
 def test_chunk_operators_equal_the_round_stacks():
-    # a merged level stacks each chunk's operators from the distinct
-    # instruments alone; they must equal the round-wide stacks' rows
+    # a walk stacks each batch's operators from the distinct instruments
+    # alone; they must equal the rows of the stack of every instrument
     rng = np.random.default_rng(12)
     k0, k1, k2 = random_kraus_channel(rng, 2, n_kraus=3)
     padded = Instrument(branches=((k0,), (k1, k2)))
@@ -705,18 +731,7 @@ def test_chunk_operators_equal_the_round_stacks():
     for rnd in rounds:
         count = len(rnd.instruments)
         for entries in (np.arange(count), np.arange(count)[::-1], np.array([1, 0, 1, 1, 0]) % count):
-            np.testing.assert_array_equal(rnd.kraus_ops(entries), rnd.kraus_stack[entries])
+            every = np.arange(count)
+            np.testing.assert_array_equal(rnd.kraus_ops(entries), rnd.kraus_ops(every)[entries])
             if rnd.listener_unitaries is not None:
-                np.testing.assert_array_equal(rnd.listener_ops(entries), rnd.listener_stack[entries])
-
-
-def test_merged_walk_builds_no_round_stacks():
-    # the round-wide stacks are a second copy of every operator: a run that
-    # merges its levels stacks each chunk's operators instead, while a walk
-    # row by row gathers from the stacks
-    proto = make_simple_random_hash(5, 1)
-    run(proto, MeasureRModel(5, 3).run_inputs()[0])
-    assert not {"kraus_stack", "listener_stack"} & set(vars(proto.rounds[0]))
-    walked = make_simple_random_hash(5, 1)
-    list(walk(walked, epr_state(5), np.array([0])))
-    assert {"kraus_stack", "listener_stack"} <= set(vars(walked.rounds[0]))
+                np.testing.assert_array_equal(rnd.listener_ops(entries), rnd.listener_ops(every)[entries])

@@ -29,8 +29,6 @@ from edplab.locc import (
     make_random_pair,
     make_random_permutation,
     make_simple_random_hash,
-    random_instrument,
-    random_protocol,
     run,
     walk,
 )
@@ -46,7 +44,7 @@ from edplab.qcore import (
     partial_trace,
 )
 from edplab.rng import substream
-from edplab.sampling import random_density_matrix, random_pure_state
+from edplab.sampling import random_density_matrix, random_instrument, random_protocol, random_pure_state
 
 
 def _embed(op: np.ndarray, party: str, n: int) -> np.ndarray:
@@ -293,6 +291,121 @@ def test_product_path_matches_dense_path(
     assert_walks_match(proto, state, state.to_density())
 
 
+# ---------------------------------------------------------------------------
+# pooled protocols: seeds share operators, so levels merge, and a small
+# budget cuts them
+
+
+def _random_input(gen, n, form):
+    if form == "pure":
+        return random_pure_state(gen, n, n)
+    if form == "product":
+        return ProductState(random_density_matrix(gen, n, 0), random_density_matrix(gen, 0, n))
+    return random_density_matrix(gen, n, n)
+
+
+def _merged(stats):
+    """Whether some round produced fewer class table rows than children."""
+    return any(r.distinct < 2 * r.expanded for r in stats.rounds)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    n_rounds=st.integers(1, 3),
+    pool=st.integers(1, 3),
+    n_seeds=st.integers(1, 64),
+    kraus_per_branch=st.integers(1, 2),
+    accept_kind=st.sampled_from(["always", "constant", "povm"]),
+    with_listeners=st.booleans(),
+    form=st.sampled_from(["pure", "product", "dense"]),
+    slack=st.integers(0, 4),
+)
+def test_pooled_protocols_that_merge_and_cut_match_oracle(
+    seed, n, n_rounds, pool, n_seeds, kraus_per_branch, accept_kind, with_listeners, form, slack
+):
+    # the root level applies at most pool**2 distinct (listener, instrument)
+    # triples, so a budget of 4 * pool**2 rows holds its table whole, and more
+    # than twice as many seeds as triples makes it merge; deeper levels, with
+    # more classes, are cut
+    n_seeds = max(n_seeds, 2 * pool**2 + 3)
+    gen = np.random.default_rng(seed)
+    proto = random_protocol(
+        gen, n, n_rounds, n_seeds=n_seeds, kraus_per_branch=kraus_per_branch,
+        accept_kind=accept_kind, with_listeners=with_listeners, pool=pool,
+    )
+    state = _random_input(gen, n, form)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locc, "FRONTIER_BUDGET_BYTES", (4 * pool**2 + slack) * locc._row_bytes(proto, state))
+        result = run(proto, state)
+    assert _merged(result.stats)
+    succ, out, cond = oracle(proto, state)
+    assert result.success_probability == pytest.approx(succ, abs=1e-10)
+    np.testing.assert_allclose(result.output.matrix, out, atol=1e-10)
+    if cond is None:
+        assert result.conditional_output is None
+    else:
+        np.testing.assert_allclose(result.conditional_output.matrix, cond, atol=1e-10)
+
+
+@pytest.mark.parametrize("form", ["pure", "product", "dense"])
+def test_pooled_protocol_levels_merge_and_cut(form):
+    gen = np.random.default_rng(83)
+    proto = random_protocol(gen, 2, 3, n_seeds=40, accept_kind="povm", with_listeners=True, pool=2)
+    state = _random_input(gen, 2, form)
+    reference = run(proto, state)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locc, "FRONTIER_BUDGET_BYTES", 16 * locc._row_bytes(proto, state))
+        chunked = run(proto, state)
+    assert _merged(chunked.stats) and chunked.stats.seed_blocks > 1
+    assert_run_matches(chunked, reference)
+    assert_matches_oracle(proto, state)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 2),
+    n_rounds=st.integers(0, 3),
+    pool=st.integers(1, 3),
+    n_seeds=st.integers(1, 16),
+    kraus_per_branch=st.integers(1, 2),
+    accept_kind=st.sampled_from(["always", "constant", "povm"]),
+    with_listeners=st.booleans(),
+    inputs=st.integers(1, 12),
+    budget_rows=st.integers(1, 64),
+)
+def test_a_block_of_pure_inputs_matches_one_run_per_input(
+    seed, n, n_rounds, pool, n_seeds, kraus_per_branch, accept_kind, with_listeners, inputs, budget_rows
+):
+    # a block's inputs are walked together and share classes, entries and
+    # cuts; each input's sums must be its own run's, and the oracle's
+    gen = np.random.default_rng(seed)
+    proto = random_protocol(
+        gen, n, n_rounds, n_seeds=n_seeds, kraus_per_branch=kraus_per_branch,
+        accept_kind=accept_kind, with_listeners=with_listeners, pool=pool,
+    )
+    states = [random_pure_state(gen, n, n) for _ in range(inputs)]
+    roots = frontier.Pure(np.stack([st.amplitudes.reshape(1 << n, 1 << n) for st in states]))
+    outputs, accepted, success = sums = locc._sums(inputs)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget_rows * locc._row_bytes(proto, states[0]))
+        locc._evaluate(proto, roots, np.ones(inputs), sums, locc._Meter(proto.bits))
+        singles = [run(proto, st) for st in states]
+    for state, single, output, post, p in zip(states, singles, outputs, accepted, success):
+        assert p == pytest.approx(single.success_probability, abs=1e-12)
+        np.testing.assert_allclose(output, single.output.matrix, atol=1e-12)
+        succ, out, cond = oracle(proto, state)
+        assert p == pytest.approx(succ, abs=1e-10)
+        np.testing.assert_allclose(output, out, atol=1e-10)
+        if single.conditional_output is None:
+            assert p <= PROB_TOL and cond is None
+        else:
+            np.testing.assert_allclose(post / p, single.conditional_output.matrix, atol=1e-12)
+            np.testing.assert_allclose(post / p, cond, atol=1e-10)
+
+
 def _workspace_channel(branch, sigma, n_workspace):
     """Tr_w sum_K K (sigma (x) |0><0|_w) K^dag, workspace as low qubits."""
     dw = 1 << n_workspace
@@ -465,7 +578,7 @@ def test_class_walk_rows_equal_per_seed_walks(monkeypatch, case):
         seeds = np.arange(proto.n_seeds)
         assert _by_depth(walk(proto, component, seeds)) == per_seed
         monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", _seed_bytes(proto, component)[0])
-        assert _by_depth(locc._walk(proto, component, seeds, cut=True)) == per_seed
+        assert _by_depth(locc._walk(proto, frontier.frontier_of(component, 1), seeds, cut=True)) == per_seed
         monkeypatch.undo()
 
 
@@ -523,7 +636,7 @@ def test_rows_differing_in_the_sign_of_zero_stay_apart():
 
 
 def test_class_table_hands_out_arrays_of_its_own_size():
-    # the table grows its store by doubling; the frontier it hands out holds
+    # the table grows its store by half; the frontier it hands out holds
     # the classes alone, in arrays of their own, so that a level's bytes are
     # what it keeps allocated
     gen = np.random.default_rng(3)

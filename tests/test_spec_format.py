@@ -22,12 +22,11 @@ from edplab.locc import (
     make_random_permutation,
     make_simple_random_hash,
     model_fidelities,
-    random_instrument,
-    random_protocol,
     run,
 )
 from edplab.qcore import ALICE, BOB, DensityMatrix, ProductState, epr_state
 from edplab.rng import substream
+from edplab.sampling import random_instrument, random_protocol
 from edplab.serialize import SpecParseError
 
 

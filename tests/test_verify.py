@@ -13,7 +13,6 @@ from edplab.locc import (
     Protocol,
     Round,
     make_simple_random_hash,
-    random_protocol,
     run,
 )
 from edplab.optimize import AscentConfig
@@ -33,6 +32,7 @@ from edplab.sampling import (
     random_density_matrix,
     random_kraus_channel,
     random_product_pure,
+    random_protocol,
     random_pure_state,
     random_separable_mixture,
 )
