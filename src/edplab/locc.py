@@ -43,12 +43,12 @@ all seeds of a block of a measure-r model's error states, with rows
 keyed by (input, seed, transcript); the block is cut at an (input,
 seed) boundary where a class table would pass the budget by more than
 its merges saved, or where a level expanded row by row would pass it;
-``seed_blocks`` cuts seeds into
-blocks sized in rows for the splitting tracker, whose paired walks must
-not be cut.  Instruments are given directly in Kraus form, which
-subsumes local ancillas; an instrument may additionally declare
-workspace qubits that are appended in |0> for its round and traced out
-afterwards (compiled into plain Kraus operators when it is built).
+``seed_blocks`` cuts seeds into blocks sized in rows for the splitting
+tracker, whose paired walks must not be cut.  Instruments are given
+directly in Kraus form, which subsumes local ancillas; an instrument may
+additionally declare workspace qubits that are appended in |0> for its
+round and traced out afterwards (compiled into plain Kraus operators
+when it is built).
 
 ``run`` is linear in its input and takes a weighted component list;
 each component keeps one representation through its whole tree, picked
@@ -755,7 +755,7 @@ def _output_pairs(protocol: Protocol, level: Level, pairs: np.ndarray, measure=N
     def evaluate(pair: int, rows) -> np.ndarray:
         blocks = []
         for chunk in np.split(every[rows], range(size, len(every[rows]), size)):
-            nodes = level.take(chunk).states()
+            nodes = level.take(chunk).states()  # the level itself when one chunk holds it
             blocks.append((nodes if measure is None else measure(chunk, nodes)).reduce_pair(protocol.n_pairs, pair))
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
@@ -778,9 +778,9 @@ class _Scores(NamedTuple):
     def totals(self, weights: np.ndarray, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, float]:
         """The entries that the leaves ``rows`` (all by default) reach with
         a weight, ascending; the leaves' ``weights`` summed per such entry;
-        and their weighted SUCC probability sum_t w_t p_t r_t.  Sums skip
-        the entries of other rows, which only leaves of other inputs of a
-        block reach, so an input's sums do not depend on its block."""
+        and their weighted SUCC probability sum_t w_t p_t r_t.  The sums
+        skip entries that only other rows reach (leaves of the other
+        inputs of a block), whose zeros would move their last bits."""
         summed = np.bincount(self.entries[rows], weights, minlength=len(self.scored))
         used = np.flatnonzero(summed)
         summed = summed[used]
@@ -1110,10 +1110,11 @@ def _evaluate(protocol: Protocol, roots: Frontier, weights, sums, meter: _Meter,
     block that the walk cuts at (input, seed) boundaries where a level
     would not fit (``_walk``), and add input i's output, accept-conditioned
     output and SUCC probability, weighted by ``weights[i]``, to row i of
-    ``sums`` (``_sums``).  Leaves are scored once per distinct entry across the
-    block's inputs (``_score_leaves``), and each input sums its leaves'
-    weights per entry.  ``records``, when given, gets the level rows that
-    ``RunResult.leaves`` is built from, under ``component``."""
+    ``sums`` (``_sums``).  Leaves are scored once per distinct entry
+    across the block's inputs (``_score_leaves``), and each input sums
+    its leaves' weights per entry.  ``records``, when given, gets the
+    level rows that ``RunResult.leaves`` is built from, under
+    ``component``."""
     n_seeds, (out, cond, success) = protocol.n_seeds, sums
     seed_weights = np.asarray(protocol.seed_weights)
     for level in meter.levels(_walk(protocol, roots, np.flatnonzero(seed_weights != 0.0), cut=True)):
@@ -1131,7 +1132,7 @@ def _evaluate(protocol: Protocol, roots: Frontier, weights, sums, meter: _Meter,
         reduced = _output_pairs(protocol, scored, scores.pairs)
         post = scores.accept[:, None, None] * reduced if scores.post is None else scores.post
         # rows run in input order: sum each input's leaves on their own
-        bounds = [0, *(np.flatnonzero(inputs[1:] != inputs[:-1]) + 1).tolist(), len(inputs)]
+        bounds = np.flatnonzero(np.diff(inputs, prepend=-1, append=-1)).tolist()
         for start, stop in zip(bounds, bounds[1:]):
             used, summed, succ = scores.totals(weight[start:stop], slice(start, stop))
             i = inputs[start]

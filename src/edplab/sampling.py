@@ -1,10 +1,11 @@
-"""Seeded samplers for states, channels, and unitaries.
+"""Seeded samplers for states, channels, unitaries and protocols.
 
-These feed the property sweeps, which also draw random protocols here;
-all take an explicit generator so runs are reproducible byte for byte.  Every complex Gaussian draw takes its
-real and imaginary parts from one ``standard_normal`` call, real parts
-first: a ``Generator`` fills one call of 2k numbers from the same stream
-as two calls of k, so the values are those of separate draws.
+These feed the property sweeps, which draw random protocols here too;
+all take an explicit generator so runs are reproducible byte for byte.
+Every complex Gaussian draw takes its real and imaginary parts from one
+``standard_normal`` call, real parts first: a ``Generator`` fills one
+call of 2k numbers from the same stream as two calls of k, so the
+values are those of separate draws.
 
 A sampler is a raw draw, ``rng.standard_normal((2,) + shape)``, plus a
 finisher that does the algebra on a stack of raw draws (m, 2, *shape)
