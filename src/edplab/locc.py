@@ -753,8 +753,9 @@ def _output_pairs(protocol: Protocol, level: Level, pairs: np.ndarray, measure=N
     every = np.arange(len(level))
 
     def evaluate(pair: int, rows) -> np.ndarray:
-        blocks = []
-        for chunk in np.split(every[rows], range(size, len(every[rows]), size)):
+        rows, blocks = every[rows], []
+        for start in range(0, len(rows), size):
+            chunk = rows[start : start + size]
             nodes = level.take(chunk).states()  # the level itself when one chunk holds it
             blocks.append((nodes if measure is None else measure(chunk, nodes)).reduce_pair(protocol.n_pairs, pair))
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
@@ -844,7 +845,7 @@ def _walk(protocol: Protocol, roots: Frontier, seeds: np.ndarray, cut: bool) -> 
     ``model_fidelities`` walk all seeds of their inputs this way."""
     seeds = np.asarray(seeds, dtype=np.intp)
     classes = np.repeat(np.arange(len(roots)), len(seeds))  # every seed's root is its input
-    keys = classes * protocol.n_seeds + np.tile(seeds, len(roots))
+    keys = (np.arange(len(roots))[:, None] * protocol.n_seeds + seeds).reshape(-1)
     level = Level(0, keys, np.zeros(len(keys), dtype=np.int64), classes, roots.norms()[classes], roots, len(seeds) <= 1)
     yield from _descend(protocol, level, cut)
 
@@ -1132,10 +1133,11 @@ def _evaluate(protocol: Protocol, roots: Frontier, weights, sums, meter: _Meter,
         reduced = _output_pairs(protocol, scored, scores.pairs)
         post = scores.accept[:, None, None] * reduced if scores.post is None else scores.post
         # rows run in input order: sum each input's leaves on their own
-        bounds = np.flatnonzero(np.diff(inputs, prepend=-1, append=-1)).tolist()
-        for start, stop in zip(bounds, bounds[1:]):
+        bounds = np.searchsorted(inputs, np.arange(len(weights) + 1)).tolist()
+        for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
+            if start == stop:
+                continue
             used, summed, succ = scores.totals(weight[start:stop], slice(start, stop))
-            i = inputs[start]
             out[i] += np.dot(summed, reduced.reshape(-1, 16)[used]).reshape(4, 4)
             cond[i] += np.dot(summed, post.reshape(-1, 16)[used]).reshape(4, 4)
             success[i] += succ
