@@ -646,7 +646,6 @@ def test_measure_r_blocks_equal_one_run_per_error_state(maker, n, s, r):
     blocks = list(locc._model_outputs(proto, model))
     outputs = np.concatenate([out for out, _ in blocks])
     conditionals = np.concatenate([cond for _, cond in blocks])
-    assert len(blocks) > 1 or n < 5
     singles = [run(proto, state) for state in model.states()]
     assert len(outputs) == len(singles)
     for output, conditional, single in zip(outputs, conditionals, singles):
