@@ -388,13 +388,19 @@ class MeasureRModel:
         if not 0 <= self.r <= self.n:
             raise ValueError(f"need 0 <= r <= n, got n={self.n}, r={self.r}")
 
+    def diagonals(self) -> np.ndarray:
+        """The diagonal of each error state's amplitude matrix, in
+        ``enumerate_indicators`` order: one read-only (states, 2^n) array
+        (``_error_diagonals``)."""
+        _check_capacity(2 * self.n)
+        return _error_diagonals(self.n, self.r)
+
     def amplitudes(self, inputs: slice = slice(None)) -> np.ndarray:
         """The amplitude matrices of the error states ``inputs`` (all by
         default), in ``enumerate_indicators`` order, rows indexing Alice's
         register: one read-only (states, 2^n, 2^n) array, built without a
-        loop per state.  Each is diagonal (``_error_diagonals``)."""
-        _check_capacity(2 * self.n)
-        diagonals = _error_diagonals(self.n, self.r)[inputs]
+        loop per state.  Each is diagonal (``diagonals``)."""
+        diagonals = self.diagonals()[inputs]
         amps = np.zeros((len(diagonals), 1 << self.n, 1 << self.n), dtype=np.complex128)
         every = np.arange(1 << self.n)
         amps[:, every, every] = diagonals

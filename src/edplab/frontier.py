@@ -1,14 +1,21 @@
 """Batched node states for the transcript-tree runner.
 
 A frontier holds the nodes of one level of the transcript trees of a
-block of seeds as arrays with a leading row axis, in one of three
-representations picked by the input's type: ``Pure`` amplitude
-matrices, ``Product`` local factors or ``Dense`` flat matrices (see
-``locc``).  ``apply`` takes per row a stack of operators of shape
+block of seeds as arrays with a leading row axis, in one of four
+representations picked by the input (see ``locc``): ``Sparse`` pure
+states whose amplitude matrices hold at most one nonzero per row,
+``Pure`` amplitude matrices, ``Product`` local factors or ``Dense`` flat
+matrices.  ``apply`` takes per row a stack of operators of shape
 (rows, branches, kraus, d, d), all on one party's register, and returns
 the children row by row, branch by branch: the child of row i and
 branch b is row i * branches + b.  A branch with fewer Kraus operators
-is padded with zero operators.
+is padded with zero operators.  ``Sparse.gather`` applies operators
+with at most one nonzero per row and per column (monomial: permutations
+times phases, and computational-basis projectors) by index gathers, from
+their ``Gathers`` tables; any other operator turns sparse nodes pure.
+The measure-r error states and the perfect block are sparse, and the
+CNOT permutations and basis projectors of the parity hash keep them so
+(the structure of stabilizer simulation, Aaronson & Gottesman 2004).
 
 A level holds each distinct node state once, in a ``ClassTable`` that
 merges rows by exact content: ``content_keys`` buckets rows by a float
@@ -24,10 +31,128 @@ from __future__ import annotations
 import functools
 import math
 import random
+from typing import NamedTuple
 
 import numpy as np
 
 from .qcore import ALICE, DensityMatrix, ProductState, PureState, pair_states
+
+
+class Gathers(NamedTuple):
+    """Index and phase tables of a stack of monomial operators, (..., d)
+    each, for the side they act on.  On Alice's side, row i of ``K psi``
+    is ``phase[i]`` times row ``index[i]`` of ``psi``; on Bob's side,
+    column c of ``psi K^T`` is ``phase[c]`` times column c of ``psi``,
+    moved to column ``index[c]``.  An operator row (Alice) or column
+    (Bob) without a nonzero has index 0 and phase 0."""
+
+    index: np.ndarray
+    phase: np.ndarray
+
+    def take(self, entries: np.ndarray) -> "Gathers":
+        return Gathers(self.index[entries], self.phase[entries])
+
+
+def gathers(ops: np.ndarray, party: str) -> Gathers | None:
+    """The ``Gathers`` of a stack of operators (..., d, d) on ``party``'s
+    register, read off their nonzero patterns; None unless every one is
+    monomial, at most one nonzero per row and per column."""
+    d = ops.shape[-1]
+    nonzero = ops != 0
+    axis = -1 if party == ALICE else -2
+    index = nonzero.argmax(axis=axis)
+    phase = np.take_along_axis(ops, np.expand_dims(index, axis), axis).squeeze(axis)
+    # monomial: the tables hold every nonzero, one per line, and no two lines
+    # of an operator share a target
+    hit = phase.reshape(-1) != 0
+    targets = (index.reshape(-1, d) + np.arange(0, index.size, d)[:, None]).reshape(-1)[hit]
+    if np.count_nonzero(hit) != np.count_nonzero(nonzero) or np.bincount(targets).max(initial=0) > 1:
+        return None
+    return Gathers(index, phase)
+
+
+class Sparse:
+    """Unnormalized pure states whose (dA, dB) amplitude matrices hold at
+    most one nonzero per row, as (rows, dA) amplitudes and (rows, dA)
+    column indexes.  A zero row holds column 0 and amplitude +0, so that
+    equal states hold equal bytes."""
+
+    kind = "sparse"
+
+    def __init__(self, amps: np.ndarray, cols: np.ndarray, db: int):
+        self.amps = amps
+        self.cols = cols
+        self.db = db
+
+    def __len__(self) -> int:
+        return self.amps.shape[0]
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.amps.shape[1], self.db
+
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        return (self.amps, self.cols)
+
+    def with_parts(self, amps: np.ndarray, cols: np.ndarray) -> "Sparse":
+        return Sparse(amps, cols, self.db)
+
+    @property
+    def nbytes(self) -> int:
+        return self.amps.nbytes + self.cols.nbytes
+
+    def take(self, rows) -> "Sparse":
+        return Sparse(self.amps[rows], self.cols[rows], self.db)
+
+    def apply(self, ops: np.ndarray, party: str) -> "Frontier":
+        """``Pure.apply``: operators given as matrices turn the nodes pure."""
+        return self.to_pure().apply(ops, party)
+
+    def gather(self, table: Gathers, party: str) -> "Sparse":
+        """The children under monomial operators given by their tables,
+        (rows, branches, d) each (``Gathers``), in ``apply``'s order."""
+        rows, branches, d = table.index.shape
+        if party == ALICE:
+            src = table.index + (np.arange(rows) * d)[:, None, None]
+            amps = self.amps.reshape(-1)[src] * table.phase
+            cols = self.cols.reshape(-1)[src]
+        else:
+            at = self.cols[:, None] + (np.arange(rows * branches) * d).reshape(rows, branches, 1)
+            cols = table.index.reshape(-1)[at]
+            amps = self.amps[:, None] * table.phase.reshape(-1)[at]
+        zero = amps == 0
+        amps[zero] = 0.0
+        cols[zero] = 0
+        da = self.amps.shape[1]
+        return Sparse(amps.reshape(-1, da), cols.reshape(-1, da), self.db)
+
+    def norms(self) -> np.ndarray:
+        return np.einsum("ra,ra->r", self.amps.conj(), self.amps).real
+
+    def reduce_pair(self, n: int, pair: int) -> np.ndarray:
+        return self.to_pure().reduce_pair(n, pair)
+
+    def local_states(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.to_pure().local_states()
+
+    def to_pure(self) -> "Pure":
+        rows, da = self.amps.shape
+        psi = np.zeros((rows * da, self.db), dtype=np.complex128)
+        psi[np.arange(rows * da), self.cols.reshape(-1)] = self.amps.reshape(-1)
+        return Pure(psi.reshape(rows, da, self.db))
+
+
+def _sparse_of(psi: np.ndarray) -> Sparse | None:
+    """Amplitude matrices (rows, dA, dB) as ``Sparse``; None when a row of
+    one holds two nonzeros."""
+    nonzero = psi != 0
+    if (nonzero.sum(axis=-1) > 1).any():
+        return None
+    cols = nonzero.argmax(axis=-1)
+    live = nonzero.any(axis=-1)
+    amps = np.where(live, np.take_along_axis(psi, cols[..., None], -1)[..., 0], 0.0)
+    return Sparse(amps, np.where(live, cols, 0), psi.shape[-1])
 
 
 class Pure:
@@ -40,6 +165,10 @@ class Pure:
 
     def __len__(self) -> int:
         return self.psi.shape[0]
+
+    @property
+    def dims(self) -> tuple[int, int]:
+        return self.psi.shape[1:]
 
     @property
     def parts(self) -> tuple[np.ndarray, ...]:
@@ -203,7 +332,7 @@ class Dense:
         return np.einsum("rabcb->rac", t), np.einsum("rabad->rbd", t)
 
 
-Frontier = Pure | Product | Dense
+Frontier = Sparse | Pure | Product | Dense
 
 
 def _sandwich_side(k: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -216,13 +345,19 @@ def _traces(mats: np.ndarray) -> np.ndarray:
 
 def frontier_of(state: PureState | ProductState | DensityMatrix, rows: int) -> Frontier:
     """``rows`` copies of the input; its type picks the representation of
-    its whole tree.  The copies are read-only views of one array."""
+    its tree: a pure state whose amplitude matrix holds at most one
+    nonzero per row is sparse.  The copies are read-only views of one
+    array."""
 
     def rows_of(arr: np.ndarray) -> np.ndarray:
         return np.broadcast_to(arr, (rows,) + arr.shape)
 
     if isinstance(state, PureState):
-        return Pure(rows_of(state.amplitudes.reshape(1 << state.n_alice, 1 << state.n_bob)))
+        psi = state.amplitudes.reshape(1, 1 << state.n_alice, 1 << state.n_bob)
+        sparse = _sparse_of(psi)
+        if sparse is not None:
+            return sparse.with_parts(*(rows_of(part[0]) for part in sparse.parts))
+        return Pure(rows_of(psi[0]))
     if isinstance(state, ProductState):
         return Product(rows_of(state.alice.matrix), rows_of(state.bob.matrix))
     return Dense(rows_of(state.matrix), 1 << state.n_alice, 1 << state.n_bob)
@@ -260,12 +395,14 @@ def grouped(keys: list, evaluate) -> np.ndarray:
     return out
 
 
-def child_row_bytes(nodes: Frontier, width: int) -> int:
+def child_row_bytes(nodes: Frontier, width: int, gathered: bool = True) -> int:
     """Bytes of one child of ``nodes`` under operator stacks with ``width``
-    Kraus slots: a multi-Kraus stack turns pure nodes dense."""
-    if isinstance(nodes, Pure) and width > 1:
-        _, da, db = nodes.psi.shape
-        return 16 * (da * db) ** 2
+    Kraus slots: a multi-Kraus stack turns pure and sparse nodes dense,
+    and operators not applied by gathers (``gathered`` false) turn sparse
+    nodes pure."""
+    if isinstance(nodes, (Pure, Sparse)) and (width > 1 or not gathered):
+        d = math.prod(nodes.dims)
+        return 16 * d * (d if width > 1 else 1)
     return sum(part.itemsize * math.prod(part.shape[1:]) for part in nodes.parts)
 
 
@@ -282,13 +419,22 @@ def content_keys(frontier: Frontier) -> np.ndarray:
     as float64, projected on a fixed random vector.  ``einsum`` computes
     each row's sum on its own, so equal rows get equal keys wherever
     they sit (a BLAS matrix-vector product does not guarantee that)."""
-    keys = [np.einsum("rw,w->r", words, _probe(words.shape[1])) for words in map(_words, frontier.parts)]
+    keys = [np.einsum("rw,w->r", words, _probe(words.shape[1])) for words in map(_key_words, frontier.parts)]
     return keys[0] if len(keys) == 1 else sum(keys)
 
 
 def _words(part: np.ndarray) -> np.ndarray:
     """The rows of ``part`` flattened to float64 words, (rows, words)."""
     return part.reshape(len(part), math.prod(part.shape[1:])).view(np.float64)
+
+
+def _key_words(part: np.ndarray) -> np.ndarray:
+    """``_words`` for the key; integer parts (sparse column indexes) by
+    value, since their words read as float64 are subnormal and would
+    vanish in the key's sum."""
+    if part.dtype.kind == "i":
+        return part.reshape(len(part), -1).astype(np.float64)
+    return _words(part)
 
 
 def _same(a: Frontier, rows_a: np.ndarray, b: Frontier, rows_b: np.ndarray) -> np.ndarray:

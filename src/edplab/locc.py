@@ -1,13 +1,11 @@
-"""Two-party LOCC protocol state machine.
+"""Two-party LOCC protocol state machine: the exact runner, its
+model-level figures of merit, and the four concrete protocols.
 
-A protocol is data: a shared-randomness distribution over seeds, an
-ordered list of rounds, an accept rule, and an output-pair designation.
-Each round names a sender and a two-branch quantum instrument on that
-party's register; the branch taken is the one classical bit sent that
-round, so the communication cost equals the number of rounds.  After
-the last round Alice declares SUCC or FAIL; the declaration is modeled
-as a per-leaf accept probability, either a constant or the expectation
-of a POVM element on her register (realized as the gentle sqrt(M)
+The protocol data model (``Instrument``, ``Round``, the accept rules and
+``Protocol``) lives in ``protocol`` and is re-exported here.  After the
+last round Alice declares SUCC or FAIL; the declaration is modeled as a
+per-leaf accept probability, either a constant or the expectation of a
+POVM element on her register (realized as the gentle sqrt(M)
 measurement), and is not counted as communication.
 
 Evaluation is exact: the full transcript tree is enumerated per seed,
@@ -22,22 +20,22 @@ yielded but not expanded.  Most rows of a hash protocol repeat: on a
 measure-r (5,2) input, hash (5,2) reaches about 28 distinct leaves from
 500 leaf rows on average.
 
-A protocol holds each operator once.  A round keeps its distinct
-instruments and listener unitaries plus per-seed index arrays, and a
-POVM accept rule its distinct elements plus a (seed, transcript) index;
-the shared-randomness seeds only index into them.  A level that passes
-``FRONTIER_BUDGET_BYTES`` when counted in rows, and whose nodes are
-shared, is merged: the round is applied once per distinct (parent
-class, listener, instrument) triple, in chunks of at most the budget of
-children, with each chunk's operators stacked from the distinct
-instruments (a branch with fewer Kraus operators is padded with zero
-operators), so a chunk is one batched matmul per operator slot; the
-children are merged into the next level's class table by exact content
-(``frontier.ClassTable``).  Any other level is expanded row by row, with
-the rows' operators stacked the same way, and each child is a class of
-its own: a level within the budget needs no table, and a level that
-shares no node is taken to have children that share none.  So a
-protocol without repeated nodes is walked row by row below its root.
+A protocol holds each operator once (``protocol``).  A level that passes
+``FRONTIER_BUDGET_BYTES`` when counted in rows (sparse rows counted as
+amplitude matrices, the form their leaves are scored in), and whose
+nodes are shared, is merged: the round is applied once per distinct
+(parent class, listener, instrument) triple, in chunks of at most the
+budget of children, with each chunk's operators stacked from the
+distinct instruments (a branch with fewer Kraus operators is padded
+with zero operators), so a chunk is one batched matmul per operator
+slot, or one index gather per operator on sparse nodes under monomial
+operators (``Round.gathers``); the children are merged into the next
+level's class table by exact content (``frontier.ClassTable``).  Any
+other level is expanded row by row, with the rows' operators stacked
+the same way, and each child is a class of its own: a level within the
+budget needs no table, and a level that shares no node is taken to have
+children that share none.  So a protocol without repeated nodes is
+walked row by row below its root.
 ``run`` walks all seeds of an input together, and ``model_fidelities``
 all seeds of a block of a measure-r model's error states, with rows
 keyed by (input, seed, transcript); the block is cut at an (input,
@@ -54,8 +52,13 @@ when it is built).
 each component keeps one representation through its whole tree, picked
 by its type:
 
-* ``PureState``: (rows, 2^n, 2^n) amplitude matrices, O(2^{3n}) per
-  node; a multi-Kraus round turns them dense;
+* ``PureState`` whose amplitude matrix holds at most one nonzero per
+  row (the measure-r error states, the perfect block): one column index
+  and one amplitude per row of Alice's register, O(2^n) per node;
+  monomial operators keep the form, any other operator turns the nodes
+  pure, and a multi-Kraus round dense;
+* any other ``PureState``: (rows, 2^n, 2^n) amplitude matrices,
+  O(2^{3n}) per node; a multi-Kraus round turns them dense;
 * ``ProductState``: the two local factors, O(2^{3n}) per node; every
   runner operation is one-sided, so the form is kept throughout;
 * ``DensityMatrix``: flat (rows, 4^n, 4^n) matrices, O(2^{5n}) per node.
@@ -66,14 +69,16 @@ scores them once per distinct (class, accept entry, output pair), taking
 r_t from one accept formula (``_accept``), the trace of the measured
 output-pair block.  A POVM rule measures the scored leaves in batched
 applies, each with its element's sqrt(M), which the rule computes once
-per distinct element.  Each input sums its leaves' weights per scored
-entry.  ``run``'s result keeps the entries' values and each leaf's
-entry, and builds the per-leaf records only when ``RunResult.leaves``
-is read.  It also reports, per round, the nodes expanded and pruned, the
-distinct children, the largest class table and the time taken
-(``RunResult.stats``).
+per distinct element, and by gathers where the leaves are sparse and
+the roots monomial (``PovmAccept.gathers``); only the rows passed to
+``reduce_pair`` are turned into amplitude matrices.  Each input sums
+its leaves' weights per scored entry.  ``run``'s result keeps the
+entries' values and each leaf's entry, and builds the per-leaf records
+only when ``RunResult.leaves`` is read.  It also reports, per round, the
+nodes expanded and pruned, the distinct children, the largest class
+table and the time taken (``RunResult.stats``).
 
-Fidelity-model evaluations use pure + product only: the canonical
+Fidelity-model evaluations use sparse + product only: the canonical
 witness reaches ``run`` as ``errmodels.fidelity_witness_components``.
 
 ``run`` is a pure function; independent runs may execute in parallel.
@@ -87,21 +92,24 @@ import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errmodels import ErrorModel, MeasureRModel, State, WeightedStates
-from .frontier import ClassTable, Frontier, Pure, child_row_bytes, frontier_of, grouped
-from .qcore import (
-    ALICE,
-    BOB,
-    DensityMatrix,
-    ProductState,
-    PureState,
-    hermitian_sqrt,
-    _check_capacity,
+from .frontier import ClassTable, Frontier, Gathers, Sparse, child_row_bytes, frontier_of, grouped
+from .protocol import (  # re-exported: the protocol data model
+    AcceptRule,
+    AlwaysAccept,
+    ConstantAccept,
+    Instrument,
+    PovmAccept,
+    Protocol,
+    Round,
+    _read_only,
+    _transcript,
 )
+from .qcore import ALICE, BOB, DensityMatrix, ProductState, PureState
 
 PROB_TOL = 1e-12
 
@@ -110,26 +118,9 @@ class ConditionalOutputUndefined(ValueError):
     """Raised when the total accept probability is zero."""
 
 
+
 # ---------------------------------------------------------------------------
 # building blocks
-
-
-def _read_only(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
-
-
-def _frozen(value) -> np.ndarray:
-    """A read-only complex copy of ``value``; a read-only complex array
-    that owns its data (a loaded spec's table entry) is shared instead."""
-    if (
-        isinstance(value, np.ndarray)
-        and value.dtype == np.complex128
-        and not value.flags.writeable
-        and value.flags.owndata
-    ):
-        return value
-    return _read_only(np.array(value, dtype=np.complex128))
 
 
 def _per_seed(entries: np.ndarray, seeds: np.ndarray) -> np.ndarray:
@@ -152,323 +143,6 @@ def _first_seen(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return first[order], rank[inverse]
-
-
-def _index(index, size: int, what: str, ndim: int = 1, low: int = 0) -> np.ndarray:
-    """A read-only integer array of ``ndim`` axes with entries in [low,
-    size); None gives 0, 1, ..., size - 1."""
-    arr = np.arange(size) if index is None else np.array(index)
-    if arr.ndim != ndim or arr.dtype.kind not in "iu" or not arr.size or not low <= arr.min() <= arr.max() < size:
-        raise ValueError(f"{what} must be a non-empty {ndim}-d integer array into {size} entries")
-    return _read_only(arr.astype(np.intp))
-
-
-@dataclass(frozen=True)
-class Instrument:
-    """Two-branch quantum instrument on one party's register.
-
-    ``branches[b]`` is the Kraus list realizing the completely positive
-    map for classical outcome bit ``b``; together the branches must be
-    trace preserving.  Kraus operators act on the party's protocol
-    qubits plus ``n_workspace`` fresh |0> qubits appended at the low
-    end of the register.
-
-    ``kraus[b]`` is the same map with the workspace compiled away: the
-    operators ``(I (x) <j|) K (I (x) |0>)`` on the protocol qubits, one
-    per Kraus operator K and workspace basis state j.  The runner uses
-    only ``kraus``.
-    """
-
-    branches: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]
-    n_workspace: int = 0
-    kraus: tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]] = field(
-        init=False, repr=False, compare=False
-    )
-
-    def __post_init__(self) -> None:
-        if len(self.branches) != 2:
-            raise ValueError("an instrument emits exactly one bit: two branches")
-        frozen = []
-        dim = None
-        for branch in self.branches:
-            ops = []
-            for k in branch:
-                arr = _frozen(k)
-                if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-                    raise ValueError("Kraus operators must be square")
-                if dim is None:
-                    dim = arr.shape[0]
-                elif arr.shape[0] != dim:
-                    raise ValueError("Kraus operators must share one dimension")
-                ops.append(arr)
-            frozen.append(tuple(ops))
-        if dim is None:
-            raise ValueError("instrument must contain at least one Kraus operator")
-        total = sum(
-            k.conj().T @ k for branch in frozen for k in branch
-        )
-        if not np.abs(total - np.eye(dim)).max() <= 1e-9:
-            raise ValueError("instrument branches are not trace preserving")
-        object.__setattr__(self, "branches", tuple(frozen))
-        # bound the shift first: a huge n_workspace would allocate a huge int
-        if not 0 <= self.n_workspace < dim.bit_length() or dim % (1 << self.n_workspace):
-            raise ValueError("instrument dimension must include its workspace qubits")
-        dw = 1 << self.n_workspace
-        if dw > 1:
-            d = dim // dw
-            frozen = [
-                tuple(
-                    _read_only(k.reshape(d, dw, d, dw)[:, j, :, 0].copy())
-                    for k in branch
-                    for j in range(dw)
-                )
-                for branch in frozen
-            ]
-        object.__setattr__(self, "kraus", tuple(frozen))
-
-    @property
-    def dim(self) -> int:
-        return self.branches[0][0].shape[0] if self.branches[0] else self.branches[1][0].shape[0]
-
-
-@dataclass(frozen=True)
-class Round:
-    """One communication round: ``party`` sends the instrument's bit.
-
-    ``instruments`` holds the round's distinct instruments and
-    ``instrument_index`` each seed's entry among them (one index entry
-    serves every seed); ``None`` gives one index entry per instrument, in
-    order.  The listening party may apply a local unitary in the same
-    round, held the same way (``listener_unitaries``,
-    ``listener_index``); local unitaries carry no communication.
-
-    ``kraus_ops`` and ``listener_ops`` stack the operators of given
-    entries from the instruments' own arrays: a walk stacks the
-    operators of each batch of rows, or of distinct triples, it applies.
-    """
-
-    party: str
-    instruments: tuple[Instrument, ...]
-    listener_unitaries: tuple[np.ndarray, ...] | None = None
-    instrument_index: np.ndarray | None = None
-    listener_index: np.ndarray | None = None
-
-    def __post_init__(self) -> None:
-        if self.party not in (ALICE, BOB):
-            raise ValueError(f"unknown party {self.party!r}")
-        instruments = tuple(self.instruments)
-        if not instruments:
-            raise ValueError("round needs at least one instrument")
-        index = _index(self.instrument_index, len(instruments), "instrument_index")
-        object.__setattr__(self, "instruments", instruments)
-        object.__setattr__(self, "instrument_index", index)
-        if self.listener_unitaries is None:
-            if self.listener_index is not None:
-                raise ValueError("listener_index needs listener_unitaries")
-            return
-        listeners = tuple(_frozen(u) for u in self.listener_unitaries)
-        for arr in listeners:
-            if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or not (
-                np.abs(arr @ arr.conj().T - np.eye(arr.shape[0])).max() <= 1e-9
-            ):
-                raise ValueError("listener operation must be unitary")
-        object.__setattr__(self, "listener_unitaries", listeners)
-        object.__setattr__(self, "listener_index", _index(self.listener_index, len(listeners), "listener_index"))
-
-    @functools.cached_property
-    def width(self) -> int:
-        """Kraus slots per branch: the most Kraus operators of any branch."""
-        return max(len(branch) for ins in self.instruments for branch in ins.kraus)
-
-    @functools.cached_property
-    def _slots(self) -> tuple[tuple[np.ndarray, ...], ...]:
-        """Per instrument, its Kraus operators branch by branch, each branch
-        padded to ``width`` with one shared zero operator: references, not
-        copies."""
-        d = self.instruments[0].dim >> self.instruments[0].n_workspace
-        zero = np.zeros((d, d), dtype=np.complex128)
-        return tuple(
-            tuple(k for branch in ins.kraus for k in branch + (zero,) * (self.width - len(branch)))
-            for ins in self.instruments
-        )
-
-    def kraus_ops(self, entries: np.ndarray) -> np.ndarray:
-        """(len(entries), 2 branches, width, d, d) Kraus operators of the
-        instruments ``entries``, stacked from their own arrays; a branch
-        with fewer Kraus operators is padded with zero operators."""
-        slots = self._slots
-        d = slots[0][0].shape[0]
-        stack = np.array([k for entry in entries.tolist() for k in slots[entry]], dtype=np.complex128)
-        return stack.reshape(len(entries), 2, self.width, d, d)
-
-    def listener_ops(self, entries: np.ndarray) -> np.ndarray:
-        """(len(entries), 1, 1, d, d) listener unitaries ``entries``."""
-        stack = np.array([self.listener_unitaries[entry] for entry in entries.tolist()], dtype=np.complex128)
-        return stack[:, None, None]
-
-    @property
-    def listener(self) -> str:
-        return BOB if self.party == ALICE else ALICE
-
-
-class AlwaysAccept:
-    """Alice declares SUCC on every leaf."""
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return "AlwaysAccept()"
-
-
-@dataclass(frozen=True)
-class ConstantAccept:
-    """Input-independent accept probability per transcript."""
-
-    values: float | Mapping[str, float]
-
-    def __post_init__(self) -> None:
-        scalar = isinstance(self.values, (int, float))
-        for r in (self.values,) if scalar else self.values.values():
-            if not 0.0 <= float(r) <= 1.0:
-                raise ValueError(f"accept probability {r} outside [0, 1]")
-
-    def probabilities(self, codes: np.ndarray) -> np.ndarray:
-        """The accept probability of each leaf, by transcript code."""
-        if isinstance(self.values, (int, float)):
-            return np.full(len(codes), float(self.values))
-        # ``Protocol`` checked one value per transcript, and equal-length
-        # binary strings sort in code order
-        return np.array([float(r) for _, r in sorted(self.values.items())])[codes]
-
-
-@dataclass(frozen=True)
-class PovmAccept:
-    """Accept via a POVM element on Alice's register per (seed, leaf).
-
-    ``elements`` holds the distinct elements and ``index[seed, code]``,
-    an (n_seeds, 2**bits) integer array, the element of the leaf whose
-    transcript has the binary digits of ``code``; -1 marks a leaf
-    without one, which ``Protocol`` rejects.  ``roots`` is sqrt(M) of
-    every element, computed on first use in one batched call.
-    """
-
-    elements: tuple[np.ndarray, ...]
-    index: np.ndarray
-
-    def __post_init__(self) -> None:
-        elements = tuple(_frozen(m) for m in self.elements)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "index", _index(self.index, len(elements), "POVM element index", ndim=2, low=-1))
-
-    @functools.cached_property
-    def roots(self) -> np.ndarray:
-        return hermitian_sqrt(np.stack(self.elements), floor=1e-9)
-
-
-AcceptRule = AlwaysAccept | ConstantAccept | PovmAccept
-
-
-@dataclass(frozen=True)
-class Protocol:
-    """LOCC entanglement-distillation protocol on ``n_pairs`` pairs.
-
-    Deterministic protocols are the special case of a point-mass seed
-    distribution.  ``output_pair`` designates which pair both parties
-    output, per seed (a length-1 tuple serves every seed).  Construction
-    checks everything ``run`` relies on: register sizes, per-seed
-    lengths, and exactly one accept value for every (seed, transcript)
-    of length ``bits``.
-    """
-
-    n_pairs: int
-    seed_weights: tuple[float, ...]
-    rounds: tuple[Round, ...]
-    accept: AcceptRule
-    output_pair: tuple[int, ...]
-    name: str = ""
-
-    def __post_init__(self) -> None:
-        if self.n_pairs < 1:
-            raise ValueError("need at least one pair")
-        _check_capacity(2 * self.n_pairs)
-        weights = tuple(float(w) for w in self.seed_weights)
-        if not weights:
-            raise ValueError("need at least one seed")
-        if not all(w >= 0 for w in weights) or not abs(sum(weights) - 1.0) <= 1e-9:
-            raise ValueError("seed weights must form a distribution")
-        pairs = tuple(int(j) for j in self.output_pair)
-
-        def check_per_seed(entries, what: str) -> None:
-            if len(entries) not in (1, len(weights)):
-                raise ValueError(f"{what} must have one entry or one per seed")
-
-        check_per_seed(pairs, "output_pair")
-        if any(not 0 <= j < self.n_pairs for j in pairs):
-            raise ValueError("output pair index out of range")
-        for rnd in self.rounds:
-            check_per_seed(rnd.instrument_index, "round instruments")
-            if rnd.listener_index is not None:
-                check_per_seed(rnd.listener_index, "listener unitaries")
-            for instrument in rnd.instruments:
-                if instrument.dim != 1 << (self.n_pairs + instrument.n_workspace):
-                    raise ValueError("instrument dimension does not match the party register")
-            for u in rnd.listener_unitaries or ():
-                if u.shape != (1 << self.n_pairs,) * 2:
-                    raise ValueError("listener unitary does not match the party register")
-        _check_accept(self.accept, self.n_pairs, len(weights), len(self.rounds))
-        object.__setattr__(self, "seed_weights", weights)
-        object.__setattr__(self, "rounds", tuple(self.rounds))
-        object.__setattr__(self, "output_pair", pairs)
-
-    @property
-    def bits(self) -> int:
-        """Classical communication cost: one bit per round."""
-        return len(self.rounds)
-
-    @property
-    def n_seeds(self) -> int:
-        return len(self.seed_weights)
-
-    @property
-    def deterministic(self) -> bool:
-        return self.n_seeds == 1
-
-    @property
-    def multi_kraus(self) -> bool:
-        """Whether a branch has several Kraus operators, which turns a
-        pure frontier dense."""
-        return any(rnd.width > 1 for rnd in self.rounds)
-
-
-def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
-    """Every leaf needs exactly one accept value, and every value must
-    name a leaf; POVM elements must be operators 0 <= M <= I on Alice's
-    register.  Missing values are reported first."""
-    if isinstance(rule, ConstantAccept) and not isinstance(rule.values, (int, float)):
-        transcripts = ["".join(t) for t in itertools.product("01", repeat=bits)]
-        missing = [t for t in transcripts if t not in rule.values]
-        if missing:
-            raise ValueError(f"accept rule has no value for transcript {missing[0]!r}")
-        known = set(transcripts)
-        stray = [t for t in rule.values if t not in known]
-        if stray:
-            raise ValueError(f"accept rule has a value for transcript {stray[0]!r}, which names no leaf")
-    if not isinstance(rule, PovmAccept):
-        return
-    if rule.index.shape != (n_seeds, 1 << bits):
-        raise ValueError(
-            f"accept rule needs a POVM element index of shape {(n_seeds, 1 << bits)}, not {rule.index.shape}"
-        )
-    missing = [(seed, _transcript(code, bits)) for seed, code in np.argwhere(rule.index < 0).tolist()]
-    if missing:
-        raise ValueError(f"accept rule has no POVM element for (seed, transcript) {missing[0]}")
-    dim = 1 << n
-    if any(m.shape != (dim, dim) for m in rule.elements):
-        raise ValueError("accept POVM elements must act on Alice's register")
-    stack = np.stack(rule.elements)
-    if not np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= 1e-9:
-        raise ValueError("accept POVM elements must be Hermitian")
-    eig = np.linalg.eigvalsh(stack)
-    if not (eig.min() >= -1e-9 and eig.max() <= 1.0 + 1e-9):
-        raise ValueError("accept POVM elements must satisfy 0 <= M <= I")
 
 
 # ---------------------------------------------------------------------------
@@ -500,8 +174,10 @@ class RunStats(NamedTuple):
     """Where a run spent its work.
 
     ``representations`` names each input component's frontier form:
-    ``pure``, ``product`` or ``dense``, or ``pure->dense`` when a
-    multi-Kraus round turned a pure component dense.
+    ``sparse``, ``pure``, ``product`` or ``dense``; or ``sparse->pure``
+    when a round of operators that are not monomial turned a sparse
+    component pure, and ``sparse->dense`` or ``pure->dense`` when a
+    multi-Kraus round turned it dense.
     """
 
     representations: tuple[str, ...]
@@ -585,7 +261,9 @@ FRONTIER_BUDGET_BYTES = 1 << 17
 
 def _row_bytes(protocol: "Protocol", state: State | ProductState) -> int:
     """Bytes of one node of ``state``'s frontier below the root."""
-    return child_row_bytes(frontier_of(state, 1), 2 if protocol.multi_kraus else 1)
+    nodes = frontier_of(state, 1)
+    gathered = isinstance(nodes, Sparse) and all(rnd.gathers is not None for rnd in protocol.rounds)
+    return child_row_bytes(nodes, 2 if protocol.multi_kraus else 1, gathered)
 
 
 def seed_blocks(protocol: "Protocol", states, seeds: np.ndarray) -> list[np.ndarray]:
@@ -605,10 +283,6 @@ def seed_blocks(protocol: "Protocol", states, seeds: np.ndarray) -> list[np.ndar
 
 # ---------------------------------------------------------------------------
 # the exact runner
-
-
-def _transcript(code: int, depth: int) -> str:
-    return format(code, f"0{depth}b") if depth else ""
 
 
 class Level:
@@ -733,9 +407,12 @@ def _accept(protocol: Protocol, leaves: Level, pairs: np.ndarray) -> tuple[np.nd
     if isinstance(rule, ConstantAccept):
         return rule.probabilities(leaves.codes), None
     elements = rule.index[leaves.seeds % protocol.n_seeds, leaves.codes]
-    post = _output_pairs(
-        protocol, leaves, pairs, lambda rows, nodes: nodes.apply(rule.roots[elements[rows]][:, None, None], ALICE)
-    )
+
+    def measure(rows: np.ndarray, nodes: Frontier) -> Frontier:
+        table = rule.gathers if isinstance(nodes, Sparse) else None
+        return _apply(nodes, table, elements[rows], lambda entries: rule.roots[entries][:, None, None], ALICE)
+
+    post = _output_pairs(protocol, leaves, pairs, measure)
     r_joint = np.trace(post, axis1=1, axis2=2).real  # p_t * r_t
     kept = r_joint >= PROB_TOL
     post[~kept] = 0.0
@@ -747,9 +424,10 @@ def _output_pairs(protocol: Protocol, level: Level, pairs: np.ndarray, measure=N
     whose output pairs are ``pairs``, each row's state first replaced by
     ``measure(rows, states)`` when given.  The rows of each output pair
     are taken from the class table in chunks whose states take at most
-    ``FRONTIER_BUDGET_BYTES`` (one row at least): a leaf level merged by
+    ``FRONTIER_BUDGET_BYTES`` (one row at least) in the form that
+    ``reduce_pair`` takes, pure for sparse rows: a leaf level merged by
     content may hold more than the budget."""
-    size = max(1, FRONTIER_BUDGET_BYTES // child_row_bytes(level.frontier, 1))
+    size = max(1, FRONTIER_BUDGET_BYTES // child_row_bytes(level.frontier, 1, gathered=False))
     every = np.arange(len(level))
 
     def evaluate(pair: int, rows) -> np.ndarray:
@@ -856,7 +534,9 @@ def _descend(protocol: Protocol, level: Level, cut: bool) -> Iterator[Level]:
 
     Whether a level is merged is decided once for the level, before any
     cut: where the level, counted in rows, would pass
-    ``FRONTIER_BUDGET_BYTES`` and its parents share a node, each distinct
+    ``FRONTIER_BUDGET_BYTES`` (sparse rows counted as amplitude matrices,
+    since their leaves are scored as such) and its parents share a node,
+    each distinct
     (parent class, listener, instrument) triple is applied once and the
     children are merged by content into a class table
     (``_merged_children``).  Otherwise the level is expanded row by row,
@@ -872,8 +552,10 @@ def _descend(protocol: Protocol, level: Level, cut: bool) -> Iterator[Level]:
         return
     rnd = protocol.rounds[level.depth]
     parents = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
-    row_bytes = child_row_bytes(parents.frontier, rnd.width)
-    by_rows = parents.apart or 2 * len(parents) * row_bytes <= FRONTIER_BUDGET_BYTES
+    gathered = isinstance(parents.frontier, Sparse) and rnd.gathers is not None
+    row_bytes = child_row_bytes(parents.frontier, rnd.width, gathered)
+    pure_bytes = child_row_bytes(parents.frontier, rnd.width, gathered=False)
+    by_rows = parents.apart or 2 * len(parents) * pure_bytes <= FRONTIER_BUDGET_BYTES
     leaves = level.depth + 1 == protocol.bits
     del level
     while parents is not None:
@@ -912,11 +594,23 @@ class _Ops(NamedTuple):
 
     def apply(self, nodes: Frontier, entries: slice) -> Frontier:
         """The children of ``nodes``, whose operators are ``entries``: the
-        listener unitary, then the instrument, stacked for these entries."""
+        listener unitary, then the instrument, stacked for these entries,
+        or gathered from their tables (``_apply``)."""
         rnd = self.rnd
+        listeners, instruments = (rnd.gathers if isinstance(nodes, Sparse) else None) or (None, None)
         if self.listeners is not None:
-            nodes = nodes.apply(rnd.listener_ops(self.listeners[entries]), rnd.listener)
-        return nodes.apply(rnd.kraus_ops(self.instruments[entries]), rnd.party)
+            nodes = _apply(nodes, listeners, self.listeners[entries], rnd.listener_ops, rnd.listener)
+        return _apply(nodes, instruments, self.instruments[entries], rnd.kraus_ops, rnd.party)
+
+
+def _apply(nodes: Frontier, table: Gathers | None, entries: np.ndarray, stack, party: str) -> Frontier:
+    """``nodes`` under the operators ``entries`` on ``party``'s register:
+    by index gathers from ``table``, the operators' tables when the nodes
+    are sparse and the operators monomial (else None), or as matrices
+    stacked by ``stack(entries)``, which turns sparse nodes pure."""
+    if table is not None and isinstance(nodes, Sparse):
+        return nodes.gather(table.take(entries), party)
+    return nodes.apply(stack(entries), party)
 
 
 def _child_level(parents: Level, classes: np.ndarray | None, frontier: Frontier) -> Level:
@@ -1194,7 +888,7 @@ def model_fidelities(protocol: Protocol, model: ErrorModel) -> tuple[float, floa
     """Minimum output fidelity and minimum conditional-output fidelity
     over the model's evaluated states.
 
-    A measure-r model's error states (``MeasureRModel.amplitudes``) are
+    A measure-r model's error states (``MeasureRModel.diagonals``) are
     evaluated in blocks of inputs whose root stack fits
     ``FRONTIER_BUDGET_BYTES``: each block is walked once, with rows keyed
     by (input, seed, transcript), and its leaves are scored once per
@@ -1225,10 +919,14 @@ def _model_outputs(protocol: Protocol, model: ErrorModel) -> Iterator[tuple[np.n
             cond = result.conditional_output
             yield result.output.matrix[None], None if cond is None else cond.matrix[None]
         return
-    count = math.comb(model.n, model.r) << model.r  # error states, one per indicator vector
+    if model.n != protocol.n_pairs:
+        raise ValueError(f"input must live on {protocol.n_pairs} pairs, got ({model.n}, {model.n})")
+    diagonals = model.diagonals()  # one per error state: the states are sparse
+    every = np.arange(1 << model.n)
     size = max(1, FRONTIER_BUDGET_BYTES >> (2 * model.n + 4))  # inputs of 2^n x 2^n complex amplitudes
-    for start in range(0, count, size):
-        roots = Pure(model.amplitudes(slice(start, start + size)))
+    for start in range(0, len(diagonals), size):
+        block = diagonals[start : start + size]
+        roots = Sparse(block.astype(np.complex128), np.where(block != 0, every, 0), 1 << model.n)
         out, cond, success = sums = _sums(len(roots))
         _evaluate(protocol, roots, np.ones(len(roots)), sums, _Meter(protocol.bits))
         yield out, cond / success[:, None, None] if (success > PROB_TOL).all() else None

@@ -44,7 +44,7 @@ from edplab.qcore import (
     epr_state,
     tensor,
 )
-from edplab.sampling import random_density_matrix, random_kraus_channel, random_protocol
+from edplab.sampling import random_density_matrix, random_kraus_channel, random_protocol, random_pure_state
 
 
 def measure_z_instrument(n: int, qubit: int) -> Instrument:
@@ -583,13 +583,14 @@ def test_povm_accept_keeps_a_read_only_copy_of_each_shared_element():
 def test_run_stats_count_each_round():
     proto = make_simple_random_hash(3, 2)
     # definite bits on both check pairs make some round-0 outcomes impossible
-    pure = error_state(IndicatorVector.from_string("*00"))
+    sparse = error_state(IndicatorVector.from_string("*00"))
+    pure = random_pure_state(np.random.default_rng(5), 3, 3)  # dense amplitudes
     product = ProductState.maximally_mixed(3, 3)
-    stats = run(proto, [(0.5, pure), (0.5, product)]).stats
-    assert stats.representations == ("pure", "product")
-    assert stats.seed_blocks == 2
+    stats = run(proto, [(0.25, sparse), (0.25, pure), (0.5, product)]).stats
+    assert stats.representations == ("sparse", "pure", "product")
+    assert stats.seed_blocks == 3
     assert len(stats.rounds) == proto.bits
-    levels = [list(walk(proto, state, np.arange(proto.n_seeds))) for state in (pure, product)]
+    levels = [list(walk(proto, state, np.arange(proto.n_seeds))) for state in (sparse, pure, product)]
     for depth, rnd in enumerate(stats.rounds):
         parents = [comp[depth].probabilities for comp in levels]
         assert rnd.expanded == sum(int((p >= PROB_TOL).sum()) for p in parents)
@@ -598,6 +599,19 @@ def test_run_stats_count_each_round():
         assert rnd.seconds >= 0.0
     assert sum(r.pruned for r in stats.rounds) > 0
     assert stats.peak_frontier_bytes == max(r.frontier_bytes for r in stats.rounds)
+
+
+def test_hash_5_2_walks_every_measure_r_5_2_input_in_one_block():
+    # sparse nodes are small enough that each input's depth-2 level, merged,
+    # fits the budget whole: the cut no longer falls before the sharing of
+    # later seeds shows (two inputs were cut into 52 and 53 blocks)
+    proto = make_simple_random_hash(5, 2)
+    assert [run(proto, st).stats.seed_blocks for st in MeasureRModel(5, 2).run_inputs()] == [1] * 40
+
+
+def test_model_fidelities_reject_a_model_on_other_pairs():
+    with pytest.raises(ValueError, match="must live on 3 pairs"):
+        model_fidelities(make_simple_random_hash(3, 1), MeasureRModel(2, 1))
 
 
 def test_run_stats_count_distinct_children():
@@ -689,8 +703,9 @@ def test_leaf_records_are_built_on_read_in_seed_order():
 def test_run_stats_name_a_pure_component_that_turns_dense():
     rng = np.random.default_rng(12)
     proto = random_protocol(rng, 1, 2, kraus_per_branch=2)
-    result = run(proto, [(0.5, bell_state("phi+")), (0.5, random_density_matrix(rng, 1, 1))])
-    assert result.stats.representations == ("pure->dense", "dense")
+    components = [bell_state("phi+"), random_pure_state(rng, 1, 1), random_density_matrix(rng, 1, 1)]
+    result = run(proto, [(0.25, components[0]), (0.25, components[1]), (0.5, components[2])])
+    assert result.stats.representations == ("sparse->dense", "pure->dense", "dense")
 
 
 def test_protocol_stacks_each_distinct_operator_once():

@@ -757,10 +757,190 @@ def test_accept_roots_are_computed_once_per_distinct_element(monkeypatch):
         calls.append(len(m))
         return hermitian_sqrt(m, *args, **kwargs)
 
-    monkeypatch.setattr(locc, "hermitian_sqrt", counting)
+    monkeypatch.setattr("edplab.protocol.hermitian_sqrt", counting)
     proto = make_simple_random_hash(3, 2)
     dense = random_density_matrix(np.random.default_rng(2), 3, 3)
     for state in (epr_state(3), ProductState.maximally_mixed(3, 3), dense):
         run(proto, state)
     verify.verify_splitting(proto)
     assert calls == [len(proto.accept.elements)]
+
+
+# ---------------------------------------------------------------------------
+# sparse pure nodes under monomial operators, against pure nodes and the oracle
+
+_PHASES = np.array([1.0, -1.0, 1.0j, -1.0j])
+
+
+def _monomial_unitary(gen, n):
+    """A permutation matrix times phases in {1, -1, i, -i}."""
+    d = 1 << n
+    op = np.zeros((d, d), dtype=np.complex128)
+    op[np.arange(d), gen.permutation(d)] = _PHASES[gen.integers(4, size=d)]
+    return op
+
+
+def _monomial_instrument(gen, n, kraus_per_branch=1):
+    """A computational-basis split (P, I - P) after a monomial unitary; with
+    two Kraus operators per branch, each projector is split in two."""
+    d = 1 << n
+    u = _monomial_unitary(gen, n)
+    side = gen.integers(2 * kraus_per_branch, size=d)
+    kraus = [np.diag((side == k).astype(np.complex128)) @ u for k in range(2 * kraus_per_branch)]
+    return Instrument(branches=(tuple(kraus[:kraus_per_branch]), tuple(kraus[kraus_per_branch:])))
+
+
+def _monomial_protocol(gen, n, n_rounds, n_seeds, pool, accept_kind, with_listeners, breaker):
+    """A pooled protocol of monomial operators, its seeds indexing at random
+    into ``pool`` instruments and listeners per round; ``breaker`` swaps one
+    round's first instrument for one that is not monomial (``unitary``) or
+    that has two Kraus operators per branch (``kraus``)."""
+    broken = int(gen.integers(n_rounds)) if breaker else -1
+    rounds = []
+    for k in range(n_rounds):
+        instruments = [_monomial_instrument(gen, n) for _ in range(pool)]
+        if k == broken:
+            instruments[0] = random_instrument(gen, n) if breaker == "unitary" else _monomial_instrument(gen, n, 2)
+        listeners = tuple(_monomial_unitary(gen, n) for _ in range(pool)) if with_listeners else None
+        party = ALICE if gen.random() < 0.5 else BOB
+        rounds.append(Round(party, tuple(instruments), listeners, gen.integers(pool, size=n_seeds),
+                            None if listeners is None else gen.integers(pool, size=n_seeds)))
+    if accept_kind == "always":
+        accept = AlwaysAccept()
+    elif accept_kind == "constant":
+        accept = ConstantAccept(float(gen.uniform()))
+    else:  # basis projectors, whose square roots are monomial
+        d = 1 << n
+        elements = tuple(np.diag((gen.random(d) < 0.5).astype(np.complex128)) for _ in range(pool))
+        accept = PovmAccept(elements, gen.integers(pool, size=(n_seeds, 1 << n_rounds)))
+    weights = gen.dirichlet(np.ones(n_seeds))
+    return Protocol(n, tuple(weights.tolist()), tuple(rounds), accept, tuple(gen.integers(n, size=n_seeds).tolist()))
+
+
+def _sparse_input(gen, n):
+    """A random pure state with at most one nonzero amplitude per row of
+    Alice's register, and at least one zero row when n > 1."""
+    d = 1 << n
+    psi = np.zeros((d, d), dtype=np.complex128)
+    live = gen.random(d) < 0.7
+    live[0] = True
+    live[-1] &= d == 2
+    psi[np.arange(d), gen.integers(d, size=d)] = np.where(live, gen.normal(size=d) + 1j * gen.normal(size=d), 0.0)
+    return PureState(n, n, (psi / np.linalg.norm(psi)).reshape(-1))
+
+
+def _forced_pure(state):
+    """``locc.frontier_of`` that gives a pure state dense amplitudes."""
+    real = locc.frontier_of
+
+    def frontier_of(st, rows):
+        if st is not state:
+            return real(st, rows)
+        psi = st.amplitudes.reshape(1 << st.n_alice, 1 << st.n_bob)
+        return frontier.Pure(np.broadcast_to(psi, (rows,) + psi.shape))
+
+    return frontier_of
+
+
+def _amplitudes(nodes):
+    """The rows of a frontier in a form to compare: amplitude matrices for
+    sparse and pure nodes, matrices for dense ones."""
+    if isinstance(nodes, frontier.Sparse):
+        nodes = nodes.to_pure()
+    return nodes.psi if isinstance(nodes, frontier.Pure) else nodes.rho
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 3),
+    n_rounds=st.integers(1, 3),
+    pool=st.integers(1, 3),
+    n_seeds=st.integers(1, 40),
+    accept_kind=st.sampled_from(["always", "constant", "povm"]),
+    with_listeners=st.booleans(),
+    breaker=st.sampled_from([None, None, "unitary", "kraus"]),
+    slack=st.integers(0, 4),
+)
+def test_sparse_walks_equal_pure_walks_and_the_oracle(
+    seed, n, n_rounds, pool, n_seeds, accept_kind, with_listeners, breaker, slack
+):
+    # gathers must give the matmul's states and probabilities bit for bit;
+    # under budgets of the same number of rows, a sparse run takes the pure
+    # run's blocks and classes, and then its results are the pure run's bit
+    # for bit, except that it merges states that pure nodes keep apart by
+    # the sign of a zero (a zero row is canonical), which moves its sums in
+    # the last bits
+    n_seeds = max(n_seeds, 2 * pool**2 + 3)
+    gen = np.random.default_rng(seed)
+    proto = _monomial_protocol(gen, n, n_rounds, n_seeds, pool, accept_kind, with_listeners, breaker)
+    state = _sparse_input(gen, n)
+    seeds = np.arange(n_seeds)
+    results, levels = [], []
+    for force in (False, True):
+        with pytest.MonkeyPatch.context() as patch:
+            if force:
+                patch.setattr(locc, "frontier_of", _forced_pure(state))
+            patch.setattr(locc, "FRONTIER_BUDGET_BYTES", (4 * pool**2 + slack) * locc._row_bytes(proto, state))
+            results.append(run(proto, state))
+            levels.append(list(walk(proto, state, seeds)))
+    sparse, pure = results
+    dense = breaker is not None and breaker == "kraus"
+    assert sparse.stats.representations == ("sparse->dense" if dense else "sparse->pure" if breaker else "sparse",)
+    assert pure.stats.representations == ("pure->dense" if dense else "pure",)
+    for level_s, level_p in zip(*levels, strict=True):
+        assert np.array_equal(level_s.seeds, level_p.seeds) and np.array_equal(level_s.codes, level_p.codes)
+        assert level_s.probabilities.tobytes() == level_p.probabilities.tobytes()
+        assert np.array_equal(_amplitudes(level_s.states()), _amplitudes(level_p.states()))
+    assert_run_matches(sparse, pure)
+    if breaker is None:
+        assert _merged(sparse.stats)
+    if [r.distinct for r in sparse.stats.rounds] == [r.distinct for r in pure.stats.rounds] and breaker is None:
+        assert sparse.success_probability == pure.success_probability
+        assert np.array_equal(sparse.output.matrix, pure.output.matrix)
+        if pure.conditional_output is None:
+            assert sparse.conditional_output is None
+        else:
+            assert np.array_equal(sparse.conditional_output.matrix, pure.conditional_output.matrix)
+        assert _records(sparse) == _records(pure)
+    succ, out, cond = oracle(proto, state)
+    assert sparse.success_probability == pytest.approx(succ, abs=1e-10)
+    np.testing.assert_allclose(sparse.output.matrix, out, atol=1e-10)
+    if cond is None:
+        assert sparse.conditional_output is None
+    else:
+        np.testing.assert_allclose(sparse.conditional_output.matrix, cond, atol=1e-10)
+
+
+def test_pure_input_with_two_nonzeros_in_a_row_is_walked_pure():
+    psi = np.zeros((4, 4), dtype=np.complex128)
+    psi[0, 0] = psi[1, 2] = psi[2, 1] = psi[3, 3] = 0.5
+    assert isinstance(frontier.frontier_of(PureState(2, 2, psi.reshape(-1)), 1), frontier.Sparse)
+    psi[1, 1] = psi[1, 2] = 0.5**1.5  # row 1 now holds two nonzeros
+    state = PureState(2, 2, psi.reshape(-1))
+    assert isinstance(frontier.frontier_of(state, 1), frontier.Pure)
+    proto = make_simple_random_hash(2, 1)
+    assert run(proto, state).stats.representations == ("pure",)
+    assert_matches_oracle(proto, state)
+
+
+def test_zero_rows_are_canonical_so_equal_states_merge():
+    # two states that differ only in rows that a projector on Alice's
+    # register zeroes, one of them by a phase -1 on a zero row: their
+    # children hold the same bytes and merge into one class
+    amps = np.array([[0.6, 0.8, 0.0, 0.0], [0.6, -0.8j, 0.0, 0.0]], dtype=np.complex128)
+    cols = np.array([[1, 2, 0, 0], [1, 3, 0, 0]])
+    nodes = frontier.Sparse(amps, cols, 4)
+    projector = np.diag([-1.0, 0.0, -1.0, 0.0]).astype(np.complex128)
+    table = frontier.gathers(projector[None, None], ALICE)
+    children = nodes.gather(table.take(np.zeros(2, dtype=np.intp)), ALICE)
+    assert children.amps.tobytes() == np.array([[-0.6, 0, 0, 0]] * 2, dtype=np.complex128).tobytes()
+    assert children.cols.tolist() == [[1, 0, 0, 0]] * 2
+    assert frontier.ClassTable().add(children).tolist() == [0, 0]
+    # the gather is the matmul, and so is Bob's side
+    psi = nodes.to_pure().psi
+    assert np.array_equal(children.to_pure().psi, projector @ psi)
+    bob = _monomial_unitary(np.random.default_rng(4), 2)
+    gathered = nodes.gather(frontier.gathers(bob[None, None], BOB).take(np.zeros(2, dtype=np.intp)), BOB)
+    assert np.array_equal(gathered.to_pure().psi, psi @ bob.T)
+    assert frontier.gathers(random_instrument(np.random.default_rng(4), 2).kraus[0][0][None, None], ALICE) is None

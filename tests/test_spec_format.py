@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from edplab import locc, serialize
+from edplab import locc, qcore, serialize
 from edplab.cli import main
 from edplab.errmodels import MeasureRModel
 from edplab.locc import (
@@ -238,8 +238,8 @@ def test_table_entries_load_as_one_shared_read_only_array():
 
 def test_povm_square_root_once_per_distinct_element(monkeypatch):
     calls = []
-    real = locc.hermitian_sqrt
-    monkeypatch.setattr(locc, "hermitian_sqrt", lambda m, **kw: calls.append(id(m)) or real(m, **kw))
+    real = qcore.hermitian_sqrt
+    monkeypatch.setattr("edplab.protocol.hermitian_sqrt", lambda m, **kw: calls.append(id(m)) or real(m, **kw))
     proto = make_simple_random_hash(4, 3)
     state = ProductState.maximally_mixed(4, 4)  # reaches every leaf
     for p in (proto, _through_text(proto)):
