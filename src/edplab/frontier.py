@@ -57,18 +57,22 @@ def gathers(ops: np.ndarray, party: str) -> Gathers | None:
     """The ``Gathers`` of a stack of operators (..., d, d) on ``party``'s
     register, read off their nonzero patterns; None unless every one is
     monomial, at most one nonzero per row and per column."""
-    d = ops.shape[-1]
-    nonzero = ops != 0
-    axis = -1 if party == ALICE else -2
-    index = nonzero.argmax(axis=axis)
-    phase = np.take_along_axis(ops, np.expand_dims(index, axis), axis).squeeze(axis)
+    *lead, d, _ = ops.shape
+    flat = ops.reshape(-1, d, d)
+    nonzero = flat != 0
+    lines, stack = np.arange(d), np.arange(len(flat))[:, None]
+    if party == ALICE:  # the column of each row's nonzero
+        index = nonzero.argmax(axis=2)
+        phase = flat[stack, lines, index]
+    else:  # the row of each column's nonzero
+        index = nonzero.argmax(axis=1)
+        phase = flat[stack, index, lines]
     # monomial: the tables hold every nonzero, one per line, and no two lines
     # of an operator share a target
-    hit = phase.reshape(-1) != 0
-    targets = (index.reshape(-1, d) + np.arange(0, index.size, d)[:, None]).reshape(-1)[hit]
-    if np.count_nonzero(hit) != np.count_nonzero(nonzero) or np.bincount(targets).max(initial=0) > 1:
+    hit = phase != 0
+    if np.count_nonzero(hit) != np.count_nonzero(nonzero) or np.bincount((index + stack * d)[hit]).max(initial=0) > 1:
         return None
-    return Gathers(index, phase)
+    return Gathers(index.reshape(*lead, d), phase.reshape(*lead, d))
 
 
 class Sparse:
@@ -147,12 +151,13 @@ def _sparse_of(psi: np.ndarray) -> Sparse | None:
     """Amplitude matrices (rows, dA, dB) as ``Sparse``; None when a row of
     one holds two nonzeros."""
     nonzero = psi != 0
-    if (nonzero.sum(axis=-1) > 1).any():
+    if np.count_nonzero(nonzero) != np.count_nonzero(nonzero.any(axis=2)):
         return None
-    cols = nonzero.argmax(axis=-1)
-    live = nonzero.any(axis=-1)
-    amps = np.where(live, np.take_along_axis(psi, cols[..., None], -1)[..., 0], 0.0)
-    return Sparse(amps, np.where(live, cols, 0), psi.shape[-1])
+    rows, da, db = psi.shape
+    cols = nonzero.argmax(axis=2)  # 0 in a zero row
+    amps = psi[np.arange(rows)[:, None], np.arange(da), cols]
+    amps[amps == 0] = 0.0  # +0 in a zero row
+    return Sparse(amps, cols, db)
 
 
 class Pure:
