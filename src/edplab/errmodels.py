@@ -395,12 +395,12 @@ class MeasureRModel:
         _check_capacity(2 * self.n)
         return _error_diagonals(self.n, self.r)
 
-    def amplitudes(self, inputs: slice = slice(None)) -> np.ndarray:
-        """The amplitude matrices of the error states ``inputs`` (all by
-        default), in ``enumerate_indicators`` order, rows indexing Alice's
-        register: one read-only (states, 2^n, 2^n) array, built without a
-        loop per state.  Each is diagonal (``diagonals``)."""
-        diagonals = self.diagonals()[inputs]
+    def amplitudes(self) -> np.ndarray:
+        """The amplitude matrices of the error states, in
+        ``enumerate_indicators`` order, rows indexing Alice's register:
+        one read-only (states, 2^n, 2^n) array, built without a loop per
+        state.  Each is diagonal (``diagonals``)."""
+        diagonals = self.diagonals()
         amps = np.zeros((len(diagonals), 1 << self.n, 1 << self.n), dtype=np.complex128)
         every = np.arange(1 << self.n)
         amps[:, every, every] = diagonals

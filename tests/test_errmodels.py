@@ -383,7 +383,7 @@ def test_measure_r_amplitudes_are_the_error_states_bit_for_bit():
             assert amplitudes.shape == (len(expected), 1 << n, 1 << n)
             assert not amplitudes.flags.writeable
             assert amplitudes.tobytes() == np.stack(expected).tobytes()
-            assert model.amplitudes(slice(1, 4)).tobytes() == amplitudes[1:4].tobytes()
+            assert model.diagonals().tobytes() == np.diagonal(amplitudes, axis1=1, axis2=2).real.tobytes()
             assert [st.amplitudes.tobytes() for st in model.states()] == [a.tobytes() for a in expected]
 
 
