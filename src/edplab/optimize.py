@@ -2,21 +2,26 @@
 
 Probes how much a communication-free protocol can achieve: both parties
 apply one unitary to their register (protocol qubits plus ancillas in
-|0>) and output the first pair.  The objective is the ensemble-averaged
-fidelity of that pair, f = sum_i w_i ||L(U_A T_i U_B^T)||^2.  With U_B
-fixed it is a sum of squared norms of linear images of U_A, so it is
-convex in U_A and lies above its linearisation: f(V) >= f(U_A) +
-Re tr(E_A^H (V - U_A)), with E_A the Euclidean gradient.  The unitary V
-that maximises Re tr(E_A^H V) is the polar factor W Z^H of the SVD
-E_A = W S Z^H (the orthogonal Procrustes solution: Schonemann,
-Psychometrika 31, 1966), so replacing U_A with it never lowers f.  The
-same holds for U_B.  One polar step updates U_A, then U_B; alternating
-them is the generalised power method (Journee, Nesterov, Richtarik &
-Sepulchre, JMLR 11, 2010), which needs no step size and no line search.
-A restart stops, converged, once the Riemannian gradient norm
-sqrt(||Omega_A||^2 + ||Omega_B||^2) reaches GRAD_TOL, or after its step
-budget.  Restart 0 always starts from the identity so the reported
-maximum never falls below the trivial protocol's value.
+|0>) and output the first pair.  As the ancillas start in |0>, the
+objective sees a unitary U only through the k = 2^n columns ``rows``
+whose ancilla bits are 0, the isometry V = U[:, rows]: with B_i the
+amplitude matrix of member i, f = sum_i w_i ||L(V_A B_i V_B^T)||^2.
+With V_B fixed it is a sum of squared norms of linear images of V_A, so
+convex in V_A: f(V) >= f(V_A) + Re tr(E_A^H (V - V_A)), with E_A the
+Euclidean gradient.  The isometry maximising Re tr(E_A^H V) is the thin
+polar factor W Z^H of the SVD E_A = W S Z^H (orthogonal Procrustes:
+Schonemann, Psychometrika 31, 1966), so replacing V_A with it never
+lowers f; where E_A has full column rank it is the full unitary polar
+step restricted to ``rows``.  Likewise for V_B.  Alternating the two is
+the generalised power method on the Stiefel manifold of orthonormal
+k-frames (Journee, Nesterov, Richtarik & Sepulchre, JMLR 11, 2010;
+Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 1998): no step
+size, no line search.  A restart stops, converged, once the Riemannian
+gradient norm sqrt(||Omega_A||^2 + ||Omega_B||^2) reaches GRAD_TOL, or
+after its step budget; restart 0 starts from the identity, so the
+maximum never falls below the trivial protocol's value.  Restarts step
+in lockstep as stacks of isometries, in blocks whose largest
+intermediate fits ASCENT_BUDGET_BYTES.
 
 The search certifies nothing: it reports the best value found over the
 declared class (ancilla count, restarts, steps).
@@ -34,6 +39,7 @@ from .rng import substream
 from .sampling import random_unitary
 
 GRAD_TOL = 1e-6  # converged once sqrt(||Omega_A||^2 + ||Omega_B||^2) <= GRAD_TOL
+ASCENT_BUDGET_BYTES = 1 << 20  # the largest intermediate of one block of restarts
 
 
 @dataclass(frozen=True)
@@ -43,8 +49,13 @@ class AscentConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        fields = (self.restarts, self.steps, self.seed)
+        if any(isinstance(v, bool) or not isinstance(v, (int, np.integer)) for v in fields):
+            raise TypeError(f"restarts, steps and seed must be integers, got {fields}")
         if self.restarts < 1 or self.steps < 1:
             raise ValueError(f"need restarts, steps >= 1, got {self.restarts}, {self.steps}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be a 64-bit unsigned value, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -68,22 +79,29 @@ def unitary_exp(h: np.ndarray) -> np.ndarray:
 
 
 def _polar(e: np.ndarray) -> np.ndarray:
-    """The unitary W Z^H maximising Re tr(E^H V), from E = W S Z^H."""
-    w, _, zh = np.linalg.svd(e)
+    """The isometries W Z^H maximising Re tr(E^H V), from thin SVDs E = W S Z^H."""
+    w, _, zh = np.linalg.svd(e, full_matrices=False)
     return w @ zh
 
 
-def _omega(e: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Anti-Hermitian Riemannian gradient E U^H - U E^H at U."""
-    w = e @ u.conj().T
-    return w - w.conj().T
+def _square_sums(x: np.ndarray) -> np.ndarray:
+    """sum |x|^2 over the last axis, which must be contiguous."""
+    return np.square(x.view(np.float64)).sum(axis=-1)
+
+
+def _omega(e: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Anti-Hermitian Riemannian gradients E V^H - V E^H at stacked isometries V."""
+    w = e @ v.conj().swapaxes(-1, -2)
+    return w - w.conj().swapaxes(-1, -2)
 
 
 class PairFidelityObjective:
     """Average first-pair fidelity of an ensemble under U_A (x) U_B.
 
     Ensemble members are pure states on n pairs; ``ancillas`` fresh |0>
-    qubits are appended at the low end of each party's register.
+    qubits are appended at the low end of each party's register.  The
+    methods take the isometries V = U[:, rows] as stacks (..., d_side, k)
+    whose leading axes index independent pairs.
     """
 
     def __init__(self, ensemble: WeightedStates, n: int, ancillas: int):
@@ -99,89 +117,94 @@ class PairFidelityObjective:
             if st.n_alice != n or st.n_bob != n:
                 raise ValueError("ensemble member has the wrong pair count")
         self.weights = np.asarray([w for w, _ in members])
-        # ancillas occupy the low bits: index = protocol << ancillas
-        rows = np.arange(1 << n) << ancillas
-        self.stack = np.zeros((len(members), self.d_side, self.d_side), dtype=np.complex128)
-        blocks = [st.amplitudes.reshape(1 << n, 1 << n) for _, st in members]
-        self.stack[:, rows[:, None], rows] = blocks  # (m, d_side, d_side)
+        k = 1 << n
+        self.rows = np.arange(k) << ancillas  # ancillas occupy the low bits
+        blocks = np.stack([st.amplitudes.reshape(k, k) for _, st in members]) / np.sqrt(2.0)
+        # cat[p][l, (i, j)] = C_i[l, j] / sqrt 2, with C_i = B_i for p = 0 and B_i^T for p = 1
+        self.cat = np.stack([blocks, blocks.swapaxes(1, 2)]).transpose(0, 2, 1, 3).reshape(2, k, -1)
+        # one pair's largest intermediate: (m, d, k) products, (2, m d/2, d/2) overlaps or (d, d) Omega
+        self.pair_bytes = 16 * self.d_side * max(len(members) * max(k, self.d_side >> 1), self.d_side)
 
-    def _fidelity(self, u_alice: np.ndarray, u_bob: np.ndarray):
-        """Value, the blocks U_A T_i and their first-pair overlaps L(M_i)."""
-        # (U_A (x) U_B)|psi> in block form: M_i = U_A T_i U_B^T
-        left = np.matmul(u_alice, self.stack)
-        half = self.d_side >> 1
-        t = np.matmul(left, u_bob.T).reshape(len(self.weights), 2, half, 2, half)
-        overlap = (t[:, 0, :, 0, :] + t[:, 1, :, 1, :]) / np.sqrt(2.0)
-        value = float(np.dot(self.weights, np.sum(np.abs(overlap) ** 2, axis=(1, 2))))
+    def _products(self, v: np.ndarray, p: int) -> np.ndarray:
+        """[..., x, (a, i), j] = (V[x] C_i)[a, j] / sqrt 2 over the halves x of the rows of V."""
+        *lead, d, k = v.shape
+        return (v @ self.cat[p]).reshape(*lead, 2, (d >> 1) * len(self.weights), k)
+
+    def _fidelity(self, v_alice: np.ndarray, v_bob: np.ndarray):
+        """Values, the products V_A[x] B_i / sqrt 2 and the overlaps [..., a, i, c] = L(M_i)[a, c]."""
+        *lead, d, k = v_bob.shape
+        # L(M_i) = L(V_A B_i V_B^T) = sum_x V_A[x] B_i V_B[x]^T / sqrt 2
+        left = self._products(v_alice, 0)
+        overlap = (left @ v_bob.reshape(*lead, 2, d >> 1, k).swapaxes(-1, -2)).sum(axis=-3)
+        overlap = overlap.reshape(*lead, d >> 1, len(self.weights), d >> 1)
+        value = (_square_sums(overlap) * self.weights).sum(axis=(-2, -1))
         return value, left, overlap
 
-    def value(self, u_alice: np.ndarray, u_bob: np.ndarray) -> float:
-        return self._fidelity(u_alice, u_bob)[0]
+    def value(self, v_alice: np.ndarray, v_bob: np.ndarray) -> float:
+        """The objective at one isometry pair, evaluated as a stack of one."""
+        return float(self._fidelity(v_alice[None], v_bob[None])[0][0])
 
     def value_and_euclidean_gradient(
-        self, u_alice: np.ndarray, u_bob: np.ndarray, alice: bool = True
-    ) -> tuple[float, np.ndarray | None, np.ndarray]:
-        """Value and the Euclidean gradients: d/dt f(U_A + tX, U_B) = Re tr(E_A^H X).
+        self, v_alice: np.ndarray, v_bob: np.ndarray, alice: bool = True
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """Values and the Euclidean gradients: d/dt f(V_A + tX, V_B) = Re tr(E_A^H X).
 
-        With M_i = U_A T_i U_B^T and G_i = L*(L(M_i)) = I_2 (x) L(M_i) / sqrt 2,
-        E_A = 2 sum_i w_i G_i conj(U_B) T_i^H, E_B = 2 sum_i w_i G_i^T conj(U_A T_i).
-        G_i is block diagonal, so both contract block by block with the
-        half-size blocks g_i = sqrt 2 w_i L(M_i).  With ``alice=False``,
-        E_A is not computed and comes back as None.
+        With g_i = 2 w_i L(V_A B_i V_B^T), their halves are E_A[x] = sum_i
+        g_i conj(V_B[x] B_i^T) / sqrt 2 and E_B[x] = sum_i g_i^T conj(V_A[x] B_i)
+        / sqrt 2.  With ``alice=False``, E_A is not computed and is None.
         """
-        value, left, overlap = self._fidelity(u_alice, u_bob)
-        g = overlap * (np.sqrt(2.0) * self.weights)[:, None, None]  # (m, half, half)
-        m, d = len(self.weights), self.d_side
-        # E_B[(c1, c2), b] = sum_{i, a2} g_i[a2, c2] conj(left_i[(c1, a2), b])
-        e_bob = np.tensordot(g, left.reshape(m, 2, d // 2, d).conj(), axes=([0, 1], [0, 2]))
-        e_bob = e_bob.swapaxes(0, 1).reshape(d, d)
+        value, left, overlap = self._fidelity(v_alice, v_bob)
+        *lead, half, m, _ = overlap.shape
+        g = overlap * (2.0 * self.weights)[:, None]  # [..., a, i, c]
+        e_bob = g.reshape(*lead, 1, half * m, half).swapaxes(-1, -2) @ left.conj()
         if not alice:
-            return value, None, e_bob
-        # E_A[(a1, a2), b] = sum_{i, c2} g_i[a2, c2] conj(right_i[b, (a1, c2)])
-        right = np.matmul(self.stack, u_bob.T).reshape(m, d, 2, d // 2)  # T_i U_B^T
-        e_alice = np.tensordot(g, right.conj(), axes=([0, 2], [0, 3]))
-        e_alice = e_alice.transpose(2, 0, 1).reshape(d, d)
-        return value, e_alice, e_bob
+            return value, None, e_bob.reshape(v_bob.shape)
+        g = g.swapaxes(-1, -2).reshape(*lead, 1, half, half * m)  # [..., a, (c, i)]
+        e_alice = g @ self._products(v_bob, 1).conj()
+        return value, e_alice.reshape(v_alice.shape), e_bob.reshape(v_bob.shape)
+
+
+def _ascend(objective: PairFidelityObjective, config: AscentConfig, restarts: range) -> np.ndarray:
+    """Rows: each restart's best value, converged flag, polar steps and final
+    gradient norm, stepped in lockstep from the identity (restart 0) or the
+    ``rows`` columns of random unitaries for Alice, then Bob, from its stream."""
+    dim, pairs = objective.d_side, []
+    for restart in restarts:
+        rng = substream(config.seed, "unitary-ascent", restart)
+        pair = (np.eye(dim),) * 2 if restart == 0 else (random_unitary(rng, dim), random_unitary(rng, dim))
+        pairs.append([u[:, objective.rows] for u in pair])
+    va, vb = np.asarray(pairs, dtype=np.complex128).swapaxes(0, 1)
+    live, best = np.arange(len(va)), np.full(len(va), -np.inf)
+    out = np.zeros((4, len(va)))
+    for step in range(config.steps + 1):
+        value, ea, eb = objective.value_and_euclidean_gradient(va, vb)
+        best = np.maximum(best, value)
+        ga, gb = (_omega(e, v).reshape(len(v), -1) for e, v in ((ea, va), (eb, vb)))
+        norm = np.sqrt(_square_sums(ga) + _square_sums(gb))
+        stop = (norm <= GRAD_TOL) | (step == config.steps)
+        if stop.any():
+            out[:, live[stop]] = np.array([best, norm <= GRAD_TOL, np.full_like(norm, step), norm])[:, stop]
+            live, best, va, vb, ea = (a[~stop] for a in (live, best, va, vb, ea))
+            if not len(live):
+                return out
+        # each half-step is a polar step in one party: it never lowers the value
+        va = _polar(ea)
+        value, _, eb = objective.value_and_euclidean_gradient(va, vb, alice=False)
+        best = np.maximum(best, value)
+        vb = _polar(eb)
 
 
 def maximize_pair_fidelity(objective: PairFidelityObjective, config: AscentConfig) -> AscentResult:
-    """Best objective value over the unitary pair, multi-start polar ascent."""
-    dim = objective.d_side
-    eye = np.eye(dim, dtype=np.complex128)
-    start_value = objective.value(eye, eye)
-    restart_values = []
-    restart_converged = []
-    restart_iterations = []
-    restart_grad_norms = []
-    for restart in range(config.restarts):
-        rng = substream(config.seed, "unitary-ascent", restart)
-        if restart == 0:
-            ua, ub = eye, eye
-        else:
-            ua, ub = random_unitary(rng, dim), random_unitary(rng, dim)
-        best = -np.inf
-        for step in range(config.steps + 1):
-            value, ea, eb = objective.value_and_euclidean_gradient(ua, ub)
-            best = max(best, value)
-            ga, gb = _omega(ea, ua), _omega(eb, ub)
-            grad_norm = float(np.sqrt(np.vdot(ga, ga).real + np.vdot(gb, gb).real))
-            converged = grad_norm <= GRAD_TOL
-            if converged or step == config.steps:
-                break
-            # each half-step is a polar step in one party: it never lowers the value
-            ua = _polar(ea)
-            value, _, eb = objective.value_and_euclidean_gradient(ua, ub, alice=False)
-            best = max(best, value)
-            ub = _polar(eb)
-        restart_values.append(best)
-        restart_converged.append(converged)
-        restart_iterations.append(step)
-        restart_grad_norms.append(grad_norm)
+    """Best objective value over the isometry pair, multi-start polar ascent."""
+    eye = np.eye(objective.d_side, dtype=np.complex128)[:, objective.rows]
+    size = max(1, ASCENT_BUDGET_BYTES // objective.pair_bytes)
+    blocks = [range(first, min(first + size, config.restarts)) for first in range(0, config.restarts, size)]
+    out = np.concatenate([_ascend(objective, config, block) for block in blocks], axis=1)
     return AscentResult(
-        best_value=max(restart_values),
-        start_value=start_value,
-        restart_values=tuple(restart_values),
-        restart_converged=tuple(restart_converged),
-        restart_iterations=tuple(restart_iterations),
-        restart_grad_norms=tuple(restart_grad_norms),
+        best_value=float(out[0].max()),
+        start_value=objective.value(eye, eye),
+        restart_values=tuple(out[0].tolist()),
+        restart_converged=tuple(out[1].astype(bool).tolist()),
+        restart_iterations=tuple(out[2].astype(int).tolist()),
+        restart_grad_norms=tuple(out[3].tolist()),
     )

@@ -105,7 +105,7 @@ def test_criterion_3_unitary_ascent_never_beats_bounds():
         assert rep.achieved >= rep.floor - 1e-6, rep
         assert rep.passed
         cases.append((f"d(n={n},p={p})", rep.bound - rep.achieved, elapsed))
-    detail = "; ".join(f"{name} slack {slack:.2e} ({t:.0f}s)" for name, slack, t in cases)
+    detail = "; ".join(f"{name} slack {slack:.2e} ({t:.2f}s)" for name, slack, t in cases)
     report("criterion-3 ascent bounds", detail)
 
 

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from edplab import optimize, verify
 from edplab.errmodels import MeasureRModel, pair_bell_mixture_ensemble
+from edplab.qcore import ALICE, BOB, PureState, apply_unitary, base_fidelity, tensor
 from edplab.optimize import (
     GRAD_TOL,
     AscentConfig,
@@ -12,7 +13,7 @@ from edplab.optimize import (
     maximize_pair_fidelity,
     unitary_exp,
 )
-from edplab.sampling import random_unitary
+from edplab.sampling import random_pure_state, random_unitary
 
 QUICK = AscentConfig(restarts=3, steps=300, seed=11)
 
@@ -20,6 +21,11 @@ QUICK = AscentConfig(restarts=3, steps=300, seed=11)
 def _random_antihermitian(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return (g - g.conj().T) / 2.0
+
+
+def _random_isometry(rng, objective):
+    """The ancilla-free columns V = U[:, rows] of a random unitary."""
+    return random_unitary(rng, objective.d_side)[:, objective.rows]
 
 
 @pytest.mark.parametrize(
@@ -34,10 +40,10 @@ def test_riemannian_gradient_matches_central_differences(ensemble, n, ancillas):
     objective = PairFidelityObjective(ensemble, n, ancillas)
     rng = np.random.default_rng(4)
     dim = objective.d_side
-    ua, ub = random_unitary(rng, dim), random_unitary(rng, dim)
-    value, e_a, e_b = objective.value_and_euclidean_gradient(ua, ub)
-    grad_a, grad_b = optimize._omega(e_a, ua), optimize._omega(e_b, ub)
-    assert value == pytest.approx(objective.value(ua, ub), abs=1e-14)
+    ua, ub = _random_isometry(rng, objective), _random_isometry(rng, objective)
+    value, e_a, e_b = objective.value_and_euclidean_gradient(ua[None], ub[None])
+    grad_a, grad_b = optimize._omega(e_a, ua[None])[0], optimize._omega(e_b, ub[None])[0]
+    assert value[0] == pytest.approx(objective.value(ua, ub), abs=1e-14)
     for grad in (grad_a, grad_b):
         np.testing.assert_allclose(grad, -grad.conj().T, atol=1e-14)
     h = 1e-5
@@ -93,16 +99,41 @@ def test_probe_notes_count_converged_restarts():
     assert "3/3 restarts met the gradient test" in rep.notes
 
 
-@pytest.mark.parametrize("fields", [{"restarts": 0}, {"steps": 0}, {"restarts": -1}])
-def test_ascent_config_rejects_empty_budgets(fields):
-    with pytest.raises(ValueError):
+@pytest.mark.parametrize(
+    "fields, error",
+    [
+        ({"restarts": 0}, ValueError),
+        ({"steps": 0}, ValueError),
+        ({"restarts": -1}, ValueError),
+        ({"restarts": True}, TypeError),
+        ({"steps": True}, TypeError),
+        ({"restarts": 2.5}, TypeError),
+        ({"steps": 1.5}, TypeError),
+        ({"seed": -1}, ValueError),
+        ({"seed": 2**64}, ValueError),
+        ({"seed": 1.5}, TypeError),
+        ({"seed": "7"}, TypeError),
+    ],
+    ids=[f"fields{i}" for i in range(3)]
+    + ["restarts-bool", "steps-bool", "restarts-float", "steps-float",
+       "seed-negative", "seed-2**64", "seed-float", "seed-str"],
+)
+def test_ascent_config_rejects_empty_budgets(fields, error):
+    with pytest.raises(error):
         AscentConfig(**fields)
 
 
-# the two ensembles of the gradient check above: (ensemble, n, ancillas)
+def test_ascent_config_takes_numpy_integers_and_the_largest_seed():
+    config = AscentConfig(restarts=np.int64(2), steps=np.int32(3), seed=2**64 - 1)
+    assert maximize_pair_fidelity(_measure_r_objective(), config).restart_iterations[0] == 0
+
+
+# the two ensembles of the gradient check above, and random pure states,
+# whose amplitude matrices B_i differ from B_i^T: (ensemble, n, ancillas)
 ENSEMBLES = {
     "measure-r(2,1)": (MeasureRModel(2, 1).uniform_mixture(), 2, 1),
     "depolarization(1,0.4)": (pair_bell_mixture_ensemble(1, 0.4), 1, 2),
+    "random-pure(2)": ([(w, random_pure_state(np.random.default_rng(i), 2, 2)) for i, w in enumerate((0.3, 0.7))], 2, 1),
 }
 
 
@@ -110,14 +141,14 @@ ENSEMBLES = {
 def test_euclidean_gradient_matches_central_differences(name):
     objective = PairFidelityObjective(*ENSEMBLES[name])
     rng = np.random.default_rng(8)
-    dim = objective.d_side
-    ua, ub = random_unitary(rng, dim), random_unitary(rng, dim)
-    value, e_alice, e_bob = objective.value_and_euclidean_gradient(ua, ub)
-    assert value == pytest.approx(objective.value(ua, ub), abs=1e-14)
+    ua, ub = _random_isometry(rng, objective), _random_isometry(rng, objective)
+    value, e_alice, e_bob = objective.value_and_euclidean_gradient(ua[None], ub[None])
+    e_alice, e_bob = e_alice[0], e_bob[0]
+    assert value[0] == pytest.approx(objective.value(ua, ub), abs=1e-14)
     h = 1e-5
     for _ in range(3):
-        # any complex direction, not only tangent ones: d/dt f(U + tX) = Re tr(E^H X)
-        x = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        # any complex direction, not only tangent ones: d/dt f(V + tX) = Re tr(E^H X)
+        x = rng.standard_normal(ua.shape) + 1j * rng.standard_normal(ua.shape)
         step_a = [objective.value(ua + t * x, ub) for t in (h, -h)]
         step_b = [objective.value(ua, ub + t * x) for t in (h, -h)]
         assert (step_a[0] - step_a[1]) / (2 * h) == pytest.approx(np.vdot(e_alice, x).real, abs=1e-8)
@@ -130,19 +161,18 @@ def test_euclidean_gradient_matches_central_differences(name):
 def test_polar_half_step_never_lowers_the_value(name, seed):
     objective = PairFidelityObjective(*ENSEMBLES[name])
     rng = np.random.default_rng(seed)
-    dim = objective.d_side
-    ua, ub = random_unitary(rng, dim), random_unitary(rng, dim)
-    value, e_alice, e_bob = objective.value_and_euclidean_gradient(ua, ub)
-    new_a, new_b = optimize._polar(e_alice), optimize._polar(e_bob)
-    for u in (new_a, new_b):
-        np.testing.assert_allclose(u @ u.conj().T, np.eye(dim), atol=1e-12)
-    assert objective.value(new_a, ub) >= value - 1e-12
-    assert objective.value(ua, new_b) >= value - 1e-12
-    # the polar factor maximises the linearisation Re tr(E^H V) over unitaries
-    for e, polar in ((e_alice, new_a), (e_bob, new_b)):
+    ua, ub = _random_isometry(rng, objective), _random_isometry(rng, objective)
+    value, e_alice, e_bob = objective.value_and_euclidean_gradient(ua[None], ub[None])
+    new_a, new_b = optimize._polar(e_alice)[0], optimize._polar(e_bob)[0]
+    for v in (new_a, new_b):
+        np.testing.assert_allclose(v.conj().T @ v, np.eye(len(objective.rows)), atol=1e-12)
+    assert objective.value(new_a, ub) >= value[0] - 1e-12
+    assert objective.value(ua, new_b) >= value[0] - 1e-12
+    # the polar factor maximises the linearisation Re tr(E^H V) over isometries
+    for e, polar in ((e_alice[0], new_a), (e_bob[0], new_b)):
         best = np.vdot(e, polar).real
         for _ in range(4):
-            assert np.vdot(e, random_unitary(rng, dim)).real <= best + 1e-12
+            assert np.vdot(e, _random_isometry(rng, objective)).real <= best + 1e-12
 
 
 @pytest.mark.parametrize("steps", [1, 3, 300])
@@ -159,3 +189,67 @@ def test_restart_stats_record_iterations_and_stop_reason(steps):
             assert its == steps  # the budget ran out
     # restart 0 starts at the identity, a stationary point of this ensemble
     assert result.restart_iterations[0] == 0 and result.restart_converged[0]
+
+
+def _dense_first_pair_fidelity(ensemble, n, ancillas, u_alice, u_bob):
+    """sum_i w_i F_first-pair((U_A (x) U_B)(|psi_i> (x) |0...0>)), built with qcore."""
+    zeros = np.zeros(1 << (2 * ancillas))
+    zeros[0] = 1.0
+    total = 0.0
+    for weight, state in ensemble:
+        padded = tensor(state, PureState(ancillas, ancillas, zeros))
+        qubits = range(n + ancillas)
+        padded = apply_unitary(padded, u_alice, [(ALICE, q) for q in qubits])
+        padded = apply_unitary(padded, u_bob, [(BOB, q) for q in qubits])
+        total += weight * base_fidelity(padded)
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(ENSEMBLES))
+def test_objective_value_equals_the_dense_first_pair_fidelity(name):
+    ensemble, n, ancillas = ENSEMBLES[name]
+    objective = PairFidelityObjective(ensemble, n, ancillas)
+    rng = np.random.default_rng(12)
+    for _ in range(4):
+        ua, ub = random_unitary(rng, objective.d_side), random_unitary(rng, objective.d_side)
+        dense = _dense_first_pair_fidelity(ensemble, n, ancillas, ua, ub)
+        value = objective.value(ua[:, objective.rows], ub[:, objective.rows])
+        assert value == pytest.approx(dense, abs=1e-12)
+
+
+def test_each_restart_of_a_block_steps_as_it_would_alone():
+    objective = PairFidelityObjective(MeasureRModel(2, 1).uniform_mixture(), 2, 2)
+    config = AscentConfig(restarts=6, steps=40, seed=21)
+    block = optimize._ascend(objective, config, range(6))
+    # the block is stepped past the stops of some of its restarts
+    assert len(set(block[2])) > 1 and block[1].any() and not block[1].all()
+    for restart in range(6):
+        alone = optimize._ascend(objective, config, range(restart, restart + 1))[:, 0]
+        assert (alone[1], alone[2]) == (block[1, restart], block[2, restart])
+        assert alone[0] == pytest.approx(block[0, restart], abs=1e-14)
+        assert alone[3] == pytest.approx(block[3, restart], abs=1e-14)
+
+
+def test_blocks_of_one_restart_give_the_same_result(monkeypatch):
+    objective = PairFidelityObjective(pair_bell_mixture_ensemble(1, 0.4), 1, 2)
+    config = AscentConfig(restarts=5, steps=60, seed=33)
+    assert optimize.ASCENT_BUDGET_BYTES // objective.pair_bytes >= config.restarts
+    one_block = maximize_pair_fidelity(objective, config)
+    monkeypatch.setattr(optimize, "ASCENT_BUDGET_BYTES", 1)
+    assert repr(maximize_pair_fidelity(objective, config)) == repr(one_block)
+
+
+def test_blocks_stay_within_the_budget(monkeypatch):
+    objective = _measure_r_objective()
+    monkeypatch.setattr(optimize, "ASCENT_BUDGET_BYTES", 3 * objective.pair_bytes + 1)
+    sizes = []
+    ascend = optimize._ascend
+
+    def recording(objective, config, restarts):
+        sizes.append(len(restarts))
+        return ascend(objective, config, restarts)
+
+    monkeypatch.setattr(optimize, "_ascend", recording)
+    result = maximize_pair_fidelity(objective, AscentConfig(restarts=8, steps=5, seed=2))
+    assert sizes == [3, 3, 2]
+    assert len(result.restart_values) == 8
