@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from edplab import optimize, verify
 from edplab.errmodels import MeasureRModel, pair_bell_mixture_ensemble
-from edplab.qcore import ALICE, BOB, PureState, apply_unitary, base_fidelity, tensor
 from edplab.optimize import (
     GRAD_TOL,
     AscentConfig,
@@ -13,6 +12,7 @@ from edplab.optimize import (
     maximize_pair_fidelity,
     unitary_exp,
 )
+from edplab.qcore import ALICE, BOB, PureState, apply_unitary, base_fidelity, tensor
 from edplab.sampling import random_pure_state, random_unitary
 
 QUICK = AscentConfig(restarts=3, steps=300, seed=11)
@@ -133,7 +133,9 @@ def test_ascent_config_takes_numpy_integers_and_the_largest_seed():
 ENSEMBLES = {
     "measure-r(2,1)": (MeasureRModel(2, 1).uniform_mixture(), 2, 1),
     "depolarization(1,0.4)": (pair_bell_mixture_ensemble(1, 0.4), 1, 2),
-    "random-pure(2)": ([(w, random_pure_state(np.random.default_rng(i), 2, 2)) for i, w in enumerate((0.3, 0.7))], 2, 1),
+    "random-pure(2)": (
+        [(w, random_pure_state(np.random.default_rng(i), 2, 2)) for i, w in enumerate((0.3, 0.7))], 2, 1
+    ),
 }
 
 
