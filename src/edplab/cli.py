@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Any, Callable
@@ -113,6 +114,17 @@ def _seed(text: str) -> int:
     return value
 
 
+def _workers(text: str) -> int:
+    """A worker process count: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid worker count {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
+    return value
+
+
 def _require(value: Any, message: str) -> Any:
     if value is None:
         raise ValueError(message)
@@ -129,7 +141,10 @@ def _parse_range(text: str) -> list[int]:
 
 
 def _parse_floats(text: str) -> list[float]:
-    return [float(part) for part in text.split(",")]
+    values = [float(part) for part in text.split(",")]
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"expected finite values, got {text!r}")
+    return values
 
 
 def _load(path: str, parse: Callable[[Any], Any]) -> Any:
@@ -375,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", default="0.2", help="comma-separated values")
     p.add_argument("--epsilon", default="0.25", help="comma-separated values")
     p.add_argument("--s", default="1", help="range or list")
-    p.add_argument("--workers", type=int, default=1, help="worker processes (default %(default)s)")
+    p.add_argument("--workers", type=_workers, default=1, help="worker processes (default %(default)s)")
     return parser
 
 

@@ -18,19 +18,15 @@ CNOT permutations and basis projectors of the parity hash keep them so
 (the structure of stabilizer simulation, Aaronson & Gottesman 2004).
 
 A level holds each distinct node state once, in a ``ClassTable`` that
-merges rows by exact content: ``content_keys`` buckets rows by a float
-key that equal rows share, and a bytewise comparison of the rows' words
-confirms each match, so a key collision costs time, never correctness,
-and rows that differ only in the sign of a zero stay apart.  This is the
-unique table of decision-diagram simulators (QMDD, Miller & Thornton
-2006; DDSIM, Zulehner & Wille 2019).
+merges rows by exact content: it keys each class by the row's bytes, so
+equal rows merge and rows that differ only in the sign of a zero stay
+apart.  This is the unique table of decision-diagram simulators (QMDD,
+Miller & Thornton 2006; DDSIM, Zulehner & Wille 2019).
 """
 
 from __future__ import annotations
 
-import functools
 import math
-import random
 from typing import NamedTuple
 
 import numpy as np
@@ -411,44 +407,15 @@ def child_row_bytes(nodes: Frontier, width: int, gathered: bool = True) -> int:
     return sum(part.itemsize * math.prod(part.shape[1:]) for part in nodes.parts)
 
 
-@functools.cache
-def _probe(words: int) -> np.ndarray:
-    """A fixed random vector; Python's generator spares numpy's random
-    module, which a run would otherwise be the first to load."""
-    draw = random.Random(0x5EED).random
-    return np.array([draw() - 0.5 for _ in range(words)])
-
-
-def content_keys(frontier: Frontier) -> np.ndarray:
-    """A float key per row that equal rows share: the row's words, read
-    as float64, projected on a fixed random vector.  ``einsum`` computes
-    each row's sum on its own, so equal rows get equal keys wherever
-    they sit (a BLAS matrix-vector product does not guarantee that)."""
-    keys = [np.einsum("rw,w->r", words, _probe(words.shape[1])) for words in map(_key_words, frontier.parts)]
-    return keys[0] if len(keys) == 1 else sum(keys)
-
-
-def _words(part: np.ndarray) -> np.ndarray:
-    """The rows of ``part`` flattened to float64 words, (rows, words)."""
-    return part.reshape(len(part), math.prod(part.shape[1:])).view(np.float64)
-
-
-def _key_words(part: np.ndarray) -> np.ndarray:
-    """``_words`` for the key; integer parts (sparse column indexes) by
-    value, since their words read as float64 are subnormal and would
-    vanish in the key's sum."""
-    if part.dtype.kind == "i":
-        return part.reshape(len(part), -1).astype(np.float64)
-    return _words(part)
-
-
-def _same(a: Frontier, rows_a: np.ndarray, b: Frontier, rows_b: np.ndarray) -> np.ndarray:
-    """Whether row ``rows_a[k]`` of ``a`` holds the same bytes as row
-    ``rows_b[k]`` of ``b``, for each k."""
-    same = np.ones(len(rows_a), dtype=bool)
-    for part_a, part_b in zip(a.parts, b.parts):
-        same &= (_words(part_a[rows_a]).view(np.uint64) == _words(part_b[rows_b]).view(np.uint64)).all(axis=1)
-    return same
+def _row_keys(rows: Frontier) -> list[bytes]:
+    """Each row's bytes, all of its parts in order: rows are equal exactly
+    when their keys are."""
+    words = [
+        np.ascontiguousarray(part).reshape(len(part), math.prod(part.shape[1:])).view(np.uint8)
+        for part in rows.parts
+    ]
+    flat = words[0] if len(words) == 1 else np.concatenate(words, axis=1)
+    return flat.view(np.dtype((np.void, flat.shape[1]))).reshape(-1).tolist()
 
 
 class ClassTable:
@@ -456,18 +423,17 @@ class ClassTable:
     first appearance: a unique table.
 
     ``add`` merges rows into the table by exact content and returns each
-    row's class.  A row is bucketed by its ``content_keys`` value and
-    compared bytewise with the first class of its bucket, and only on a
-    mismatch (a key collision) with the bucket's other classes.  Rows are
-    kept in arrays that grow by half when full, so most adds copy no
-    class; ``frontier`` hands the classes out in arrays of their own size,
-    and ``view`` without a copy.
+    row's class: a dict maps each class's bytes (``_row_keys``) to its
+    class, so rows that differ only in the sign of a zero stay apart.
+    Rows are kept in arrays that grow by half when full, so most adds
+    copy no class; ``frontier`` hands the classes out in arrays of their
+    own size, and ``view`` without a copy.  The keys hold about the
+    classes' bytes again, beside the store.
     """
 
     def __init__(self) -> None:
         self._store: Frontier | None = None  # the classes, then spare rows
-        self._first: dict[float, int] = {}  # each key's first class
-        self._more: dict[float, list[int]] = {}  # a key's other classes, after a collision
+        self._classes: dict[bytes, int] = {}  # each class's bytes, to its class
         self.size = 0
 
     def __len__(self) -> int:
@@ -504,33 +470,16 @@ class ClassTable:
 
     def add(self, rows: Frontier) -> np.ndarray:
         """Merge ``rows``, freshly computed, into the table; the class of
-        each row.  Rows that match no class become new classes, in row
-        order."""
-        keys = content_keys(rows).tolist()
-        first, start = self._first, self.size
-        if len(set(keys)) == len(keys) and first.keys().isdisjoint(keys):  # every row opens a class
-            first.update(zip(keys, range(start, start + len(keys))))
+        each row.  Rows that match no class become new classes, in order
+        of their first row."""
+        keys = _row_keys(rows)
+        known, start = self._classes, self.size
+        if len(set(keys)) == len(keys) and known.keys().isdisjoint(keys):  # every row opens a class
+            known.update(zip(keys, range(start, start + len(keys))))
             self._append(rows)
             return np.arange(start, start + len(keys))
-        classes = np.empty(len(rows), dtype=np.intp)
-        fresh, matched = [], []
-        for row, key in enumerate(keys):
-            head = first.setdefault(key, start + len(fresh))
-            classes[row] = head
-            (fresh if head == start + len(fresh) else matched).append(row)
-        self._append(rows.take(fresh))
-        if not matched:
-            return classes
-        matched = np.array(matched)
-        table = self.view()
-        for row in matched[~_same(table, classes[matched], rows, matched)].tolist():  # key collisions
-            others = self._more.setdefault(keys[row], [])
-            hits = [c for c in others if _same(table, np.array([c]), rows, np.array([row]))[0]]
-            if hits:
-                classes[row] = hits[0]
-            else:
-                classes[row] = self.size
-                others.append(self.size)
-                self._append(rows.take([row]))
-                table = self.view()
+        classes = np.fromiter((known.setdefault(key, len(known)) for key in keys), dtype=np.intp, count=len(keys))
+        # a row opens a class when its class passes every class before it
+        before = np.maximum.accumulate(np.concatenate(([start - 1], classes[:-1])))
+        self._append(rows.take(np.flatnonzero(classes > before)))
         return classes

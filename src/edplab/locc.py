@@ -30,7 +30,7 @@ distinct instruments (a branch with fewer Kraus operators is padded
 with zero operators), so a chunk is one batched matmul per operator
 slot, or one index gather per operator on sparse nodes under monomial
 operators (``Round.gathers``); the children are merged into the next
-level's class table by exact content (``frontier.ClassTable``).  Any
+level's class table by their bytes (``frontier.ClassTable``).  Any
 other level is expanded row by row, with the rows' operators stacked
 the same way, and each child is a class of its own: a level within the
 budget needs no table, and a level that shares no node is taken to have
@@ -166,7 +166,9 @@ class RoundStats(NamedTuple):
     expanded: int  # nodes of the previous level the round expanded
     pruned: int  # nodes of the previous level below PROB_TOL, left unexpanded
     distinct: int  # class table rows the round produced: distinct children where it merged, else all
-    frontier_bytes: int  # the largest class table the round produced for one seed block, as allocated
+    # the largest class table the round produced for one seed block, as allocated; the keys that merged
+    # it, about as many bytes again while it is built, are not counted
+    frontier_bytes: int
     seconds: float
 
 
@@ -498,7 +500,7 @@ def walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray) -> 
     round applies its listener and instrument once per distinct (parent
     class, listener, instrument) triple, in chunks of at most the budget
     of children, and merges the children into the next level's class
-    table by exact content (``frontier.ClassTable``).  Any other level is
+    table by their bytes (``frontier.ClassTable``).  Any other level is
     expanded row by row, a class per child (``_descend``).  Only the
     current level is held, so memory follows one level's class table;
     callers that need a bound size their blocks in rows with
@@ -538,7 +540,7 @@ def _descend(protocol: Protocol, level: Level, cut: bool) -> Iterator[Level]:
     since their leaves are scored as such) and its parents share a node,
     each distinct
     (parent class, listener, instrument) triple is applied once and the
-    children are merged by content into a class table
+    children are merged by their bytes into a class table
     (``_merged_children``).  Otherwise the level is expanded row by row,
     in one batch, and each child is a class of its own
     (``_row_children``): a level within the budget needs no table, and a
@@ -663,7 +665,10 @@ def _merged_children(
     ops: _Ops, parents: Level, first: np.ndarray, triples: np.ndarray, row_bytes: int, cut: bool, leaves: bool
 ) -> tuple[Level, Level | None, bool]:
     """``_expand`` through a class table: the children of the distinct
-    triples are merged by content (``frontier.ClassTable``).
+    triples are merged by their bytes (``frontier.ClassTable``), which
+    numbers new classes in the order of their first child, so the first
+    t triples use exactly the classes up to the largest of their
+    children's (``_cut``).
 
     Triples are applied in the order of their first row, in chunks of at
     most ``FRONTIER_BUDGET_BYTES`` of children, or of one seed's new

@@ -295,6 +295,34 @@ def test_cli_emit_run_bytes_are_pinned(tmp_path):
     assert digest == "40642c5f8360da3ed9e5b40c2603e7e69e0b8c95c61d2ab836d82f5cdbe8a0a8"
 
 
+# commands whose runs merge levels through class tables, with each
+# output file's sha256 and the exit code, recorded before the tables were
+# keyed by row bytes; the bounds command exits 1 on the falsified
+# no-communication floor
+MERGED_COMMANDS = {
+    "bounds-fidelity-5-1": (
+        ["bounds", "--model", "fidelity", "--include-no-comm-probe", "--n", "5", "--s", "1", "--epsilon", "0.2"],
+        1, "300c649d1ea40f00ff4990b9fe24a99769e59d2627e2d81b4ede67ba3a9c579a"),
+    "sweep-fidelity": (
+        ["sweep", "--model", "fidelity", "--n", "3..4", "--s", "1..2", "--epsilon", "0.1,0.27"],
+        0, "20f93971bd3225dcb8492969e6c452362bbadfe2d8004dc9176528db29ceb1c4"),
+    "spec-hash-5-2": (["--s", "2"], 0, "e4795be8c2e40a2c9547eb9c8326efb6336312e75b0a5f852c90f6b478e882ce"),
+    "spec-hash-5-3": (["--s", "3"], 0, "0e4cfeda389a896c3bf73b0e1877d0af13d7c37618992fdc508995963c235757"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MERGED_COMMANDS))
+def test_cli_merged_run_bytes_are_pinned(tmp_path, name):
+    argv, code, digest = MERGED_COMMANDS[name]
+    if name.startswith("spec-"):  # the hash (5, s) spec on measure-r (5,2)
+        spec = tmp_path / "srh.json"
+        assert main(["protocol", "--make", "simple-random-hash", "--n", "5", *argv, "--out", str(spec)]) == 0
+        argv = ["protocol", "--spec", str(spec), "--model", "measure-r", "--r", "2"]
+    out = tmp_path / "out.json"
+    assert main([*argv, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_cli_seed_validation():
     assert main(["lemmas", "--count", "5", "--seed", "-3"]) == 2
 
@@ -534,6 +562,34 @@ def test_cli_sweep_worker_pool_order_independent(tmp_path):
     assert main(base + ["--out", str(serial)]) == 0
     assert main(base + ["--workers", "2", "--out", str(pooled)]) == 0
     assert serial.read_bytes() == pooled.read_bytes()
+
+
+@pytest.mark.parametrize("workers", ["0", "-3", "config=0"])
+def test_cli_sweep_workers_below_one_is_bad_input(tmp_path, capsys, workers):
+    out = tmp_path / "out.json"
+    argv = ["sweep", "--model", "measure-r", "--n", "1", "--out", str(out)]
+    if workers.startswith("config="):
+        argv += ["--config", _write(tmp_path, "c.cfg", f"workers = {workers.removeprefix('config=')}\n")]
+    else:
+        argv += ["--workers", workers]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("error:") == 1 and "workers" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "values", [["--model", "depolarization", "--p", "nan"], ["--model", "depolarization", "--p", "0.1,-inf"],
+               ["--model", "fidelity", "--epsilon", "nan"], ["--model", "fidelity", "--epsilon", "inf"]],
+    ids=["p-nan", "p-minus-inf", "epsilon-nan", "epsilon-inf"],
+)
+def test_cli_sweep_non_finite_values_are_bad_input(tmp_path, capsys, values):
+    # a NaN would be written as a bare NaN, which is not JSON, and fail as a check
+    out = tmp_path / "out.json"
+    assert main(["sweep", "--n", "3", *values, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("error:") == 1 and "finite" in err
+    assert not out.exists()
 
 
 def _protocol_eval_argv(tmp_path):

@@ -516,12 +516,10 @@ def _merged_cut_cases():
     yield make_simple_random_hash(4, 2), MeasureRModel(4, 2).run_inputs()[4]
 
 
-@pytest.mark.parametrize("colliding", [False, True])
 @pytest.mark.parametrize("case", range(2))
-def test_cut_class_tables_leave_the_run_unchanged(monkeypatch, case, colliding):
+def test_cut_class_tables_leave_the_run_unchanged(monkeypatch, case):
     # a cut keeps a prefix of the table's classes, views them, and starts the
-    # rest of the block on a new table; with one content key for every row,
-    # the tables merge by bytes alone
+    # rest of the block on a new table
     proto, state = list(_merged_cut_cases())[case]
     reference = run(proto, state)
     merged_cuts = []
@@ -535,8 +533,6 @@ def test_cut_class_tables_leave_the_run_unchanged(monkeypatch, case, colliding):
     monkeypatch.setattr(locc, "_cut", recording_cut)
     monkeypatch.setattr(locc, "_fits", _strict_fits)
     monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget)
-    if colliding:
-        monkeypatch.setattr(frontier, "content_keys", lambda rows: np.zeros(len(rows)))
     chunked = run(proto, state)
     assert any(merged_cuts)
     assert chunked.stats.seed_blocks >= 4
@@ -582,19 +578,6 @@ def test_class_walk_rows_equal_per_seed_walks(monkeypatch, case):
         monkeypatch.undo()
 
 
-def _collision_cases():
-    gen = np.random.default_rng(67)
-    povm = random_protocol(gen, 2, 2, n_seeds=3, accept_kind="povm", with_listeners=True)
-    kraus = random_protocol(gen, 2, 2, n_seeds=2, kraus_per_branch=2, accept_kind="constant")
-    for proto in (make_simple_random_hash(3, 2), povm, kraus):
-        n = proto.n_pairs
-        yield proto, random_pure_state(gen, n, n)
-        yield proto, ProductState(random_density_matrix(gen, n, 0), random_density_matrix(gen, 0, n))
-        yield proto, random_density_matrix(gen, n, n)
-    # the hash on a measure-r input merges many nodes, so every bucket is shared
-    yield make_simple_random_hash(3, 2), MeasureRModel(3, 1).run_inputs()[2]
-
-
 def _records(result):
     return [
         (leaf.component, leaf.seed, leaf.transcript, leaf.weight, leaf.probability, leaf.accept_probability,
@@ -603,27 +586,13 @@ def _records(result):
     ]
 
 
-@pytest.mark.parametrize("case", range(10))
-def test_colliding_content_keys_leave_the_run_unchanged(monkeypatch, case):
-    # with one key for every row, every row lands in one bucket and only the
-    # bytewise comparison tells classes apart
-    proto, state = list(_collision_cases())[case]
-    reference = run(proto, state)
-    monkeypatch.setattr(frontier, "content_keys", lambda rows: np.zeros(len(rows)))
-    colliding = run(proto, state)
-    assert_run_matches(colliding, reference)
-    assert _records(colliding) == _records(reference)
-    assert [r.distinct for r in colliding.stats.rounds] == [r.distinct for r in reference.stats.rounds]
-
-
 def test_rows_differing_in_the_sign_of_zero_stay_apart():
-    # +0.0 and -0.0 share a content key but not their bytes: they are two
+    # +0.0 and -0.0 compare equal but differ in their bytes: they are two
     # classes, and inputs that differ only there match the dense oracle
     psi = np.zeros((2, 4, 4), dtype=np.complex128)
     psi[:, 0, 0] = psi[:, 3, 3] = 0.5
     psi[1, 1, 2] = -0.0
     rows = frontier.Pure(psi)
-    assert frontier.content_keys(rows)[0] == frontier.content_keys(rows)[1]
     table = frontier.ClassTable()
     assert table.add(rows).tolist() == [0, 1]
     assert table.add(frontier.Pure(psi[::-1].copy())).tolist() == [1, 0]
@@ -633,6 +602,38 @@ def test_rows_differing_in_the_sign_of_zero_stay_apart():
     for proto in (make_simple_random_hash(2, 1), random_protocol(np.random.default_rng(5), 2, 2, n_seeds=2)):
         for amplitudes in (plus, minus):
             assert_matches_oracle(proto, PureState(2, 2, amplitudes))
+
+
+def _part_bytes(rows):
+    return [b"".join(part[i].tobytes() for part in rows.parts) for i in range(len(rows))]
+
+
+def test_class_table_keys_rows_by_their_bytes():
+    # rows are one class exactly when they hold the same bytes: sparse rows
+    # whose amplitudes agree but whose column indexes differ, and rows that
+    # differ only in the sign of a zero, are classes of their own; equal rows
+    # merge across adds, and a chunk's new rows are numbered in the order of
+    # their first row
+    sparse = frontier.Sparse(np.full((2, 4), 0.5 + 0j), np.array([[0, 1, 2, 3], [1, 0, 3, 2]]), 4)
+    zeros = np.zeros((2, 2, 2), dtype=np.complex128)
+    zeros[:, 0, 0] = 0.5
+    zeros[1, 1, 1] = -0.0
+    same = np.repeat(zeros[:1], 2, axis=0)
+    for rows in (sparse, frontier.Pure(zeros), frontier.Product(zeros, same), frontier.Dense(zeros, 2, 1)):
+        table = frontier.ClassTable()
+        assert table.add(rows).tolist() == [0, 1]
+        assert table.add(rows.take([1, 0, 1])).tolist() == [1, 0, 1]
+        assert len(table) == 2 and _part_bytes(table.frontier()) == _part_bytes(rows)
+    gen = np.random.default_rng(8)
+    psi = gen.normal(size=(3, 4, 4)) + 1j * gen.normal(size=(3, 4, 4))
+    psi[:, 1, 2] = 0.0
+    a, b, c = psi
+    signed = a.copy()
+    signed[1, 2] = -0.0
+    table = frontier.ClassTable()
+    assert table.add(frontier.Pure(np.array([a, b]))).tolist() == [0, 1]
+    assert table.add(frontier.Pure(np.array([signed, c, a, signed, b, c]))).tolist() == [2, 3, 0, 2, 1, 3]
+    assert _part_bytes(table.view()) == _part_bytes(frontier.Pure(np.array([a, b, signed, c])))
 
 
 def test_class_table_hands_out_arrays_of_its_own_size():
