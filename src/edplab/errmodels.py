@@ -457,6 +457,10 @@ class FidelityModel:
     def __post_init__(self) -> None:
         # rejects n < 1 and epsilon outside [0, 1 - 4^-n], NaN included
         _witness_mixing_weight(self.n, self.epsilon)
+        if self.samples < 0:
+            raise ValueError(f"need samples >= 0, got {self.samples}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"need 0 <= seed < 2**64, got {self.seed}")
 
     def witness(self) -> DensityMatrix:
         return fidelity_witness(self.n, self.epsilon)

@@ -17,15 +17,16 @@ The measure-r error states and the perfect block are sparse, and the
 CNOT permutations and basis projectors of the parity hash keep them so
 (the structure of stabilizer simulation, Aaronson & Gottesman 2004).
 
-A level holds each distinct node state once, in a ``ClassTable`` that
-merges rows by exact content: it keys each class by the row's bytes, so
-equal rows merge and rows that differ only in the sign of a zero stay
-apart.  This is the unique table of decision-diagram simulators (QMDD,
-Miller & Thornton 2006; DDSIM, Zulehner & Wille 2019).
+A level holds each distinct node state once, as its key in a
+``ClassTable``: the row's bytes, so equal rows merge and rows that
+differ only in the sign of a zero stay apart.  This is the unique table
+of decision-diagram simulators, whose key is the node (QMDD, Miller &
+Thornton 2006; DDSIM, Zulehner & Wille 2019).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import NamedTuple
 
@@ -344,24 +345,23 @@ def _traces(mats: np.ndarray) -> np.ndarray:
     return np.trace(mats, axis1=1, axis2=2).real
 
 
-def frontier_of(state: PureState | ProductState | DensityMatrix, rows: int) -> Frontier:
-    """``rows`` copies of the input; its type picks the representation of
-    its tree: a pure state whose amplitude matrix holds at most one
-    nonzero per row is sparse.  The copies are read-only views of one
-    array."""
+def frontier_of(state: PureState | ProductState | DensityMatrix) -> Frontier:
+    """The input as one row; its type picks the representation of its
+    tree: a pure state whose amplitude matrix holds at most one nonzero
+    per row is sparse.  The row is read-only."""
 
-    def rows_of(arr: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(arr, (rows,) + arr.shape)
+    def row(arr: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(arr, (1,) + arr.shape)
 
     if isinstance(state, PureState):
         psi = state.amplitudes.reshape(1, 1 << state.n_alice, 1 << state.n_bob)
         sparse = _sparse_of(psi)
         if sparse is not None:
-            return sparse.with_parts(*(rows_of(part[0]) for part in sparse.parts))
-        return Pure(rows_of(psi[0]))
+            return sparse.with_parts(*(row(part[0]) for part in sparse.parts))
+        return Pure(row(psi[0]))
     if isinstance(state, ProductState):
-        return Product(rows_of(state.alice.matrix), rows_of(state.bob.matrix))
-    return Dense(rows_of(state.matrix), 1 << state.n_alice, 1 << state.n_bob)
+        return Product(row(state.alice.matrix), row(state.bob.matrix))
+    return Dense(row(state.matrix), 1 << state.n_alice, 1 << state.n_bob)
 
 
 def _qubit_marginal(mats: np.ndarray, n: int, qubit: int) -> np.ndarray:
@@ -418,6 +418,14 @@ def _row_keys(rows: Frontier) -> list[bytes]:
     return flat.view(np.dtype((np.void, flat.shape[1]))).reshape(-1).tolist()
 
 
+def _rows_of(keys, count: int, template: Frontier) -> Frontier:
+    """``_row_keys`` read back: the ``count`` rows of ``keys``, in the
+    form of ``template``, each part a view of one array."""
+    layout = np.dtype([(f"f{i}", part.dtype, part.shape[1:]) for i, part in enumerate(template.parts)])
+    records = np.fromiter(keys, np.dtype((np.void, layout.itemsize)), count).view(layout)
+    return template.with_parts(*(records[name] for name in layout.names))
+
+
 class ClassTable:
     """The distinct node states of one level, each held once, in order of
     first appearance: a unique table.
@@ -425,61 +433,27 @@ class ClassTable:
     ``add`` merges rows into the table by exact content and returns each
     row's class: a dict maps each class's bytes (``_row_keys``) to its
     class, so rows that differ only in the sign of a zero stay apart.
-    Rows are kept in arrays that grow by half when full, so most adds
-    copy no class; ``frontier`` hands the classes out in arrays of their
-    own size, and ``view`` without a copy.  The keys hold about the
-    classes' bytes again, beside the store.
+    The keys are the table's only copy of its classes; ``frontier``
+    decodes them into arrays of the classes alone.
     """
 
     def __init__(self) -> None:
-        self._store: Frontier | None = None  # the classes, then spare rows
         self._classes: dict[bytes, int] = {}  # each class's bytes, to its class
-        self.size = 0
+        self._form: Frontier | None = None  # no rows, in the form of the rows added
 
     def __len__(self) -> int:
-        return self.size
+        return len(self._classes)
 
     def frontier(self, size: int | None = None) -> Frontier:
-        """The first ``size`` classes (all by default), copied out of the
-        store when it holds more rows, so that the frontier's bytes are
-        the bytes it keeps allocated."""
-        size = self.size if size is None else size
-        if len(self._store) == size:
-            return self._store
-        return self._store.with_parts(*(part[:size].copy() for part in self._store.parts))
-
-    def view(self, size: int | None = None) -> Frontier:
-        """The first ``size`` classes (all by default) as a view of the
-        store, which may hold more rows: for a level let go at once."""
-        return self._store.take(slice(0, self.size if size is None else size))
-
-    def _append(self, rows: Frontier) -> None:
-        end = self.size + len(rows)
-        if self._store is None:
-            self._store = rows  # fresh rows, adopted without a copy
-        elif end > len(self._store):
-            size = max(end, self.size + self.size // 2)
-            grown = rows.with_parts(*(np.empty((size,) + part.shape[1:], part.dtype) for part in rows.parts))
-            for old, new in zip(self._store.parts, grown.parts):
-                new[: self.size] = old[: self.size]
-            self._store = grown
-        if self._store is not rows:
-            for new, part in zip(self._store.parts, rows.parts):
-                new[self.size : end] = part
-        self.size = end
+        """The first ``size`` classes (all by default), in arrays of
+        exactly their bytes."""
+        size = len(self) if size is None else size
+        return _rows_of(itertools.islice(self._classes, size), size, self._form)
 
     def add(self, rows: Frontier) -> np.ndarray:
-        """Merge ``rows``, freshly computed, into the table; the class of
-        each row.  Rows that match no class become new classes, in order
-        of their first row."""
-        keys = _row_keys(rows)
-        known, start = self._classes, self.size
-        if len(set(keys)) == len(keys) and known.keys().isdisjoint(keys):  # every row opens a class
-            known.update(zip(keys, range(start, start + len(keys))))
-            self._append(rows)
-            return np.arange(start, start + len(keys))
-        classes = np.fromiter((known.setdefault(key, len(known)) for key in keys), dtype=np.intp, count=len(keys))
-        # a row opens a class when its class passes every class before it
-        before = np.maximum.accumulate(np.concatenate(([start - 1], classes[:-1])))
-        self._append(rows.take(np.flatnonzero(classes > before)))
-        return classes
+        """Merge ``rows`` into the table; the class of each row.  Rows that
+        match no class become new classes, in order of their first row."""
+        if self._form is None:
+            self._form = rows.with_parts(*(part[:0].copy() for part in rows.parts))
+        keys, known = _row_keys(rows), self._classes
+        return np.fromiter((known.setdefault(key, len(known)) for key in keys), dtype=np.intp, count=len(keys))

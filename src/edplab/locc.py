@@ -30,12 +30,13 @@ distinct instruments (a branch with fewer Kraus operators is padded
 with zero operators), so a chunk is one batched matmul per operator
 slot, or one index gather per operator on sparse nodes under monomial
 operators (``Round.gathers``); the children are merged into the next
-level's class table by their bytes (``frontier.ClassTable``).  Any
-other level is expanded row by row, with the rows' operators stacked
-the same way, and each child is a class of its own: a level within the
-budget needs no table, and a level that shares no node is taken to have
-children that share none.  So a protocol without repeated nodes is
-walked row by row below its root.
+level's class table (``frontier.ClassTable``), which holds each
+distinct child once, as its bytes, and decodes the classes into the
+level's arrays.  Any other level is expanded row by row, with the rows'
+operators stacked the same way, and each child is a class of its own: a
+level within the budget needs no table, and a level that shares no node
+is taken to have children that share none.  So a protocol without
+repeated nodes is walked row by row below its root.
 ``run`` walks all seeds of an input together, and ``model_fidelities``
 all seeds of a block of a measure-r model's error states, with rows
 keyed by (input, seed, transcript); the block is cut at an (input,
@@ -166,8 +167,8 @@ class RoundStats(NamedTuple):
     expanded: int  # nodes of the previous level the round expanded
     pruned: int  # nodes of the previous level below PROB_TOL, left unexpanded
     distinct: int  # class table rows the round produced: distinct children where it merged, else all
-    # the largest class table the round produced for one seed block, as allocated; the keys that merged
-    # it, about as many bytes again while it is built, are not counted
+    # the largest class table the round produced for one seed block, in bytes: its classes, held once as
+    # their keys while it is built; each key's object overhead (about 33 B, and its dict slot) is not counted
     frontier_bytes: int
     seconds: float
 
@@ -263,7 +264,7 @@ FRONTIER_BUDGET_BYTES = 1 << 17
 
 def _row_bytes(protocol: "Protocol", state: State | ProductState) -> int:
     """Bytes of one node of ``state``'s frontier below the root."""
-    nodes = frontier_of(state, 1)
+    nodes = frontier_of(state)
     gathered = isinstance(nodes, Sparse) and all(rnd.gathers is not None for rnd in protocol.rounds)
     return child_row_bytes(nodes, 2 if protocol.multi_kraus else 1, gathered)
 
@@ -508,7 +509,7 @@ def walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray) -> 
     row.  The walk never cuts the block, so it yields exactly one level
     per depth.  ``state`` must live on ``protocol.n_pairs`` pairs.
     """
-    return _walk(protocol, frontier_of(state, 1), seeds, cut=False)
+    return _walk(protocol, frontier_of(state), seeds, cut=False)
 
 
 def _walk(protocol: Protocol, roots: Frontier, seeds: np.ndarray, cut: bool) -> Iterator[Level]:
@@ -558,24 +559,19 @@ def _descend(protocol: Protocol, level: Level, cut: bool) -> Iterator[Level]:
     row_bytes = child_row_bytes(parents.frontier, rnd.width, gathered)
     pure_bytes = child_row_bytes(parents.frontier, rnd.width, gathered=False)
     by_rows = parents.apart or 2 * len(parents) * pure_bytes <= FRONTIER_BUDGET_BYTES
-    leaves = level.depth + 1 == protocol.bits
     del level
     while parents is not None:
-        children, parents, by_rows = _expand(rnd, parents, row_bytes, by_rows, cut, leaves)
+        children, parents, by_rows = _expand(rnd, parents, row_bytes, by_rows, cut)
         below = _descend(protocol, children, cut)
         del children
         yield from below
 
 
-def _expand(
-    rnd: Round, parents: Level, row_bytes: int, by_rows: bool, cut: bool, leaves: bool
-) -> tuple[Level, Level | None, bool]:
+def _expand(rnd: Round, parents: Level, row_bytes: int, by_rows: bool, cut: bool) -> tuple[Level, Level | None, bool]:
     """The children of ``parents``, whose children take ``row_bytes`` each,
     expanded ``by_rows`` or merged (``_descend``); the parents left for a
     later block when ``cut`` is set and the block had to be cut (None
-    when it was not); and whether those are to be expanded by rows.
-    Merged children that are ``leaves`` are scored and let go at once,
-    so their level views its class table's store instead of a copy."""
+    when it was not); and whether those are to be expanded by rows."""
     instruments = _per_seed(rnd.instrument_index, parents.seeds)
     listeners = None if rnd.listener_index is None else _per_seed(rnd.listener_index, parents.seeds)
     if by_rows:
@@ -583,7 +579,7 @@ def _expand(
     keys = parents.classes if listeners is None else parents.classes * len(rnd.listener_unitaries) + listeners
     first, triples = _first_seen(keys * len(rnd.instruments) + instruments)
     ops = _Ops(rnd, None if listeners is None else listeners[first], instruments[first])
-    return _merged_children(ops, parents, first, triples, row_bytes, cut, leaves)
+    return _merged_children(ops, parents, first, triples, row_bytes, cut)
 
 
 class _Ops(NamedTuple):
@@ -662,7 +658,7 @@ def _row_children(ops: _Ops, parents: Level, row_bytes: int) -> tuple[Level, Lev
 
 
 def _merged_children(
-    ops: _Ops, parents: Level, first: np.ndarray, triples: np.ndarray, row_bytes: int, cut: bool, leaves: bool
+    ops: _Ops, parents: Level, first: np.ndarray, triples: np.ndarray, row_bytes: int, cut: bool
 ) -> tuple[Level, Level | None, bool]:
     """``_expand`` through a class table: the children of the distinct
     triples are merged by their bytes (``frontier.ClassTable``), which
@@ -677,7 +673,9 @@ def _merged_children(
     children that opened a class so far (``_room``); where not one more
     triple fits, or the table did not fit after all (``_fits``), the
     block is cut at the last seed boundary whose rows' classes fit
-    (``_cut``).
+    (``_cut``).  The table holds each class once, as its bytes, so its
+    size is what ``_fits`` and ``_room`` weigh; the classes kept are
+    decoded from it into the level's arrays.
     """
     starts = _seed_starts(parents.seeds)
     needed = np.searchsorted(first, starts)  # the triples the rows before each start need
@@ -703,6 +701,7 @@ def _merged_children(
         chunk = slice(done, min(done + count, len(first)))
         children = ops.apply(parents.frontier.take(parents.classes[first[chunk]]), chunk)
         classes[2 * chunk.start : 2 * chunk.stop] = table.add(children)
+        del children  # not held while the table is decoded
         done = chunk.stop
         if cut and len(table) * row_bytes > FRONTIER_BUDGET_BYTES and len(needed) and needed[0] <= done:
             covered = 2 * row_bytes * int(np.count_nonzero(triples < done))
@@ -714,7 +713,7 @@ def _merged_children(
     # one seed's children filled the table, and its triples, all distinct, merged nothing: the
     # rest is expanded row by row, as blocks of about one seed that share nothing
     by_rows = rest is None or (kept == starts[0] and len(first) == len(parents) and len(table) == 2 * done)
-    return _child_level(block, rows, table.view(size) if leaves else table.frontier(size)), rest, by_rows
+    return _child_level(block, rows, table.frontier(size)), rest, by_rows
 
 
 def _cut(classes: np.ndarray, done: int, starts: np.ndarray, needed: np.ndarray, row_bytes: int) -> tuple[int, int]:
@@ -865,7 +864,7 @@ def run(protocol: Protocol, state) -> RunResult:
     records: list[_RecordRows] = []
     sums = _sums(1)
     for component, (weight, st) in enumerate(_coerce_input(protocol, state)):
-        _evaluate(protocol, frontier_of(st, 1), np.array([weight]), sums, meter, records, component)
+        _evaluate(protocol, frontier_of(st), np.array([weight]), sums, meter, records, component)
     (out,), (cond,), (success,) = sums
     return RunResult(
         n_pairs=protocol.n_pairs,

@@ -733,6 +733,21 @@ def test_cli_depolarization_model_file_no_pairs_is_rejected_on_load(tmp_path, ca
 
 
 @pytest.mark.parametrize("model", [
+    {"model": "fidelity", "n": 2, "epsilon": 0.1, "samples": -3},
+    {"model": "fidelity", "n": 2, "epsilon": 0.1, "seed": -1},
+    {"model": "fidelity", "n": 2, "epsilon": 0.1, "seed": 2**64},
+])
+def test_cli_fidelity_model_file_with_bad_samples_or_seed_is_bad_input(tmp_path, capsys, model):
+    spec = _edited(tmp_path, "spec.json", _HASH_DOC, (), _HASH_DOC)
+    path = _write(tmp_path, "model.json", json.dumps(model))
+    out = tmp_path / "eval.json"
+    assert main(["protocol", "--spec", spec, "--model-file", path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "error model (fidelity): need " in err[0]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [
     {"model": "measure_r", "n": 2, "r": 1},
     {"model": "depolarization", "n": 2, "p": 0.2},
     {"model": "fidelity", "n": 2, "epsilon": 0.2, "samples": 1, "seed": 3},

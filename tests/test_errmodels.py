@@ -418,6 +418,19 @@ def test_fidelity_model_rejects_epsilon_beyond_witness_range():
     assert FidelityModel(1, 0.75).witness().matrix[0, 0] == pytest.approx(0.25)
 
 
+def test_fidelity_model_rejects_negative_samples_and_seeds_outside_64_bits():
+    # a seed outside [0, 2**64) is rejected even with no samples to draw,
+    # where it would otherwise be dropped unread
+    with pytest.raises(ValueError, match="samples"):
+        FidelityModel(2, 0.1, samples=-3)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match="seed"):
+            FidelityModel(2, 0.1, seed=seed)
+        with pytest.raises(ValueError, match="seed"):
+            FidelityModel(2, 0.1, samples=1, seed=seed)
+    assert FidelityModel(2, 0.1, samples=0, seed=2**64 - 1).states()[0].matrix.shape == (16, 16)
+
+
 def test_witness_components_collapse_to_the_dense_witness():
     for n in (1, 2, 3):
         for eps in (0.0, 0.1, 0.25, 1.0 - 4.0**-n):

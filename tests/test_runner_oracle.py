@@ -518,7 +518,7 @@ def _merged_cut_cases():
 
 @pytest.mark.parametrize("case", range(2))
 def test_cut_class_tables_leave_the_run_unchanged(monkeypatch, case):
-    # a cut keeps a prefix of the table's classes, views them, and starts the
+    # a cut keeps a prefix of the table's classes, decodes them, and starts the
     # rest of the block on a new table
     proto, state = list(_merged_cut_cases())[case]
     reference = run(proto, state)
@@ -574,7 +574,7 @@ def test_class_walk_rows_equal_per_seed_walks(monkeypatch, case):
         seeds = np.arange(proto.n_seeds)
         assert _by_depth(walk(proto, component, seeds)) == per_seed
         monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", _seed_bytes(proto, component)[0])
-        assert _by_depth(locc._walk(proto, frontier.frontier_of(component, 1), seeds, cut=True)) == per_seed
+        assert _by_depth(locc._walk(proto, frontier.frontier_of(component), seeds, cut=True)) == per_seed
         monkeypatch.undo()
 
 
@@ -633,23 +633,77 @@ def test_class_table_keys_rows_by_their_bytes():
     table = frontier.ClassTable()
     assert table.add(frontier.Pure(np.array([a, b]))).tolist() == [0, 1]
     assert table.add(frontier.Pure(np.array([signed, c, a, signed, b, c]))).tolist() == [2, 3, 0, 2, 1, 3]
-    assert _part_bytes(table.view()) == _part_bytes(frontier.Pure(np.array([a, b, signed, c])))
+    assert _part_bytes(table.frontier()) == _part_bytes(frontier.Pure(np.array([a, b, signed, c])))
+
+
+def _buffer(part):
+    """The array that owns ``part``'s memory."""
+    while part.base is not None:
+        part = part.base
+    return part
 
 
 def test_class_table_hands_out_arrays_of_its_own_size():
-    # the table grows its store by half; the frontier it hands out holds
-    # the classes alone, in arrays of their own, so that a level's bytes are
-    # what it keeps allocated
+    # the table holds each class once, as its key; the frontier it decodes
+    # holds the classes alone, all parts in one buffer of exactly their
+    # bytes, so that a level's bytes are what it keeps allocated
     gen = np.random.default_rng(3)
-    rows = [random_density_matrix(gen, 1, 1).matrix for _ in range(5)]
-    table = frontier.ClassTable()
-    for chunk in ([0, 1], [1, 2, 3], [0, 4, 4], [2]):
-        table.add(frontier.Dense(np.array([rows[i] for i in chunk]), 2, 2))
-    assert len(table) == 5
-    for size in (None, 3):
-        rho = table.frontier(size).rho
-        assert rho.flags.owndata and len(rho) == (5 if size is None else size)
-        np.testing.assert_array_equal(rho, np.array(rows[: len(rho)]))
+    psi = gen.normal(size=(5, 4, 4)) + 1j * gen.normal(size=(5, 4, 4))
+    rho = np.array([random_density_matrix(gen, 1, 1).matrix for _ in range(5)])
+    for rows in (
+        frontier.Sparse(psi[:, 0], gen.integers(4, size=(5, 4)), 4),
+        frontier.Pure(psi),
+        frontier.Product(psi, psi[::-1].copy()),
+        frontier.Dense(rho, 2, 2),
+    ):
+        table = frontier.ClassTable()
+        for chunk in ([0, 1], [1, 2, 3], [0, 4, 4], [2]):
+            table.add(rows.take(chunk))
+        assert len(table) == 5
+        for size in (None, 3):
+            nodes = table.frontier(size)
+            count = 5 if size is None else size
+            buffers = {id(_buffer(part)) for part in nodes.parts}
+            assert len(nodes) == count and len(buffers) == 1
+            assert _buffer(nodes.parts[0]).nbytes == nodes.nbytes == count * rows.nbytes // 5
+            assert _part_bytes(nodes) == _part_bytes(rows)[:count]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    kind=st.sampled_from(["sparse", "pure", "product", "dense"]),
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 4),
+    chunks=st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=6), min_size=1, max_size=4),
+)
+def test_class_table_numbers_and_decodes_as_a_dict_of_row_bytes(kind, seed, count, chunks):
+    # ``add`` numbers classes as a dict over each row's bytes does, with rows
+    # repeated across and within chunks and +0.0 / -0.0 twins kept apart, and
+    # ``frontier`` decodes the first classes back to those rows byte for byte
+    gen = np.random.default_rng(seed)
+    base = gen.normal(size=(count, 2, 2)) + 1j * gen.normal(size=(count, 2, 2))
+    base[:, 0, 1] = 0.0
+    twins = base.copy()
+    twins[:, 0, 1] = -0.0
+    pool = np.concatenate([base, twins])
+    rows = {
+        "sparse": frontier.Sparse(pool[:, 0], np.tile(gen.integers(2, size=(count, 2)), (2, 1)), 2),
+        "pure": frontier.Pure(pool),
+        "product": frontier.Product(pool, pool[::-1].copy()),
+        "dense": frontier.Dense(pool, 2, 1),
+    }[kind]
+    table, reference = frontier.ClassTable(), {}
+    for chunk in chunks:
+        added = rows.take([i % len(pool) for i in chunk])
+        expected = [reference.setdefault(key, len(reference)) for key in _part_bytes(added)]
+        assert table.add(added).tolist() == expected
+    keys = list(reference)
+    assert len(table) == len(keys)
+    for size in (1, max(1, len(keys) // 2), len(keys)):
+        nodes = table.frontier(size)
+        assert type(nodes) is type(rows)
+        assert [(p.dtype, p.shape[1:]) for p in nodes.parts] == [(p.dtype, p.shape[1:]) for p in rows.parts]
+        assert _part_bytes(nodes) == keys[:size]
 
 
 def test_protocol_without_repeated_nodes_stays_within_the_budget():
@@ -834,11 +888,11 @@ def _forced_pure(state):
     """``locc.frontier_of`` that gives a pure state dense amplitudes."""
     real = locc.frontier_of
 
-    def frontier_of(st, rows):
+    def frontier_of(st):
         if st is not state:
-            return real(st, rows)
+            return real(st)
         psi = st.amplitudes.reshape(1 << st.n_alice, 1 << st.n_bob)
-        return frontier.Pure(np.broadcast_to(psi, (rows,) + psi.shape))
+        return frontier.Pure(np.broadcast_to(psi, (1,) + psi.shape))
 
     return frontier_of
 
@@ -916,10 +970,10 @@ def test_sparse_walks_equal_pure_walks_and_the_oracle(
 def test_pure_input_with_two_nonzeros_in_a_row_is_walked_pure():
     psi = np.zeros((4, 4), dtype=np.complex128)
     psi[0, 0] = psi[1, 2] = psi[2, 1] = psi[3, 3] = 0.5
-    assert isinstance(frontier.frontier_of(PureState(2, 2, psi.reshape(-1)), 1), frontier.Sparse)
+    assert isinstance(frontier.frontier_of(PureState(2, 2, psi.reshape(-1))), frontier.Sparse)
     psi[1, 1] = psi[1, 2] = 0.5**1.5  # row 1 now holds two nonzeros
     state = PureState(2, 2, psi.reshape(-1))
-    assert isinstance(frontier.frontier_of(state, 1), frontier.Pure)
+    assert isinstance(frontier.frontier_of(state), frontier.Pure)
     proto = make_simple_random_hash(2, 1)
     assert run(proto, state).stats.representations == ("pure",)
     assert_matches_oracle(proto, state)
