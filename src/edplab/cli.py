@@ -264,49 +264,55 @@ def cmd_protocol(args: argparse.Namespace) -> int:
     return _finish([record], args.format, args.out)
 
 
-# the report behind each sweep model, looked up through ``verify`` at call
-# time so that wrappers installed on that module apply
+# the reports behind each sweep model, one per cell of a group (the fidelity
+# cells of one (n, s), which share a hash and its witness walk, or one cell),
+# looked up through ``verify`` at call time so that module's wrappers apply
 _SWEEP_REPORTS = {
-    "measure-r": lambda t: verify.random_pair_measure_r_report(t["n"], t["r"]),
-    "depolarization": lambda t: verify.first_pair_depolarization_report(t["n"], t["p"]),
-    "fidelity": lambda t: verify.pos_fidelity_report(t["n"], t["s"], t["epsilon"]),
+    "measure-r": lambda cells: [verify.random_pair_measure_r_report(cells[0]["n"], cells[0]["r"])],
+    "depolarization": lambda cells: [verify.first_pair_depolarization_report(cells[0]["n"], cells[0]["p"])],
+    "fidelity": lambda cells: verify.pos_fidelity_reports(cells[0]["n"], cells[0]["s"], [t["epsilon"] for t in cells]),
 }
 
 
-def _sweep_cell(task: dict[str, Any]) -> dict[str, Any]:
-    model = task["model"]
+def _sweep_group(cells: list[dict[str, Any]]) -> list[dict[str, Any]]:
+    """Each cell's record: its report, or its ``ValueError``, or the group's."""
+    model = cells[0]["model"]
     try:
-        return _SWEEP_REPORTS[model](task).to_record() | {"seed": task["seed"]}
+        reports = _SWEEP_REPORTS[model](cells)
     except ValueError as exc:
-        return {
+        reports = [exc] * len(cells)
+    return [
+        {
             "theorem": f"{model}-cell",
             "pass": False,
-            "error": str(exc),
+            "error": str(report),
             "seed": task["seed"],
             **{f"param_{k}": v for k, v in sorted(task.items()) if k not in ("model", "seed")},
         }
+        if isinstance(report, ValueError)
+        else report.to_record() | {"seed": task["seed"]}
+        for task, report in zip(cells, reports)
+    ]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     model = _require(args.model, "--model is required")
     ns = _parse_range(args.n)
-    tasks: list[dict[str, Any]] = []
+    groups: list[list[dict[str, Any]]] = []
     if model == "measure-r":
         for n in ns:
             rs = list(range(n + 1)) if args.r == "all" else _parse_range(args.r)
-            tasks.extend({"model": model, "n": n, "r": r} for r in rs)
+            groups.extend([{"model": model, "n": n, "r": r}] for r in rs)
     elif model == "depolarization":
         ps = _parse_floats(args.p)
         for n in ns:
-            tasks.extend({"model": model, "n": n, "p": p} for p in ps)
+            groups.extend([{"model": model, "n": n, "p": p}] for p in ps)
     else:
         ss = _parse_range(args.s)
         eps = _parse_floats(args.epsilon)
         for n in ns:
-            for s in ss:
-                tasks.extend(
-                    {"model": model, "n": n, "s": s, "epsilon": e} for e in eps
-                )
+            groups.extend([{"model": model, "n": n, "s": s, "epsilon": e} for e in eps] for s in ss)
+    tasks = [task for group in groups for task in group]
     if args.seed + len(tasks) > 2**64:
         raise ValueError(f"the seeds of {len(tasks)} cells from {args.seed} pass 2**64 - 1")
     for idx, task in enumerate(tasks):
@@ -317,9 +323,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(_sweep_cell, tasks))
+            records = [rec for group in pool.map(_sweep_group, groups) for rec in group]
     else:
-        records = [_sweep_cell(task) for task in tasks]
+        records = [rec for group in groups for rec in _sweep_group(group)]
     return _finish(records, args.format, args.out)
 
 

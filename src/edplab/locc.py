@@ -1,8 +1,8 @@
-"""Two-party LOCC protocol state machine: the exact runner, its
-model-level figures of merit, and the four concrete protocols.
+"""Two-party LOCC protocol state machine: the exact runner and its
+model-level figures of merit; the four concrete protocols are re-exported.
 
 The protocol data model (``Instrument``, ``Round``, the accept rules and
-``Protocol``) lives in ``protocol`` and is re-exported here.  After the
+``Protocol``) and the concrete protocols live in ``protocol``.  After the
 last round Alice declares SUCC or FAIL; the declaration is modeled as a
 per-leaf accept probability, either a constant or the expectation of a
 POVM element on her register (realized as the gentle sqrt(M)
@@ -79,8 +79,8 @@ only when ``RunResult.leaves`` is read.  It also reports, per round, the
 nodes expanded and pruned, the distinct children, the largest class
 table and the time taken (``RunResult.stats``).
 
-Fidelity-model evaluations use sparse + product only: the canonical
-witness reaches ``run`` as ``errmodels.fidelity_witness_components``.
+Fidelity-model evaluations use sparse + product only: each part of the
+canonical witness is walked once and weighted per epsilon (``witness_fidelities``).
 
 ``run`` is a pure function; independent runs may execute in parallel.
 """
@@ -89,17 +89,16 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errmodels import ErrorModel, MeasureRModel, State, WeightedStates
+from .errmodels import ErrorModel, FidelityModel, MeasureRModel, State, WeightedStates, fidelity_witness_components
 from .frontier import ClassTable, Frontier, Gathers, Sparse, child_row_bytes, frontier_of, grouped
-from .protocol import (  # re-exported: the protocol data model
+from .protocol import (  # re-exported: the protocol data model and the four concrete protocols
     AcceptRule,
     AlwaysAccept,
     ConstantAccept,
@@ -107,10 +106,10 @@ from .protocol import (  # re-exported: the protocol data model
     PovmAccept,
     Protocol,
     Round,
-    _read_only,
     _transcript,
+    make_first_pair, make_random_pair, make_random_permutation, make_simple_random_hash,
 )
-from .qcore import ALICE, BOB, DensityMatrix, ProductState, PureState
+from .qcore import ALICE, DensityMatrix, ProductState, PureState, epr_state, phi_plus_overlaps
 
 PROB_TOL = 1e-12
 
@@ -189,31 +188,31 @@ class RunStats(NamedTuple):
     peak_frontier_bytes: int
 
 
-class _RecordRows(NamedTuple):
-    """The rows of one level of one seed block that ``RunResult.leaves``
-    records: the level's dead nodes, or its leaves.  Leaves keep their
-    values once per scored entry (``_Scores``) and each row's entry."""
+class _Walked(NamedTuple):
+    """The rows of one level of one seed block that ``_weigh`` reads: its
+    leaves, with their values once per scored entry (``_Scores``) and each
+    row's entry but no node states; or, for ``RunResult.leaves``, its dead nodes."""
 
-    component: int
     depth: int
+    inputs: np.ndarray
     seeds: np.ndarray
     codes: np.ndarray
-    weights: np.ndarray
     entries: np.ndarray | None = None  # None for dead nodes
     probabilities: np.ndarray | None = None  # per entry
     accept: np.ndarray | None = None
     reduced: np.ndarray | None = None  # (entries, 4, 4) unnormalized output pairs
+    post: np.ndarray | None = None  # (entries, 4, 4) accept-conditioned output pairs
 
-    def records(self) -> list[LeafRecord]:
-        rows = zip(self.seeds.tolist(), self.codes.tolist(), self.weights.tolist())
+    def records(self, component: int, weights: np.ndarray) -> list[LeafRecord]:
+        rows = zip(self.seeds.tolist(), self.codes.tolist(), weights.tolist())
         if self.entries is None:
             return [
-                LeafRecord(self.component, seed, _transcript(code, self.depth), w, 0.0, 0.0, None)
+                LeafRecord(component, seed, _transcript(code, self.depth), w, 0.0, 0.0, None)
                 for seed, code, w in rows
             ]
         outputs = (self.reduced / self.probabilities[:, None, None])[self.entries]
         return [
-            LeafRecord(self.component, seed, _transcript(code, self.depth), w, p, r, out)
+            LeafRecord(component, seed, _transcript(code, self.depth), w, p, r, out)
             for (seed, code, w), p, r, out in zip(
                 rows, self.probabilities[self.entries].tolist(), self.accept[self.entries].tolist(), outputs
             )
@@ -230,8 +229,8 @@ class RunResult:
     output: DensityMatrix
     conditional_output: DensityMatrix | None
     stats: RunStats = field(compare=False)  # timings differ between equal runs
-    # the level rows that ``leaves`` is built from, in walk order
-    rows: tuple[_RecordRows, ...] = field(default=(), repr=False, compare=False)
+    # the (component, weights, level rows) that ``leaves`` is built from, in walk order
+    rows: tuple[tuple[int, np.ndarray, _Walked], ...] = field(default=(), repr=False, compare=False)
 
     @functools.cached_property
     def leaves(self) -> tuple[LeafRecord, ...]:
@@ -242,7 +241,7 @@ class RunResult:
         seed by seed; within a seed, dead nodes level by level, then the
         leaves, each in transcript order.
         """
-        records = [rec for rows in self.rows for rec in rows.records()]
+        records = [rec for component, weights, rows in self.rows for rec in rows.records(component, weights)]
         # a walk reaches each seed's levels in depth order, so a stable sort suffices
         records.sort(key=lambda rec: (rec.component, rec.seed))
         return tuple(records)
@@ -457,16 +456,16 @@ class _Scores(NamedTuple):
     accept: np.ndarray  # each entry's r_t
     post: np.ndarray | None  # each entry's accept-conditioned block (``_accept``)
 
-    def totals(self, weights: np.ndarray, rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, float]:
-        """The entries that the leaves ``rows`` (all by default) reach with
-        a weight, ascending; the leaves' ``weights`` summed per such entry;
-        and their weighted SUCC probability sum_t w_t p_t r_t.  The sums
-        skip entries that only other rows reach (leaves of the other
-        inputs of a block), whose zeros would move their last bits."""
-        summed = np.bincount(self.entries[rows], weights, minlength=len(self.scored))
-        used = np.flatnonzero(summed)
-        summed = summed[used]
-        return used, summed, float(np.dot(summed * self.scored.probabilities[used], self.accept[used]))
+
+def _totals(entries: np.ndarray, probabilities: np.ndarray, accept: np.ndarray, weights: np.ndarray):
+    """The entries that leaves reach with a weight, ascending; the weights
+    summed per such entry; and their SUCC probability sum_t w_t p_t r_t.
+    Entries that only other inputs' leaves reach are skipped: their zeros
+    would move the last bits."""
+    summed = np.bincount(entries, weights, minlength=len(probabilities))
+    used = np.flatnonzero(summed)
+    summed = summed[used]
+    return used, summed, float(np.dot(summed * probabilities[used], accept[used]))
 
 
 def _score_leaves(protocol: Protocol, level: Level) -> _Scores:
@@ -799,53 +798,60 @@ class _Meter:
 
 
 def _sums(inputs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zeros for ``_evaluate`` to sum into: per input, its output and
+    """Zeros for ``_weigh`` to sum into: per input, its output and
     accept-conditioned output, (inputs, 4, 4), and SUCC probability."""
     return np.zeros((inputs, 4, 4), np.complex128), np.zeros((inputs, 4, 4), np.complex128), np.zeros(inputs)
 
 
-def _evaluate(protocol: Protocol, roots: Frontier, weights, sums, meter: _Meter, records=None, component=0) -> None:
+def _walk_leaves(protocol: Protocol, roots: Frontier, meter: _Meter, dead: bool = False) -> Iterator[_Walked]:
     """Walk the inputs ``roots`` together, with all live seeds, as one
     block that the walk cuts at (input, seed) boundaries where a level
-    would not fit (``_walk``), and add input i's output, accept-conditioned
-    output and SUCC probability, weighted by ``weights[i]``, to row i of
-    ``sums`` (``_sums``).  Leaves are scored once per distinct entry
-    across the block's inputs (``_score_leaves``), and each input sums
-    its leaves' weights per entry.  ``records``, when given, gets the
-    level rows that ``RunResult.leaves`` is built from, under
-    ``component``."""
-    n_seeds, (out, cond, success) = protocol.n_seeds, sums
-    seed_weights = np.asarray(protocol.seed_weights)
-    for level in meter.levels(_walk(protocol, roots, np.flatnonzero(seed_weights != 0.0), cut=True)):
-        dead = np.flatnonzero(level.probabilities < PROB_TOL)
-        if len(dead) and records is not None:
-            inputs, seeds = np.divmod(level.seeds[dead], n_seeds)
-            weight = weights[inputs] * seed_weights[seeds]
-            records.append(_RecordRows(component, level.depth, seeds, level.codes[dead], weight))
+    would not fit (``_walk``), and yield the last levels' leaves, scored
+    once per distinct entry (``_score_leaves``), and, when ``dead``, each
+    level's dead nodes, which only ``RunResult.leaves`` reads."""
+    n_seeds = protocol.n_seeds
+    for level in meter.levels(_walk(protocol, roots, np.flatnonzero(np.asarray(protocol.seed_weights)), cut=True)):
+        rows = np.flatnonzero(level.probabilities < PROB_TOL) if dead else ()
+        if len(rows):
+            yield _Walked(level.depth, *np.divmod(level.seeds[rows], n_seeds), level.codes[rows])
         if level.depth < protocol.bits:
             continue
         scores = _score_leaves(protocol, level)
-        leaves, scored = scores.leaves, scores.scored
-        inputs, seeds = np.divmod(leaves.seeds, n_seeds)
-        weight = weights[inputs] * seed_weights[seeds]
-        reduced = _output_pairs(protocol, scored, scores.pairs)
+        reduced = _output_pairs(protocol, scores.scored, scores.pairs)
         post = scores.accept[:, None, None] * reduced if scores.post is None else scores.post
+        rows = scores.leaves.codes, scores.entries, scores.scored.probabilities, scores.accept, reduced, post
+        yield _Walked(level.depth, *np.divmod(scores.leaves.seeds, n_seeds), *rows)
+
+
+def _weigh(protocol: Protocol, walked: Iterable[_Walked], weights, sums, records=None, component=0) -> None:
+    """Add input i's output, accept-conditioned output and SUCC probability
+    in the walk ``walked``, times ``weights[i]``, to row i of ``sums``; and
+    to ``records``, when given, the rows ``RunResult.leaves`` reads."""
+    (out, cond, success), seed_weights = sums, np.asarray(protocol.seed_weights)
+    for rows in walked:
+        weight = weights[rows.inputs] * seed_weights[rows.seeds]
+        if records is not None:
+            records.append((component, weight, rows))
+        if rows.entries is None:
+            continue
         # rows run in input order: sum each input's leaves on their own
-        bounds = np.searchsorted(inputs, np.arange(len(weights) + 1)).tolist()
+        bounds = np.searchsorted(rows.inputs, np.arange(len(weights) + 1)).tolist()
         for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
             if start == stop:
                 continue
-            used, summed, succ = scores.totals(weight[start:stop], slice(start, stop))
-            out[i] += np.dot(summed, reduced.reshape(-1, 16)[used]).reshape(4, 4)
-            cond[i] += np.dot(summed, post.reshape(-1, 16)[used]).reshape(4, 4)
+            used, summed, succ = _totals(rows.entries[start:stop], rows.probabilities, rows.accept, weight[start:stop])
+            out[i] += np.dot(summed, rows.reduced.reshape(-1, 16)[used]).reshape(4, 4)
+            cond[i] += np.dot(summed, rows.post.reshape(-1, 16)[used]).reshape(4, 4)
             success[i] += succ
-        if records is not None:
-            records.append(
-                _RecordRows(
-                    component, leaves.depth, seeds, leaves.codes, weight,
-                    scores.entries, scored.probabilities, scores.accept, reduced,
-                )
-            )
+
+
+def _weighted(protocol: Protocol, state, walk, records=None) -> tuple[np.ndarray, ...]:
+    """``_sums`` of one input, a state or weighted state list: each
+    component's walk, ``walk(part)``, weighted in turn."""
+    sums = _sums(1)
+    for component, (weight, part) in enumerate(_coerce_input(protocol, state)):
+        _weigh(protocol, walk(part), np.array([weight]), sums, records, component)
+    return sums
 
 
 def run(protocol: Protocol, state) -> RunResult:
@@ -853,18 +859,15 @@ def run(protocol: Protocol, state) -> RunResult:
 
     Every component is walked with all its live seeds as one block,
     which the walk cuts at seed boundaries where a level would not fit
-    (``_evaluate``).
+    (``_walk_leaves``), then weighted (``_weighted``).
     Leaves are scored once per distinct entry (``_score_leaves``), and
     leaf probabilities, the SUCC probability, the output, and the output
     conditioned on SUCC are computed from the entries' values weighted by
     their leaves' summed weights; they are exact up to float arithmetic.
     ``RunResult.stats`` says where the work went.
     """
-    meter = _Meter(protocol.bits)
-    records: list[_RecordRows] = []
-    sums = _sums(1)
-    for component, (weight, st) in enumerate(_coerce_input(protocol, state)):
-        _evaluate(protocol, frontier_of(st), np.array([weight]), sums, meter, records, component)
+    meter, records = _Meter(protocol.bits), []
+    sums = _weighted(protocol, state, lambda part: _walk_leaves(protocol, frontier_of(part), meter, dead=True), records)
     (out,), (cond,), (success,) = sums
     return RunResult(
         n_pairs=protocol.n_pairs,
@@ -883,9 +886,32 @@ def run(protocol: Protocol, state) -> RunResult:
 
 def ideal_success_probability(protocol: Protocol) -> float:
     """Success probability on the perfect input block."""
-    from .qcore import epr_state
+    return witness_fidelities(protocol, ())[0]
 
-    return run(protocol, epr_state(protocol.n_pairs)).success_probability
+
+def witness_fidelities(protocol: Protocol, epsilons) -> tuple[float, list[tuple[float, float | None] | ValueError]]:
+    """The ideal success probability p and, per epsilon, what
+    ``model_fidelities`` gives on ``FidelityModel(n, epsilon)``, or the
+    model's ``ValueError``.  The witness's parts do not depend on epsilon
+    and the runner is linear, so each part is walked once and weighted per
+    epsilon.  p is the perfect block's walk weighted by 1, even where
+    epsilon = 1 - 4^-n drops that block."""
+    n, walks = protocol.n_pairs, {}  # a walk per part, keyed by its type: PureState or ProductState
+
+    def walk(part: State) -> list[_Walked]:
+        if type(part) not in walks:
+            walks[type(part)] = list(_walk_leaves(protocol, frontier_of(part), _Meter(protocol.bits)))
+        return walks[type(part)]
+
+    results: list[tuple[float, float | None] | ValueError] = []
+    for epsilon in epsilons:
+        try:
+            parts = fidelity_witness_components(n, epsilon)
+        except ValueError as exc:
+            results.append(exc)
+            continue
+        results.append(_fidelities([_weighted(protocol, parts, walk)]))
+    return float(_weighted(protocol, epr_state(n), walk)[2][0]), results
 
 
 def model_fidelities(protocol: Protocol, model: ErrorModel) -> tuple[float, float | None]:
@@ -896,44 +922,47 @@ def model_fidelities(protocol: Protocol, model: ErrorModel) -> tuple[float, floa
     evaluated in blocks of inputs whose root stack fits
     ``FRONTIER_BUDGET_BYTES``: each block is walked once, with rows keyed
     by (input, seed, transcript), and its leaves are scored once per
-    distinct entry (``_evaluate``).  Any other model's inputs are
-    evaluated one ``run`` each.
+    distinct entry (``_walk_leaves``).  A fidelity model without samples
+    goes through ``witness_fidelities``, any other model input by input.
 
     The conditional value is None when some state never reaches SUCC.
     For the fidelity model the evaluated set is the witness plus any
     sampled members, so each value is a witness minimum (an upper
     estimate of the true model minimum).
     """
-    from .qcore import phi_plus_overlaps  # ``base_fidelity`` of a pair, for a stack of pairs
+    if isinstance(model, (MeasureRModel, FidelityModel)) and model.n != protocol.n_pairs:
+        raise ValueError(f"input must live on {protocol.n_pairs} pairs, got ({model.n}, {model.n})")
+    if isinstance(model, FidelityModel) and not model.samples:
+        return witness_fidelities(protocol, (model.epsilon,))[1][0]
+    return _fidelities(_model_outputs(protocol, model))
 
+
+def _fidelities(blocks) -> tuple[float, float | None]:
+    """``model_fidelities`` over blocks of inputs summed into ``_sums``."""
     values, conditional = [], []
-    for out, cond in _model_outputs(protocol, model):
+    for out, cond, success in blocks:
         values.append(phi_plus_overlaps(out).min())
-        conditional.append(None if cond is None else phi_plus_overlaps(cond).min())
+        defined = (success > PROB_TOL).all()
+        conditional.append(phi_plus_overlaps(cond / success[:, None, None]).min() if defined else None)
     return float(min(values)), None if None in conditional else float(min(conditional))
 
 
-def _model_outputs(protocol: Protocol, model: ErrorModel) -> Iterator[tuple[np.ndarray, np.ndarray | None]]:
-    """Per block of the model's inputs, their outputs and their outputs
-    conditioned on SUCC, (inputs, 4, 4) each; None for the latter when
-    one of them never reaches SUCC."""
+def _model_outputs(protocol: Protocol, model: ErrorModel) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Per block of the model's inputs, what they sum into ``_sums``."""
     if not isinstance(model, MeasureRModel):
+        meter = _Meter(protocol.bits)
         for st in model.run_inputs():
-            result = run(protocol, st)
-            cond = result.conditional_output
-            yield result.output.matrix[None], None if cond is None else cond.matrix[None]
+            yield _weighted(protocol, st, lambda part: _walk_leaves(protocol, frontier_of(part), meter))
         return
-    if model.n != protocol.n_pairs:
-        raise ValueError(f"input must live on {protocol.n_pairs} pairs, got ({model.n}, {model.n})")
     diagonals = model.diagonals()  # one per error state: the states are sparse
     every = np.arange(1 << model.n)
     size = max(1, FRONTIER_BUDGET_BYTES >> (2 * model.n + 4))  # inputs of 2^n x 2^n complex amplitudes
     for start in range(0, len(diagonals), size):
         block = diagonals[start : start + size]
         roots = Sparse(block.astype(np.complex128), np.where(block != 0, every, 0), 1 << model.n)
-        out, cond, success = sums = _sums(len(roots))
-        _evaluate(protocol, roots, np.ones(len(roots)), sums, _Meter(protocol.bits))
-        yield out, cond / success[:, None, None] if (success > PROB_TOL).all() else None
+        sums = _sums(len(roots))
+        _weigh(protocol, _walk_leaves(protocol, roots, _Meter(protocol.bits)), np.ones(len(roots)), sums)
+        yield sums
 
 
 def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
@@ -943,159 +972,13 @@ def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:
 
 def conditional_fidelity(protocol: Protocol, model: ErrorModel) -> float:
     """Minimum conditional-output fidelity over the model's states."""
-    value = model_fidelities(protocol, model)[1]
-    if value is None:
+    return _defined(model_fidelities(protocol, model))
+
+
+def _defined(fidelities: tuple[float, float | None] | ValueError) -> float:
+    """The conditional value of one ``witness_fidelities`` or ``model_fidelities`` result, or its error."""
+    if isinstance(fidelities, ValueError):
+        raise fidelities
+    if fidelities[1] is None:
         raise ConditionalOutputUndefined("protocol never declares SUCC on this input")
-    return value
-
-
-# ---------------------------------------------------------------------------
-# the four concrete protocols
-
-
-def make_first_pair(n: int) -> Protocol:
-    """Deterministic 0-bit protocol: output pair 0, always SUCC."""
-    return Protocol(
-        n_pairs=n,
-        seed_weights=(1.0,),
-        rounds=(),
-        accept=AlwaysAccept(),
-        output_pair=(0,),
-        name="first-pair",
-    )
-
-
-def make_random_pair(n: int) -> Protocol:
-    """0-bit protocol: shared randomness picks the output pair uniformly."""
-    if n < 1:
-        raise ValueError("need at least one pair")
-    return Protocol(
-        n_pairs=n,
-        seed_weights=(1.0 / n,) * n,
-        rounds=(),
-        accept=AlwaysAccept(),
-        output_pair=tuple(range(n)),
-        name="random-pair",
-    )
-
-
-def make_random_permutation(n: int) -> Protocol:
-    """0-bit protocol: a shared uniform pair permutation relabels the
-    pairs and the first relabeled pair is output, always SUCC.
-
-    The companion local measurements of the non-output pairs are taken
-    in the always-pretend-agreement variant; with no communication they
-    leave every reported quantity unchanged, so the realization omits
-    them.
-
-    Only the one-output-pair, no-auxiliary-input case is realized; the
-    general no-communication ceiling for m output pairs and k auxiliary
-    perfect pairs, 1 - ((2^m - 2^k)/2^m) (2^n/(2^n-1)) eps, is recorded
-    here for reference only.
-    """
-    if n < 1:
-        raise ValueError("need at least one pair")
-    perms = list(itertools.permutations(range(n)))
-    weight = 1.0 / len(perms)
-    return Protocol(
-        n_pairs=n,
-        seed_weights=(weight,) * len(perms),
-        rounds=(),
-        accept=AlwaysAccept(),
-        output_pair=tuple(perm[0] for perm in perms),
-        name="random-permutation",
-    )
-
-
-def _parity_circuit(n: int, members: tuple[int, ...], target: int) -> np.ndarray:
-    """Permutation matrix of CNOTs from ``members`` into pair ``target``
-    on one party's n-qubit register (qubit j is bit n-1-j)."""
-    dim = 1 << n
-    mat = np.zeros((dim, dim), dtype=np.complex128)
-    tbit = 1 << (n - 1 - target)
-    for x in range(dim):
-        parity = 0
-        for j in members:
-            parity ^= (x >> (n - 1 - j)) & 1
-        y = x ^ (tbit if parity else 0)
-        mat[y, x] = 1.0
-    return mat
-
-
-def _bit_projector(n: int, qubit: int, bit: int) -> np.ndarray:
-    dim = 1 << n
-    diag = np.zeros(dim)
-    for x in range(dim):
-        if (x >> (n - 1 - qubit)) & 1 == bit:
-            diag[x] = 1.0
-    return np.diag(diag).astype(np.complex128)
-
-
-def make_simple_random_hash(n: int, s: int) -> Protocol:
-    """Parity-hash protocol with s rounds of one-way communication.
-
-    Round k consumes check pair c = n-1-k.  The shared seed selects a
-    random parity over the live pairs that includes c; both parties fold
-    the parity into their check qubit with CNOTs and measure it in the
-    computational basis.  Bob sends his bit; Alice accepts iff her own
-    check bits match Bob's bits in every round.  On the perfect input
-    block both bit strings always agree, so the protocol is ideal.  The
-    output is the first surviving pair.
-    """
-    if n < 1:
-        raise ValueError("need at least one pair")
-    if not 1 <= s < n:
-        raise ValueError(f"insufficient pairs: need 1 <= s < n, got n={n}, s={s}")
-    # per-round choices: subsets of the live pairs below the check pair
-    round_choices: list[list[tuple[int, ...]]] = []
-    for k in range(s):
-        check = n - 1 - k
-        free = range(check)  # live pairs excluding the check pair
-        subsets = []
-        for size in range(check + 1):
-            subsets.extend(itertools.combinations(free, size))
-        round_choices.append(subsets)
-    # a seed is one choice per round; seed j makes choice choices[k][j] in
-    # round k, the seeds running in itertools.product order
-    sizes = [len(c) for c in round_choices]
-    n_seeds = math.prod(sizes)
-    choices = np.unravel_index(np.arange(n_seeds), sizes)
-
-    rounds = []
-    for k in range(s):
-        check = n - 1 - k
-        # one instrument and one listener per parity choice
-        circuits = tuple(_read_only(_parity_circuit(n, members, check)) for members in round_choices[k])
-        instruments = tuple(
-            Instrument(branches=tuple((_bit_projector(n, check, bit) @ c,) for bit in (0, 1)))
-            for c in circuits
-        )
-        rounds.append(
-            Round(
-                party=BOB,
-                instruments=instruments,
-                # Alice folds the same parity into her check qubit; the CNOT
-                # layer is what frees the surviving pairs from the check pair
-                listener_unitaries=circuits,
-                instrument_index=choices[k],
-                listener_index=choices[k],
-            )
-        )
-
-    # Alice's deferred check measurement: her check qubits must repeat
-    # Bob's announced bits in every round; every seed checks the same way
-    projectors = []
-    for bits in itertools.product((0, 1), repeat=s):
-        proj = np.eye(1 << n, dtype=np.complex128)
-        for k, bit in enumerate(bits):
-            proj = proj @ _bit_projector(n, n - 1 - k, bit)
-        projectors.append(proj)
-
-    return Protocol(
-        n_pairs=n,
-        seed_weights=(1.0 / n_seeds,) * n_seeds,
-        rounds=tuple(rounds),
-        accept=PovmAccept(projectors, np.broadcast_to(np.arange(1 << s), (n_seeds, 1 << s))),
-        output_pair=(0,),
-        name=f"simple-random-hash-s{s}",
-    )
+    return fidelities[1]

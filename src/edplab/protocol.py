@@ -1,5 +1,5 @@
-"""The protocol data model: instruments, rounds, accept rules and
-protocols, checked when they are built.
+"""The protocol data model (instruments, rounds, accept rules and
+protocols, checked when they are built) and the four concrete protocols.
 
 A protocol is data: a shared-randomness distribution over seeds, an
 ordered list of rounds, an accept rule, and an output-pair designation.
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -394,3 +395,155 @@ def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
     eig = np.linalg.eigvalsh(stack)
     if not (eig.min() >= -1e-9 and eig.max() <= 1.0 + 1e-9):
         raise ValueError("accept POVM elements must satisfy 0 <= M <= I")
+
+
+# ---------------------------------------------------------------------------
+# the four concrete protocols
+
+
+def make_first_pair(n: int) -> Protocol:
+    """Deterministic 0-bit protocol: output pair 0, always SUCC."""
+    return Protocol(
+        n_pairs=n,
+        seed_weights=(1.0,),
+        rounds=(),
+        accept=AlwaysAccept(),
+        output_pair=(0,),
+        name="first-pair",
+    )
+
+
+def make_random_pair(n: int) -> Protocol:
+    """0-bit protocol: shared randomness picks the output pair uniformly."""
+    if n < 1:
+        raise ValueError("need at least one pair")
+    return Protocol(
+        n_pairs=n,
+        seed_weights=(1.0 / n,) * n,
+        rounds=(),
+        accept=AlwaysAccept(),
+        output_pair=tuple(range(n)),
+        name="random-pair",
+    )
+
+
+def make_random_permutation(n: int) -> Protocol:
+    """0-bit protocol: a shared uniform pair permutation relabels the
+    pairs and the first relabeled pair is output, always SUCC.
+
+    The companion local measurements of the non-output pairs are taken
+    in the always-pretend-agreement variant; with no communication they
+    leave every reported quantity unchanged, so the realization omits
+    them.
+
+    Only the one-output-pair, no-auxiliary-input case is realized; the
+    general no-communication ceiling for m output pairs and k auxiliary
+    perfect pairs, 1 - ((2^m - 2^k)/2^m) (2^n/(2^n-1)) eps, is recorded
+    here for reference only.
+    """
+    if n < 1:
+        raise ValueError("need at least one pair")
+    perms = list(itertools.permutations(range(n)))
+    weight = 1.0 / len(perms)
+    return Protocol(
+        n_pairs=n,
+        seed_weights=(weight,) * len(perms),
+        rounds=(),
+        accept=AlwaysAccept(),
+        output_pair=tuple(perm[0] for perm in perms),
+        name="random-permutation",
+    )
+
+
+def _parity_circuit(n: int, members: tuple[int, ...], target: int) -> np.ndarray:
+    """Permutation matrix of CNOTs from ``members`` into pair ``target``
+    on one party's n-qubit register (qubit j is bit n-1-j)."""
+    dim = 1 << n
+    mat = np.zeros((dim, dim), dtype=np.complex128)
+    tbit = 1 << (n - 1 - target)
+    for x in range(dim):
+        parity = 0
+        for j in members:
+            parity ^= (x >> (n - 1 - j)) & 1
+        y = x ^ (tbit if parity else 0)
+        mat[y, x] = 1.0
+    return mat
+
+
+def _bit_projector(n: int, qubit: int, bit: int) -> np.ndarray:
+    dim = 1 << n
+    diag = np.zeros(dim)
+    for x in range(dim):
+        if (x >> (n - 1 - qubit)) & 1 == bit:
+            diag[x] = 1.0
+    return np.diag(diag).astype(np.complex128)
+
+
+def make_simple_random_hash(n: int, s: int) -> Protocol:
+    """Parity-hash protocol with s rounds of one-way communication.
+
+    Round k consumes check pair c = n-1-k.  The shared seed selects a
+    random parity over the live pairs that includes c; both parties fold
+    the parity into their check qubit with CNOTs and measure it in the
+    computational basis.  Bob sends his bit; Alice accepts iff her own
+    check bits match Bob's bits in every round.  On the perfect input
+    block both bit strings always agree, so the protocol is ideal.  The
+    output is the first surviving pair.
+    """
+    if n < 1:
+        raise ValueError("need at least one pair")
+    if not 1 <= s < n:
+        raise ValueError(f"insufficient pairs: need 1 <= s < n, got n={n}, s={s}")
+    # per-round choices: subsets of the live pairs below the check pair
+    round_choices: list[list[tuple[int, ...]]] = []
+    for k in range(s):
+        check = n - 1 - k
+        free = range(check)  # live pairs excluding the check pair
+        subsets = []
+        for size in range(check + 1):
+            subsets.extend(itertools.combinations(free, size))
+        round_choices.append(subsets)
+    # a seed is one choice per round; seed j makes choice choices[k][j] in
+    # round k, the seeds running in itertools.product order
+    sizes = [len(c) for c in round_choices]
+    n_seeds = math.prod(sizes)
+    choices = np.unravel_index(np.arange(n_seeds), sizes)
+
+    rounds = []
+    for k in range(s):
+        check = n - 1 - k
+        # one instrument and one listener per parity choice
+        circuits = tuple(_read_only(_parity_circuit(n, members, check)) for members in round_choices[k])
+        instruments = tuple(
+            Instrument(branches=tuple((_bit_projector(n, check, bit) @ c,) for bit in (0, 1)))
+            for c in circuits
+        )
+        rounds.append(
+            Round(
+                party=BOB,
+                instruments=instruments,
+                # Alice folds the same parity into her check qubit; the CNOT
+                # layer is what frees the surviving pairs from the check pair
+                listener_unitaries=circuits,
+                instrument_index=choices[k],
+                listener_index=choices[k],
+            )
+        )
+
+    # Alice's deferred check measurement: her check qubits must repeat
+    # Bob's announced bits in every round; every seed checks the same way
+    projectors = []
+    for bits in itertools.product((0, 1), repeat=s):
+        proj = np.eye(1 << n, dtype=np.complex128)
+        for k, bit in enumerate(bits):
+            proj = proj @ _bit_projector(n, n - 1 - k, bit)
+        projectors.append(proj)
+
+    return Protocol(
+        n_pairs=n,
+        seed_weights=(1.0 / n_seeds,) * n_seeds,
+        rounds=tuple(rounds),
+        accept=PovmAccept(projectors, np.broadcast_to(np.arange(1 << s), (n_seeds, 1 << s))),
+        output_pair=(0,),
+        name=f"simple-random-hash-s{s}",
+    )

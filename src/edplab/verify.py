@@ -31,11 +31,9 @@ from .errmodels import (
     enumerate_indicators,
     pair_bell_mixture_ensemble,
 )
-from .frontier import grouped
+from .frontier import frontier_of, grouped
 from .locc import (
     Protocol,
-    conditional_fidelity,
-    ideal_success_probability,
     make_first_pair,
     make_random_pair,
     make_random_permutation,
@@ -319,9 +317,9 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     (in product form).
     At every transcript node t the scaled case-I local states must be
     dominated by the case-II ones: p_t sigma_t^I <= sigma_t^II, for
-    both parties.  The initial local states must all equal I/2^n.  The
-    SUCC probabilities p (case I) and q (case II) must then satisfy
-    q >= p^2 / 2^s.
+    both parties.  The initial local states must all equal I/2^n, as they
+    do by construction (checked once, on the inputs).  The SUCC
+    probabilities p (case I) and q (case II) must then satisfy q >= p^2 / 2^s.
 
     The two cases are walked in lockstep, one seed block and one level
     at a time, so memory follows one level of the block's trees (the
@@ -340,7 +338,9 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     mixed = ProductState.maximally_mixed(n, n)
     eye = np.eye(1 << n) / (1 << n)
     weights = np.asarray(protocol.seed_weights)
-    initial_ok = True
+    initial_ok = all(
+        bool(np.abs(local - eye).max() <= 1e-10) for st in (perfect, mixed) for local in frontier_of(st).local_states()
+    )
     min_alice = np.inf
     min_bob = np.inf
     checked = 0
@@ -354,13 +354,8 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
             if depth == protocol.bits:
                 for case, level in enumerate((level1, level2)):
                     scores = locc._score_leaves(protocol, level)
-                    success[case] += scores.totals(weights[scores.leaves.seeds])[2]
-            if depth == 0:
-                initial_ok &= all(
-                    bool(np.abs(local / level.probabilities[:, None, None] - eye).max() <= 1e-10)
-                    for level in (level1, level2)
-                    for local in level.local_states()
-                )
+                    weighted = scores.entries, scores.scored.probabilities, scores.accept, weights[scores.leaves.seeds]
+                    success[case] += locc._totals(*weighted)[2]
             # the case-I row of every case-II node, by (seed, transcript)
             keys1 = (level1.seeds << depth) | level1.codes
             keys2 = (level2.seeds << depth) | level2.codes
@@ -419,31 +414,34 @@ def verify_neg_fidelity(protocol: Protocol, epsilon: float, tol: float = DOMINAN
     evaluated exactly on the canonical witness, which is enough because
     the ceiling is claimed for every model member.
     """
-    return _neg_fidelity(protocol, epsilon, tol, _witness_conditional(protocol, epsilon))
+    return _neg_fidelity(protocol, epsilon, tol)[0]
 
 
-def pos_fidelity_report(n: int, s: int, epsilon: float, tol: float = DOMINANCE_TOL) -> BoundReport:
-    """Check the parity-hash achievability 1 - 2^-s/(1-eps) on the witness."""
-    achieved = _witness_conditional(locc.make_simple_random_hash(n, s), epsilon)
-    return _pos_fidelity(n, s, epsilon, tol, achieved)
+def pos_fidelity_reports(n: int, s: int, epsilons, tol: float = DOMINANCE_TOL) -> list[BoundReport | ValueError]:
+    """Check the parity-hash achievability 1 - 2^-s/(1-eps) on the witness of
+    each epsilon, from one hash and witness walk: a report or a ``ValueError``."""
+    _, fidelities = locc.witness_fidelities(locc.make_simple_random_hash(n, s), epsilons)
+    reports: list[BoundReport | ValueError] = []
+    for epsilon, values in zip(epsilons, fidelities):
+        try:
+            reports.append(_pos_fidelity(n, s, epsilon, tol, locc._defined(values)))
+        except ValueError as exc:
+            reports.append(exc)
+    return reports
 
 
 def hash_fidelity_reports(n: int, s: int, epsilon: float, tol: float = DOMINANCE_TOL) -> list[BoundReport]:
-    """``pos_fidelity_report`` and ``verify_neg_fidelity`` of the parity
+    """The pos-fidelity report and ``verify_neg_fidelity`` of the parity
     hash, from one build of the protocol and one witness evaluation."""
-    proto = locc.make_simple_random_hash(n, s)
-    achieved = _witness_conditional(proto, epsilon)
-    return [_pos_fidelity(n, s, epsilon, tol, achieved), _neg_fidelity(proto, epsilon, tol, achieved)]
+    neg, achieved = _neg_fidelity(locc.make_simple_random_hash(n, s), epsilon, tol)
+    return [_pos_fidelity(n, s, epsilon, tol, achieved), neg]
 
 
-def _witness_conditional(protocol: Protocol, epsilon: float) -> float:
-    return conditional_fidelity(protocol, FidelityModel(protocol.n_pairs, epsilon))
-
-
-def _neg_fidelity(protocol: Protocol, epsilon: float, tol: float, achieved: float) -> BoundReport:
+def _neg_fidelity(protocol: Protocol, epsilon: float, tol: float) -> tuple[BoundReport, float]:
     n = protocol.n_pairs
     s = protocol.bits
-    p = ideal_success_probability(protocol)
+    p, (fidelities,) = locc.witness_fidelities(protocol, (epsilon,))
+    achieved = locc._defined(fidelities)
     return BoundReport(
         theorem="neg-fidelity",
         params={"n": n, "s": s, "epsilon": epsilon},
@@ -452,7 +450,7 @@ def _neg_fidelity(protocol: Protocol, epsilon: float, tol: float, achieved: floa
         direction="upper",
         tol=tol,
         notes=f"ideal success probability p = {p:.12f}; witness evaluation",
-    )
+    ), achieved
 
 
 def _pos_fidelity(n: int, s: int, epsilon: float, tol: float, achieved: float) -> BoundReport:

@@ -323,6 +323,76 @@ def test_cli_merged_run_bytes_are_pinned(tmp_path, name):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+# fidelity commands at the edges of grouping cells by (n, s), with each
+# output file's sha256 and the exit code, recorded before the cells of a
+# group shared one witness walk: at n = 3 the 0.99 cells and every s = 3
+# cell are error records; epsilon 0.9375 = 1 - 4^-2 drops the perfect
+# block from the witness, and epsilon 0 drops the mixed part
+_EDGE_SWEEP = ["sweep", "--model", "fidelity", "--n", "3..4", "--s", "1..3", "--epsilon", "0.1,0.99"]
+_EDGE_BOUNDS = ["bounds", "--model", "fidelity", "--include-no-comm-probe", "--n", "2", "--s", "1", "--epsilon"]
+_EDGE_SWEEP_JSON = "5729abcb6a94cec22c61bc3e3bbaeeef07b31d0efa90f17d983881e436df200d"
+_EDGE_SWEEP_CSV = "56f814dfc5556de9c63fe2dd78fd201605a7e896e022b2cfb9374ab0f8a21e6d"
+WITNESS_EDGE_COMMANDS = {
+    "sweep-json-1": ([*_EDGE_SWEEP, "--workers", "1"], 1, _EDGE_SWEEP_JSON),
+    "sweep-json-2": ([*_EDGE_SWEEP, "--workers", "2"], 1, _EDGE_SWEEP_JSON),
+    "sweep-csv-1": ([*_EDGE_SWEEP, "--format", "csv", "--workers", "1"], 1, _EDGE_SWEEP_CSV),
+    "sweep-csv-2": ([*_EDGE_SWEEP, "--format", "csv", "--workers", "2"], 1, _EDGE_SWEEP_CSV),
+    "bounds-no-perfect-part": ([*_EDGE_BOUNDS, "0.9375"], 1,
+                               "1eee8edabd9f4ab9fe3be9cd23d161a3490c2e457e227097a74b29d29e31a024"),
+    "bounds-no-mixed-part": ([*_EDGE_BOUNDS, "0"], 0,
+                             "9ed9627bc97ace1401353e7d49b00adc40e4d25c04eafdf43626ad636744a631"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WITNESS_EDGE_COMMANDS))
+def test_cli_witness_edge_bytes_are_pinned(tmp_path, name):
+    argv, code, digest = WITNESS_EDGE_COMMANDS[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == code
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _count_work(monkeypatch):
+    """Counters on ``locc``: hash builds, and walks by root representation."""
+    from edplab import locc
+
+    work = {"hashes": 0}
+    make, walk = locc.make_simple_random_hash, locc._walk_leaves
+
+    def counted_make(n, s):
+        work["hashes"] += 1
+        return make(n, s)
+
+    def counted_walk(protocol, roots, meter, **kw):
+        work[roots.kind] = work.get(roots.kind, 0) + 1
+        return walk(protocol, roots, meter, **kw)
+
+    monkeypatch.setattr(locc, "make_simple_random_hash", counted_make)
+    monkeypatch.setattr(locc, "_walk_leaves", counted_walk)
+    return work
+
+
+def test_cli_fidelity_sweep_builds_one_hash_per_n_and_s(tmp_path, monkeypatch):
+    # the cells of one (n, s) share a hash and one walk of each witness
+    # part; a second identical call does the same work
+    work = _count_work(monkeypatch)
+    argv = ["sweep", "--model", "fidelity", "--n", "3..4", "--s", "1..2", "--epsilon", "0.1,0.27"]
+    for _ in range(2):
+        work.update(hashes=0, sparse=0, product=0)
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert work == {"hashes": 4, "sparse": 4, "product": 4}
+
+
+def test_cli_fidelity_bounds_walk_the_perfect_block_once(tmp_path, monkeypatch):
+    # p and the witness values come from one walk of each witness part
+    work = _count_work(monkeypatch)
+    argv = ["bounds", "--model", "fidelity", "--n", "3", "--s", "2", "--epsilon", "0.2"]
+    for _ in range(2):
+        work.update(hashes=0, sparse=0, product=0)
+        assert main([*argv, "--out", str(tmp_path / "out.json")]) == 0
+        assert work == {"hashes": 1, "sparse": 1, "product": 1}
+
+
 def test_cli_seed_validation():
     assert main(["lemmas", "--count", "5", "--seed", "-3"]) == 2
 

@@ -12,6 +12,7 @@ from edplab.errmodels import (
     error_state,
     extended_error_state,
     fidelity_witness,
+    fidelity_witness_components,
 )
 from edplab import locc
 from edplab.locc import (
@@ -42,6 +43,7 @@ from edplab.qcore import (
     base_fidelity,
     bell_state,
     epr_state,
+    phi_plus_overlaps,
     tensor,
 )
 from edplab.sampling import random_density_matrix, random_kraus_channel, random_protocol, random_pure_state
@@ -614,6 +616,12 @@ def test_model_fidelities_reject_a_model_on_other_pairs():
         model_fidelities(make_simple_random_hash(3, 1), MeasureRModel(2, 1))
 
 
+def test_model_fidelities_reject_a_witness_on_other_pairs():
+    # the witness is built on the protocol's pairs, so the model's own n is checked first
+    with pytest.raises(ValueError, match="must live on 3 pairs"):
+        model_fidelities(make_simple_random_hash(3, 1), FidelityModel(2, 0.1))
+
+
 def test_run_stats_count_distinct_children():
     # hash (5,2) on a measure-r input: the 128 seeds reach few distinct
     # nodes, and the counts per round still match one walk per seed
@@ -658,8 +666,8 @@ def test_measure_r_blocks_equal_one_run_per_error_state(maker, n, s, r):
     proto = maker(n) if s is None else maker(n, s)
     model = MeasureRModel(n, r)
     blocks = list(locc._model_outputs(proto, model))
-    outputs = np.concatenate([out for out, _ in blocks])
-    conditionals = np.concatenate([cond for _, cond in blocks])
+    outputs = np.concatenate([out for out, _, _ in blocks])
+    conditionals = np.concatenate([cond / success[:, None, None] for _, cond, success in blocks])
     singles = [run(proto, state) for state in model.states()]
     assert len(outputs) == len(singles)
     for output, conditional, single in zip(outputs, conditionals, singles):
@@ -749,3 +757,79 @@ def test_chunk_operators_equal_the_round_stacks():
             np.testing.assert_array_equal(rnd.kraus_ops(entries), rnd.kraus_ops(every)[entries])
             if rnd.listener_unitaries is not None:
                 np.testing.assert_array_equal(rnd.listener_ops(entries), rnd.listener_ops(every)[entries])
+
+
+def _witness_cases():
+    yield make_simple_random_hash(3, 2)
+    yield make_random_permutation(2)
+    yield random_protocol(np.random.default_rng(8), 2, 2, n_seeds=2, accept_kind="povm", with_listeners=True)
+    yield random_protocol(np.random.default_rng(9), 2, 2, n_seeds=3, kraus_per_branch=2, accept_kind="constant")
+    # never declares SUCC: every conditional value is None
+    yield Protocol(1, (1.0,), (Round(ALICE, (measure_z_instrument(1, 0),)),), ConstantAccept(0.0), (0,))
+
+
+@pytest.mark.parametrize("case", range(5))
+def test_witness_fidelities_weight_one_walk_of_each_part(monkeypatch, case):
+    # each epsilon's values are a run of the witness components bit for
+    # bit, and p is the perfect block's run, from one walk of each part
+    proto = list(_witness_cases())[case]
+    n = proto.n_pairs
+    edge = 1.0 - 4.0**-n  # drops the perfect block from the witness
+    epsilons = (0.0, 0.2, edge, edge + 1e-3, -0.1, 0.05)
+    walked = []
+    real = locc._walk_leaves
+    monkeypatch.setattr(locc, "_walk_leaves", lambda p, roots, meter, **kw: walked.append(roots.kind) or real(p, roots, meter, **kw))
+    p, values = locc.witness_fidelities(proto, epsilons)
+    assert sorted(walked) == ["product", "sparse"]
+    assert p == run(proto, epr_state(n)).success_probability
+    for epsilon, got in zip(epsilons, values):
+        if not 0.0 <= epsilon <= edge:
+            with pytest.raises(ValueError) as err:
+                FidelityModel(n, epsilon)
+            assert isinstance(got, ValueError) and str(got) == str(err.value)
+            continue
+        result = run(proto, fidelity_witness_components(n, epsilon))
+        cond = result.conditional_output
+        assert got == (
+            float(phi_plus_overlaps(result.output.matrix[None]).min()),
+            None if cond is None else float(phi_plus_overlaps(cond.matrix[None]).min()),
+        )
+        assert got == model_fidelities(proto, FidelityModel(n, epsilon))
+    walked.clear()
+    assert locc.witness_fidelities(proto, (0.0,))[0] == p
+    assert walked == ["sparse"]  # epsilon 0 drops the mixed part, and p needs the perfect block
+    walked.clear()
+    locc.witness_fidelities(proto, (edge,))
+    assert sorted(walked) == ["product", "sparse"]
+
+
+def _merged_levels(proto, roots):
+    seeds = np.flatnonzero(np.asarray(proto.seed_weights))
+    return [level for level in locc._walk(proto, roots, seeds, cut=True) if level.depth and not level.apart]
+
+
+@pytest.mark.parametrize("budget", [None, 1 << 12])
+def test_merged_levels_keep_the_table_rule(monkeypatch, budget):
+    # a class table may pass the budget by no more than the bytes its
+    # merges saved: 2 * table <= rows + budget, counted in child rows,
+    # unless the level is one seed's, which is a block of its own
+    if budget is not None:
+        monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget)
+    cases = [(make_simple_random_hash(5, 2), MeasureRModel(5, 2).run_inputs()[7])]
+    cases += [(make_simple_random_hash(4, 2), ProductState.maximally_mixed(4, 4))]
+    for seed in range(3):
+        gen = np.random.default_rng(seed)
+        cases.append((random_protocol(gen, 3, 3, n_seeds=48, pool=6), random_pure_state(gen, 3, 3)))
+    merged = 0
+    for proto, state in cases:
+        levels = _merged_levels(proto, locc.frontier_of(state))
+        for level in levels:
+            row = level.frontier.nbytes // len(level.frontier)
+            within = 2 * level.frontier.nbytes <= len(level) * row + locc.FRONTIER_BUDGET_BYTES
+            assert within or len(np.unique(level.seeds)) == 1
+        merged += len(levels)
+        # the round's table size is what the walk's levels hold
+        for depth, rnd in enumerate(run(proto, state).stats.rounds):
+            held = [level.frontier.nbytes for level in levels if level.depth == depth + 1]
+            assert not held or rnd.frontier_bytes >= max(held)
+    assert merged

@@ -391,7 +391,7 @@ def test_a_block_of_pure_inputs_matches_one_run_per_input(
     outputs, accepted, success = sums = locc._sums(inputs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget_rows * locc._row_bytes(proto, states[0]))
-        locc._evaluate(proto, roots, np.ones(inputs), sums, locc._Meter(proto.bits))
+        locc._weigh(proto, locc._walk_leaves(proto, roots, locc._Meter(proto.bits)), np.ones(inputs), sums)
         singles = [run(proto, st) for st in states]
     for state, single, output, post, p in zip(states, singles, outputs, accepted, success):
         assert p == pytest.approx(single.success_probability, abs=1e-12)

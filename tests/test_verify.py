@@ -168,6 +168,43 @@ def test_splitting_fails_where_case_two_vanishes_under_a_live_node():
     assert rep.worst_node == (0, "00")
 
 
+class _BobSkewedMixed:
+    """Stands in for ``ProductState`` in the tracker's walk: case II's Bob
+    factor is not I/2^n, so Bob's dominance fails at every root and
+    Alice's holds, as a runner that broke only Bob's side would show it."""
+
+    @staticmethod
+    def maximally_mixed(n_alice, n_bob):
+        d = 1 << n_bob
+        bob = np.diag(np.linspace(0.5, 1.5, d)) / d
+        return ProductState(DensityMatrix(n_alice, 0, np.eye(1 << n_alice) / (1 << n_alice)), DensityMatrix(0, n_bob, bob))
+
+
+def test_splitting_node_margin_takes_the_lower_party(monkeypatch):
+    # ``passed`` and ``worst_node`` turn where the tolerance crosses the
+    # lower of the two parties' minima, which is Bob's here; the initial
+    # condition is checked on the real inputs, so it holds
+    monkeypatch.setattr(verify, "ProductState", _BobSkewedMixed)
+    real = verify.frontier_of
+    monkeypatch.setattr(
+        verify, "frontier_of",
+        lambda st: real(ProductState.maximally_mixed(st.n_alice, st.n_bob) if isinstance(st, ProductState) else st),
+    )
+    for i in range(6):
+        gen = substream(77, "test-splitting-bob", i)
+        proto = random_protocol(
+            gen, int(gen.integers(1, 3)), int(gen.integers(1, 3)), n_seeds=int(gen.integers(1, 3)),
+            kraus_per_branch=int(gen.integers(1, 3)), with_listeners=bool(i % 2),
+        )
+        rep = verify.verify_splitting(proto)
+        low = min(rep.min_alice_margin, rep.min_bob_margin)
+        assert rep.min_bob_margin < rep.min_alice_margin - 0.1, rep
+        below = verify.verify_splitting(proto, tol=-low - 1e-9)
+        above = verify.verify_splitting(proto, tol=-low + 1e-9)
+        assert below.worst_node is not None and below.passed is False
+        assert above.worst_node is None and above.passed is True
+
+
 def test_splitting_beyond_three_pairs():
     # no size limit below the qubit cap: the tracker holds one level of
     # the transcript tree at a time
@@ -270,14 +307,14 @@ def test_hash_fidelity_reports_equal_the_separate_reports():
     for n, s, eps in ((2, 1, 0.1), (3, 2, 0.25), (4, 1, 0.2)):
         joint = [rep.to_record() for rep in verify.hash_fidelity_reports(n, s, eps)]
         assert joint == [
-            verify.pos_fidelity_report(n, s, eps).to_record(),
+            verify.pos_fidelity_reports(n, s, [eps])[0].to_record(),
             verify.verify_neg_fidelity(make_simple_random_hash(n, s), eps).to_record(),
         ]
 
 
 def test_pos_fidelity_reports():
     for n, s, eps in ((2, 1, 0.1), (2, 1, 0.25), (3, 2, 0.25)):
-        rep = verify.pos_fidelity_report(n, s, eps)
+        (rep,) = verify.pos_fidelity_reports(n, s, [eps])
         assert rep.passed
         assert rep.achieved >= rep.bound - 1e-9
 
