@@ -16,6 +16,8 @@ their ``Gathers`` tables; any other operator turns sparse nodes pure.
 The measure-r error states and the perfect block are sparse, and the
 CNOT permutations and basis projectors of the parity hash keep them so
 (the structure of stabilizer simulation, Aaronson & Gottesman 2004).
+``Paired`` holds the same nodes of two inputs side by side, each side in
+its own representation; the splitting tracker walks its two cases so.
 
 A level holds each distinct node state once, as its key in a
 ``ClassTable``: the row's bytes, so equal rows merge and rows that
@@ -334,7 +336,40 @@ class Dense:
         return np.einsum("rabcb->rac", t), np.einsum("rabad->rbd", t)
 
 
-Frontier = Sparse | Pure | Product | Dense
+class Paired:
+    """The same transcript nodes on two inputs: row i of ``first`` and row
+    i of ``second`` are one node of each input's tree.  Its parts are both
+    sides' parts, so a ``ClassTable`` merges exactly the distinct pairs of
+    nodes, and its norm is the larger side's, so a node is expanded while
+    either side lives.  The runner applies operators side by side."""
+
+    def __init__(self, first: "Frontier", second: "Frontier"):
+        self.first = first
+        self.second = second
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    @property
+    def parts(self) -> tuple[np.ndarray, ...]:
+        return self.first.parts + self.second.parts
+
+    def with_parts(self, *parts: np.ndarray) -> "Paired":
+        split = len(self.first.parts)
+        return Paired(self.first.with_parts(*parts[:split]), self.second.with_parts(*parts[split:]))
+
+    @property
+    def nbytes(self) -> int:
+        return self.first.nbytes + self.second.nbytes
+
+    def take(self, rows) -> "Paired":
+        return Paired(self.first.take(rows), self.second.take(rows))
+
+    def norms(self) -> np.ndarray:
+        return np.maximum(self.first.norms(), self.second.norms())
+
+
+Frontier = Sparse | Pure | Product | Dense | Paired
 
 
 def _sandwich_side(k: np.ndarray, side: np.ndarray) -> np.ndarray:
@@ -396,11 +431,13 @@ def grouped(keys: list, evaluate) -> np.ndarray:
     return out
 
 
-def child_row_bytes(nodes: Frontier, width: int, gathered: bool = True) -> int:
+def child_row_bytes(nodes: Frontier, width: int, gathered: bool) -> int:
     """Bytes of one child of ``nodes`` under operator stacks with ``width``
     Kraus slots: a multi-Kraus stack turns pure and sparse nodes dense,
     and operators not applied by gathers (``gathered`` false) turn sparse
-    nodes pure."""
+    nodes pure.  A paired child is both sides' children."""
+    if isinstance(nodes, Paired):
+        return child_row_bytes(nodes.first, width, gathered) + child_row_bytes(nodes.second, width, gathered)
     if isinstance(nodes, (Pure, Sparse)) and (width > 1 or not gathered):
         d = math.prod(nodes.dims)
         return 16 * d * (d if width > 1 else 1)

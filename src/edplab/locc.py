@@ -9,16 +9,16 @@ POVM element on her register (realized as the gentle sqrt(M)
 measurement), and is not counted as communication.
 
 Evaluation is exact: the full transcript tree is enumerated per seed,
-never sampled.  ``walk`` is the only traversal, and ``run`` and the
-splitting tracker in ``verify`` consume it.  It walks a block of seeds
-together and yields one ``Level`` per depth, content-addressed: the
-level holds its node states as one stacked array per representation
-with a leading row axis (its class table), plus per (seed, transcript)
-row its seed, transcript code, probability and class index.  Rows run
-in seed order and then transcript order.  A node below ``PROB_TOL`` is
-yielded but not expanded.  Most rows of a hash protocol repeat: on a
-measure-r (5,2) input, hash (5,2) reaches about 28 distinct leaves from
-500 leaf rows on average.
+never sampled.  ``_walk`` is the only traversal, and ``run``, the model
+figures of merit and the splitting tracker in ``verify`` consume it.  It
+walks a block of inputs and seeds together and yields ``Level``s depth
+first, content-addressed: a level holds its node states as one stacked
+array per representation with a leading row axis (its class table),
+plus per (seed, transcript) row its seed, transcript code, probability
+and class index.  Rows run in seed order and then transcript order.  A
+node below ``PROB_TOL`` is yielded but not expanded.  Most rows of a
+hash protocol repeat: on a measure-r (5,2) input, hash (5,2) reaches
+about 28 distinct leaves from 500 leaf rows on average.
 
 A protocol holds each operator once (``protocol``).  A level that passes
 ``FRONTIER_BUDGET_BYTES`` when counted in rows (sparse rows counted as
@@ -37,14 +37,14 @@ operators stacked the same way, and each child is a class of its own: a
 level within the budget needs no table, and a level that shares no node
 is taken to have children that share none.  So a protocol without
 repeated nodes is walked row by row below its root.
-``run`` walks all seeds of an input together, and ``model_fidelities``
-all seeds of a block of a measure-r model's error states, with rows
-keyed by (input, seed, transcript); the block is cut at an (input,
-seed) boundary where a class table would pass the budget by more than
-its merges saved, or where a level expanded row by row would pass it;
-``seed_blocks`` cuts seeds into blocks sized in rows for the splitting
-tracker, whose paired walks must not be cut.  Instruments are given
-directly in Kraus form, which subsumes local ancillas; an instrument may
+``run`` walks all seeds of an input together, ``model_fidelities`` all
+seeds of a block of a measure-r model's error states, with rows keyed
+by (input, seed, transcript), and the splitting tracker both of its
+cases as one ``frontier.Paired`` input, whose row holds the same node on
+each; the block is cut at an (input, seed) boundary where a class table
+would pass the budget by more than its merges saved, or where a level
+expanded row by row would pass it.  Instruments are given directly in
+Kraus form, which subsumes local ancillas; an instrument may
 additionally declare workspace qubits that are appended in |0> for its
 round and traced out afterwards (compiled into plain Kraus operators
 when it is built).
@@ -65,10 +65,10 @@ by its type:
 * ``DensityMatrix``: flat (rows, 4^n, 4^n) matrices, O(2^{5n}) per node.
 
 Leaves are scored in one place, ``_score_leaves``, which ``run`` and the
-splitting tracker in ``verify`` both call: it keeps the live leaves and
-scores them once per distinct (class, accept entry, output pair), taking
-r_t from one accept formula (``_accept``), the trace of the measured
-output-pair block.  A POVM rule measures the scored leaves in batched
+splitting tracker in ``verify``, on each side of its paired leaves, both
+call: it keeps the live leaves and scores them once per distinct (class,
+accept entry, output pair), taking r_t from one accept formula
+(``_accept``), the trace of the measured output-pair block.  A POVM rule measures the scored leaves in batched
 applies, each with its element's sqrt(M), which the rule computes once
 per distinct element, and by gathers where the leaves are sparse and
 the roots monomial (``PovmAccept.gathers``); only the rows passed to
@@ -97,7 +97,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errmodels import ErrorModel, FidelityModel, MeasureRModel, State, WeightedStates, fidelity_witness_components
-from .frontier import ClassTable, Frontier, Gathers, Sparse, child_row_bytes, frontier_of, grouped
+from .frontier import ClassTable, Frontier, Gathers, Paired, Sparse, child_row_bytes, frontier_of, grouped
 from .protocol import (  # re-exported: the protocol data model and the four concrete protocols
     AcceptRule,
     AlwaysAccept,
@@ -248,43 +248,16 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# seed blocks
+# the exact runner
 
 # The one memory bound of a walk.  A level within it, counted in rows, is
 # expanded row by row; a larger one that shares nodes is merged, applying
 # at most this many bytes of children at once, or one seed's children if
-# they alone are more.  ``run`` cuts a block at a seed boundary where a
+# they alone are more.  A walk cuts its block at a seed boundary where a
 # class table would pass it by more than the table's merges saved
 # (``_fits``), or where a level expanded row by row would pass it, and a
-# seed whose level alone is larger is a block of its own; ``seed_blocks``
-# sizes blocks whose widest level, in rows, fits it.
+# seed whose level alone is larger is a block of its own.
 FRONTIER_BUDGET_BYTES = 1 << 17
-
-
-def _row_bytes(protocol: "Protocol", state: State | ProductState) -> int:
-    """Bytes of one node of ``state``'s frontier below the root."""
-    nodes = frontier_of(state)
-    gathered = isinstance(nodes, Sparse) and all(rnd.gathers is not None for rnd in protocol.rounds)
-    return child_row_bytes(nodes, 2 if protocol.multi_kraus else 1, gathered)
-
-
-def seed_blocks(protocol: "Protocol", states, seeds: np.ndarray) -> list[np.ndarray]:
-    """``seeds`` cut into consecutive blocks whose widest level, counted
-    in rows, fits ``FRONTIER_BUDGET_BYTES`` for any of ``states``.
-
-    Every level of such a block fits the budget in rows, so ``walk``
-    expands it row by row, and stays within the budget.  The splitting
-    tracker walks its two cases over these blocks in lockstep; ``run``
-    does not use them, since it walks all seeds of an input together and
-    cuts them where a level would not fit.
-    """
-    per_seed = max(_row_bytes(protocol, st) for st in states) << protocol.bits
-    size = max(1, FRONTIER_BUDGET_BYTES // per_seed)
-    return [seeds[i : i + size] for i in range(0, len(seeds), size)]
-
-
-# ---------------------------------------------------------------------------
-# the exact runner
 
 
 class Level:
@@ -361,16 +334,6 @@ class Level:
         if len(self.classes) == len(self.frontier) and self.apart:
             return self.frontier  # one row per class, in order
         return self.frontier.take(self.classes)
-
-    def local_states(self, rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """(alice, bob) unnormalized marginals of ``rows`` (every row by
-        default), each (len(rows), d, d), computed once per class."""
-        classes = self.classes if rows is None else self.classes[rows]
-        first, index = _first_seen(classes)
-        alice, bob = self.frontier.take(classes[first]).local_states()
-        if len(first) == len(classes):
-            return alice, bob
-        return alice[index], bob[index]
 
 
 def _coerce_input(protocol: Protocol, state) -> WeightedStates:
@@ -489,48 +452,30 @@ def _score_leaves(protocol: Protocol, level: Level) -> _Scores:
     return _Scores(leaves, entries, scored, pairs[first], *_accept(protocol, scored, pairs[first]))
 
 
-def walk(protocol: Protocol, state: State | ProductState, seeds: np.ndarray) -> Iterator[Level]:
-    """The transcript trees of a block of seeds on one input, level by level.
+def _walk(protocol: Protocol, roots: Frontier, seeds: np.ndarray) -> Iterator[Level]:
+    """The transcript trees of a block of inputs, the rows of ``roots``,
+    level by level: every input with every seed of ``seeds``, its rows
+    keyed ``input * n_seeds + seed`` (``Level``), so that input boundaries
+    are seed boundaries and the root level holds one class per input.
 
-    Yields the root level, one row per seed of ``seeds`` and one class,
-    then one level per round.  A round expands every node of the
-    previous level at or above ``PROB_TOL`` into its two children; a
-    node below it is yielded but not expanded.  A level that passes
-    ``FRONTIER_BUDGET_BYTES`` in rows and shares nodes is merged: the
-    round applies its listener and instrument once per distinct (parent
-    class, listener, instrument) triple, in chunks of at most the budget
-    of children, and merges the children into the next level's class
-    table by their bytes (``frontier.ClassTable``).  Any other level is
-    expanded row by row, a class per child (``_descend``).  Only the
-    current level is held, so memory follows one level's class table;
-    callers that need a bound size their blocks in rows with
-    ``seed_blocks``, and the levels of such a block are expanded row by
-    row.  The walk never cuts the block, so it yields exactly one level
-    per depth.  ``state`` must live on ``protocol.n_pairs`` pairs.
-    """
-    return _walk(protocol, frontier_of(state), seeds, cut=False)
-
-
-def _walk(protocol: Protocol, roots: Frontier, seeds: np.ndarray, cut: bool) -> Iterator[Level]:
-    """``walk`` of a block of inputs, the rows of ``roots``: every input
-    with every seed of ``seeds``, its rows keyed ``input * n_seeds +
-    seed`` (``Level``), so that input boundaries are seed boundaries and
-    the root level holds one class per input.  With ``cut``, a block
-    whose level would not fit is cut at a seed boundary: a merged level
-    where its class table would not fit (``_fits``), a level expanded row
-    by row where its children would pass the budget.  The seeds before
-    the cut are walked to the last depth, then the rest are expanded from
-    the same parent level, which is held until then.  A depth then comes
-    as several levels, in row order, depth first.  ``run`` and
-    ``model_fidelities`` walk all seeds of their inputs this way."""
+    Yields the root level, then one level per round.  A round expands
+    every node of the previous level at or above ``PROB_TOL`` into its two
+    children; a node below it is yielded but not expanded.  Only the
+    current level is held, so memory follows one level's class table.  A
+    block whose level would not fit is cut at a seed boundary: a merged
+    level where its class table would not fit (``_fits``), a level
+    expanded row by row where its children would pass the budget.  The
+    seeds before the cut are walked to the last depth, then the rest are
+    expanded from the same parent level, which is held until then.  A
+    depth then comes as several levels, in row order, depth first."""
     seeds = np.asarray(seeds, dtype=np.intp)
     classes = np.repeat(np.arange(len(roots)), len(seeds))  # every seed's root is its input
     keys = (np.arange(len(roots))[:, None] * protocol.n_seeds + seeds).reshape(-1)
     level = Level(0, keys, np.zeros(len(keys), dtype=np.int64), classes, roots.norms()[classes], roots, len(seeds) <= 1)
-    yield from _descend(protocol, level, cut)
+    yield from _descend(protocol, level)
 
 
-def _descend(protocol: Protocol, level: Level, cut: bool) -> Iterator[Level]:
+def _descend(protocol: Protocol, level: Level) -> Iterator[Level]:
     """``level`` and, depth first, the levels below it.  A level is let go
     once its children are computed, unless a cut leaves parents for later.
 
@@ -546,39 +491,38 @@ def _descend(protocol: Protocol, level: Level, cut: bool) -> Iterator[Level]:
     (``_row_children``): a level within the budget needs no table, and a
     level whose parents share no node is taken to have children that
     share none.  So a protocol without repeated nodes is walked row by
-    row below its root, and the splitting tracker's row-sized blocks are
-    never merged.
+    row below its root.
     """
     yield level
     if level.depth == protocol.bits:
         return
     rnd = protocol.rounds[level.depth]
     parents = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
-    gathered = isinstance(parents.frontier, Sparse) and rnd.gathers is not None
-    row_bytes = child_row_bytes(parents.frontier, rnd.width, gathered)
+    # only sparse nodes are gathered, so any other form takes the same bytes either way
+    row_bytes = child_row_bytes(parents.frontier, rnd.width, gathered=rnd.gathers is not None)
     pure_bytes = child_row_bytes(parents.frontier, rnd.width, gathered=False)
     by_rows = parents.apart or 2 * len(parents) * pure_bytes <= FRONTIER_BUDGET_BYTES
     del level
     while parents is not None:
-        children, parents, by_rows = _expand(rnd, parents, row_bytes, by_rows, cut)
-        below = _descend(protocol, children, cut)
+        children, parents, by_rows = _expand(rnd, parents, row_bytes, by_rows)
+        below = _descend(protocol, children)
         del children
         yield from below
 
 
-def _expand(rnd: Round, parents: Level, row_bytes: int, by_rows: bool, cut: bool) -> tuple[Level, Level | None, bool]:
+def _expand(rnd: Round, parents: Level, row_bytes: int, by_rows: bool) -> tuple[Level, Level | None, bool]:
     """The children of ``parents``, whose children take ``row_bytes`` each,
     expanded ``by_rows`` or merged (``_descend``); the parents left for a
-    later block when ``cut`` is set and the block had to be cut (None
-    when it was not); and whether those are to be expanded by rows."""
+    later block where the block had to be cut (None where it was not);
+    and whether those are to be expanded by rows."""
     instruments = _per_seed(rnd.instrument_index, parents.seeds)
     listeners = None if rnd.listener_index is None else _per_seed(rnd.listener_index, parents.seeds)
     if by_rows:
-        return (*_row_children(_Ops(rnd, listeners, instruments), parents, row_bytes if cut else 0), True)
+        return (*_row_children(_Ops(rnd, listeners, instruments), parents, row_bytes), True)
     keys = parents.classes if listeners is None else parents.classes * len(rnd.listener_unitaries) + listeners
     first, triples = _first_seen(keys * len(rnd.instruments) + instruments)
     ops = _Ops(rnd, None if listeners is None else listeners[first], instruments[first])
-    return _merged_children(ops, parents, first, triples, row_bytes, cut)
+    return _merged_children(ops, parents, first, triples, row_bytes)
 
 
 class _Ops(NamedTuple):
@@ -592,7 +536,10 @@ class _Ops(NamedTuple):
     def apply(self, nodes: Frontier, entries: slice) -> Frontier:
         """The children of ``nodes``, whose operators are ``entries``: the
         listener unitary, then the instrument, stacked for these entries,
-        or gathered from their tables (``_apply``)."""
+        or gathered from their tables (``_apply``); paired nodes side by
+        side, each in its own form."""
+        if isinstance(nodes, Paired):
+            return Paired(self.apply(nodes.first, entries), self.apply(nodes.second, entries))
         rnd = self.rnd
         listeners, instruments = (rnd.gathers if isinstance(nodes, Sparse) else None) or (None, None)
         if self.listeners is not None:
@@ -642,9 +589,9 @@ def _split(parents: Level, kept: int) -> tuple[Level, Level | None]:
 
 def _row_children(ops: _Ops, parents: Level, row_bytes: int) -> tuple[Level, Level | None]:
     """``_expand`` row by row: each row's two children, applied in one
-    batch, are classes of their own.  Given the children's ``row_bytes``
-    (0 for a walk that is not cut), the block is cut at the last seed
-    boundary whose rows' children fit the budget (a first seed whose
+    batch, are classes of their own.  Given the children's ``row_bytes``,
+    the block is cut at the last seed boundary whose rows' children fit
+    the budget (a first seed whose
     children alone pass it is a block of its own), which is where
     ``_fits`` cuts a table that merged nothing."""
     kept = len(parents)
@@ -657,7 +604,7 @@ def _row_children(ops: _Ops, parents: Level, row_bytes: int) -> tuple[Level, Lev
 
 
 def _merged_children(
-    ops: _Ops, parents: Level, first: np.ndarray, triples: np.ndarray, row_bytes: int, cut: bool
+    ops: _Ops, parents: Level, first: np.ndarray, triples: np.ndarray, row_bytes: int
 ) -> tuple[Level, Level | None, bool]:
     """``_expand`` through a class table: the children of the distinct
     triples are merged by their bytes (``frontier.ClassTable``), which
@@ -667,8 +614,8 @@ def _merged_children(
 
     Triples are applied in the order of their first row, in chunks of at
     most ``FRONTIER_BUDGET_BYTES`` of children, or of one seed's new
-    triples where those alone are more.  With ``cut``, a chunk past the
-    budget is as large as the table's room takes at the share of
+    triples where those alone are more.  A chunk past the budget is as
+    large as the table's room takes at the share of
     children that opened a class so far (``_room``); where not one more
     triple fits, or the table did not fit after all (``_fits``), the
     block is cut at the last seed boundary whose rows' classes fit
@@ -687,7 +634,7 @@ def _merged_children(
         count = most
         # a table within the budget fits (``_fits``), so cuts are weighed only past it, and
         # only where a seed boundary has all its rows expanded
-        if cut and (len(table) + 2 * count) * row_bytes > FRONTIER_BUDGET_BYTES and len(needed) and needed[0] <= done:
+        if (len(table) + 2 * count) * row_bytes > FRONTIER_BUDGET_BYTES and len(needed) and needed[0] <= done:
             opened = (len(table) + 1) / (2 * done + 1)
             covered = 2 * row_bytes * int(np.count_nonzero(triples < done))
             room = _room(len(table) * row_bytes, covered, opened) / (2 * row_bytes)
@@ -702,7 +649,7 @@ def _merged_children(
         classes[2 * chunk.start : 2 * chunk.stop] = table.add(children)
         del children  # not held while the table is decoded
         done = chunk.stop
-        if cut and len(table) * row_bytes > FRONTIER_BUDGET_BYTES and len(needed) and needed[0] <= done:
+        if len(table) * row_bytes > FRONTIER_BUDGET_BYTES and len(needed) and needed[0] <= done:
             covered = 2 * row_bytes * int(np.count_nonzero(triples < done))
             if not _fits(len(table) * row_bytes, covered):
                 kept, size = _cut(classes, done, starts, needed, row_bytes)
@@ -810,7 +757,7 @@ def _walk_leaves(protocol: Protocol, roots: Frontier, meter: _Meter, dead: bool 
     once per distinct entry (``_score_leaves``), and, when ``dead``, each
     level's dead nodes, which only ``RunResult.leaves`` reads."""
     n_seeds = protocol.n_seeds
-    for level in meter.levels(_walk(protocol, roots, np.flatnonzero(np.asarray(protocol.seed_weights)), cut=True)):
+    for level in meter.levels(_walk(protocol, roots, np.flatnonzero(np.asarray(protocol.seed_weights)))):
         rows = np.flatnonzero(level.probabilities < PROB_TOL) if dead else ()
         if len(rows):
             yield _Walked(level.depth, *np.divmod(level.seeds[rows], n_seeds), level.codes[rows])

@@ -2,9 +2,9 @@
 splitting tracker, bound probes via unitary ascent, lemma property
 sweeps, and exact counting identities.
 
-The splitting tracker reads the transcript tree through ``locc.walk``,
-the only traversal, which ``locc.run`` also consumes; it reads each row's
-node through the level's class index.
+The splitting tracker walks its two cases as one paired input through
+the runner's walk (``locc._walk``), the only traversal, which
+``locc.run`` also consumes; it checks each distinct pair of nodes once.
 
 Every report carries explicit pass criteria.  A bound probe passes only
 when the best value found sits between the matching protocol's value
@@ -31,7 +31,7 @@ from .errmodels import (
     enumerate_indicators,
     pair_bell_mixture_ensemble,
 )
-from .frontier import frontier_of, grouped
+from .frontier import Paired, frontier_of, grouped
 from .locc import (
     Protocol,
     make_first_pair,
@@ -321,17 +321,20 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     do by construction (checked once, on the inputs).  The SUCC
     probabilities p (case I) and q (case II) must then satisfy q >= p^2 / 2^s.
 
-    The two cases are walked in lockstep, one seed block and one level
-    at a time, so memory follows one level of the block's trees (the
-    blocks are ``locc.seed_blocks``, sized in rows, which ``walk`` never
-    cuts, so the two walks yield one level per depth each); each
-    level is checked with one batched eigenvalue call per party.  p and
-    q are scored over the last level, the leaves, as ``run`` computes
-    them (``locc._score_leaves``).  A node's margin is the lower of the
-    two parties' lowest eigenvalues, and -inf where case II vanished
-    under a live case-I node.  ``worst_node`` is the (seed, transcript)
-    of the lowest margin, the first in tree order (seed, then depth,
-    then transcript) among equal ones, when that margin is below -tol.
+    The two cases are walked as one input whose row holds the same node
+    on both (``frontier.Paired``), with all live seeds, through the
+    runner's walk, which cuts the block at seed boundaries where a level
+    would not fit, so memory follows one level's class table.  A node
+    is expanded while either case lives.  The check of a node depends
+    only on its pair of (case-I, case-II) states, which the walk merges
+    into one class, so each level solves one eigenvalue problem per party
+    per distinct class among its checked nodes.  p and q are scored per
+    case over the last levels, the leaves, as ``run`` computes them
+    (``locc._score_leaves``).  A node's margin is the lower of the two
+    parties' lowest eigenvalues, and -inf where case II vanished under a
+    live case-I node.  ``worst_node`` is the (seed, transcript) of the
+    lowest margin, the first in tree order (seed, then depth, then
+    transcript) among equal ones, when that margin is below -tol.
     """
     n = protocol.n_pairs
     perfect = epr_state(n)
@@ -346,43 +349,35 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
     checked = 0
     success = [0.0, 0.0]  # p and q
     lowest = (np.inf,)  # (margin, seed, depth, row, transcript) of the lowest node
-    live_seeds = np.flatnonzero(weights != 0.0)
-    for block in locc.seed_blocks(protocol, (perfect, mixed), live_seeds):
-        walks = zip(locc.walk(protocol, perfect, block), locc.walk(protocol, mixed, block), strict=True)
-        for level1, level2 in walks:
-            depth = level1.depth
-            if depth == protocol.bits:
-                for case, level in enumerate((level1, level2)):
-                    scores = locc._score_leaves(protocol, level)
-                    weighted = scores.entries, scores.scored.probabilities, scores.accept, weights[scores.leaves.seeds]
-                    success[case] += locc._totals(*weighted)[2]
-            # the case-I row of every case-II node, by (seed, transcript)
-            keys1 = (level1.seeds << depth) | level1.codes
-            keys2 = (level2.seeds << depth) | level2.codes
-            rows1 = np.minimum(np.searchsorted(keys1, keys2), max(len(keys1) - 1, 0))
-            found = keys1[rows1] == keys2 if len(keys1) else np.zeros(len(keys2), dtype=bool)
-            p1 = np.where(found, level1.probabilities[rows1], 0.0)
-            p2 = level2.probabilities
-            live = p1 >= locc.PROB_TOL
-            # dominated-by-zero is only possible if case I vanished too
-            margins = np.where(live & (p2 < locc.PROB_TOL), -np.inf, np.inf)
-            rows2 = np.flatnonzero(live & (p2 >= locc.PROB_TOL))
-            if len(rows2):
-                checked += len(rows2)
-                # p_t sigma_t^I is case I's unnormalized local state
-                alice1, bob1 = level1.local_states(rows1[rows2])
-                q2 = p2[rows2][:, None, None]
-                alice2, bob2 = (local / q2 for local in level2.local_states(rows2))
-                low_a = _dominance_lows(alice2, alice1)
-                low_b = _dominance_lows(bob2, bob1)
-                min_alice = min(min_alice, float(low_a.min()))
-                min_bob = min(min_bob, float(low_b.min()))
-                margins[rows2] = np.minimum(low_a, low_b)
-            if len(margins):
-                row = int(np.argmin(margins))  # the first lowest row
-                node = (float(margins[row]), int(level2.seeds[row]), depth, row)
-                if node < lowest[:4]:
-                    lowest = (*node, level2.label(row))
+    roots = Paired(locc.frontier_of(perfect), locc.frontier_of(mixed))
+    for level in locc._walk(protocol, roots, np.flatnonzero(weights != 0.0)):
+        depth, nodes, classes = level.depth, level.frontier, level.classes
+        p1, p2 = nodes.first.norms(), nodes.second.norms()  # per class
+        if depth == protocol.bits:
+            for case, (side, p) in enumerate(((nodes.first, p1), (nodes.second, p2))):
+                leaves = locc.Level(depth, level.seeds, level.codes, classes, p[classes], side)
+                success[case] += _success(protocol, leaves, weights)
+        live = p1 >= locc.PROB_TOL
+        # dominated-by-zero is only possible if case I vanished too
+        margins = np.where(live & (p2 < locc.PROB_TOL), -np.inf, np.inf)
+        checks = np.flatnonzero(live & (p2 >= locc.PROB_TOL))  # every class has a row
+        if len(checks):
+            checked += int(np.bincount(classes, minlength=len(nodes))[checks].sum())
+            pairs = nodes.take(checks)
+            # p_t sigma_t^I is case I's unnormalized local state
+            alice1, bob1 = pairs.first.local_states()
+            q2 = p2[checks][:, None, None]
+            alice2, bob2 = (local / q2 for local in pairs.second.local_states())
+            low_a = _dominance_lows(alice2, alice1)
+            low_b = _dominance_lows(bob2, bob1)
+            min_alice = min(min_alice, float(low_a.min()))
+            min_bob = min(min_bob, float(low_b.min()))
+            margins[checks] = np.minimum(low_a, low_b)
+        if len(level):
+            row = int(np.argmin(margins[classes]))  # the first lowest row
+            node = (float(margins[classes[row]]), int(level.seeds[row]), depth, row)
+            if node < lowest[:4]:
+                lowest = (*node, level.label(row))
 
     failed = lowest[0] < -tol
     p, q = success
@@ -401,6 +396,13 @@ def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> Splittin
         nodes_checked=checked,
         passed=bool(ok),
     )
+
+
+def _success(protocol: Protocol, leaves: "locc.Level", weights: np.ndarray) -> float:
+    """The SUCC probability of one case's last level, ``leaves``, scored as
+    ``run`` scores it (``locc._score_leaves``)."""
+    scores = locc._score_leaves(protocol, leaves)
+    return locc._totals(scores.entries, scores.scored.probabilities, scores.accept, weights[scores.leaves.seeds])[2]
 
 
 # ---------------------------------------------------------------------------

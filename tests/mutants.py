@@ -9,11 +9,13 @@ Each entry of ``MUTANTS`` is one textual edit to a file under
 and what the edit breaks.  For each mutant, or each one named on the
 command line, the script copies ``src``, ``tests``, ``bench`` and
 ``pyproject.toml`` into a temporary directory, applies the edit there and
-runs the tier-1 suite on the copy, fail-fast (``-x``).  A mutant is
-killed when the suite fails, and survives when it passes.  Mutants marked
-``equivalent`` cannot change a result and are expected to survive; the
-entry says why.  The script prints one line per mutant and exits 1 when a
-mutant that is not equivalent survives, or when an edit no longer applies.
+runs the tier-1 suite on the copy, fail-fast (``-x``), without
+``test_mutants.py``, which checks that the old texts are in place.  A
+mutant is killed when the suite fails, and survives when it passes.
+Mutants marked ``equivalent`` cannot change a result and are expected to
+survive; the entry says why.  The script prints one line per mutant and
+exits 1 when a mutant that is not equivalent survives, or when an edit
+no longer applies.
 
 pytest does not collect this file (it collects ``test_*.py`` only), and it
 is not a CI step: run it by hand after changing a listed file.
@@ -82,8 +84,8 @@ MUTANTS = (
     ),
     Mutant(
         "tracker-drops-bob-margin", "src/edplab/verify.py",
-        "margins[rows2] = np.minimum(low_a, low_b)",
-        "margins[rows2] = low_a",
+        "margins[checks] = np.minimum(low_a, low_b)",
+        "margins[checks] = low_a",
         "passed and worst_node ignore Bob's dominance",
     ),
     Mutant(
@@ -109,6 +111,24 @@ MUTANTS = (
         "kept = r_joint > PROB_TOL",
         "a leaf whose p_t r_t is exactly PROB_TOL is dropped",
         equivalent="it differs only where Tr(M rho_t) equals PROB_TOL to the last bit",
+    ),
+    Mutant(
+        "paired-norms-read-case-one", "src/edplab/frontier.py",
+        "return np.maximum(self.first.norms(), self.second.norms())",
+        "return self.first.norms()",
+        "the tracker's walk prunes a node where case I vanished, so q loses the case-II leaves below it",
+    ),
+    Mutant(
+        "paired-row-bytes-read-case-one", "src/edplab/frontier.py",
+        "return child_row_bytes(nodes.first, width, gathered) + child_row_bytes(nodes.second, width, gathered)",
+        "return child_row_bytes(nodes.first, width, gathered)",
+        "the tracker's walk weighs a pair of nodes as its case-I node, so its class tables pass the cut rule",
+    ),
+    Mutant(
+        "tracker-counts-classes-not-nodes", "src/edplab/verify.py",
+        "checked += int(np.bincount(classes, minlength=len(nodes))[checks].sum())",
+        "checked += len(checks)",
+        "nodes_checked counts the distinct pairs of nodes checked, not the nodes",
     ),
     Mutant(
         "witness-p-weighted-by-perfect-part", "src/edplab/locc.py",
@@ -145,7 +165,9 @@ def check(mutant: Mutant) -> tuple[bool, float]:
         env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
         start = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            # test_mutants.py checks that each old text is in place, so it fails on every mutant
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "--ignore", "tests/test_mutants.py",
+             "tests"],
             cwd=root, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=TIMEOUT_S,
         )
         return proc.returncode != 0, time.perf_counter() - start

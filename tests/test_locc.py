@@ -14,7 +14,7 @@ from edplab.errmodels import (
     fidelity_witness,
     fidelity_witness_components,
 )
-from edplab import locc
+from edplab import frontier, locc
 from edplab.locc import (
     PROB_TOL,
     AlwaysAccept,
@@ -33,7 +33,6 @@ from edplab.locc import (
     model_fidelities,
     protocol_fidelity,
     run,
-    walk,
 )
 from edplab.qcore import (
     ALICE,
@@ -47,6 +46,11 @@ from edplab.qcore import (
     tensor,
 )
 from edplab.sampling import random_density_matrix, random_kraus_channel, random_protocol, random_pure_state
+
+
+def walk(proto, state, seeds):
+    """The runner's walk of one input with ``seeds``."""
+    return locc._walk(proto, locc.frontier_of(state), seeds)
 
 
 def measure_z_instrument(n: int, qubit: int) -> Instrument:
@@ -181,7 +185,7 @@ def test_input_shape_rejected():
 
 def _bob_local(level, row):
     """Bob's normalized local state at a row of a ``walk`` level."""
-    return level.local_states()[1][row] / level.probabilities[row]
+    return level.states().local_states()[1][row] / level.probabilities[row]
 
 
 def test_receiver_state_unchanged_for_product_input():
@@ -805,7 +809,7 @@ def test_witness_fidelities_weight_one_walk_of_each_part(monkeypatch, case):
 
 def _merged_levels(proto, roots):
     seeds = np.flatnonzero(np.asarray(proto.seed_weights))
-    return [level for level in locc._walk(proto, roots, seeds, cut=True) if level.depth and not level.apart]
+    return [level for level in locc._walk(proto, roots, seeds) if level.depth and not level.apart]
 
 
 @pytest.mark.parametrize("budget", [None, 1 << 12])
@@ -832,4 +836,14 @@ def test_merged_levels_keep_the_table_rule(monkeypatch, budget):
         for depth, rnd in enumerate(run(proto, state).stats.rounds):
             held = [level.frontier.nbytes for level in levels if level.depth == depth + 1]
             assert not held or rnd.frontier_bytes >= max(held)
+    # the splitting tracker's paired root: a pair of nodes is one row of both sides' bytes
+    for proto, _ in cases[1:]:
+        n = proto.n_pairs
+        roots = frontier.Paired(locc.frontier_of(epr_state(n)), locc.frontier_of(ProductState.maximally_mixed(n, n)))
+        levels = _merged_levels(proto, roots)
+        for level in levels:
+            row = level.frontier.nbytes // len(level.frontier)
+            within = 2 * level.frontier.nbytes <= len(level) * row + locc.FRONTIER_BUDGET_BYTES
+            assert within or len(np.unique(level.seeds)) == 1
+        merged += len(levels)
     assert merged

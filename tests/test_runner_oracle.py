@@ -30,7 +30,6 @@ from edplab.locc import (
     make_random_permutation,
     make_simple_random_hash,
     run,
-    walk,
 )
 from edplab.qcore import (
     ALICE,
@@ -50,6 +49,18 @@ from edplab.sampling import random_density_matrix, random_instrument, random_pro
 def _embed(op: np.ndarray, party: str, n: int) -> np.ndarray:
     eye = np.eye(1 << n)
     return np.kron(op, eye) if party == ALICE else np.kron(eye, op)
+
+
+def walk(protocol: Protocol, state, seeds):
+    """The runner's walk of one input with ``seeds``."""
+    return locc._walk(protocol, locc.frontier_of(state), seeds)
+
+
+def _row_bytes(protocol: Protocol, state) -> int:
+    """Bytes of one node of ``state``'s walk below the root, as the walk
+    counts a child under gathers where every round has them."""
+    gathered = all(rnd.gathers is not None for rnd in protocol.rounds)
+    return frontier.child_row_bytes(locc.frontier_of(state), 2 if protocol.multi_kraus else 1, gathered)
 
 
 def _entry(entries, seed: int):
@@ -219,16 +230,30 @@ def assert_run_matches(a, b, atol=1e-12):
 
 def assert_walks_match(protocol, state_a, state_b, atol=1e-12):
     """The transcript trees of two inputs agree node by node: the same
-    labels, probabilities and normalized local states."""
+    labels, probabilities and normalized local states.  Inputs in
+    different representations may be cut at different seeds, so rows are
+    compared per depth."""
     seeds = np.arange(protocol.n_seeds)
-    for level_a, level_b in zip(walk(protocol, state_a, seeds), walk(protocol, state_b, seeds), strict=True):
-        assert list(zip(level_a.seeds, level_a.labels)) == list(zip(level_b.seeds, level_b.labels))
-        locals_a, locals_b = level_a.local_states(), level_b.local_states()
-        for row, (pa, pb) in enumerate(zip(level_a.probabilities, level_b.probabilities)):
+    levels_a, levels_b = list(walk(protocol, state_a, seeds)), list(walk(protocol, state_b, seeds))
+    rows_a, rows_b = _by_depth(levels_a), _by_depth(levels_b)
+    locals_a, locals_b = _local_states_by_depth(levels_a), _local_states_by_depth(levels_b)
+    assert rows_a.keys() == rows_b.keys()
+    for depth, rows in rows_a.items():
+        assert [row[:3] for row in rows] == [row[:3] for row in rows_b[depth]]
+        for i, ((*_, pa), (*_, pb)) in enumerate(zip(rows, rows_b[depth])):
             assert pa == pytest.approx(pb, abs=atol)
             if pb >= PROB_TOL:
-                for local_a, local_b in zip(locals_a, locals_b):
-                    np.testing.assert_allclose(local_a[row] / pa, local_b[row] / pb, atol=atol)
+                for local_a, local_b in zip(locals_a[depth], locals_b[depth]):
+                    np.testing.assert_allclose(local_a[i] / pa, local_b[i] / pb, atol=atol)
+
+
+def _local_states_by_depth(levels):
+    """Per depth, the (alice, bob) unnormalized local states of every row
+    of the levels at that depth, in the order they come."""
+    parts = {}
+    for level in levels:
+        parts.setdefault(level.depth, []).append(level.states().local_states())
+    return {depth: tuple(map(np.concatenate, zip(*sides))) for depth, sides in parts.items()}
 
 
 def _builtin_protocols(n):
@@ -337,7 +362,7 @@ def test_pooled_protocols_that_merge_and_cut_match_oracle(
     )
     state = _random_input(gen, n, form)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(locc, "FRONTIER_BUDGET_BYTES", (4 * pool**2 + slack) * locc._row_bytes(proto, state))
+        patch.setattr(locc, "FRONTIER_BUDGET_BYTES", (4 * pool**2 + slack) * _row_bytes(proto, state))
         result = run(proto, state)
     assert _merged(result.stats)
     succ, out, cond = oracle(proto, state)
@@ -356,7 +381,7 @@ def test_pooled_protocol_levels_merge_and_cut(form):
     state = _random_input(gen, 2, form)
     reference = run(proto, state)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(locc, "FRONTIER_BUDGET_BYTES", 16 * locc._row_bytes(proto, state))
+        patch.setattr(locc, "FRONTIER_BUDGET_BYTES", 16 * _row_bytes(proto, state))
         chunked = run(proto, state)
     assert _merged(chunked.stats) and chunked.stats.seed_blocks > 1
     assert_run_matches(chunked, reference)
@@ -390,7 +415,7 @@ def test_a_block_of_pure_inputs_matches_one_run_per_input(
     roots = frontier.Pure(np.stack([st.amplitudes.reshape(1 << n, 1 << n) for st in states]))
     outputs, accepted, success = sums = locc._sums(inputs)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget_rows * locc._row_bytes(proto, states[0]))
+        patch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget_rows * _row_bytes(proto, states[0]))
         locc._weigh(proto, locc._walk_leaves(proto, roots, locc._Meter(proto.bits)), np.ones(inputs), sums)
         singles = [run(proto, st) for st in states]
     for state, single, output, post, p in zip(states, singles, outputs, accepted, success):
@@ -437,7 +462,7 @@ def test_workspace_instruments_on_product_nodes():
     assert_walks_match(proto, state, state.to_density())
     *_, leaves = walk(proto, state, np.arange(proto.n_seeds))
     rows = {label: row for row, label in enumerate(leaves.labels)}
-    alice_locals, bob_locals = leaves.local_states()
+    alice_locals, bob_locals = leaves.states().local_states()
     for bit_a in (0, 1):
         alice = _workspace_channel(instr_a.branches[bit_a], state.alice.matrix, 1)
         for bit_b in (0, 1):
@@ -469,10 +494,10 @@ def _block_cases():
 
 
 def _seed_bytes(proto, state):
-    """Bytes one seed's widest level takes, per input component, as
-    ``locc.seed_blocks`` counts them."""
+    """Bytes one seed's widest level takes, counted in rows, per input
+    component."""
     components = state if isinstance(state, list) else [(1.0, state)]
-    return [locc._row_bytes(proto, st) << proto.bits for _, st in components]
+    return [_row_bytes(proto, st) << proto.bits for _, st in components]
 
 
 def _strict_fits(table_bytes, row_bytes):
@@ -529,7 +554,7 @@ def test_cut_class_tables_leave_the_run_unchanged(monkeypatch, case):
         merged_cuts.append(bool(classes[: 2 * done].max() + 1 < 2 * done))  # the children so far merged
         return cut(classes, done, *args)
 
-    budget = 4 * locc._row_bytes(proto, state)
+    budget = 4 * _row_bytes(proto, state)
     monkeypatch.setattr(locc, "_cut", recording_cut)
     monkeypatch.setattr(locc, "_fits", _strict_fits)
     monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget)
@@ -563,8 +588,8 @@ def _components(state):
 
 @pytest.mark.parametrize("case", range(5))
 def test_class_walk_rows_equal_per_seed_walks(monkeypatch, case):
-    # a block's walk merges nodes across seeds, and ``run``'s walk cuts
-    # blocks; neither may change a row's seed, transcript or probability
+    # a block's walk merges nodes across seeds, and a budget of one seed's
+    # rows cuts it; neither may change a row's seed, transcript or probability
     proto, state = list(_block_cases())[case]
     for component in _components(state):
         per_seed = {}
@@ -574,7 +599,7 @@ def test_class_walk_rows_equal_per_seed_walks(monkeypatch, case):
         seeds = np.arange(proto.n_seeds)
         assert _by_depth(walk(proto, component, seeds)) == per_seed
         monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", _seed_bytes(proto, component)[0])
-        assert _by_depth(locc._walk(proto, frontier.frontier_of(component), seeds, cut=True)) == per_seed
+        assert _by_depth(walk(proto, component, seeds)) == per_seed
         monkeypatch.undo()
 
 
@@ -712,7 +737,7 @@ def test_protocol_without_repeated_nodes_stays_within_the_budget():
     gen = np.random.default_rng(41)
     proto = random_protocol(gen, 3, 3, n_seeds=40, accept_kind="povm", with_listeners=True)
     state = random_pure_state(gen, 3, 3)
-    assert locc._row_bytes(proto, state) * proto.n_seeds << proto.bits > 2 * locc.FRONTIER_BUDGET_BYTES
+    assert _row_bytes(proto, state) * proto.n_seeds << proto.bits > 2 * locc.FRONTIER_BUDGET_BYTES
     result = run(proto, state)
     stats = result.stats
     assert stats.seed_blocks > 2
@@ -768,8 +793,9 @@ def _mixed_element_cases():
 def test_gathered_accept_matches_per_element_and_oracle(case):
     proto, state = list(_mixed_element_cases())[case]
     mixed_blocks = 0
-    for block in locc.seed_blocks(proto, [state], np.arange(proto.n_seeds)):
-        *_, level = walk(proto, state, block)
+    for level in walk(proto, state, np.arange(proto.n_seeds)):
+        if level.depth < proto.bits:
+            continue
         scores = locc._score_leaves(proto, level)
         # one row per scored entry: per distinct (class, element, output pair)
         leaves, r_t, post = scores.scored, scores.accept, scores.post
@@ -897,6 +923,17 @@ def _forced_pure(state):
     return frontier_of
 
 
+def _rows_by_depth(levels):
+    """Per depth, the seeds, codes, probabilities and ``_amplitudes`` of
+    every row of the levels at that depth, in the order they come."""
+    parts = {}
+    for level in levels:
+        parts.setdefault(level.depth, []).append(
+            (level.seeds, level.codes, level.probabilities, _amplitudes(level.states()))
+        )
+    return {depth: tuple(map(np.concatenate, zip(*columns))) for depth, columns in parts.items()}
+
+
 def _amplitudes(nodes):
     """The rows of a frontier in a form to compare: amplitude matrices for
     sparse and pure nodes, matrices for dense ones."""
@@ -936,17 +973,21 @@ def test_sparse_walks_equal_pure_walks_and_the_oracle(
         with pytest.MonkeyPatch.context() as patch:
             if force:
                 patch.setattr(locc, "frontier_of", _forced_pure(state))
-            patch.setattr(locc, "FRONTIER_BUDGET_BYTES", (4 * pool**2 + slack) * locc._row_bytes(proto, state))
+            patch.setattr(locc, "FRONTIER_BUDGET_BYTES", (4 * pool**2 + slack) * _row_bytes(proto, state))
             results.append(run(proto, state))
             levels.append(list(walk(proto, state, seeds)))
     sparse, pure = results
     dense = breaker is not None and breaker == "kraus"
     assert sparse.stats.representations == ("sparse->dense" if dense else "sparse->pure" if breaker else "sparse",)
     assert pure.stats.representations == ("pure->dense" if dense else "pure",)
-    for level_s, level_p in zip(*levels, strict=True):
-        assert np.array_equal(level_s.seeds, level_p.seeds) and np.array_equal(level_s.codes, level_p.codes)
-        assert level_s.probabilities.tobytes() == level_p.probabilities.tobytes()
-        assert np.array_equal(_amplitudes(level_s.states()), _amplitudes(level_p.states()))
+    # the two forms may be cut at different seeds, so rows are compared per depth
+    sparse_rows, pure_rows = (_rows_by_depth(walked) for walked in levels)
+    assert sparse_rows.keys() == pure_rows.keys()
+    for depth, (seeds_s, codes_s, probabilities_s, amplitudes_s) in sparse_rows.items():
+        seeds_p, codes_p, probabilities_p, amplitudes_p = pure_rows[depth]
+        assert np.array_equal(seeds_s, seeds_p) and np.array_equal(codes_s, codes_p)
+        assert probabilities_s.tobytes() == probabilities_p.tobytes()
+        assert np.array_equal(amplitudes_s, amplitudes_p)
     assert_run_matches(sparse, pure)
     if breaker is None:
         assert _merged(sparse.stats)

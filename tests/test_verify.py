@@ -116,18 +116,22 @@ def test_splitting_on_simple_random_hash():
         assert rep.success_margin == pytest.approx(0.0, abs=1e-10)
 
 
-def test_splitting_random_protocol_sweep():
-    # listener unitaries are local channels, so the dominance chain must
-    # survive them too
+def _splitting_sweep_protocols():
     for i in range(40):
         gen = substream(77, "test-splitting", i)
         n = int(gen.integers(1, 4))
         rounds = int(gen.integers(1, 4))
-        proto = random_protocol(
+        yield random_protocol(
             gen, n, rounds, n_seeds=int(gen.integers(1, 3)),
             kraus_per_branch=int(gen.integers(1, 3)),
             with_listeners=bool(i % 2),
         )
+
+
+def test_splitting_random_protocol_sweep():
+    # listener unitaries are local channels, so the dominance chain must
+    # survive them too
+    for i, proto in enumerate(_splitting_sweep_protocols()):
         rep = verify.verify_splitting(proto)
         assert rep.passed, (i, rep)
 
@@ -144,16 +148,28 @@ def _splitting_run_cases():
 
 
 def test_splitting_success_probabilities_are_runs():
-    # the tracker scores leaves through run's helper, so wherever its seed
-    # blocks are run's, p and q are run's success probabilities bit for bit
+    # the tracker scores leaves through run's helper, so wherever run walks
+    # each input as one block, p and q are run's success probabilities bit
+    # for bit
     for proto in _splitting_run_cases():
         n = proto.n_pairs
-        perfect, mixed = epr_state(n), ProductState.maximally_mixed(n, n)
-        seeds = np.arange(proto.n_seeds)
-        assert len(locc.seed_blocks(proto, (perfect, mixed), seeds)) == 1
+        perfect, mixed = run(proto, epr_state(n)), run(proto, ProductState.maximally_mixed(n, n))
+        assert perfect.stats.seed_blocks == mixed.stats.seed_blocks == 1
         rep = verify.verify_splitting(proto)
-        assert rep.p_success_perfect == run(proto, perfect).success_probability
-        assert rep.q_success_mixed == run(proto, mixed).success_probability
+        assert rep.p_success_perfect == perfect.success_probability
+        assert rep.q_success_mixed == mixed.success_probability
+
+
+def test_splitting_scores_case_two_below_a_vanished_case_one_node():
+    # Alice, Bob and Alice measure Z on one pair: on the perfect block the
+    # nodes 01 and 10 vanish, on the mixed input each holds 1/4, so the walk
+    # expands them for case II, and q counts leaves that case I never reaches
+    z = Instrument(branches=((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
+    proto = Protocol(1, (1.0,), (Round(ALICE, (z,)), Round(BOB, (z,)), Round(ALICE, (z,))), AlwaysAccept(), (0,))
+    rep = verify.verify_splitting(proto)
+    assert rep.p_success_perfect == pytest.approx(1.0, abs=1e-15)
+    assert rep.q_success_mixed == pytest.approx(1.0, abs=1e-15)
+    assert rep.nodes_checked == 7 and rep.passed
 
 
 def test_splitting_fails_where_case_two_vanishes_under_a_live_node():
@@ -182,8 +198,9 @@ class _BobSkewedMixed:
 
 def test_splitting_node_margin_takes_the_lower_party(monkeypatch):
     # ``passed`` and ``worst_node`` turn where the tolerance crosses the
-    # lower of the two parties' minima, which is Bob's here; the initial
-    # condition is checked on the real inputs, so it holds
+    # lower of the two parties' minima, which is Bob's here; the tracker
+    # builds its roots with ``locc.frontier_of``, and ``verify.frontier_of``
+    # is redirected for the initial-condition check only, which so holds
     monkeypatch.setattr(verify, "ProductState", _BobSkewedMixed)
     real = verify.frontier_of
     monkeypatch.setattr(
@@ -224,6 +241,66 @@ def test_splitting_beyond_three_pairs():
         rep = verify.verify_splitting(proto)
         assert rep.passed, (n, rep)
         assert rep.initial_condition_ok
+
+
+def test_splitting_closed_form_on_every_hash_up_to_five_pairs():
+    # the hash is ideal on the perfect block and accepts the mixed input with
+    # probability 2^-s: p = 1, q = 2^-s and success margin 0, with p within
+    # 1 ulp of 1 (so the margin within 2 ulps of 1, times 2^-s) and q exact
+    ulp = np.spacing(1.0)
+    for n in range(2, 6):
+        for s in range(1, n):
+            rep = verify.verify_splitting(make_simple_random_hash(n, s))
+            assert rep.passed and rep.worst_node is None, (n, s, rep)
+            assert 1.0 <= rep.p_success_perfect <= 1.0 + ulp, (n, s)
+            assert rep.q_success_mixed == 2.0**-s, (n, s)
+            assert 0.0 >= rep.success_margin >= -2 * ulp * 2.0**-s, (n, s)
+
+
+@pytest.mark.parametrize("s, checked", [(3, 7680), (4, 31744)])
+def test_splitting_report_of_full_size_hash(s, checked):
+    # every node of hash (5, s) is checked, and both parties' margins are 0
+    # up to the eigenvalue solver's rounding
+    rep = verify.verify_splitting(make_simple_random_hash(5, s))
+    assert (rep.n, rep.bits, rep.initial_condition_ok, rep.worst_node, rep.nodes_checked, rep.passed) == (
+        5, s, True, None, checked, True
+    )
+    assert rep.min_alice_margin == rep.min_bob_margin == pytest.approx(0.0, abs=1e-16)
+    assert rep.p_success_perfect in (1.0, 1.0 + np.spacing(1.0))
+    assert rep.q_success_mixed == 2.0**-s
+    assert rep.success_margin == rep.q_success_mixed - rep.p_success_perfect**2 / 2**s
+
+
+_SPLITTING_TOLS = (1e-9, -1e-3, -0.05, -0.3, -1.0)
+
+
+def test_splitting_reports_survive_a_cut_walk(monkeypatch):
+    # under a 4 KiB budget the tracker's walk applies one triple at a time
+    # and cuts the two-seed protocols into one block per seed; every node is
+    # checked as before, so the margins, counts and worst nodes stay, and p
+    # and q, summed in other blocks, stay within 4 ulps (2 seen)
+    cases = [make_simple_random_hash(4, 3), *_splitting_sweep_protocols()]
+    whole = [[verify.verify_splitting(proto, tol) for tol in _SPLITTING_TOLS] for proto in cases]
+    monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", 1 << 12)
+    blocks = []
+    real = locc._walk
+
+    def counted(protocol, roots, seeds):
+        for level in real(protocol, roots, seeds):
+            blocks[-1] += level.depth == protocol.bits
+            yield level
+
+    monkeypatch.setattr(locc, "_walk", counted)
+    for proto, reports in zip(cases, whole):
+        for tol, ref in zip(_SPLITTING_TOLS, reports):
+            blocks.append(0)
+            rep = verify.verify_splitting(proto, tol)
+            for name in ("initial_condition_ok", "min_alice_margin", "min_bob_margin", "worst_node",
+                         "nodes_checked", "passed"):
+                assert getattr(rep, name) == getattr(ref, name), (name, tol, proto.n_pairs)
+            for name in ("p_success_perfect", "q_success_mixed"):
+                assert abs(getattr(rep, name) - getattr(ref, name)) <= 4 * np.spacing(getattr(ref, name)), name
+    assert sum(b > 1 for b in blocks) > len(blocks) // 4  # the two-seed protocols are cut
 
 
 # ---------------------------------------------------------------------------
