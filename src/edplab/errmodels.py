@@ -7,15 +7,16 @@ tolerate:
 * measure-r: an explicit finite set of pure "error states", one per
   degree-r binary indicator vector (worst case = minimum over the set);
 * depolarization: the single mixed state obtained by passing Bob's
-  half of each pair through a depolarizing channel;
+  half of each pair through a depolarizing channel, a mixture of 4^n
+  sparse Bell patterns (``depolarization_stack``);
 * fidelity: every state whose overlap with the perfect pair block is at
   least 1 - epsilon, represented here by its canonical worst-case
-  witness plus optional random members.  The runner gets the witness
-  as a pure component plus a product component (``run_inputs``), never
-  as the dense matrix ``fidelity_witness`` returns.
+  witness plus optional random members.
 
-Exact mixtures are carried as weighted state lists and collapsed to a
-dense matrix only on demand.
+A model hands the runner its inputs as ``Stack``s (``stacks``), the
+witness as a sparse and a product component, never as the dense matrices
+``states`` returns for reference.  Other exact mixtures are weighted
+state lists, collapsed to a dense matrix only on demand.
 """
 
 from __future__ import annotations
@@ -24,9 +25,11 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
+from .frontier import Frontier, Sparse, frontier_of
 from .qcore import (
     BOB,
     DensityMatrix,
@@ -45,8 +48,28 @@ from .qcore import (
 from . import rng as rngmod
 
 WeightedStates = list[tuple[float, State | ProductState]]
-#: what ``locc.run`` evaluates: one state or a weighted component list
-RunInput = State | ProductState | WeightedStates
+
+
+class Stack(NamedTuple):
+    """Runner input rows of one representation: ``roots`` holds a frontier
+    row per component, ``weights`` its weight and ``inputs`` the model
+    input it adds to, non-decreasing.  The runner is linear, so an input's
+    outputs are its rows' outputs summed with their weights."""
+
+    roots: Frontier
+    weights: np.ndarray
+    inputs: np.ndarray
+
+
+def weighted_stacks(states: WeightedStates, index: int = 0) -> list[Stack]:
+    """A weighted state list as model input ``index``: a one-row stack per
+    component, in the form its type picks (``frontier_of``).  The weights
+    must be finite and non-negative, and sum to 1."""
+    weights = [w for w, _ in states]
+    if not all(math.isfinite(w) and w >= 0.0 for w in weights) or abs(sum(weights) - 1.0) > 1e-9:
+        raise ValueError(f"input weights must be finite and non-negative, and sum to 1, got {weights}")
+    return [Stack(frontier_of(st), np.array([w]), np.array([index])) for w, st in states]
+
 
 INDICATOR_ENTRIES = ("0", "1", "*")
 EXTENDED_ENTRIES = ("00", "01", "10", "11", "*")
@@ -266,23 +289,41 @@ def depolarization_state(n: int, p: float) -> DensityMatrix:
     return out
 
 
-def pair_bell_mixture_ensemble(n: int, p: float) -> WeightedStates:
-    """Pure-state ensemble of the depolarization-model state.
+def depolarization_stack(n: int, p: float) -> Stack:
+    """The depolarization-model state as one model input: its Bell
+    patterns as sparse rows, each weighted by its probability.
 
-    Eigen-decomposition per pair: phi+ with weight 1 - 3p/4 and each
-    other Bell state with weight p/4; the n-pair state is the product
-    mixture over Bell-state patterns.  Zero-weight members are dropped.
+    Pair j of a pattern is the Bell state with bit flip a_j and phase
+    flip b_j: phi+ (0, 0) of weight 1 - 3p/4, and phi- (0, 1), psi+ (1, 0)
+    and psi- (1, 1) of p/4 each.  Patterns run in ``itertools.product``
+    order of those four, first pair first, and weigh the product of their
+    pairs' weights, taken first pair first.  Row x of a pattern's
+    amplitude matrix holds (-1)^|x AND phase mask| 2^(-n/2), as
+    ``epr_state`` builds the perfect block, in column x XOR its bit-flip
+    mask.  Zero-weight patterns are dropped.
     """
+    if n < 1:
+        raise ValueError(f"need at least one pair, got n={n}")
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    weights = {"phi+": 1.0 - 0.75 * p, "phi-": 0.25 * p, "psi+": 0.25 * p, "psi-": 0.25 * p}
-    names = [name for name, w in weights.items() if w > 0.0]
-    out: WeightedStates = []
-    for pattern in itertools.product(names, repeat=n):
-        w = math.prod(weights[name] for name in pattern)
-        state = tensor_all([bell_state(name) for name in pattern])
-        out.append((w, state))
-    return out
+    _check_capacity(2 * n)
+    pair_weights = np.array([1.0 - 0.75 * p, 0.25 * p, 0.25 * p, 0.25 * p])
+    shifts = np.arange(n - 1, -1, -1)  # pair j is bit n-1-j of a register index
+    bell = (np.arange(4**n)[:, None] >> 2 * shifts) & 3  # each pattern's 2a + b per pair
+    weights = pair_weights[bell].prod(axis=1)  # first pair first, as a left-to-right product
+    bell, weights = bell[weights > 0.0], weights[weights > 0.0]
+    x = np.arange(1 << n)
+    odd = ((bell & 1) @ ((x[:, None] >> shifts) & 1).T) & 1  # the parity of x AND the phase mask
+    amps = np.where(odd == 1, -1.0, 1.0) * 2.0 ** (-n / 2.0)
+    roots = Sparse(amps.astype(np.complex128), x ^ ((bell >> 1) @ (1 << shifts))[:, None], 1 << n)
+    return Stack(roots, weights, np.zeros(len(weights), dtype=np.intp))
+
+
+def pair_bell_mixture_ensemble(n: int, p: float) -> WeightedStates:
+    """Pure-state ensemble of the depolarization-model state: the rows
+    of ``depolarization_stack`` as states, with their weights."""
+    stack = depolarization_stack(n, p)
+    return [(w, PureState(n, n, psi.reshape(-1))) for w, psi in zip(stack.weights.tolist(), stack.roots.to_pure().psi)]
 
 
 def random_corrupt_ensemble(n: int, r: int) -> WeightedStates:
@@ -359,19 +400,21 @@ def fidelity_witness(n: int, epsilon: float) -> DensityMatrix:
 
 
 @functools.cache
-def _error_diagonals(n: int, r: int) -> np.ndarray:
-    """(2^r C(n, r), 2^n): the diagonal of each degree-r error state's
-    amplitude matrix, in ``enumerate_indicators`` order.  Entry x is
-    2^(-(n-r)/2) where x agrees with the indicator vector on its r
-    measured pairs, and 0 elsewhere (``error_state``)."""
+def _error_roots(n: int, r: int) -> Sparse:
+    """The degree-r error states as read-only sparse rows, in
+    ``enumerate_indicators`` order.  Each amplitude matrix is diagonal:
+    entry x is 2^(-(n-r)/2) where x agrees with the indicator vector on
+    its r measured pairs, and 0 elsewhere (``error_state``)."""
     positions = np.array(list(itertools.combinations(range(n), r)), dtype=np.intp).reshape(math.comb(n, r), r)
     # the measured bits of each vector, first position first, in itertools.product order
     bits = (np.arange(1 << r)[:, None] >> np.arange(r - 1, -1, -1)) & 1
     xbits = (np.arange(1 << n)[:, None] >> np.arange(n - 1, -1, -1)) & 1  # x's bit of each pair
     agree = (xbits[:, positions][:, :, None] == bits).all(axis=-1).reshape(1 << n, -1).T
-    diagonals = agree * 2.0 ** (-(n - r) / 2.0)
-    diagonals.setflags(write=False)  # shared by every call
-    return diagonals
+    amps = (agree * 2.0 ** (-(n - r) / 2.0)).astype(np.complex128)
+    roots = Sparse(amps, np.where(agree, np.arange(1 << n), 0), 1 << n)
+    for part in roots.parts:
+        part.setflags(write=False)  # shared by every call
+    return roots
 
 
 @dataclass(frozen=True)
@@ -388,30 +431,15 @@ class MeasureRModel:
         if not 0 <= self.r <= self.n:
             raise ValueError(f"need 0 <= r <= n, got n={self.n}, r={self.r}")
 
-    def diagonals(self) -> np.ndarray:
-        """The diagonal of each error state's amplitude matrix, in
-        ``enumerate_indicators`` order: one read-only (states, 2^n) array
-        (``_error_diagonals``)."""
-        _check_capacity(2 * self.n)
-        return _error_diagonals(self.n, self.r)
-
-    def amplitudes(self) -> np.ndarray:
-        """The amplitude matrices of the error states, in
-        ``enumerate_indicators`` order, rows indexing Alice's register:
-        one read-only (states, 2^n, 2^n) array, built without a loop per
-        state.  Each is diagonal (``diagonals``)."""
-        diagonals = self.diagonals()
-        amps = np.zeros((len(diagonals), 1 << self.n, 1 << self.n), dtype=np.complex128)
-        every = np.arange(1 << self.n)
-        amps[:, every, every] = diagonals
-        amps.setflags(write=False)
-        return amps
-
     def states(self) -> list[State]:
-        return [PureState(self.n, self.n, amps.reshape(-1)) for amps in self.amplitudes()]
+        return [PureState(self.n, self.n, psi.reshape(-1)) for psi in self.stacks()[0].roots.to_pure().psi]
 
-    def run_inputs(self) -> list[RunInput]:
-        return self.states()
+    def stacks(self) -> list[Stack]:
+        """The error states as one sparse stack, in ``enumerate_indicators``
+        order, each row a model input of weight 1 (``_error_roots``)."""
+        _check_capacity(2 * self.n)
+        roots = _error_roots(self.n, self.r)
+        return [Stack(roots, np.ones(len(roots)), np.arange(len(roots)))]
 
     def uniform_mixture(self) -> WeightedStates:
         members = self.states()
@@ -435,8 +463,8 @@ class DepolarizationModel:
     def states(self) -> list[State]:
         return [depolarization_state(self.n, self.p)]
 
-    def run_inputs(self) -> list[RunInput]:
-        return self.states()
+    def stacks(self) -> list[Stack]:
+        return [depolarization_stack(self.n, self.p)]
 
 
 @dataclass(frozen=True)
@@ -471,11 +499,12 @@ class FidelityModel:
             out.extend(self._sample_members())
         return out
 
-    def run_inputs(self) -> list[RunInput]:
-        """The witness in component form, then the sampled members."""
-        out: list[RunInput] = [fidelity_witness_components(self.n, self.epsilon)]
-        if self.samples:
-            out.extend(self._sample_members())
+    def stacks(self) -> list[Stack]:
+        """The witness in component form as model input 0, then each
+        sampled member as an input of its own."""
+        out = weighted_stacks(fidelity_witness_components(self.n, self.epsilon))
+        for k, member in enumerate(self._sample_members() if self.samples else (), 1):
+            out += weighted_stacks([(1.0, member)], k)
         return out
 
     def _sample_members(self) -> list[State]:

@@ -37,32 +37,34 @@ operators stacked the same way, and each child is a class of its own: a
 level within the budget needs no table, and a level that shares no node
 is taken to have children that share none.  So a protocol without
 repeated nodes is walked row by row below its root.
-``run`` walks all seeds of an input together, ``model_fidelities`` all
-seeds of a block of a measure-r model's error states, with rows keyed
-by (input, seed, transcript), and the splitting tracker both of its
-cases as one ``frontier.Paired`` input, whose row holds the same node on
-each; the block is cut at an (input, seed) boundary where a class table
-would pass the budget by more than its merges saved, or where a level
-expanded row by row would pass it.  Instruments are given directly in
-Kraus form, which subsumes local ancillas; an instrument may
-additionally declare workspace qubits that are appended in |0> for its
-round and traced out afterwards (compiled into plain Kraus operators
-when it is built).
+Every input reaches the runner as stacks of roots (``errmodels.Stack``),
+and one loop serves ``run`` (a one-row stack per component),
+``model_fidelities`` and ``witness_fidelities``: a stack is cut into
+blocks of rows whose amplitude matrices fit the budget, a block is walked
+with all its seeds, rows keyed by (input, seed, transcript) (``_walks``),
+and each leaf, times its row's weight, is summed into its model input
+(``_weigh``).  The splitting tracker walks both of its cases as one
+``frontier.Paired`` input.  A walk is cut at an (input, seed) boundary
+where a class table would pass the budget by more than its merges saved,
+or where a level expanded row by row would pass it.
+Instruments are given directly in Kraus form, which subsumes local
+ancillas; an instrument may additionally declare workspace qubits that
+are appended in |0> for its round and traced out afterwards (compiled
+into plain Kraus operators when it is built).
 
-``run`` is linear in its input and takes a weighted component list;
-each component keeps one representation through its whole tree, picked
-by its type:
+A root keeps one representation through its whole tree:
 
-* ``PureState`` whose amplitude matrix holds at most one nonzero per
-  row (the measure-r error states, the perfect block): one column index
-  and one amplitude per row of Alice's register, O(2^n) per node;
-  monomial operators keep the form, any other operator turns the nodes
-  pure, and a multi-Kraus round dense;
-* any other ``PureState``: (rows, 2^n, 2^n) amplitude matrices,
+* sparse, a pure state with at most one nonzero per row of its
+  amplitude matrix (the perfect block, the measure-r error states, the
+  depolarization model's Bell patterns): a column and an amplitude per
+  row, O(2^n) per node; monomial operators keep the form, any other
+  operator turns the nodes pure, a multi-Kraus round dense;
+* pure, any other ``PureState``: (rows, 2^n, 2^n) amplitude matrices,
   O(2^{3n}) per node; a multi-Kraus round turns them dense;
-* ``ProductState``: the two local factors, O(2^{3n}) per node; every
-  runner operation is one-sided, so the form is kept throughout;
-* ``DensityMatrix``: flat (rows, 4^n, 4^n) matrices, O(2^{5n}) per node.
+* product, a ``ProductState``: its two local factors, O(2^{3n}) per
+  node; every runner operation is one-sided, so the form is kept;
+* dense, a ``DensityMatrix`` (among the built-in models' inputs, only a
+  fidelity model's sampled mixed members): (rows, 4^n, 4^n), O(2^{5n}).
 
 Leaves are scored in one place, ``_score_leaves``, which ``run`` and the
 splitting tracker in ``verify``, on each side of its paired leaves, both
@@ -79,8 +81,8 @@ only when ``RunResult.leaves`` is read.  It also reports, per round, the
 nodes expanded and pruned, the distinct children, the largest class
 table and the time taken (``RunResult.stats``).
 
-Fidelity-model evaluations use sparse + product only: each part of the
-canonical witness is walked once and weighted per epsilon (``witness_fidelities``).
+The witness is walked as sparse + product only, each part once, and
+weighted per epsilon (``witness_fidelities``); depolarization is sparse.
 
 ``run`` is a pure function; independent runs may execute in parallel.
 """
@@ -96,8 +98,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errmodels import ErrorModel, FidelityModel, MeasureRModel, State, WeightedStates, fidelity_witness_components
-from .frontier import ClassTable, Frontier, Gathers, Paired, Sparse, child_row_bytes, frontier_of, grouped
+from .errmodels import ErrorModel, Stack, _witness_mixing_weight, weighted_stacks
+from .frontier import ClassTable, Frontier, Gathers, Paired, Sparse, child_row_bytes, grouped
+from .frontier import frontier_of  # re-exported: the splitting tracker builds its roots with it
 from .protocol import (  # re-exported: the protocol data model and the four concrete protocols
     AcceptRule,
     AlwaysAccept,
@@ -175,11 +178,11 @@ class RoundStats(NamedTuple):
 class RunStats(NamedTuple):
     """Where a run spent its work.
 
-    ``representations`` names each input component's frontier form:
-    ``sparse``, ``pure``, ``product`` or ``dense``; or ``sparse->pure``
-    when a round of operators that are not monomial turned a sparse
-    component pure, and ``sparse->dense`` or ``pure->dense`` when a
-    multi-Kraus round turned it dense.
+    ``representations`` names each walk's frontier form, one walk per
+    input component in ``run``: ``sparse``, ``pure``, ``product`` or
+    ``dense``; or ``sparse->pure`` when a round of operators that are not
+    monomial turned sparse nodes pure, and ``sparse->dense`` or
+    ``pure->dense`` when a multi-Kraus round turned them dense.
     """
 
     representations: tuple[str, ...]
@@ -203,17 +206,17 @@ class _Walked(NamedTuple):
     reduced: np.ndarray | None = None  # (entries, 4, 4) unnormalized output pairs
     post: np.ndarray | None = None  # (entries, 4, 4) accept-conditioned output pairs
 
-    def records(self, component: int, weights: np.ndarray) -> list[LeafRecord]:
-        rows = zip(self.seeds.tolist(), self.codes.tolist(), weights.tolist())
+    def records(self, components: np.ndarray, weights: np.ndarray) -> list[LeafRecord]:
+        rows = zip(components.tolist(), self.seeds.tolist(), self.codes.tolist(), weights.tolist())
         if self.entries is None:
             return [
                 LeafRecord(component, seed, _transcript(code, self.depth), w, 0.0, 0.0, None)
-                for seed, code, w in rows
+                for component, seed, code, w in rows
             ]
         outputs = (self.reduced / self.probabilities[:, None, None])[self.entries]
         return [
             LeafRecord(component, seed, _transcript(code, self.depth), w, p, r, out)
-            for (seed, code, w), p, r, out in zip(
+            for (component, seed, code, w), p, r, out in zip(
                 rows, self.probabilities[self.entries].tolist(), self.accept[self.entries].tolist(), outputs
             )
         ]
@@ -229,8 +232,8 @@ class RunResult:
     output: DensityMatrix
     conditional_output: DensityMatrix | None
     stats: RunStats = field(compare=False)  # timings differ between equal runs
-    # the (component, weights, level rows) that ``leaves`` is built from, in walk order
-    rows: tuple[tuple[int, np.ndarray, _Walked], ...] = field(default=(), repr=False, compare=False)
+    # the (components, weights, level rows) that ``leaves`` is built from, in walk order
+    rows: tuple[tuple[np.ndarray, np.ndarray, _Walked], ...] = field(default=(), repr=False, compare=False)
 
     @functools.cached_property
     def leaves(self) -> tuple[LeafRecord, ...]:
@@ -241,7 +244,7 @@ class RunResult:
         seed by seed; within a seed, dead nodes level by level, then the
         leaves, each in transcript order.
         """
-        records = [rec for component, weights, rows in self.rows for rec in rows.records(component, weights)]
+        records = [rec for components, weights, rows in self.rows for rec in rows.records(components, weights)]
         # a walk reaches each seed's levels in depth order, so a stable sort suffices
         records.sort(key=lambda rec: (rec.component, rec.seed))
         return tuple(records)
@@ -334,23 +337,6 @@ class Level:
         if len(self.classes) == len(self.frontier) and self.apart:
             return self.frontier  # one row per class, in order
         return self.frontier.take(self.classes)
-
-
-def _coerce_input(protocol: Protocol, state) -> WeightedStates:
-    if isinstance(state, (PureState, ProductState, DensityMatrix)):
-        weighted: WeightedStates = [(1.0, state)]
-    else:
-        weighted = list(state)
-    for _, st in weighted:
-        if st.n_alice != protocol.n_pairs or st.n_bob != protocol.n_pairs:
-            raise ValueError(
-                f"input must live on {protocol.n_pairs} pairs, got "
-                f"({st.n_alice}, {st.n_bob})"
-            )
-    total = sum(w for w, _ in weighted)
-    if abs(total - 1.0) > 1e-9:
-        raise ValueError(f"input weights sum to {total}, expected 1")
-    return weighted
 
 
 def _accept(protocol: Protocol, leaves: Level, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -706,9 +692,9 @@ class _Meter:
         self.representations: list[str] = []
 
     def levels(self, levels: Iterator[Level]) -> Iterator[Level]:
-        """Pass one component's ``levels`` through, charging each round the
-        time it took, and record the component's representation: its
-        root's, then its leaves' if they differ."""
+        """Pass one walk's ``levels`` through, charging each round the time
+        it took, and record the walk's representation: its root's, then
+        its leaves' if they differ."""
         forms = []
         clock = time.perf_counter()
         for level in levels:
@@ -744,12 +730,6 @@ class _Meter:
         )
 
 
-def _sums(inputs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Zeros for ``_weigh`` to sum into: per input, its output and
-    accept-conditioned output, (inputs, 4, 4), and SUCC probability."""
-    return np.zeros((inputs, 4, 4), np.complex128), np.zeros((inputs, 4, 4), np.complex128), np.zeros(inputs)
-
-
 def _walk_leaves(protocol: Protocol, roots: Frontier, meter: _Meter, dead: bool = False) -> Iterator[_Walked]:
     """Walk the inputs ``roots`` together, with all live seeds, as one
     block that the walk cuts at (input, seed) boundaries where a level
@@ -770,52 +750,67 @@ def _walk_leaves(protocol: Protocol, roots: Frontier, meter: _Meter, dead: bool 
         yield _Walked(level.depth, *np.divmod(scores.leaves.seeds, n_seeds), *rows)
 
 
-def _weigh(protocol: Protocol, walked: Iterable[_Walked], weights, sums, records=None, component=0) -> None:
-    """Add input i's output, accept-conditioned output and SUCC probability
-    in the walk ``walked``, times ``weights[i]``, to row i of ``sums``; and
-    to ``records``, when given, the rows ``RunResult.leaves`` reads."""
-    (out, cond, success), seed_weights = sums, np.asarray(protocol.seed_weights)
-    for rows in walked:
-        weight = weights[rows.inputs] * seed_weights[rows.seeds]
-        if records is not None:
-            records.append((component, weight, rows))
-        if rows.entries is None:
-            continue
-        # rows run in input order: sum each input's leaves on their own
-        bounds = np.searchsorted(rows.inputs, np.arange(len(weights) + 1)).tolist()
-        for i, (start, stop) in enumerate(zip(bounds, bounds[1:])):
-            if start == stop:
+def _walks(protocol: Protocol, stacks: Iterable[Stack], meter: _Meter, dead: bool = False) -> Iterator[tuple]:
+    """``stacks`` cut into blocks of rows whose amplitude matrices fit
+    ``FRONTIER_BUDGET_BYTES`` (one row at least): per block, its first row
+    among all the stacks' rows, the block and its walk (``_walk_leaves``)."""
+    offset = 0
+    for stack in stacks:
+        size = max(1, FRONTIER_BUDGET_BYTES // child_row_bytes(stack.roots, 1, gathered=False))
+        for start in range(0, len(stack.roots), size):
+            rows = slice(start, start + size)
+            block = Stack(stack.roots.take(rows), stack.weights[rows], stack.inputs[rows])
+            yield offset + start, block, _walk_leaves(protocol, block.roots, meter, dead=dead)
+        offset += len(stack.roots)
+
+
+def _weigh(protocol: Protocol, walks, n_inputs: int, records=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per model input, its output and accept-conditioned output, (n_inputs,
+    4, 4), and SUCC probability: over ``walks`` (``_walks``), the sum of
+    every leaf times its row's weight, into the input its row adds to.
+    ``records``, when given, gets the rows ``RunResult.leaves`` reads,
+    each row's component numbered by its row among all the stacks'."""
+    out, cond = np.zeros((2, n_inputs, 4, 4), np.complex128)
+    success, seed_weights = np.zeros(n_inputs), np.asarray(protocol.seed_weights)
+    for offset, block, walked in walks:
+        for rows in walked:
+            weight = block.weights[rows.inputs] * seed_weights[rows.seeds]
+            if records is not None:
+                records.append((offset + rows.inputs, weight, rows))
+            if rows.entries is None:
                 continue
-            used, summed, succ = _totals(rows.entries[start:stop], rows.probabilities, rows.accept, weight[start:stop])
-            out[i] += np.dot(summed, rows.reduced.reshape(-1, 16)[used]).reshape(4, 4)
-            cond[i] += np.dot(summed, rows.post.reshape(-1, 16)[used]).reshape(4, 4)
-            success[i] += succ
-
-
-def _weighted(protocol: Protocol, state, walk, records=None) -> tuple[np.ndarray, ...]:
-    """``_sums`` of one input, a state or weighted state list: each
-    component's walk, ``walk(part)``, weighted in turn."""
-    sums = _sums(1)
-    for component, (weight, part) in enumerate(_coerce_input(protocol, state)):
-        _weigh(protocol, walk(part), np.array([weight]), sums, records, component)
-    return sums
+            # rows run in input order, and a scored level holds leaves: sum each model input's leaves on their own
+            inputs = block.inputs[rows.inputs]
+            bounds = [0, *(np.flatnonzero(inputs[1:] != inputs[:-1]) + 1).tolist(), len(inputs)]
+            for start, stop in zip(bounds, bounds[1:]):
+                i = inputs[start]
+                entries = rows.entries[start:stop]
+                used, summed, succ = _totals(entries, rows.probabilities, rows.accept, weight[start:stop])
+                out[i] += np.dot(summed, rows.reduced.reshape(-1, 16)[used]).reshape(4, 4)
+                cond[i] += np.dot(summed, rows.post.reshape(-1, 16)[used]).reshape(4, 4)
+                success[i] += succ
+    return out, cond, success
 
 
 def run(protocol: Protocol, state) -> RunResult:
     """Evaluate a protocol exactly on a state or weighted state list.
 
-    Every component is walked with all its live seeds as one block,
-    which the walk cuts at seed boundaries where a level would not fit
-    (``_walk_leaves``), then weighted (``_weighted``).
-    Leaves are scored once per distinct entry (``_score_leaves``), and
-    leaf probabilities, the SUCC probability, the output, and the output
-    conditioned on SUCC are computed from the entries' values weighted by
-    their leaves' summed weights; they are exact up to float arithmetic.
+    Every component is a one-row stack (``errmodels.weighted_stacks``),
+    walked with all its live seeds (``_walks``) and weighted
+    (``_weigh``).  Leaves are scored once per distinct entry
+    (``_score_leaves``), and leaf probabilities, the SUCC probability, the
+    output, and the output conditioned on SUCC are computed from the
+    entries' values weighted by their leaves' summed weights; they are
+    exact up to float arithmetic.
     ``RunResult.stats`` says where the work went.
     """
+    weighted = [(1.0, state)] if isinstance(state, (PureState, ProductState, DensityMatrix)) else list(state)
+    for _, st in weighted:
+        if st.n_alice != protocol.n_pairs or st.n_bob != protocol.n_pairs:
+            raise ValueError(f"input must live on {protocol.n_pairs} pairs, got ({st.n_alice}, {st.n_bob})")
     meter, records = _Meter(protocol.bits), []
-    sums = _weighted(protocol, state, lambda part: _walk_leaves(protocol, frontier_of(part), meter, dead=True), records)
-    (out,), (cond,), (success,) = sums
+    walks = _walks(protocol, weighted_stacks(weighted), meter, dead=True)
+    (out,), (cond,), (success,) = _weigh(protocol, walks, 1, records)
     return RunResult(
         n_pairs=protocol.n_pairs,
         bits=protocol.bits,
@@ -840,76 +835,50 @@ def witness_fidelities(protocol: Protocol, epsilons) -> tuple[float, list[tuple[
     """The ideal success probability p and, per epsilon, what
     ``model_fidelities`` gives on ``FidelityModel(n, epsilon)``, or the
     model's ``ValueError``.  The witness's parts do not depend on epsilon
-    and the runner is linear, so each part is walked once and weighted per
-    epsilon.  p is the perfect block's walk weighted by 1, even where
-    epsilon = 1 - 4^-n drops that block."""
-    n, walks = protocol.n_pairs, {}  # a walk per part, keyed by its type: PureState or ProductState
-
-    def walk(part: State) -> list[_Walked]:
-        if type(part) not in walks:
-            walks[type(part)] = list(_walk_leaves(protocol, frontier_of(part), _Meter(protocol.bits)))
-        return walks[type(part)]
-
-    results: list[tuple[float, float | None] | ValueError] = []
+    and the runner is linear, so each part is walked once, as a stack of
+    weight 1, and weighted per epsilon by 1 - eps' or eps', or left out
+    where that is 0.  p is the perfect block's walk weighted by 1, even
+    where epsilon = 1 - 4^-n drops that block."""
+    n, mixing = protocol.n_pairs, []
     for epsilon in epsilons:
         try:
-            parts = fidelity_witness_components(n, epsilon)
+            mixing.append(_witness_mixing_weight(n, epsilon))
         except ValueError as exc:
-            results.append(exc)
-            continue
-        results.append(_fidelities([_weighted(protocol, parts, walk)]))
-    return float(_weighted(protocol, epr_state(n), walk)[2][0]), results
+            mixing.append(exc)
+    parts = weighted_stacks([(1.0, epr_state(n))])
+    if any(not isinstance(eps, ValueError) and eps > 0.0 for eps in mixing):
+        parts += weighted_stacks([(1.0, ProductState.maximally_mixed(n, n))])
+    walked = [(offset, block, list(rows)) for offset, block, rows in _walks(protocol, parts, _Meter(protocol.bits))]
+
+    def weighted(weights) -> tuple[np.ndarray, ...]:
+        walks = [(o, b._replace(weights=b.weights * w), rows) for (o, b, rows), w in zip(walked, weights) if w > 0.0]
+        return _weigh(protocol, walks, 1)
+
+    results = [eps if isinstance(eps, ValueError) else _fidelities(*weighted((1.0 - eps, eps))) for eps in mixing]
+    return float(weighted((1.0,))[2][0]), results
 
 
 def model_fidelities(protocol: Protocol, model: ErrorModel) -> tuple[float, float | None]:
     """Minimum output fidelity and minimum conditional-output fidelity
-    over the model's evaluated states.
-
-    A measure-r model's error states (``MeasureRModel.diagonals``) are
-    evaluated in blocks of inputs whose root stack fits
-    ``FRONTIER_BUDGET_BYTES``: each block is walked once, with rows keyed
-    by (input, seed, transcript), and its leaves are scored once per
-    distinct entry (``_walk_leaves``).  A fidelity model without samples
-    goes through ``witness_fidelities``, any other model input by input.
+    over the model's evaluated states: its stacks (``stacks``), walked in
+    blocks (``_walks``) and summed per model input (``_weigh``).
 
     The conditional value is None when some state never reaches SUCC.
     For the fidelity model the evaluated set is the witness plus any
     sampled members, so each value is a witness minimum (an upper
     estimate of the true model minimum).
     """
-    if isinstance(model, (MeasureRModel, FidelityModel)) and model.n != protocol.n_pairs:
+    if model.n != protocol.n_pairs:
         raise ValueError(f"input must live on {protocol.n_pairs} pairs, got ({model.n}, {model.n})")
-    if isinstance(model, FidelityModel) and not model.samples:
-        return witness_fidelities(protocol, (model.epsilon,))[1][0]
-    return _fidelities(_model_outputs(protocol, model))
+    stacks = model.stacks()
+    n_inputs = max(int(stack.inputs[-1]) for stack in stacks) + 1
+    return _fidelities(*_weigh(protocol, _walks(protocol, stacks, _Meter(protocol.bits)), n_inputs))
 
 
-def _fidelities(blocks) -> tuple[float, float | None]:
-    """``model_fidelities`` over blocks of inputs summed into ``_sums``."""
-    values, conditional = [], []
-    for out, cond, success in blocks:
-        values.append(phi_plus_overlaps(out).min())
-        defined = (success > PROB_TOL).all()
-        conditional.append(phi_plus_overlaps(cond / success[:, None, None]).min() if defined else None)
-    return float(min(values)), None if None in conditional else float(min(conditional))
-
-
-def _model_outputs(protocol: Protocol, model: ErrorModel) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Per block of the model's inputs, what they sum into ``_sums``."""
-    if not isinstance(model, MeasureRModel):
-        meter = _Meter(protocol.bits)
-        for st in model.run_inputs():
-            yield _weighted(protocol, st, lambda part: _walk_leaves(protocol, frontier_of(part), meter))
-        return
-    diagonals = model.diagonals()  # one per error state: the states are sparse
-    every = np.arange(1 << model.n)
-    size = max(1, FRONTIER_BUDGET_BYTES >> (2 * model.n + 4))  # inputs of 2^n x 2^n complex amplitudes
-    for start in range(0, len(diagonals), size):
-        block = diagonals[start : start + size]
-        roots = Sparse(block.astype(np.complex128), np.where(block != 0, every, 0), 1 << model.n)
-        sums = _sums(len(roots))
-        _weigh(protocol, _walk_leaves(protocol, roots, _Meter(protocol.bits)), np.ones(len(roots)), sums)
-        yield sums
+def _fidelities(out: np.ndarray, cond: np.ndarray, success: np.ndarray) -> tuple[float, float | None]:
+    """``model_fidelities`` of the inputs ``_weigh`` summed."""
+    conditional = float(phi_plus_overlaps(cond / success[:, None, None]).min()) if (success > PROB_TOL).all() else None
+    return float(phi_plus_overlaps(out).min()), conditional
 
 
 def protocol_fidelity(protocol: Protocol, model: ErrorModel) -> float:

@@ -78,9 +78,9 @@ MUTANTS = (
     ),
     Mutant(
         "bell-mixture-weight-perturbed", "src/edplab/errmodels.py",
-        '"psi-": 0.25 * p}',
-        '"psi-": 0.2500001 * p}',
-        "the depolarization ensemble of the ascent no longer sums to the depolarized state",
+        "0.25 * p, 0.25 * p])",
+        "0.25 * p, 0.2500001 * p])",
+        "the Bell-pattern stack, and the ascent's ensemble read from it, no longer sum to the depolarized state",
     ),
     Mutant(
         "tracker-drops-bob-margin", "src/edplab/verify.py",
@@ -132,10 +132,27 @@ MUTANTS = (
     ),
     Mutant(
         "witness-p-weighted-by-perfect-part", "src/edplab/locc.py",
-        "float(_weighted(protocol, epr_state(n), walk)[2][0])",
-        "float(_weighted(protocol, epr_state(n), walk)[2][0])"
-        " * (fidelity_witness_components(n, epsilons[0])[0][0] if epsilons else 1.0)",
+        "float(weighted((1.0,))[2][0])",
+        "float(weighted((1.0,))[2][0]) * (1.0 - mixing[0] if mixing and isinstance(mixing[0], float) else 1.0)",
         "p is read from the witness's perfect part, weighted by 1 - eps', instead of from the perfect block",
+    ),
+    Mutant(
+        "bell-pattern-phase-sign-dropped", "src/edplab/errmodels.py",
+        "amps = np.where(odd == 1, -1.0, 1.0)",
+        "amps = np.where(odd == 1, 1.0, 1.0)",
+        "phi- and psi- patterns take the amplitudes of phi+ and psi+",
+    ),
+    Mutant(
+        "bell-pattern-column-without-flip-mask", "src/edplab/errmodels.py",
+        "x ^ ((bell >> 1) @ (1 << shifts))[:, None]",
+        "x ^ 0 * ((bell >> 1) @ (1 << shifts))[:, None]",
+        "psi+ and psi- patterns keep the columns of phi+ and phi-",
+    ),
+    Mutant(
+        "weigh-adds-to-next-input", "src/edplab/locc.py",
+        "                i = inputs[start]\n",
+        "                i = min(inputs[start] + 1, len(out) - 1)\n",
+        "a row's weighted leaves are summed into the next model input (the last input keeps its own)",
     ),
     Mutant(
         "witness-group-epsilons-reversed", "src/edplab/verify.py",

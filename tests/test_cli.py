@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 
 from edplab import cli, serialize
 from edplab.cli import main
-from edplab.errmodels import DepolarizationModel, FidelityModel, MeasureRModel
+from edplab.errmodels import DepolarizationModel, FidelityModel, MeasureRModel, pair_bell_mixture_ensemble
 from edplab.locc import (
     make_first_pair,
     make_random_pair,
     make_random_permutation,
     make_simple_random_hash,
+    model_fidelities,
     run,
 )
 from edplab.qcore import DensityMatrix, PureState, bell_state, epr_state
@@ -289,7 +290,7 @@ def test_cli_emit_run_bytes_are_pinned(tmp_path):
     # recorded with the per-row runner, before nodes were merged by content
     spec, state, out = tmp_path / "srh.json", tmp_path / "state.json", tmp_path / "run.json"
     assert main(["protocol", "--make", "simple-random-hash", "--n", "4", "--s", "3", "--out", str(spec)]) == 0
-    state.write_text(json.dumps(serialize.state_to_json(MeasureRModel(4, 2).run_inputs()[3])))
+    state.write_text(json.dumps(serialize.state_to_json(MeasureRModel(4, 2).states()[3])))
     assert main(["protocol", "--spec", str(spec), "--input", str(state), "--emit-run", str(out)]) == 0
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert digest == "40642c5f8360da3ed9e5b40c2603e7e69e0b8c95c61d2ab836d82f5cdbe8a0a8"
@@ -463,6 +464,27 @@ def test_cli_sweep_depolarization(tmp_path):
     assert len(records) == 4
     for rec in records:
         assert rec["achieved"] == pytest.approx(1 - 0.75 * rec["param_p"], abs=1e-10)
+
+
+def test_depolarization_is_never_dense(tmp_path, monkeypatch):
+    # the depolarization state reaches the runner as its sparse Bell
+    # patterns: neither its dense matrix nor a dense node is ever built
+    from edplab import errmodels, frontier
+
+    def dense(*args, **kwargs):
+        raise AssertionError("the depolarization state was made dense")
+
+    monkeypatch.setattr(errmodels, "depolarization_state", dense)
+    monkeypatch.setattr(frontier.Dense, "__init__", dense)
+    fid, cond = model_fidelities(make_simple_random_hash(3, 2), DepolarizationModel(3, 0.2))
+    assert 0.5 < fid < cond < 1.0
+    out = tmp_path / "out.json"
+    assert main(["sweep", "--model", "depolarization", "--n", "1..3", "--out", str(out)]) == 0
+    assert [rec["pass"] for rec in read_json(out)] == [True] * 3
+    argv = ["bounds", "--model", "depolarization", "--n", "2", "--p", "0.2", "--restarts", "2"]
+    assert main([*argv, "--out", str(out)]) == 0
+    result = run(make_simple_random_hash(3, 2), pair_bell_mixture_ensemble(3, 0.2))
+    assert result.stats.representations == ("sparse",) * 64
 
 
 def test_cli_sweep_fidelity_rows(tmp_path):

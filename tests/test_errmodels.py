@@ -27,8 +27,10 @@ from edplab.errmodels import (
     pair_bell_mixture_ensemble,
     random_corrupt_ensemble,
 )
+from edplab.frontier import frontier_of
 from edplab.qcore import (
     BOB,
+    CapacityError,
     DensityMatrix,
     ProductState,
     PureState,
@@ -214,6 +216,20 @@ def test_pair_bell_mixture_matches_dense_state():
         )
 
 
+def test_pair_bell_mixture_rejects_what_the_models_reject(monkeypatch):
+    with pytest.raises(ValueError, match="need at least one pair, got n=0"):
+        pair_bell_mixture_ensemble(0, 0.2)
+    with pytest.raises(ValueError, match="p must lie in"):
+        pair_bell_mixture_ensemble(2, 1.5)
+    monkeypatch.setenv("EDPLAB_MAX_QUBITS", "4")
+    with pytest.raises(CapacityError):
+        pair_bell_mixture_ensemble(3, 0.2)
+    # zero-weight patterns are dropped: at p = 0 only phi+ in every pair is left
+    (weight, state), = pair_bell_mixture_ensemble(2, 0.0)
+    assert weight == 1.0
+    np.testing.assert_array_equal(state.amplitudes, epr_state(2).amplitudes)
+
+
 def test_random_corrupt_edges():
     ens = random_corrupt_ensemble(2, 0)
     assert len(ens) == 1 and ens[0][0] == 1.0
@@ -379,11 +395,14 @@ def test_measure_r_amplitudes_are_the_error_states_bit_for_bit():
         for r in range(n + 1):
             model = MeasureRModel(n, r)
             expected = [error_state(v).amplitudes for v in enumerate_indicators(n, r)]
-            amplitudes = model.amplitudes()
+            (stack,) = model.stacks()
+            amplitudes = stack.roots.to_pure().psi
             assert amplitudes.shape == (len(expected), 1 << n, 1 << n)
-            assert not amplitudes.flags.writeable
+            assert not any(part.flags.writeable for part in stack.roots.parts)
             assert amplitudes.tobytes() == np.stack(expected).tobytes()
-            assert model.diagonals().tobytes() == np.diagonal(amplitudes, axis1=1, axis2=2).real.tobytes()
+            assert stack.roots.amps.tobytes() == np.diagonal(amplitudes, axis1=1, axis2=2).tobytes()
+            assert stack.weights.tolist() == [1.0] * len(expected)
+            assert stack.inputs.tolist() == list(range(len(expected)))
             assert [st.amplitudes.tobytes() for st in model.states()] == [a.tobytes() for a in expected]
 
 
@@ -443,10 +462,13 @@ def test_witness_components_collapse_to_the_dense_witness():
     assert mixed[0] == pytest.approx((16 / 15) * 0.25)
 
 
-def test_fidelity_model_run_inputs_keep_witness_in_component_form():
+def test_fidelity_model_stacks_keep_witness_in_component_form():
     model = FidelityModel(2, 0.2, samples=3, seed=4)
-    inputs = model.run_inputs()
-    assert len(inputs) == 4
-    assert [type(st) for _, st in inputs[0]] == [PureState, ProductState]
-    for a, b in zip(inputs[1:], model.states()[1:]):
-        assert type(a) is type(b)
+    stacks = model.stacks()
+    assert len(stacks) == 5
+    # the witness is input 0, as its sparse perfect block and its product mixed part
+    assert [stack.roots.kind for stack in stacks[:2]] == ["sparse", "product"]
+    assert [stack.inputs.tolist() for stack in stacks] == [[0], [0], [1], [2], [3]]
+    assert [stack.weights.tolist() for stack in stacks[:2]] == [[w] for w, _ in fidelity_witness_components(2, 0.2)]
+    for stack, member in zip(stacks[2:], model.states()[1:]):
+        assert stack.roots.kind == frontier_of(member).kind

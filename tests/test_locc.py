@@ -612,7 +612,15 @@ def test_hash_5_2_walks_every_measure_r_5_2_input_in_one_block():
     # fits the budget whole: the cut no longer falls before the sharing of
     # later seeds shows (two inputs were cut into 52 and 53 blocks)
     proto = make_simple_random_hash(5, 2)
-    assert [run(proto, st).stats.seed_blocks for st in MeasureRModel(5, 2).run_inputs()] == [1] * 40
+    assert [run(proto, st).stats.seed_blocks for st in MeasureRModel(5, 2).states()] == [1] * 40
+
+
+def test_run_rejects_weights_that_are_not_a_distribution():
+    # weights that sum to 1 but are negative, or a NaN that passes the sum test
+    proto, mixed = make_simple_random_hash(2, 1), ProductState.maximally_mixed(2, 2)
+    for weights in ((1.5, -0.5), (math.nan, 1.0), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            run(proto, [(weights[0], epr_state(2)), (weights[1], mixed)])
 
 
 def test_model_fidelities_reject_a_model_on_other_pairs():
@@ -630,7 +638,7 @@ def test_run_stats_count_distinct_children():
     # hash (5,2) on a measure-r input: the 128 seeds reach few distinct
     # nodes, and the counts per round still match one walk per seed
     proto = make_simple_random_hash(5, 2)
-    state = MeasureRModel(5, 2).run_inputs()[0]
+    state = MeasureRModel(5, 2).states()[0]
     stats = run(proto, state).stats
     assert stats.seed_blocks == 1
     depth2 = stats.rounds[1]
@@ -669,9 +677,10 @@ def test_measure_r_blocks_equal_one_run_per_error_state(maker, n, s, r):
     # input's outputs must be its own run's
     proto = maker(n) if s is None else maker(n, s)
     model = MeasureRModel(n, r)
-    blocks = list(locc._model_outputs(proto, model))
-    outputs = np.concatenate([out for out, _, _ in blocks])
-    conditionals = np.concatenate([cond / success[:, None, None] for _, cond, success in blocks])
+    outputs, conditionals, success = locc._weigh(
+        proto, locc._walks(proto, model.stacks(), locc._Meter(proto.bits)), len(model.states())
+    )
+    conditionals = conditionals / success[:, None, None]
     singles = [run(proto, state) for state in model.states()]
     assert len(outputs) == len(singles)
     for output, conditional, single in zip(outputs, conditionals, singles):
@@ -819,7 +828,7 @@ def test_merged_levels_keep_the_table_rule(monkeypatch, budget):
     # unless the level is one seed's, which is a block of its own
     if budget is not None:
         monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget)
-    cases = [(make_simple_random_hash(5, 2), MeasureRModel(5, 2).run_inputs()[7])]
+    cases = [(make_simple_random_hash(5, 2), MeasureRModel(5, 2).states()[7])]
     cases += [(make_simple_random_hash(4, 2), ProductState.maximally_mixed(4, 4))]
     for seed in range(3):
         gen = np.random.default_rng(seed)

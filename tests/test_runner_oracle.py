@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edplab import frontier, locc, verify
-from edplab.errmodels import MeasureRModel, fidelity_witness, fidelity_witness_components
+from edplab import errmodels, frontier, locc, verify
+from edplab.errmodels import MeasureRModel, Stack, fidelity_witness, fidelity_witness_components
 from edplab.locc import (
     PROB_TOL,
     AlwaysAccept,
@@ -413,10 +413,11 @@ def test_a_block_of_pure_inputs_matches_one_run_per_input(
     )
     states = [random_pure_state(gen, n, n) for _ in range(inputs)]
     roots = frontier.Pure(np.stack([st.amplitudes.reshape(1 << n, 1 << n) for st in states]))
-    outputs, accepted, success = sums = locc._sums(inputs)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(locc, "FRONTIER_BUDGET_BYTES", budget_rows * _row_bytes(proto, states[0]))
-        locc._weigh(proto, locc._walk_leaves(proto, roots, locc._Meter(proto.bits)), np.ones(inputs), sums)
+        block = Stack(roots, np.ones(inputs), np.arange(inputs))
+        walk = locc._walk_leaves(proto, roots, locc._Meter(proto.bits))
+        outputs, accepted, success = locc._weigh(proto, [(0, block, walk)], inputs)
         singles = [run(proto, st) for st in states]
     for state, single, output, post, p in zip(states, singles, outputs, accepted, success):
         assert p == pytest.approx(single.success_probability, abs=1e-12)
@@ -483,7 +484,7 @@ def test_workspace_instruments_on_product_nodes():
 def _block_cases():
     gen = np.random.default_rng(31)
     yield make_simple_random_hash(3, 2), fidelity_witness_components(3, 0.3)
-    yield make_simple_random_hash(4, 2), MeasureRModel(4, 2).run_inputs()[3]
+    yield make_simple_random_hash(4, 2), MeasureRModel(4, 2).states()[3]
     proto = random_protocol(
         gen, 2, 2, n_seeds=6, kraus_per_branch=2, accept_kind="povm", with_listeners=True
     )
@@ -537,8 +538,8 @@ def test_seed_blocks_leave_the_run_unchanged(monkeypatch, seeds_per_block):
 def _merged_cut_cases():
     # hash inputs whose children merge in part, so that a table cap of four
     # nodes cuts tables that hold merged classes
-    yield make_simple_random_hash(3, 2), MeasureRModel(3, 1).run_inputs()[4]
-    yield make_simple_random_hash(4, 2), MeasureRModel(4, 2).run_inputs()[4]
+    yield make_simple_random_hash(3, 2), MeasureRModel(3, 1).states()[4]
+    yield make_simple_random_hash(4, 2), MeasureRModel(4, 2).states()[4]
 
 
 @pytest.mark.parametrize("case", range(2))
@@ -973,6 +974,7 @@ def test_sparse_walks_equal_pure_walks_and_the_oracle(
         with pytest.MonkeyPatch.context() as patch:
             if force:
                 patch.setattr(locc, "frontier_of", _forced_pure(state))
+                patch.setattr(errmodels, "frontier_of", locc.frontier_of)  # ``run``'s one-row stacks
             patch.setattr(locc, "FRONTIER_BUDGET_BYTES", (4 * pool**2 + slack) * _row_bytes(proto, state))
             results.append(run(proto, state))
             levels.append(list(walk(proto, state, seeds)))
