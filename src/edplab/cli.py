@@ -12,6 +12,7 @@ that cannot be read or parsed) or an unwritable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -313,6 +314,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for n in ns:
             groups.extend([{"model": model, "n": n, "s": s, "epsilon": e} for e in eps] for s in ss)
     tasks = [task for group in groups for task in group]
+    if not tasks:
+        raise ValueError(f"the {model} grid has no cells")
     if args.seed + len(tasks) > 2**64:
         raise ValueError(f"the seeds of {len(tasks)} cells from {args.seed} pass 2**64 - 1")
     for idx, task in enumerate(tasks):
@@ -335,9 +338,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 _MODELS = ("measure-r", "depolarization", "fidelity")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The one place each option's type, choices and default are declared;
-    ``--config`` values are parsed against the same declarations."""
+    ``--config`` values are parsed against the same declarations.  Built
+    once per process and never changed after."""
     # exit_on_error=False: a flag that fails its type or choices raises
     # ArgumentError, which ``main`` reports as bad input like any other
     parser = argparse.ArgumentParser(
@@ -401,13 +406,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse ``argv``; with ``--config``, parse again with the file's values
-    as the subcommand's defaults, so flags still win."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse ``argv``; with ``--config``, parse the subcommand's own tokens
+    again into a namespace that holds the file's values, so flags still
+    win: argparse fills a default only where the namespace lacks it."""
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser().parse_args(argv)
     if args.config is not None:
-        args.parser.set_defaults(**_config_defaults(args.parser, args.command, args.config))
-        args = parser.parse_args(argv)
+        config = _config_defaults(args.parser, args.command, args.config)
+        rest = argv[argv.index(args.command) + 1 :]  # the top-level parser has no option that takes a value
+        args = args.parser.parse_args(rest, argparse.Namespace(command=args.command, **config))
     return args
 
 

@@ -5,19 +5,27 @@ block of seeds as arrays with a leading row axis, in one of four
 representations picked by the input (see ``locc``): ``Sparse`` pure
 states whose amplitude matrices hold at most one nonzero per row,
 ``Pure`` amplitude matrices, ``Product`` local factors or ``Dense`` flat
-matrices.  ``apply`` takes per row a stack of operators of shape
-(rows, branches, kraus, d, d), all on one party's register, and returns
-the children row by row, branch by branch: the child of row i and
-branch b is row i * branches + b.  A branch with fewer Kraus operators
-is padded with zero operators.  ``Sparse.gather`` applies operators
-with at most one nonzero per row and per column (monomial: permutations
-times phases, and computational-basis projectors) by index gathers, from
-their ``Gathers`` tables; any other operator turns sparse nodes pure.
-The measure-r error states and the perfect block are sparse, and the
-CNOT permutations and basis projectors of the parity hash keep them so
-(the structure of stabilizer simulation, Aaronson & Gottesman 2004).
-``Paired`` holds the same nodes of two inputs side by side, each side in
-its own representation; the splitting tracker walks its two cases so.
+matrices.  ``Paired`` holds the same nodes of two inputs side by side,
+each side in its own representation; the splitting tracker walks its two
+cases so.  Each of the five forms holds its rows as ``parts``, from which
+one base derives its length, its bytes and ``take``.
+
+Each form decides how an operator acts on its nodes, in one method, so
+the runner never asks which form it holds:
+``step(table, entries, stack, party)`` applies the operators ``entries``
+on ``party``'s register and returns the children row by row, branch by
+branch: the child of row i and branch b is row i * branches + b.  By
+default it applies ``stack(entries)``, (rows, branches, kraus, d, d)
+matrices, through ``apply``; a branch with fewer Kraus operators is
+padded with zero operators.  ``Sparse`` nodes take operators with at
+most one nonzero per row and per column (monomial: permutations times
+phases, and computational-basis projectors) by index gathers from their
+``Gathers`` tables, ``table`` (None when an operator is not monomial);
+any other operator turns them pure.  The measure-r error states and the
+perfect block are sparse, and the CNOT permutations and basis projectors
+of the parity hash keep them so (the structure of stabilizer simulation,
+Aaronson & Gottesman 2004).  ``Paired`` steps both sides, each in its
+own form.
 
 A level holds each distinct node state once, as its key in a
 ``ClassTable``: the row's bytes, so equal rows merge and rows that
@@ -74,7 +82,28 @@ def gathers(ops: np.ndarray, party: str) -> Gathers | None:
     return Gathers(index.reshape(*lead, d), phase.reshape(*lead, d))
 
 
-class Sparse:
+class _Rows:
+    """What every form derives from its ``parts``, one array per part
+    with a leading row axis, and ``with_parts``: its length, its bytes,
+    its rows, and the default operator step."""
+
+    def __len__(self) -> int:
+        return len(self.parts[0])
+
+    @property
+    def nbytes(self) -> int:
+        return sum(part.nbytes for part in self.parts)
+
+    def take(self, rows):
+        return self.with_parts(*(part[rows] for part in self.parts))
+
+    def step(self, table: Gathers | None, entries: np.ndarray, stack, party: str) -> "Frontier":
+        """The children under the operators ``entries`` on ``party``'s
+        register, applied as the matrices ``stack(entries)``."""
+        return self.apply(stack(entries), party)
+
+
+class Sparse(_Rows):
     """Unnormalized pure states whose (dA, dB) amplitude matrices hold at
     most one nonzero per row, as (rows, dA) amplitudes and (rows, dA)
     column indexes.  A zero row holds column 0 and amplitude +0, so that
@@ -87,9 +116,6 @@ class Sparse:
         self.cols = cols
         self.db = db
 
-    def __len__(self) -> int:
-        return self.amps.shape[0]
-
     @property
     def dims(self) -> tuple[int, int]:
         return self.amps.shape[1], self.db
@@ -101,12 +127,12 @@ class Sparse:
     def with_parts(self, amps: np.ndarray, cols: np.ndarray) -> "Sparse":
         return Sparse(amps, cols, self.db)
 
-    @property
-    def nbytes(self) -> int:
-        return self.amps.nbytes + self.cols.nbytes
-
-    def take(self, rows) -> "Sparse":
-        return Sparse(self.amps[rows], self.cols[rows], self.db)
+    def step(self, table: Gathers | None, entries: np.ndarray, stack, party: str) -> "Frontier":
+        """By index gathers from ``table``, the operators' tables, or as
+        matrices where they are not monomial (``table`` None)."""
+        if table is None:
+            return self.apply(stack(entries), party)
+        return self.gather(table.take(entries), party)
 
     def apply(self, ops: np.ndarray, party: str) -> "Frontier":
         """``Pure.apply``: operators given as matrices turn the nodes pure."""
@@ -159,16 +185,13 @@ def _sparse_of(psi: np.ndarray) -> Sparse | None:
     return Sparse(amps, cols, db)
 
 
-class Pure:
+class Pure(_Rows):
     """Unnormalized pure states as (rows, dA, dB) amplitude matrices."""
 
     kind = "pure"
 
     def __init__(self, psi: np.ndarray):
         self.psi = psi
-
-    def __len__(self) -> int:
-        return self.psi.shape[0]
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -180,13 +203,6 @@ class Pure:
 
     def with_parts(self, psi: np.ndarray) -> "Pure":
         return Pure(psi)
-
-    @property
-    def nbytes(self) -> int:
-        return self.psi.nbytes
-
-    def take(self, rows) -> "Pure":
-        return Pure(self.psi[rows])
 
     def apply(self, ops: np.ndarray, party: str) -> "Frontier":
         """sum_k K rho K^dag; a multi-Kraus stack turns the nodes dense."""
@@ -215,7 +231,7 @@ class Pure:
         return Dense(vec[:, :, None] * vec.conj()[:, None, :], da, db)
 
 
-class Product:
+class Product(_Rows):
     """Unnormalized product states ``alice (x) bob`` as their local factors.
 
     Every runner operation acts on one side, so the form is kept
@@ -228,22 +244,12 @@ class Product:
         self.alice = alice
         self.bob = bob
 
-    def __len__(self) -> int:
-        return self.alice.shape[0]
-
     @property
     def parts(self) -> tuple[np.ndarray, ...]:
         return (self.alice, self.bob)
 
     def with_parts(self, alice: np.ndarray, bob: np.ndarray) -> "Product":
         return Product(alice, bob)
-
-    @property
-    def nbytes(self) -> int:
-        return self.alice.nbytes + self.bob.nbytes
-
-    def take(self, rows) -> "Product":
-        return Product(self.alice[rows], self.bob[rows])
 
     def apply(self, ops: np.ndarray, party: str) -> "Product":
         side, other = (self.alice, self.bob) if party == ALICE else (self.bob, self.alice)
@@ -270,7 +276,7 @@ class Product:
         )
 
 
-class Dense:
+class Dense(_Rows):
     """Unnormalized mixed states as flat (rows, dA*dB, dA*dB) matrices."""
 
     kind = "dense"
@@ -280,22 +286,12 @@ class Dense:
         self.dA = dA
         self.dB = dB
 
-    def __len__(self) -> int:
-        return self.rho.shape[0]
-
     @property
     def parts(self) -> tuple[np.ndarray, ...]:
         return (self.rho,)
 
     def with_parts(self, rho: np.ndarray) -> "Dense":
         return Dense(rho, self.dA, self.dB)
-
-    @property
-    def nbytes(self) -> int:
-        return self.rho.nbytes
-
-    def take(self, rows) -> "Dense":
-        return Dense(self.rho[rows], self.dA, self.dB)
 
     def apply(self, ops: np.ndarray, party: str) -> "Dense":
         out = self._sandwich(ops[:, :, 0], party)
@@ -336,19 +332,16 @@ class Dense:
         return np.einsum("rabcb->rac", t), np.einsum("rabad->rbd", t)
 
 
-class Paired:
+class Paired(_Rows):
     """The same transcript nodes on two inputs: row i of ``first`` and row
     i of ``second`` are one node of each input's tree.  Its parts are both
     sides' parts, so a ``ClassTable`` merges exactly the distinct pairs of
     nodes, and its norm is the larger side's, so a node is expanded while
-    either side lives.  The runner applies operators side by side."""
+    either side lives.  It steps both sides, each in its own form."""
 
     def __init__(self, first: "Frontier", second: "Frontier"):
         self.first = first
         self.second = second
-
-    def __len__(self) -> int:
-        return len(self.first)
 
     @property
     def parts(self) -> tuple[np.ndarray, ...]:
@@ -358,12 +351,8 @@ class Paired:
         split = len(self.first.parts)
         return Paired(self.first.with_parts(*parts[:split]), self.second.with_parts(*parts[split:]))
 
-    @property
-    def nbytes(self) -> int:
-        return self.first.nbytes + self.second.nbytes
-
-    def take(self, rows) -> "Paired":
-        return Paired(self.first.take(rows), self.second.take(rows))
+    def step(self, table: Gathers | None, entries: np.ndarray, stack, party: str) -> "Paired":
+        return Paired(self.first.step(table, entries, stack, party), self.second.step(table, entries, stack, party))
 
     def norms(self) -> np.ndarray:
         return np.maximum(self.first.norms(), self.second.norms())

@@ -27,16 +27,18 @@ nodes are shared, is merged: the round is applied once per distinct
 (parent class, listener, instrument) triple, in chunks of at most the
 budget of children, with each chunk's operators stacked from the
 distinct instruments (a branch with fewer Kraus operators is padded
-with zero operators), so a chunk is one batched matmul per operator
-slot, or one index gather per operator on sparse nodes under monomial
-operators (``Round.gathers``); the children are merged into the next
-level's class table (``frontier.ClassTable``), which holds each
-distinct child once, as its bytes, and decodes the classes into the
-level's arrays.  Any other level is expanded row by row, with the rows'
-operators stacked the same way, and each child is a class of its own: a
-level within the budget needs no table, and a level that shares no node
-is taken to have children that share none.  So a protocol without
-repeated nodes is walked row by row below its root.
+with zero operators), and each chunk's nodes step under them in their
+own form (``frontier``'s ``step``, given the round's gather tables,
+``Round.gathers``): one batched matmul per operator slot, or one index
+gather per operator on sparse nodes under monomial operators.  The
+children are merged into the next level's class table
+(``frontier.ClassTable``), which holds each distinct child once, as its
+bytes, and decodes the classes into the level's arrays.  Any other
+level is expanded row by row, with the rows' operators stacked the same
+way, and each child is a class of its own: a level within the budget
+needs no table, and a level that shares no node is taken to have
+children that share none.  So a protocol without repeated nodes is
+walked row by row below its root.
 Every input reaches the runner as stacks of roots (``errmodels.Stack``),
 and one loop serves ``run`` (a one-row stack per component),
 ``model_fidelities`` and ``witness_fidelities``: a stack is cut into
@@ -44,9 +46,10 @@ blocks of rows whose amplitude matrices fit the budget, a block is walked
 with all its seeds, rows keyed by (input, seed, transcript) (``_walks``),
 and each leaf, times its row's weight, is summed into its model input
 (``_weigh``).  The splitting tracker walks both of its cases as one
-``frontier.Paired`` input.  A walk is cut at an (input, seed) boundary
-where a class table would pass the budget by more than its merges saved,
-or where a level expanded row by row would pass it.
+paired input, each node stepped on both sides.  A walk is cut at an
+(input, seed) boundary where a class table would pass the budget by more
+than its merges saved, or where a level expanded row by row would pass
+it.
 Instruments are given directly in Kraus form, which subsumes local
 ancillas; an instrument may additionally declare workspace qubits that
 are appended in |0> for its round and traced out afterwards (compiled
@@ -72,8 +75,8 @@ call: it keeps the live leaves and scores them once per distinct (class,
 accept entry, output pair), taking r_t from one accept formula
 (``_accept``), the trace of the measured output-pair block.  A POVM rule measures the scored leaves in batched
 applies, each with its element's sqrt(M), which the rule computes once
-per distinct element, and by gathers where the leaves are sparse and
-the roots monomial (``PovmAccept.gathers``); only the rows passed to
+per distinct element, stepped like a round's operators, with the
+roots' gather tables (``PovmAccept.gathers``); only the rows passed to
 ``reduce_pair`` are turned into amplitude matrices.  Each input sums
 its leaves' weights per scored entry.  ``run``'s result keeps the
 entries' values and each leaf's entry, and builds the per-leaf records
@@ -99,7 +102,7 @@ from typing import Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errmodels import ErrorModel, Stack, _witness_mixing_weight, weighted_stacks
-from .frontier import ClassTable, Frontier, Gathers, Paired, Sparse, child_row_bytes, grouped
+from .frontier import ClassTable, Frontier, child_row_bytes, grouped
 from .frontier import frontier_of  # re-exported: the splitting tracker builds its roots with it
 from .protocol import (  # re-exported: the protocol data model and the four concrete protocols
     AcceptRule,
@@ -288,7 +291,6 @@ class Level:
         classes: np.ndarray,
         probabilities: np.ndarray,
         frontier: Frontier,
-        apart: bool | None = None,
     ):
         self.depth = depth
         self.seeds = seeds
@@ -296,7 +298,7 @@ class Level:
         self.classes = classes
         self.probabilities = probabilities
         self.frontier = frontier
-        self._apart = apart  # ``apart``, when the maker knows it
+        self._apart: bool | None = None  # ``apart``, once read
 
     def __len__(self) -> int:
         return len(self.seeds)
@@ -322,7 +324,6 @@ class Level:
             self.classes[rows],
             self.probabilities[rows],
             self.frontier,
-            self._apart or None,  # rows of a level that shares no node share none
         )
 
     @property
@@ -360,8 +361,7 @@ def _accept(protocol: Protocol, leaves: Level, pairs: np.ndarray) -> tuple[np.nd
     elements = rule.index[leaves.seeds % protocol.n_seeds, leaves.codes]
 
     def measure(rows: np.ndarray, nodes: Frontier) -> Frontier:
-        table = rule.gathers if isinstance(nodes, Sparse) else None
-        return _apply(nodes, table, elements[rows], lambda entries: rule.roots[entries][:, None, None], ALICE)
+        return nodes.step(rule.gathers, elements[rows], lambda entries: rule.roots[entries][:, None, None], ALICE)
 
     post = _output_pairs(protocol, leaves, pairs, measure)
     r_joint = np.trace(post, axis1=1, axis2=2).real  # p_t * r_t
@@ -424,8 +424,6 @@ def _score_leaves(protocol: Protocol, level: Level) -> _Scores:
     here."""
     leaves = level.take(np.flatnonzero(level.probabilities >= PROB_TOL))
     pairs = _per_seed(np.asarray(protocol.output_pair), leaves.seeds)
-    if leaves.apart:  # a class per leaf, so an entry per leaf
-        return _Scores(leaves, np.arange(len(leaves)), leaves, pairs, *_accept(protocol, leaves, pairs))
     rule = protocol.accept
     if isinstance(rule, PovmAccept):
         accept, count = rule.index[leaves.seeds % protocol.n_seeds, leaves.codes], len(rule.elements)
@@ -457,7 +455,7 @@ def _walk(protocol: Protocol, roots: Frontier, seeds: np.ndarray) -> Iterator[Le
     seeds = np.asarray(seeds, dtype=np.intp)
     classes = np.repeat(np.arange(len(roots)), len(seeds))  # every seed's root is its input
     keys = (np.arange(len(roots))[:, None] * protocol.n_seeds + seeds).reshape(-1)
-    level = Level(0, keys, np.zeros(len(keys), dtype=np.int64), classes, roots.norms()[classes], roots, len(seeds) <= 1)
+    level = Level(0, keys, np.zeros(len(keys), dtype=np.int64), classes, roots.norms()[classes], roots)
     yield from _descend(protocol, level)
 
 
@@ -521,26 +519,13 @@ class _Ops(NamedTuple):
 
     def apply(self, nodes: Frontier, entries: slice) -> Frontier:
         """The children of ``nodes``, whose operators are ``entries``: the
-        listener unitary, then the instrument, stacked for these entries,
-        or gathered from their tables (``_apply``); paired nodes side by
-        side, each in its own form."""
-        if isinstance(nodes, Paired):
-            return Paired(self.apply(nodes.first, entries), self.apply(nodes.second, entries))
+        listener unitary, then the instrument, each stepped in the nodes'
+        form with the round's tables (``Round.gathers``)."""
         rnd = self.rnd
-        listeners, instruments = (rnd.gathers if isinstance(nodes, Sparse) else None) or (None, None)
+        listeners, instruments = rnd.gathers or (None, None)
         if self.listeners is not None:
-            nodes = _apply(nodes, listeners, self.listeners[entries], rnd.listener_ops, rnd.listener)
-        return _apply(nodes, instruments, self.instruments[entries], rnd.kraus_ops, rnd.party)
-
-
-def _apply(nodes: Frontier, table: Gathers | None, entries: np.ndarray, stack, party: str) -> Frontier:
-    """``nodes`` under the operators ``entries`` on ``party``'s register:
-    by index gathers from ``table``, the operators' tables when the nodes
-    are sparse and the operators monomial (else None), or as matrices
-    stacked by ``stack(entries)``, which turns sparse nodes pure."""
-    if table is not None and isinstance(nodes, Sparse):
-        return nodes.gather(table.take(entries), party)
-    return nodes.apply(stack(entries), party)
+            nodes = nodes.step(listeners, self.listeners[entries], rnd.listener_ops, rnd.listener)
+        return nodes.step(instruments, self.instruments[entries], rnd.kraus_ops, rnd.party)
 
 
 def _child_level(parents: Level, classes: np.ndarray | None, frontier: Frontier) -> Level:
@@ -555,7 +540,6 @@ def _child_level(parents: Level, classes: np.ndarray | None, frontier: Frontier)
         np.arange(len(norms)) if classes is None else classes,
         norms if classes is None else norms[classes],
         frontier,
-        True if classes is None else None,
     )
 
 
@@ -730,15 +714,15 @@ class _Meter:
         )
 
 
-def _walk_leaves(protocol: Protocol, roots: Frontier, meter: _Meter, dead: bool = False) -> Iterator[_Walked]:
+def _walk_leaves(protocol: Protocol, roots: Frontier, meter: _Meter) -> Iterator[_Walked]:
     """Walk the inputs ``roots`` together, with all live seeds, as one
     block that the walk cuts at (input, seed) boundaries where a level
-    would not fit (``_walk``), and yield the last levels' leaves, scored
-    once per distinct entry (``_score_leaves``), and, when ``dead``, each
-    level's dead nodes, which only ``RunResult.leaves`` reads."""
+    would not fit (``_walk``), and yield each level's dead nodes, which
+    only ``RunResult.leaves`` reads, and the last levels' leaves, scored
+    once per distinct entry (``_score_leaves``)."""
     n_seeds = protocol.n_seeds
     for level in meter.levels(_walk(protocol, roots, np.flatnonzero(np.asarray(protocol.seed_weights)))):
-        rows = np.flatnonzero(level.probabilities < PROB_TOL) if dead else ()
+        rows = np.flatnonzero(level.probabilities < PROB_TOL)
         if len(rows):
             yield _Walked(level.depth, *np.divmod(level.seeds[rows], n_seeds), level.codes[rows])
         if level.depth < protocol.bits:
@@ -750,7 +734,7 @@ def _walk_leaves(protocol: Protocol, roots: Frontier, meter: _Meter, dead: bool 
         yield _Walked(level.depth, *np.divmod(scores.leaves.seeds, n_seeds), *rows)
 
 
-def _walks(protocol: Protocol, stacks: Iterable[Stack], meter: _Meter, dead: bool = False) -> Iterator[tuple]:
+def _walks(protocol: Protocol, stacks: Iterable[Stack], meter: _Meter) -> Iterator[tuple]:
     """``stacks`` cut into blocks of rows whose amplitude matrices fit
     ``FRONTIER_BUDGET_BYTES`` (one row at least): per block, its first row
     among all the stacks' rows, the block and its walk (``_walk_leaves``)."""
@@ -760,7 +744,7 @@ def _walks(protocol: Protocol, stacks: Iterable[Stack], meter: _Meter, dead: boo
         for start in range(0, len(stack.roots), size):
             rows = slice(start, start + size)
             block = Stack(stack.roots.take(rows), stack.weights[rows], stack.inputs[rows])
-            yield offset + start, block, _walk_leaves(protocol, block.roots, meter, dead=dead)
+            yield offset + start, block, _walk_leaves(protocol, block.roots, meter)
         offset += len(stack.roots)
 
 
@@ -809,7 +793,7 @@ def run(protocol: Protocol, state) -> RunResult:
         if st.n_alice != protocol.n_pairs or st.n_bob != protocol.n_pairs:
             raise ValueError(f"input must live on {protocol.n_pairs} pairs, got ({st.n_alice}, {st.n_bob})")
     meter, records = _Meter(protocol.bits), []
-    walks = _walks(protocol, weighted_stacks(weighted), meter, dead=True)
+    walks = _walks(protocol, weighted_stacks(weighted), meter)
     (out,), (cond,), (success,) = _weigh(protocol, walks, 1, records)
     return RunResult(
         n_pairs=protocol.n_pairs,

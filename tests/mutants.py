@@ -125,6 +125,18 @@ MUTANTS = (
         "the tracker's walk weighs a pair of nodes as its case-I node, so its class tables pass the cut rule",
     ),
     Mutant(
+        "paired-step-first-side-twice", "src/edplab/frontier.py",
+        "Paired(self.first.step(table, entries, stack, party), self.second.step(table, entries, stack, party))",
+        "Paired(self.first.step(table, entries, stack, party), self.first.step(table, entries, stack, party))",
+        "the tracker's case-II nodes take the children of its case-I nodes",
+    ),
+    Mutant(
+        "sparse-step-ignores-tables", "src/edplab/frontier.py",
+        "        if table is None:\n            return self.apply(stack(entries), party)\n",
+        "        if True:\n            return self.apply(stack(entries), party)\n",
+        "sparse nodes under monomial operators are applied as matrices, which turns them pure",
+    ),
+    Mutant(
         "tracker-counts-classes-not-nodes", "src/edplab/verify.py",
         "checked += int(np.bincount(classes, minlength=len(nodes))[checks].sum())",
         "checked += len(checks)",

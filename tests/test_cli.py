@@ -570,6 +570,17 @@ def test_cli_config_file_with_flag_override(tmp_path):
     assert read_json(out2)[0]["instances"] == 30
 
 
+def test_cli_config_leaves_the_next_parse_with_the_declared_defaults(tmp_path):
+    # one parser serves every parse of a process, and a config file's values
+    # must not become its defaults
+    cfg = _write(tmp_path, "c.cfg", "count = 25\nseed = 9\nformat = csv\n")
+    args = cli.parse_args(["lemmas", "--config", cfg, "--seed", "4"])
+    assert (args.count, args.seed, args.format) == (25, 4, "csv")
+    plain = cli.parse_args(["lemmas"])
+    assert (plain.count, plain.seed, plain.format, plain.config) == (1000, 0, "json", None)
+    assert cli.build_parser() is cli.build_parser()
+
+
 # config text, extra argv, and what the records must show
 VALID_CONFIGS = {
     "on/off key set to on": (
@@ -1046,6 +1057,7 @@ BAD_INPUTS = {
     "reversed --n range": lambda t: ["sweep", "--model", "measure-r", "--n", "3..1"],
     "reversed --r range": lambda t: ["sweep", "--model", "measure-r", "--n", "2", "--r", "1..0"],
     "reversed --s range": lambda t: ["sweep", "--model", "fidelity", "--n", "3", "--s", "2..1"],
+    "sweep grid without cells": lambda t: ["sweep", "--model", "measure-r", "--n", "-1"],
     "spec rounds not a list": _bad_spec(("rounds",), 5),
     "spec listener_by_seed not a list": _bad_spec(("rounds", 0, "listener_by_seed"), 5),
     "spec output_pair not a list": _bad_spec(("output_pair",), 5),

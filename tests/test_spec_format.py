@@ -121,6 +121,21 @@ def test_spec_round_trip_is_bitwise(maker):
     _assert_same_protocol(proto, _through_text(proto))
 
 
+@pytest.mark.parametrize(
+    "values", [0.37, {"00": 0.25, "01": 1.0, "10": 0.0, "11": 0.625}], ids=["scalar", "per-transcript"]
+)
+def test_constant_accept_spec_round_trips(values):
+    hash_ = make_simple_random_hash(3, 2)
+    proto = Protocol(3, hash_.seed_weights, hash_.rounds, ConstantAccept(values), hash_.output_pair, name="constant")
+    doc = json.loads(json.dumps(serialize.protocol_to_json(proto)))
+    key = "value" if isinstance(values, float) else "values"
+    assert doc["accept_rule"] == {"kind": "constant", key: values}
+    loaded = serialize.protocol_from_json(doc)
+    _assert_same_protocol(proto, loaded)
+    for state in (epr_state(3), DensityMatrix.maximally_mixed(3, 3)):
+        _assert_same_run(proto, loaded, state)
+
+
 def test_spec_stores_negative_zero():
     doc = serialize.protocol_to_json(_signed_zero_protocol())
     negative_zeros = [
