@@ -405,16 +405,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parse_known(
+    parser: argparse.ArgumentParser, tokens: list[str], namespace: argparse.Namespace | None = None
+) -> argparse.Namespace:
+    """``parser``'s parse of ``tokens``; a token it does not declare is bad
+    input (``parse_args`` would print its usage and exit instead)."""
+    args, extra = parser.parse_known_args(tokens, namespace)
+    if extra:
+        raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+    return args
+
+
 def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse ``argv``; with ``--config``, parse the subcommand's own tokens
     again into a namespace that holds the file's values, so flags still
     win: argparse fills a default only where the namespace lacks it."""
     argv = sys.argv[1:] if argv is None else argv
-    args = build_parser().parse_args(argv)
+    args = _parse_known(build_parser(), argv)
     if args.config is not None:
         config = _config_defaults(args.parser, args.command, args.config)
         rest = argv[argv.index(args.command) + 1 :]  # the top-level parser has no option that takes a value
-        args = args.parser.parse_args(rest, argparse.Namespace(command=args.command, **config))
+        args = _parse_known(args.parser, rest, argparse.Namespace(command=args.command, **config))
     return args
 
 

@@ -16,12 +16,23 @@ step restricted to ``rows``.  Likewise for V_B.  Alternating the two is
 the generalised power method on the Stiefel manifold of orthonormal
 k-frames (Journee, Nesterov, Richtarik & Sepulchre, JMLR 11, 2010;
 Edelman, Arias & Smith, SIAM J. Matrix Anal. Appl. 20, 1998): no step
-size, no line search.  A restart stops, converged, once the Riemannian
-gradient norm sqrt(||Omega_A||^2 + ||Omega_B||^2) reaches GRAD_TOL, or
-after its step budget; restart 0 starts from the identity, so the
-maximum never falls below the trivial protocol's value.  Restarts step
-in lockstep as stacks of isometries, in blocks whose largest
-intermediate fits ASCENT_BUDGET_BYTES.
+size, no line search.
+
+The alternating map converges linearly, and slowly near the degenerate
+maximisers of these ensembles, so from step MIX_FROM on each step is
+Anderson-accelerated (Walker & Ni, SIAM J. Numer. Anal. 49, 2011): the
+plain steps of the restart's last DEPTH + 1 iterates are mixed with the
+weights that minimise the mixed residual in least squares, and the
+mixed point is retracted to an isometry pair by the polar factor.  A
+safeguard keeps the ascent monotone: the mixed candidate is taken only
+where its value is at least the plain step's half-step value f(V_A',
+V_B); elsewhere the plain step is taken and the restart's history starts
+again from it.  A restart stops, converged, once the Riemannian gradient
+norm sqrt(||Omega_A||^2 + ||Omega_B||^2) reaches GRAD_TOL, or after its
+step budget; restart 0 starts from the identity, so the maximum never
+falls below the trivial protocol's value.  Restarts step in lockstep as
+stacks of isometries, each with its own history, in blocks whose
+largest intermediates and histories fit ASCENT_BUDGET_BYTES.
 
 The search certifies nothing: it reports the best value found over the
 declared class (ancilla count, restarts, steps).
@@ -39,7 +50,10 @@ from .rng import substream
 from .sampling import random_unitary
 
 GRAD_TOL = 1e-6  # converged once sqrt(||Omega_A||^2 + ||Omega_B||^2) <= GRAD_TOL
-ASCENT_BUDGET_BYTES = 1 << 20  # the largest intermediate of one block of restarts
+DEPTH = 4  # Anderson mixing combines the plain steps of a restart's last DEPTH + 1 iterates
+MIX_FROM = 8  # plain steps before mixing starts: earlier mixing costs more than it saves on easy starts
+MIX_REG = 1e-10  # Tikhonov weight of the mixing's least squares, relative to its Gram trace
+ASCENT_BUDGET_BYTES = 1 << 20  # the largest intermediates and histories of one block of restarts
 
 
 @dataclass(frozen=True)
@@ -122,8 +136,10 @@ class PairFidelityObjective:
         blocks = np.stack([st.amplitudes.reshape(k, k) for _, st in members]) / np.sqrt(2.0)
         # cat[p][l, (i, j)] = C_i[l, j] / sqrt 2, with C_i = B_i for p = 0 and B_i^T for p = 1
         self.cat = np.stack([blocks, blocks.swapaxes(1, 2)]).transpose(0, 2, 1, 3).reshape(2, k, -1)
-        # one pair's largest intermediate: (m, d, k) products, (2, m d/2, d/2) overlaps or (d, d) Omega
-        self.pair_bytes = 16 * self.d_side * max(len(members) * max(k, self.d_side >> 1), self.d_side)
+        # one pair's largest intermediate: (m, d, k) products, (2, m d/2, d/2) overlaps or (d, d)
+        # Omega; and its mixing history: DEPTH + 1 slots of two (2, d, k) stacks
+        largest = max(len(members) * max(k, self.d_side >> 1), self.d_side)
+        self.pair_bytes = 16 * self.d_side * (largest + 4 * (DEPTH + 1) * k)
 
     def _products(self, v: np.ndarray, p: int) -> np.ndarray:
         """[..., x, (a, i), j] = (V[x] C_i)[a, j] / sqrt 2 over the halves x of the rows of V."""
@@ -164,6 +180,35 @@ class PairFidelityObjective:
         return value, e_alice.reshape(v_alice.shape), e_bob.reshape(v_bob.shape)
 
 
+def _mix(history: np.ndarray, kept: np.ndarray, slot: int) -> np.ndarray:
+    """Anderson mixing (Walker & Ni, SIAM J. Numer. Anal. 49, 2011) of each
+    restart's history [restart, slot, (plain step, residual), party, d, k]:
+    sum_j a_j g_j over its plain steps g_j, with the real weights a (sum a
+    = 1) minimising ||sum_j a_j r_j||^2 + MIX_REG ||a||^2 over its
+    residuals r_j = g_j - x_j, with the Gram matrix Re <r_i, r_j> scaled to
+    unit trace.  Only the ``kept`` latest slots, ending at ``slot``, are a
+    restart's own; the others get weight 0.  Complex products and the SVD
+    solve it: the polar step already uses both, while the first call of a
+    real BLAS or LAPACK routine pages in its code (0.25-0.3 MB of resident
+    memory per routine with OpenBLAS)."""
+    count, slots = history.shape[:2]
+    flat = history.reshape(count, slots, 2, -1)
+    own = ((slot - np.arange(slots)) % slots < kept[:, None]).astype(np.float64)  # [restart, slot]
+    residuals = flat[:, :, 1]
+    gram = (residuals.conj() @ residuals.swapaxes(-1, -2)).real * (own[:, :, None] * own[:, None, :])
+    trace = np.trace(gram, axis1=-2, axis2=-1)
+    gram /= np.where(trace > 0, trace, 1.0)[:, None, None]
+    gram[:, np.arange(slots), np.arange(slots)] += 1.0 - own
+    # gram is symmetric positive semidefinite, so its SVD U S U^H is its
+    # eigendecomposition, and (gram + MIX_REG I)^-1 = U (S + MIX_REG)^-1 U^H
+    u, spectrum, _ = np.linalg.svd(gram.astype(np.complex128))
+    solved = u @ ((u.conj().swapaxes(-1, -2) @ own[:, :, None]) / (spectrum[:, :, None] + MIX_REG))
+    weights = solved.real * own[:, :, None]
+    weights /= weights.sum(axis=1, keepdims=True)
+    mixed = (weights.swapaxes(-1, -2).astype(np.complex128) @ flat[:, :, 0])[:, 0]
+    return mixed.reshape(count, *history.shape[3:])
+
+
 def _ascend(objective: PairFidelityObjective, config: AscentConfig, restarts: range) -> np.ndarray:
     """Rows: each restart's best value, converged flag, polar steps and final
     gradient norm, stepped in lockstep from the identity (restart 0) or the
@@ -176,22 +221,44 @@ def _ascend(objective: PairFidelityObjective, config: AscentConfig, restarts: ra
     va, vb = np.asarray(pairs, dtype=np.complex128).swapaxes(0, 1)
     live, best = np.arange(len(va)), np.full(len(va), -np.inf)
     out = np.zeros((4, len(va)))
+    # per restart, slot step % (DEPTH + 1): its plain step (V_A', V_B') and the
+    # residual (V_A' - V_A, V_B' - V_B)
+    history = np.zeros((len(va), DEPTH + 1, 2, 2, *va.shape[1:]), dtype=np.complex128)
+    kept = np.zeros(len(va), dtype=np.int64)  # how many of the latest slots are the restart's history
+    value, ea, eb = objective.value_and_euclidean_gradient(va, vb)
     for step in range(config.steps + 1):
-        value, ea, eb = objective.value_and_euclidean_gradient(va, vb)
         best = np.maximum(best, value)
         ga, gb = (_omega(e, v).reshape(len(v), -1) for e, v in ((ea, va), (eb, vb)))
         norm = np.sqrt(_square_sums(ga) + _square_sums(gb))
         stop = (norm <= GRAD_TOL) | (step == config.steps)
         if stop.any():
             out[:, live[stop]] = np.array([best, norm <= GRAD_TOL, np.full_like(norm, step), norm])[:, stop]
-            live, best, va, vb, ea = (a[~stop] for a in (live, best, va, vb, ea))
+            live, best, va, vb, ea, history, kept = (a[~stop] for a in (live, best, va, vb, ea, history, kept))
             if not len(live):
                 return out
         # each half-step is a polar step in one party: it never lowers the value
-        va = _polar(ea)
-        value, _, eb = objective.value_and_euclidean_gradient(va, vb, alice=False)
-        best = np.maximum(best, value)
-        vb = _polar(eb)
+        pa = _polar(ea)
+        half, _, eb = objective.value_and_euclidean_gradient(pa, vb, alice=False)
+        best = np.maximum(best, half)
+        pb = _polar(eb)
+        slot = step % (DEPTH + 1)
+        history[:, slot, 0, 0], history[:, slot, 0, 1] = pa, pb
+        history[:, slot, 1, 0], history[:, slot, 1, 1] = pa - va, pb - vb
+        kept = np.minimum(kept + 1, DEPTH + 1)
+        if step < MIX_FROM:
+            va, vb = pa, pb
+            value, ea, eb = objective.value_and_euclidean_gradient(va, vb)
+            continue
+        mixed = _polar(_mix(history, kept, slot))
+        value, ea, eb = objective.value_and_euclidean_gradient(mixed[:, 0], mixed[:, 1])
+        # the safeguard: a mixed point below the half-step value is dropped for
+        # the plain step, and the restart's history starts again from that step
+        accept = value >= half
+        va, vb = np.where(accept[:, None, None, None], mixed, history[:, slot, 0]).swapaxes(0, 1)
+        if not accept.all():
+            drop = ~accept
+            value[drop], ea[drop], eb[drop] = objective.value_and_euclidean_gradient(va[drop], vb[drop])
+            kept[drop] = 1
 
 
 def maximize_pair_fidelity(objective: PairFidelityObjective, config: AscentConfig) -> AscentResult:

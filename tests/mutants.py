@@ -172,6 +172,24 @@ MUTANTS = (
         "locc.witness_fidelities(locc.make_simple_random_hash(n, s), epsilons[::-1])",
         "the cells of a fidelity sweep group get each other's values",
     ),
+    Mutant(
+        "ascent-safeguard-dropped", "src/edplab/optimize.py",
+        "        accept = value >= half\n",
+        "        accept = np.ones(len(value), dtype=bool)\n",
+        "every mixed candidate is accepted, also one below the half-step value, so the ascent stops being monotone",
+    ),
+    Mutant(
+        "ascent-rejected-keeps-history", "src/edplab/optimize.py",
+        "            kept[drop] = 1\n",
+        "",
+        "a restart whose candidate was rejected keeps mixing the steps before the rejection",
+    ),
+    Mutant(
+        "mix-reads-another-restarts-residuals", "src/edplab/optimize.py",
+        "    residuals = flat[:, :, 1]\n",
+        "    residuals = np.roll(flat[:, :, 1], 1, axis=0)\n",
+        "a restart's mixing weights come from the residuals of the previous restart in its block",
+    ),
 )
 
 

@@ -1054,6 +1054,11 @@ BAD_INPUTS = {
         "lemmas", "--count", "5", "--config", _write(t, "c.cfg", "format = xml\n")],
     "config unknown model": lambda t: [
         "bounds", "--config", _write(t, "c.cfg", "model = bell\nr = 1\n")],
+    "unknown flag": lambda t: ["lemmas", "--count", "5", "--bogus"],
+    "unknown flag before the command": lambda t: ["--bogus", "lemmas", "--count", "5"],
+    "stray positional": lambda t: ["lemmas", "--count", "5", "extra"],
+    "unknown flag with --config": lambda t: [
+        "lemmas", "--config", _write(t, "c.cfg", "count = 5\n"), "--bogus", "1"],
     "reversed --n range": lambda t: ["sweep", "--model", "measure-r", "--n", "3..1"],
     "reversed --r range": lambda t: ["sweep", "--model", "measure-r", "--n", "2", "--r", "1..0"],
     "reversed --s range": lambda t: ["sweep", "--model", "fidelity", "--n", "3", "--s", "2..1"],

@@ -221,7 +221,7 @@ def test_objective_value_equals_the_dense_first_pair_fidelity(name):
 
 def test_each_restart_of_a_block_steps_as_it_would_alone():
     objective = PairFidelityObjective(MeasureRModel(2, 1).uniform_mixture(), 2, 2)
-    config = AscentConfig(restarts=6, steps=40, seed=21)
+    config = AscentConfig(restarts=6, steps=12, seed=21)
     block = optimize._ascend(objective, config, range(6))
     # the block is stepped past the stops of some of its restarts
     assert len(set(block[2])) > 1 and block[1].any() and not block[1].all()
@@ -243,6 +243,12 @@ def test_blocks_of_one_restart_give_the_same_result(monkeypatch):
 
 def test_blocks_stay_within_the_budget(monkeypatch):
     objective = _measure_r_objective()
+    # each restart's mixing history counts in its pair_bytes: DEPTH + 1 slots,
+    # each a plain step and a residual, two (d, k) isometries each
+    history_bytes = (optimize.DEPTH + 1) * 2 * 2 * objective.d_side * len(objective.rows) * 16
+    with monkeypatch.context() as patch:
+        patch.setattr(optimize, "DEPTH", -1)
+        assert objective.pair_bytes - _measure_r_objective().pair_bytes == history_bytes
     monkeypatch.setattr(optimize, "ASCENT_BUDGET_BYTES", 3 * objective.pair_bytes + 1)
     sizes = []
     ascend = optimize._ascend
@@ -255,3 +261,90 @@ def test_blocks_stay_within_the_budget(monkeypatch):
     result = maximize_pair_fidelity(objective, AscentConfig(restarts=8, steps=5, seed=2))
     assert sizes == [3, 3, 2]
     assert len(result.restart_values) == 8
+
+
+def test_measure_r_2_2_has_no_slow_tail():
+    # without mixing, one of these restarts spends the whole 2,000-step budget
+    objective = PairFidelityObjective(MeasureRModel(2, 2).uniform_mixture(), 2, 2)
+    result = maximize_pair_fidelity(objective, AscentConfig(restarts=32, steps=2000, seed=2026))
+    assert result.converged
+    assert max(result.restart_iterations) <= 100
+    assert result.best_value == pytest.approx(0.5, abs=1e-12)
+
+
+def _recorded_passes(monkeypatch, objective, config, restart):
+    """One restart ascended alone: the evaluation at the iterate that starts
+    each pass, and per pass the half-step evaluation and the full ones after
+    it, each as (V_A, V_B, value, E_B)."""
+    calls = []
+    evaluate = objective.value_and_euclidean_gradient
+
+    def recording(v_alice, v_bob, alice=True):
+        value, e_alice, e_bob = evaluate(v_alice, v_bob, alice)
+        calls.append((alice, (v_alice[0].copy(), v_bob[0].copy(), value[0], e_bob[0].copy())))
+        return value, e_alice, e_bob
+
+    with monkeypatch.context() as patch:
+        patch.setattr(objective, "value_and_euclidean_gradient", recording)
+        optimize._ascend(objective, config, range(restart, restart + 1))
+    iterates, passes, fulls = [], [], [calls[0][1]]
+    for alice, call in calls[1:]:
+        if alice:
+            fulls.append(call)
+        else:
+            iterates.append(fulls[-1])
+            fulls = []
+            passes.append((call, fulls))
+    return iterates, passes
+
+
+# restarts 1-8 of this ascent meet both accepted and rejected mixed candidates
+MIXED = (
+    PairFidelityObjective(MeasureRModel(2, 1).uniform_mixture(), 2, 2),
+    AscentConfig(restarts=9, steps=300, seed=5),
+)
+
+
+def test_an_accepted_mixed_iterate_is_never_below_the_half_step_value(monkeypatch):
+    objective, config = MIXED
+    accepted = rejected = 0
+    for restart in range(1, config.restarts):
+        _, passes = _recorded_passes(monkeypatch, objective, config, restart)
+        for step, ((pa, _, half, e_bob), fulls) in enumerate(passes):
+            plain = (pa, optimize._polar(e_bob))
+            if step >= optimize.MIX_FROM:
+                candidate, *fulls = fulls
+                if fulls:
+                    assert candidate[2] < half
+                    rejected += 1
+                else:
+                    assert candidate[2] >= half
+                    accepted += 1
+            if fulls:  # the plain step: before mixing starts, or after a rejected candidate
+                (next_a, next_b, _, _), = fulls
+                np.testing.assert_allclose(next_a, plain[0], atol=1e-14)
+                np.testing.assert_allclose(next_b, plain[1], atol=1e-14)
+    assert accepted and rejected
+
+
+def test_each_candidate_mixes_the_steps_since_the_last_rejection(monkeypatch):
+    objective, config = MIXED
+    slots = optimize.DEPTH + 1
+    rejections = 0
+    for restart in range(1, config.restarts):
+        iterates, passes = _recorded_passes(monkeypatch, objective, config, restart)
+        shape = iterates[0][0].shape
+        history = np.zeros((1, slots, 2, 2, *shape), dtype=np.complex128)
+        kept = 0
+        for step, (x, ((pa, _, _, e_bob), fulls)) in enumerate(zip(iterates, passes)):
+            plain = np.stack([pa, optimize._polar(e_bob)])
+            history[0, step % slots] = plain, plain - np.stack(x[:2])
+            kept = min(kept + 1, slots)
+            if step < optimize.MIX_FROM:
+                continue
+            expected = optimize._polar(optimize._mix(history, np.array([kept]), step % slots))[0]
+            np.testing.assert_allclose(np.stack(fulls[0][:2]), expected, atol=1e-12)
+            if len(fulls) == 2:
+                kept = 1
+                rejections += 1
+    assert rejections
