@@ -810,11 +810,6 @@ def run(protocol: Protocol, state) -> RunResult:
 # model-level figures of merit
 
 
-def ideal_success_probability(protocol: Protocol) -> float:
-    """Success probability on the perfect input block."""
-    return witness_fidelities(protocol, ())[0]
-
-
 def witness_fidelities(protocol: Protocol, epsilons) -> tuple[float, list[tuple[float, float | None] | ValueError]]:
     """The ideal success probability p and, per epsilon, what
     ``model_fidelities`` gives on ``FidelityModel(n, epsilon)``, or the

@@ -357,12 +357,6 @@ class Protocol:
     def deterministic(self) -> bool:
         return self.n_seeds == 1
 
-    @property
-    def multi_kraus(self) -> bool:
-        """Whether a branch has several Kraus operators, which turns a
-        pure frontier dense."""
-        return any(rnd.width > 1 for rnd in self.rounds)
-
 
 def _check_accept(rule: AcceptRule, n: int, n_seeds: int, bits: int) -> None:
     """Every leaf needs exactly one accept value, and every value must

@@ -8,14 +8,16 @@ identical streams regardless of scheduling.
 
 from __future__ import annotations
 
-import hashlib
-
 import numpy as np
 
 
 def _label_to_int(label: int | str) -> int:
     if isinstance(label, int):
         return label & 0xFFFFFFFF
+    # imported here: hashlib loads OpenSSL, which a command that draws
+    # nothing never needs (numpy.random loads it at the first draw anyway)
+    import hashlib
+
     digest = hashlib.sha256(label.encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "big")
 

@@ -31,7 +31,6 @@ leaf: a seed below the seed count and one transcript bit per round.
 
 from __future__ import annotations
 
-import csv
 import io
 import itertools
 import json
@@ -467,6 +466,8 @@ def records_to_json(records: list[dict[str, Any]]) -> str:
 
 
 def records_to_csv(records: list[dict[str, Any]]) -> str:
+    import csv  # imported here: only a CSV report needs it
+
     columns: list[str] = sorted({key for rec in records for key in rec})
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=columns, lineterminator="\n")

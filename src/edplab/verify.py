@@ -1,23 +1,21 @@
-"""Numerical verification suites: dominance checks, the transcript
-splitting tracker, bound probes via unitary ascent, lemma property
-sweeps, and exact counting identities.
-
-The splitting tracker walks its two cases as one paired input through
-the runner's walk (``locc._walk``), the only traversal, which
-``locc.run`` also consumes; it checks each distinct pair of nodes once.
+"""Numerical verification suites: bound probes via unitary ascent, the
+fidelity-model bounds on the canonical witness, and lemma property sweeps.
 
 Every report carries explicit pass criteria.  A bound probe passes only
 when the best value found sits between the matching protocol's value
 and the claimed bound; a claimed bound that the exact evaluation
 contradicts is flagged as a falsification artifact, never silently
 passed.  All suites are deterministic given a seed.
+
+The splitting tracker with its dominance check (``edplab.splitting``)
+and the exact counting identities (``edplab.counting``) live in their
+own modules, since no CLI command runs them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Any
 
 import numpy as np
@@ -27,11 +25,9 @@ from .errmodels import (
     DepolarizationModel,
     FidelityModel,
     MeasureRModel,
-    enumerate_extended,
-    enumerate_indicators,
     pair_bell_mixture_ensemble,
 )
-from .frontier import Paired, frontier_of, grouped
+from .frontier import grouped
 from .locc import (
     Protocol,
     make_first_pair,
@@ -41,9 +37,7 @@ from .locc import (
 )
 from .optimize import AscentConfig, PairFidelityObjective, maximize_pair_fidelity
 from .qcore import (
-    ProductState,
     bell_identity_sides,
-    epr_state,
     fidelities,
     pair_states,
     pauli_deviation_sums,
@@ -54,43 +48,6 @@ from .sampling import kraus_sets, mixtures, products, unit_vectors, wishart
 
 DOMINANCE_TOL = 1e-9
 CERTIFICATE_TOL = 1e-6
-
-
-# ---------------------------------------------------------------------------
-# positive-operator dominance
-
-
-@dataclass(frozen=True)
-class DominanceReport:
-    min_eigenvalue: float
-    holds: bool
-
-    def to_record(self) -> dict[str, Any]:
-        return {"min_eigenvalue": self.min_eigenvalue, "holds": self.holds}
-
-
-def check_dominance(a: np.ndarray, b: np.ndarray, tol: float = DOMINANCE_TOL) -> DominanceReport:
-    """Does a dominate b, i.e. is a - b positive semidefinite?
-
-    Eigenvalues are taken from the Hermitian part of the difference;
-    non-Hermitian inputs beyond tolerance are rejected.
-    """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("dominance needs two square matrices of equal shape")
-    low = float(_dominance_lows(a, b))
-    return DominanceReport(min_eigenvalue=low, holds=low >= -tol)
-
-
-def _dominance_lows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Lowest eigenvalue of the Hermitian part of a - b; leading axes
-    index a stack of matrix pairs."""
-    diff = a - b
-    adjoint = diff.conj().swapaxes(-1, -2)
-    if diff.size and np.abs(diff - adjoint).max() > 1e-8:
-        raise ValueError("dominance inputs must be Hermitian")
-    return np.linalg.eigvalsh((diff + adjoint) / 2.0)[..., 0]
 
 
 # ---------------------------------------------------------------------------
@@ -271,138 +228,6 @@ def optimize_0bit_depolarization(
         config,
         "; conjectured true bound 1-3p/4",
     )
-
-
-# ---------------------------------------------------------------------------
-# transcript splitting
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    """Node-by-node comparison of a protocol on the perfect block (case
-    I) versus the completely mixed state (case II)."""
-
-    n: int
-    bits: int
-    initial_condition_ok: bool
-    min_alice_margin: float
-    min_bob_margin: float
-    worst_node: tuple[int, str] | None
-    p_success_perfect: float
-    q_success_mixed: float
-    success_margin: float
-    nodes_checked: int
-    passed: bool
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "theorem": "divert+neg-fidelity-main",
-            "param_n": self.n,
-            "param_s": self.bits,
-            "initial_condition_ok": self.initial_condition_ok,
-            "min_alice_margin": self.min_alice_margin,
-            "min_bob_margin": self.min_bob_margin,
-            "p": self.p_success_perfect,
-            "q": self.q_success_mixed,
-            "margin": self.success_margin,
-            "nodes": self.nodes_checked,
-            "pass": self.passed,
-        }
-
-
-def verify_splitting(protocol: Protocol, tol: float = DOMINANCE_TOL) -> SplittingReport:
-    """Check the divert dominance and q >= p^2 / 2^s on a protocol.
-
-    Case I runs the perfect block, case II the completely mixed input
-    (in product form).
-    At every transcript node t the scaled case-I local states must be
-    dominated by the case-II ones: p_t sigma_t^I <= sigma_t^II, for
-    both parties.  The initial local states must all equal I/2^n, as they
-    do by construction (checked once, on the inputs).  The SUCC
-    probabilities p (case I) and q (case II) must then satisfy q >= p^2 / 2^s.
-
-    The two cases are walked as one input whose row holds the same node
-    on both (``frontier.Paired``), with all live seeds, through the
-    runner's walk, which cuts the block at seed boundaries where a level
-    would not fit, so memory follows one level's class table.  A node
-    is expanded while either case lives.  The check of a node depends
-    only on its pair of (case-I, case-II) states, which the walk merges
-    into one class, so each level solves one eigenvalue problem per party
-    per distinct class among its checked nodes.  p and q are scored per
-    case over the last levels, the leaves, as ``run`` computes them
-    (``locc._score_leaves``).  A node's margin is the lower of the two
-    parties' lowest eigenvalues, and -inf where case II vanished under a
-    live case-I node.  ``worst_node`` is the (seed, transcript) of the
-    lowest margin, the first in tree order (seed, then depth, then
-    transcript) among equal ones, when that margin is below -tol.
-    """
-    n = protocol.n_pairs
-    perfect = epr_state(n)
-    mixed = ProductState.maximally_mixed(n, n)
-    eye = np.eye(1 << n) / (1 << n)
-    weights = np.asarray(protocol.seed_weights)
-    initial_ok = all(
-        bool(np.abs(local - eye).max() <= 1e-10) for st in (perfect, mixed) for local in frontier_of(st).local_states()
-    )
-    min_alice = np.inf
-    min_bob = np.inf
-    checked = 0
-    success = [0.0, 0.0]  # p and q
-    lowest = (np.inf,)  # (margin, seed, depth, row, transcript) of the lowest node
-    roots = Paired(locc.frontier_of(perfect), locc.frontier_of(mixed))
-    for level in locc._walk(protocol, roots, np.flatnonzero(weights != 0.0)):
-        depth, nodes, classes = level.depth, level.frontier, level.classes
-        p1, p2 = nodes.first.norms(), nodes.second.norms()  # per class
-        if depth == protocol.bits:
-            for case, (side, p) in enumerate(((nodes.first, p1), (nodes.second, p2))):
-                leaves = locc.Level(depth, level.seeds, level.codes, classes, p[classes], side)
-                success[case] += _success(protocol, leaves, weights)
-        live = p1 >= locc.PROB_TOL
-        # dominated-by-zero is only possible if case I vanished too
-        margins = np.where(live & (p2 < locc.PROB_TOL), -np.inf, np.inf)
-        checks = np.flatnonzero(live & (p2 >= locc.PROB_TOL))  # every class has a row
-        if len(checks):
-            checked += int(np.bincount(classes, minlength=len(nodes))[checks].sum())
-            pairs = nodes.take(checks)
-            # p_t sigma_t^I is case I's unnormalized local state
-            alice1, bob1 = pairs.first.local_states()
-            q2 = p2[checks][:, None, None]
-            alice2, bob2 = (local / q2 for local in pairs.second.local_states())
-            low_a = _dominance_lows(alice2, alice1)
-            low_b = _dominance_lows(bob2, bob1)
-            min_alice = min(min_alice, float(low_a.min()))
-            min_bob = min(min_bob, float(low_b.min()))
-            margins[checks] = np.minimum(low_a, low_b)
-        if len(level):
-            row = int(np.argmin(margins[classes]))  # the first lowest row
-            node = (float(margins[classes[row]]), int(level.seeds[row]), depth, row)
-            if node < lowest[:4]:
-                lowest = (*node, level.label(row))
-
-    failed = lowest[0] < -tol
-    p, q = success
-    margin = q - p * p / (1 << protocol.bits)
-    ok = not failed and initial_ok and margin >= -tol
-    return SplittingReport(
-        n=n,
-        bits=protocol.bits,
-        initial_condition_ok=bool(initial_ok),
-        min_alice_margin=float(min_alice if checked else 0.0),
-        min_bob_margin=float(min_bob if checked else 0.0),
-        worst_node=(lowest[1], lowest[4]) if failed else None,
-        p_success_perfect=float(p),
-        q_success_mixed=float(q),
-        success_margin=float(margin),
-        nodes_checked=checked,
-        passed=bool(ok),
-    )
-
-
-def _success(protocol: Protocol, leaves: "locc.Level", weights: np.ndarray) -> float:
-    """The SUCC probability of one case's last level, ``leaves``, scored as
-    ``run`` scores it (``locc._score_leaves``)."""
-    scores = locc._score_leaves(protocol, leaves)
-    return locc._totals(scores.entries, scores.scored.probabilities, scores.accept, weights[scores.leaves.seeds])[2]
 
 
 # ---------------------------------------------------------------------------
@@ -709,116 +534,4 @@ def lemma_suite(
 
     sweep("fidelity-monotonicity", 1e-9, monotonicity, monotonicity_margins)
 
-    return reports
-
-
-# ---------------------------------------------------------------------------
-# exact counting identities
-
-
-@dataclass(frozen=True)
-class CountingReport:
-    identity: str
-    n_max: int
-    cases: int
-    mismatches: int
-    passed: bool
-
-    def to_record(self) -> dict[str, Any]:
-        return {
-            "identity": self.identity,
-            "n_max": self.n_max,
-            "cases": self.cases,
-            "mismatches": self.mismatches,
-            "pass": self.passed,
-        }
-
-
-def _consistency_rows(n: int, vectors) -> np.ndarray:
-    """rows[v_idx, x] = 1 iff x matches every fixed entry of the v-th
-    vector.  An entry's first character is its bit, which covers both
-    the binary and the extended alphabet; "*" is free."""
-    xs = np.arange(1 << n, dtype=np.int64)
-    rows = []
-    for v in vectors:
-        mask = 0
-        val = 0
-        for j, e in enumerate(v.entries):
-            if e != "*":
-                mask |= 1 << (n - 1 - j)
-                if e[0] == "1":
-                    val |= 1 << (n - 1 - j)
-        rows.append(((xs & mask) == val).astype(np.int64))
-    return np.stack(rows) if rows else np.zeros((0, 1 << n), dtype=np.int64)
-
-
-def _binary_consistency_matrix(n: int, r: int) -> np.ndarray:
-    """cons[v_idx, x] = 1 iff x is consistent with the v-th vector."""
-    return _consistency_rows(n, enumerate_indicators(n, r))
-
-
-def _extended_joint_counts(n: int, r: int) -> np.ndarray:
-    """N[a, b] = number of (c, u) with deg u = r and both (a; a xor c)
-    and (b; b xor c) consistent with u.
-
-    For each u the discrepancy c is forced and the left half must match
-    u's fixed bits, so the joint count is an integer Gram matrix of
-    per-u consistency rows.
-    """
-    return _gram(_consistency_rows(n, enumerate_extended(n, r)))
-
-
-def _gram(rows: np.ndarray) -> np.ndarray:
-    return rows.T @ rows
-
-
-def _joint_count_report(identity, n_max, joint_counts, expected) -> CountingReport:
-    """Compare ``joint_counts(n, r)[a, b]`` with ``expected(n, r, k)``,
-    k the Hamming distance of a and b, for every n <= n_max and r <= n."""
-    cases = 0
-    mismatches = 0
-    for n in range(1, n_max + 1):
-        for r in range(n + 1):
-            joint = joint_counts(n, r)
-            for a in range(1 << n):
-                for b in range(1 << n):
-                    cases += 1
-                    if int(joint[a, b]) != expected(n, r, bin(a ^ b).count("1")):
-                        mismatches += 1
-    return CountingReport(identity, n_max, cases, mismatches, mismatches == 0)
-
-
-def verify_counting(n_max_binary: int = 6, n_max_extended: int = 5) -> list[CountingReport]:
-    """Brute-force the two joint-consistency counting identities and the
-    aggregate binomial identities, all in exact integer arithmetic."""
-    reports = [
-        _joint_count_report(
-            "binary-joint-consistency",
-            n_max_binary,
-            # joint[x, y] = #{v : x, y consistent}
-            lambda n, r: _gram(_binary_consistency_matrix(n, r)),
-            lambda n, r, k: math.comb(n - k, n - r - k) if n - r - k >= 0 else 0,
-        ),
-        _joint_count_report(
-            "extended-joint-consistency",
-            n_max_extended,
-            _extended_joint_counts,
-            lambda n, r, k: (2**r) * math.comb(n - k, r) if r <= n - k else 0,
-        ),
-    ]
-
-    # aggregate binomial identities behind the averaged bounds, with
-    # exact rational arithmetic; the extended form carries an extra 2^r
-    cases = 0
-    mismatches = 0
-    for n in range(1, 9):
-        for r in range(n + 1):
-            for e in (n, n + r):
-                lhs = Fraction(2 ** (e + 1)) * (math.comb(n, r) - math.comb(n - 1, r))
-                lhs += Fraction(2 ** (e + 2)) * math.comb(n - 1, r)
-                rhs = Fraction(2 ** (e + 2)) * math.comb(n, r) * (1 - Fraction(r, 2 * n))
-                cases += 1
-                if lhs != rhs:
-                    mismatches += 1
-    reports.append(CountingReport("aggregate-binomial", 8, cases, mismatches, mismatches == 0))
     return reports

@@ -71,7 +71,7 @@ MUTANTS = (
         "leaves that differ only in their output pair share one scored entry",
     ),
     Mutant(
-        "tracker-vanished-case-two-not-flagged", "src/edplab/verify.py",
+        "tracker-vanished-case-two-not-flagged", "src/edplab/splitting.py",
         "margins = np.where(live & (p2 < locc.PROB_TOL), -np.inf, np.inf)",
         "margins = np.full(len(p2), np.inf)",
         "a live case-I node whose case-II node vanished passes the dominance check",
@@ -83,13 +83,13 @@ MUTANTS = (
         "the Bell-pattern stack, and the ascent's ensemble read from it, no longer sum to the depolarized state",
     ),
     Mutant(
-        "tracker-drops-bob-margin", "src/edplab/verify.py",
+        "tracker-drops-bob-margin", "src/edplab/splitting.py",
         "margins[checks] = np.minimum(low_a, low_b)",
         "margins[checks] = low_a",
         "passed and worst_node ignore Bob's dominance",
     ),
     Mutant(
-        "tracker-skips-initial-condition", "src/edplab/verify.py",
+        "tracker-skips-initial-condition", "src/edplab/splitting.py",
         "    initial_ok = all(\n"
         "        bool(np.abs(local - eye).max() <= 1e-10) for st in (perfect, mixed)"
         " for local in frontier_of(st).local_states()\n"
@@ -137,7 +137,7 @@ MUTANTS = (
         "sparse nodes under monomial operators are applied as matrices, which turns them pure",
     ),
     Mutant(
-        "tracker-counts-classes-not-nodes", "src/edplab/verify.py",
+        "tracker-counts-classes-not-nodes", "src/edplab/splitting.py",
         "checked += int(np.bincount(classes, minlength=len(nodes))[checks].sum())",
         "checked += len(checks)",
         "nodes_checked counts the distinct pairs of nodes checked, not the nodes",

@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from edplab import verify
+from edplab import counting, splitting, verify
 from edplab.cli import main
 from edplab.errmodels import (
     DepolarizationModel,
@@ -127,7 +127,7 @@ def test_criterion_5_splitting_hash_and_random_protocols():
     worst_success = 0.0
     for n in (2, 3):
         for s in range(1, min(n, 4)):
-            rep = verify.verify_splitting(make_simple_random_hash(n, s))
+            rep = splitting.verify_splitting(make_simple_random_hash(n, s))
             assert rep.passed, rep
             assert rep.initial_condition_ok
             worst_node = min(worst_node, rep.min_alice_margin, rep.min_bob_margin)
@@ -146,7 +146,7 @@ def test_criterion_5_splitting_hash_and_random_protocols():
             n_seeds=int(gen.integers(1, 3)),
             kraus_per_branch=int(gen.integers(1, 3)),
         )
-        rep = verify.verify_splitting(proto)
+        rep = splitting.verify_splitting(proto)
         assert rep.passed, (index, rep)
         assert rep.min_alice_margin >= -1e-9 and rep.min_bob_margin >= -1e-9
         assert rep.success_margin >= -1e-9
@@ -218,7 +218,7 @@ def test_criterion_6_conditional_fidelity_squeeze():
 
 
 def test_criterion_7_counting_and_corruption_mixture():
-    for rep in verify.verify_counting(n_max_binary=6, n_max_extended=5):
+    for rep in counting.verify_counting(n_max_binary=6, n_max_extended=5):
         assert rep.passed, rep
         assert rep.mismatches == 0
     worst = 0.0

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -656,6 +660,29 @@ def test_cli_determinism_byte_identical(tmp_path):
         assert main(["lemmas", "--count", "30", "--seed", "8", "--format", "csv",
                      "--out", str(path)]) == 0
     assert c.read_bytes() == d.read_bytes()
+
+
+OFF_THE_IMPORT_PATH = ("hashlib", "_hashlib", "fractions", "decimal", "csv", "edplab.splitting", "edplab.counting")
+
+
+def test_cli_loads_only_what_a_command_runs(tmp_path):
+    # a fresh process: a command that draws nothing loads neither OpenSSL
+    # (through hashlib) nor the modules no command runs; the first
+    # seeded draw (a lemma sweep) loads hashlib
+    script = (
+        "import sys\n"
+        "from edplab.cli import main\n"
+        f"main(['bounds', '--model', 'fidelity', '--n', '2', '--s', '1', '--epsilon', '0.1',"
+        f" '--out', {str(tmp_path / 'bounds.json')!r}])\n"
+        f"print(sorted(set({OFF_THE_IMPORT_PATH!r}) & set(sys.modules)))\n"
+        f"main(['lemmas', '--count', '1', '--out', {str(tmp_path / 'lemmas.json')!r}])\n"
+        "print('hashlib' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "True"]
+    assert json.loads((tmp_path / "bounds.json").read_text())[0]["pass"] is True
 
 
 def test_cli_sweep_worker_pool_order_independent(tmp_path):

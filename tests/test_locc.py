@@ -25,7 +25,6 @@ from edplab.locc import (
     Protocol,
     Round,
     conditional_fidelity,
-    ideal_success_probability,
     make_first_pair,
     make_random_pair,
     make_random_permutation,
@@ -33,6 +32,7 @@ from edplab.locc import (
     model_fidelities,
     protocol_fidelity,
     run,
+    witness_fidelities,
 )
 from edplab.qcore import (
     ALICE,
@@ -288,7 +288,7 @@ def test_srh_seed_space_size():
 def test_srh_is_ideal():
     for n, s in ((2, 1), (3, 1), (3, 2)):
         proto = make_simple_random_hash(n, s)
-        assert ideal_success_probability(proto) == pytest.approx(1.0, abs=1e-12)
+        assert witness_fidelities(proto, ())[0] == pytest.approx(1.0, abs=1e-12)
         result = run(proto, epr_state(n))
         assert base_fidelity(result.output) == pytest.approx(1.0, abs=1e-12)
 
@@ -692,7 +692,7 @@ def test_measure_r_blocks_equal_one_run_per_error_state(maker, n, s, r):
 
 
 def test_deep_hash_is_ideal():
-    assert ideal_success_probability(make_simple_random_hash(5, 3)) == pytest.approx(1.0, abs=1e-12)
+    assert witness_fidelities(make_simple_random_hash(5, 3), ())[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_leaf_records_are_built_on_read_in_seed_order():

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from edplab import errmodels, frontier, locc, verify
+from edplab import errmodels, frontier, locc, splitting
 from edplab.errmodels import MeasureRModel, Stack, fidelity_witness, fidelity_witness_components
 from edplab.locc import (
     PROB_TOL,
@@ -60,7 +60,7 @@ def _row_bytes(protocol: Protocol, state) -> int:
     """Bytes of one node of ``state``'s walk below the root, as the walk
     counts a child under gathers where every round has them."""
     gathered = all(rnd.gathers is not None for rnd in protocol.rounds)
-    return frontier.child_row_bytes(locc.frontier_of(state), 2 if protocol.multi_kraus else 1, gathered)
+    return frontier.child_row_bytes(locc.frontier_of(state), 2 if any(rnd.width > 1 for rnd in protocol.rounds) else 1, gathered)
 
 
 def _entry(entries, seed: int):
@@ -817,13 +817,13 @@ def test_gathered_accept_matches_per_element_and_oracle(case):
 def test_splitting_report_with_gathered_accept(monkeypatch, index):
     proto = list(_mixed_element_protocols())[index]
     n = proto.n_pairs
-    gathered = verify.verify_splitting(proto)
+    gathered = splitting.verify_splitting(proto)
 
     def accept_per_element(protocol, leaves, pairs):
         return _accept_per_element(protocol, leaves)
 
     monkeypatch.setattr(locc, "_accept", accept_per_element)
-    per_element = verify.verify_splitting(proto)
+    per_element = splitting.verify_splitting(proto)
     for field in dataclasses.fields(gathered):
         a, b = getattr(gathered, field.name), getattr(per_element, field.name)
         assert a == (pytest.approx(b, abs=1e-12) if isinstance(b, float) else b), field.name
@@ -844,7 +844,7 @@ def test_accept_roots_are_computed_once_per_distinct_element(monkeypatch):
     dense = random_density_matrix(np.random.default_rng(2), 3, 3)
     for state in (epr_state(3), ProductState.maximally_mixed(3, 3), dense):
         run(proto, state)
-    verify.verify_splitting(proto)
+    splitting.verify_splitting(proto)
     assert calls == [len(proto.accept.elements)]
 
 

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from edplab import locc, verify
+from edplab import counting, locc, splitting, verify
 from edplab.errmodels import consistent_extended, enumerate_extended
 from edplab.locc import (
     AlwaysAccept,
@@ -46,7 +46,7 @@ QUICK = AscentConfig(restarts=3, steps=300, seed=11)
 
 def test_dominance_reflexive():
     rho = random_density_matrix(np.random.default_rng(1), 1, 1).matrix
-    rep = verify.check_dominance(rho, rho)
+    rep = splitting.check_dominance(rho, rho)
     assert rep.holds
     assert rep.min_eigenvalue == pytest.approx(0.0, abs=1e-12)
 
@@ -55,12 +55,12 @@ def test_identity_dominates_any_state():
     rng = np.random.default_rng(2)
     for _ in range(20):
         rho = random_density_matrix(rng, 1, 1).matrix
-        assert verify.check_dominance(np.eye(4), rho).holds
+        assert splitting.check_dominance(np.eye(4), rho).holds
 
 
 def test_dominance_rejects_non_hermitian():
     with pytest.raises(ValueError):
-        verify.check_dominance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
+        splitting.check_dominance(np.array([[0.0, 1.0], [0.0, 0.0]]), np.zeros((2, 2)))
 
 
 def test_dominance_preserved_by_channels():
@@ -69,12 +69,12 @@ def test_dominance_preserved_by_channels():
         a = random_density_matrix(rng, 1, 0).matrix * float(rng.uniform(1, 2))
         b = a - random_density_matrix(rng, 1, 0).matrix * float(rng.uniform(0, 0.5))
         b = (b + b.conj().T) / 2
-        if not verify.check_dominance(a, b).holds:
+        if not splitting.check_dominance(a, b).holds:
             continue
         kraus = random_kraus_channel(rng, 2)
         a2 = sum(k @ a @ k.conj().T for k in kraus)
         b2 = sum(k @ b @ k.conj().T for k in kraus)
-        assert verify.check_dominance(a2, b2).holds
+        assert splitting.check_dominance(a2, b2).holds
 
 
 def test_dominance_transitive_on_random_instances():
@@ -83,9 +83,9 @@ def test_dominance_transitive_on_random_instances():
         c = random_density_matrix(rng, 1, 0).matrix
         b = c + random_density_matrix(rng, 1, 0).matrix * 0.3
         a = b + random_density_matrix(rng, 1, 0).matrix * 0.3
-        assert verify.check_dominance(a, b).holds
-        assert verify.check_dominance(b, c).holds
-        assert verify.check_dominance(a, c).holds
+        assert splitting.check_dominance(a, b).holds
+        assert splitting.check_dominance(b, c).holds
+        assert splitting.check_dominance(a, c).holds
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +94,7 @@ def test_dominance_transitive_on_random_instances():
 
 def test_splitting_zero_round_always_succ():
     proto = Protocol(1, (1.0,), (), AlwaysAccept(), (0,))
-    rep = verify.verify_splitting(proto)
+    rep = splitting.verify_splitting(proto)
     assert rep.passed and rep.initial_condition_ok
     assert rep.p_success_perfect == pytest.approx(1.0)
     assert rep.q_success_mixed == pytest.approx(1.0)
@@ -102,14 +102,14 @@ def test_splitting_zero_round_always_succ():
 
 def test_splitting_constant_accept_without_rounds_gives_p_equals_q():
     proto = Protocol(2, (1.0,), (), ConstantAccept(0.37), (0,))
-    rep = verify.verify_splitting(proto)
+    rep = splitting.verify_splitting(proto)
     assert rep.passed
     assert rep.p_success_perfect == pytest.approx(rep.q_success_mixed, abs=1e-12)
 
 
 def test_splitting_on_simple_random_hash():
     for n, s in ((2, 1), (3, 1), (3, 2)):
-        rep = verify.verify_splitting(make_simple_random_hash(n, s))
+        rep = splitting.verify_splitting(make_simple_random_hash(n, s))
         assert rep.passed, rep
         assert rep.initial_condition_ok
         # the hash saturates the success inequality: q = 2^-s = p^2/2^s
@@ -132,7 +132,7 @@ def test_splitting_random_protocol_sweep():
     # listener unitaries are local channels, so the dominance chain must
     # survive them too
     for i, proto in enumerate(_splitting_sweep_protocols()):
-        rep = verify.verify_splitting(proto)
+        rep = splitting.verify_splitting(proto)
         assert rep.passed, (i, rep)
 
 
@@ -155,7 +155,7 @@ def test_splitting_success_probabilities_are_runs():
         n = proto.n_pairs
         perfect, mixed = run(proto, epr_state(n)), run(proto, ProductState.maximally_mixed(n, n))
         assert perfect.stats.seed_blocks == mixed.stats.seed_blocks == 1
-        rep = verify.verify_splitting(proto)
+        rep = splitting.verify_splitting(proto)
         assert rep.p_success_perfect == perfect.success_probability
         assert rep.q_success_mixed == mixed.success_probability
 
@@ -166,7 +166,7 @@ def test_splitting_scores_case_two_below_a_vanished_case_one_node():
     # expands them for case II, and q counts leaves that case I never reaches
     z = Instrument(branches=((np.diag([1.0, 0.0]),), (np.diag([0.0, 1.0]),)))
     proto = Protocol(1, (1.0,), (Round(ALICE, (z,)), Round(BOB, (z,)), Round(ALICE, (z,))), AlwaysAccept(), (0,))
-    rep = verify.verify_splitting(proto)
+    rep = splitting.verify_splitting(proto)
     assert rep.p_success_perfect == pytest.approx(1.0, abs=1e-15)
     assert rep.q_success_mixed == pytest.approx(1.0, abs=1e-15)
     assert rep.nodes_checked == 7 and rep.passed
@@ -179,7 +179,7 @@ def test_splitting_fails_where_case_two_vanishes_under_a_live_node():
     faint = 3e-12
     thin = Instrument(branches=((np.diag([np.sqrt(faint), 0.0]),), (np.diag([np.sqrt(1 - faint), 1.0]),)))
     proto = Protocol(1, (1.0,), (Round(BOB, (z,)), Round(ALICE, (thin,))), AlwaysAccept(), (0,))
-    rep = verify.verify_splitting(proto)
+    rep = splitting.verify_splitting(proto)
     assert rep.passed is False
     assert rep.worst_node == (0, "00")
 
@@ -199,12 +199,12 @@ class _BobSkewedMixed:
 def test_splitting_node_margin_takes_the_lower_party(monkeypatch):
     # ``passed`` and ``worst_node`` turn where the tolerance crosses the
     # lower of the two parties' minima, which is Bob's here; the tracker
-    # builds its roots with ``locc.frontier_of``, and ``verify.frontier_of``
+    # builds its roots with ``locc.frontier_of``, and ``splitting.frontier_of``
     # is redirected for the initial-condition check only, which so holds
-    monkeypatch.setattr(verify, "ProductState", _BobSkewedMixed)
-    real = verify.frontier_of
+    monkeypatch.setattr(splitting, "ProductState", _BobSkewedMixed)
+    real = splitting.frontier_of
     monkeypatch.setattr(
-        verify, "frontier_of",
+        splitting, "frontier_of",
         lambda st: real(ProductState.maximally_mixed(st.n_alice, st.n_bob) if isinstance(st, ProductState) else st),
     )
     for i in range(6):
@@ -213,11 +213,11 @@ def test_splitting_node_margin_takes_the_lower_party(monkeypatch):
             gen, int(gen.integers(1, 3)), int(gen.integers(1, 3)), n_seeds=int(gen.integers(1, 3)),
             kraus_per_branch=int(gen.integers(1, 3)), with_listeners=bool(i % 2),
         )
-        rep = verify.verify_splitting(proto)
+        rep = splitting.verify_splitting(proto)
         low = min(rep.min_alice_margin, rep.min_bob_margin)
         assert rep.min_bob_margin < rep.min_alice_margin - 0.1, rep
-        below = verify.verify_splitting(proto, tol=-low - 1e-9)
-        above = verify.verify_splitting(proto, tol=-low + 1e-9)
+        below = splitting.verify_splitting(proto, tol=-low - 1e-9)
+        above = splitting.verify_splitting(proto, tol=-low + 1e-9)
         assert below.worst_node is not None and below.passed is False
         assert above.worst_node is None and above.passed is True
 
@@ -226,7 +226,7 @@ def test_splitting_beyond_three_pairs():
     # no size limit below the qubit cap: the tracker holds one level of
     # the transcript tree at a time
     for n, s in ((4, 3), (5, 2)):
-        rep = verify.verify_splitting(make_simple_random_hash(n, s))
+        rep = splitting.verify_splitting(make_simple_random_hash(n, s))
         assert rep.passed, rep
         assert rep.initial_condition_ok
         assert rep.success_margin == pytest.approx(0.0, abs=1e-10)
@@ -238,7 +238,7 @@ def test_splitting_beyond_three_pairs():
             gen, n, int(gen.integers(1, 4)), n_seeds=int(gen.integers(1, 3)),
             kraus_per_branch=kraus, with_listeners=bool(i % 2),
         )
-        rep = verify.verify_splitting(proto)
+        rep = splitting.verify_splitting(proto)
         assert rep.passed, (n, rep)
         assert rep.initial_condition_ok
 
@@ -250,7 +250,7 @@ def test_splitting_closed_form_on_every_hash_up_to_five_pairs():
     ulp = np.spacing(1.0)
     for n in range(2, 6):
         for s in range(1, n):
-            rep = verify.verify_splitting(make_simple_random_hash(n, s))
+            rep = splitting.verify_splitting(make_simple_random_hash(n, s))
             assert rep.passed and rep.worst_node is None, (n, s, rep)
             assert 1.0 <= rep.p_success_perfect <= 1.0 + ulp, (n, s)
             assert rep.q_success_mixed == 2.0**-s, (n, s)
@@ -261,7 +261,7 @@ def test_splitting_closed_form_on_every_hash_up_to_five_pairs():
 def test_splitting_report_of_full_size_hash(s, checked):
     # every node of hash (5, s) is checked, and both parties' margins are 0
     # up to the eigenvalue solver's rounding
-    rep = verify.verify_splitting(make_simple_random_hash(5, s))
+    rep = splitting.verify_splitting(make_simple_random_hash(5, s))
     assert (rep.n, rep.bits, rep.initial_condition_ok, rep.worst_node, rep.nodes_checked, rep.passed) == (
         5, s, True, None, checked, True
     )
@@ -280,7 +280,7 @@ def test_splitting_reports_survive_a_cut_walk(monkeypatch):
     # checked as before, so the margins, counts and worst nodes stay, and p
     # and q, summed in other blocks, stay within 4 ulps (2 seen)
     cases = [make_simple_random_hash(4, 3), *_splitting_sweep_protocols()]
-    whole = [[verify.verify_splitting(proto, tol) for tol in _SPLITTING_TOLS] for proto in cases]
+    whole = [[splitting.verify_splitting(proto, tol) for tol in _SPLITTING_TOLS] for proto in cases]
     monkeypatch.setattr(locc, "FRONTIER_BUDGET_BYTES", 1 << 12)
     blocks = []
     real = locc._walk
@@ -294,7 +294,7 @@ def test_splitting_reports_survive_a_cut_walk(monkeypatch):
     for proto, reports in zip(cases, whole):
         for tol, ref in zip(_SPLITTING_TOLS, reports):
             blocks.append(0)
-            rep = verify.verify_splitting(proto, tol)
+            rep = splitting.verify_splitting(proto, tol)
             for name in ("initial_condition_ok", "min_alice_margin", "min_bob_margin", "worst_node",
                          "nodes_checked", "passed"):
                 assert getattr(rep, name) == getattr(ref, name), (name, tol, proto.n_pairs)
@@ -518,7 +518,7 @@ def test_lemma_blocks_match_one_instance_at_a_time(count):
 
 
 def test_counting_reports_all_pass():
-    reports = verify.verify_counting()
+    reports = counting.verify_counting()
     assert [r.identity for r in reports] == [
         "binary-joint-consistency",
         "extended-joint-consistency",
@@ -533,7 +533,7 @@ def test_extended_joint_counts_match_pure_python_bruteforce():
     # loop over (c, u) pairs built on consistent_extended
     for n in (1, 2):
         for r in range(n + 1):
-            fast = verify._extended_joint_counts(n, r)
+            fast = counting._extended_joint_counts(n, r)
             vecs = enumerate_extended(n, r)
             for a in range(1 << n):
                 for b in range(1 << n):
@@ -558,7 +558,7 @@ def test_binary_consistency_matrix_is_honest():
 
     for n in (2, 3):
         for r in range(n + 1):
-            cons = verify._binary_consistency_matrix(n, r)
+            cons = counting._binary_consistency_matrix(n, r)
             vecs = enumerate_indicators(n, r)
             for vi, v in enumerate(vecs):
                 for x in range(1 << n):
