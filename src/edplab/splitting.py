@@ -58,8 +58,6 @@ def _dominance_lows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.eigvalsh((diff + adjoint) / 2.0)[..., 0]
 
 
-
-
 # ---------------------------------------------------------------------------
 # transcript splitting
 
